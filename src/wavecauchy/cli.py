@@ -36,6 +36,8 @@ from . import __version__
 from .errors import ConfigError, DomainSizeError
 from .fields import ScalarField, make_field
 from .geometry import (
+    MAX_DESCENT_DIMENSION,
+    MAX_DIMENSION,
     Dimension,
     solution_constant,
     sphere_quadrature,
@@ -58,6 +60,7 @@ from .solvers import (
     SolutionSample,
     solve_point,
     spectral_solve,
+    spectral_state,
     wave_residual,
 )
 
@@ -84,29 +87,46 @@ class RunConfig:
             return self.sections.get(section, key)
         return default
 
+    def parse(self, section: str, key: str, default, kind, errors: list[str], valid=None):
+        """section.key (or default) through _parse_scalar; None when both are absent."""
+        raw = self.get(section, key, default)
+        return None if raw is None else _parse_scalar(raw, kind, section, key, errors, valid)
 
-def _parse_scalar(raw: str, kind, section: str, key: str, errors: list[str]):
+
+def _parse_scalar(raw: str, kind, section: str, key: str, errors: list[str], valid=None):
+    """kind(raw); when the cast fails or valid(value) is false, section.key
+    goes to errors and the result is None."""
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError):
-        errors.append(f"{section}.{key}")
-        return None
-
-
-def _parse_list(raw: str, kind, section: str, key: str, errors: list[str]):
-    try:
-        return [kind(part.strip()) for part in raw.split(",") if part.strip()]
-    except (TypeError, ValueError):
-        errors.append(f"{section}.{key}")
-        return None
-
-
-def _parse_tolerance(raw: str, section: str, key: str, errors: list[str]):
-    value = _parse_scalar(raw, float, section, key, errors)
-    if value is not None and value <= 0:
+        value = None
+    if value is None or valid is not None and not valid(value):
         errors.append(f"{section}.{key}")
         return None
     return value
+
+
+def _ints(raw: str) -> list[int]:
+    return [int(part) for part in raw.split(",") if part.strip()]
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(part) for part in raw.split(",") if part.strip()]
+
+
+def _positive(value) -> bool:
+    return value > 0
+
+
+def _dimension(value) -> bool:
+    return 1 <= value <= MAX_DIMENSION
+
+
+def _check_means_dimension(n: int, key: str) -> None:
+    """Even n reaches the means solvers by descent, on a rule on S^n."""
+    if n % 2 == 0 and n > MAX_DESCENT_DIMENSION:
+        raise ConfigError(f"means solvers cover even dimensions up to {MAX_DESCENT_DIMENSION} "
+                          f"(descent needs a sphere rule in R^{n + 1}), got {n}", keys=[key])
 
 
 def load_config(path: str, command: str, overrides: dict) -> RunConfig:
@@ -216,46 +236,29 @@ def _finish(report: Report, config: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
+#: numeric parameters of each field kind, read as data.<role>_<key>; center is a list
+_FIELD_KEYS = {
+    "gaussian": ("sigma", "amplitude", "center"),
+    "bump": ("radius", "sharpness", "amplitude", "center"),
+    "harmonic": ("amplitude", "offset"),
+    "constant": ("value",),
+    "zero": (),
+}
+
+
 def _field_from_config(config: RunConfig, role: str, dim: int, errors: list[str]) -> ScalarField:
     kind = config.get("data", role, "zero")
-    params: dict = {}
-
-    def scalar(key, cast=float):
-        raw = config.get("data", f"{role}_{key}")
-        if raw is None:
-            return None
-        return _parse_scalar(raw, cast, "data", f"{role}_{key}", errors)
-
-    if kind == "gaussian":
-        for key in ("sigma", "amplitude"):
-            val = scalar(key)
-            if val is not None:
-                params[key] = val
-        raw_center = config.get("data", f"{role}_center")
-        if raw_center is not None:
-            params["center"] = _parse_list(raw_center, float, "data", f"{role}_center", errors)
-    elif kind == "bump":
-        for key in ("radius", "sharpness", "amplitude"):
-            val = scalar(key)
-            if val is not None:
-                params[key] = val
-        raw_center = config.get("data", f"{role}_center")
-        if raw_center is not None:
-            params["center"] = _parse_list(raw_center, float, "data", f"{role}_center", errors)
-    elif kind == "harmonic":
-        name = config.get("data", f"{role}_poly")
-        if name:
-            params["name"] = name
-        for key in ("amplitude", "offset"):
-            val = scalar(key)
-            if val is not None:
-                params[key] = val
-    elif kind == "constant":
-        val = scalar("value")
-        params["value"] = 1.0 if val is None else val
-    elif kind != "zero":
+    if kind not in _FIELD_KEYS:
         errors.append(f"data.{role}")
         return make_field("zero", dim)
+    params: dict = {"value": 1.0} if kind == "constant" else {}
+    if kind == "harmonic" and config.get("data", f"{role}_poly"):
+        params["name"] = config.get("data", f"{role}_poly")
+    for key in _FIELD_KEYS[kind]:
+        value = config.parse("data", f"{role}_{key}", None,
+                             _floats if key == "center" else float, errors)
+        if value is not None:
+            params[key] = value
     try:
         return make_field(kind, dim, **params)
     except (TypeError, ValueError):
@@ -267,10 +270,8 @@ def _probes(config: RunConfig, section: str, dim: int, rng: np.random.Generator,
             errors: list[str]) -> list[np.ndarray]:
     raw = config.get(section, "probes", "random")
     if raw.strip() == "random":
-        count = _parse_scalar(config.get(section, "probe_count", "5"), int, section,
-                              "probe_count", errors) or 5
-        radius = _parse_scalar(config.get(section, "probe_radius", "1.0"), float, section,
-                               "probe_radius", errors) or 1.0
+        count = config.parse(section, "probe_count", "5", int, errors) or 5
+        radius = config.parse(section, "probe_radius", "1.0", float, errors) or 1.0
         return [rng.uniform(-radius, radius, size=dim) for _ in range(count)]
     probes = []
     for chunk in raw.split(","):
@@ -278,7 +279,11 @@ def _probes(config: RunConfig, section: str, dim: int, rng: np.random.Generator,
         if len(comps) != dim:
             errors.append(f"{section}.probes")
             return []
-        probes.append(np.array([float(c) for c in comps]))
+        try:
+            probes.append(np.array([float(c) for c in comps]))
+        except ValueError:
+            errors.append(f"{section}.probes")
+            return []
     return probes
 
 
@@ -289,13 +294,12 @@ def _probes(config: RunConfig, section: str, dim: int, rng: np.random.Generator,
 
 def _run_constants(config: RunConfig) -> Report:
     errors: list[str] = []
-    dims = _parse_list(config.get("constants", "dims", "2, 3, 4, 5, 6, 7"), int,
-                       "constants", "dims", errors) or []
-    tol = config.tol_override or _parse_tolerance(
-        config.get("constants", "tolerance", "1e-10"), "constants", "tolerance", errors)
-    radius = _parse_scalar(config.get("constants", "radius", "1.0"), float,
-                           "constants", "radius", errors)
-    if errors or not dims or any(d < 2 for d in dims):
+    dims = config.parse("constants", "dims", "2, 3, 4, 5, 6, 7", _ints, errors) or []
+    tol = config.tol_override or config.parse("constants", "tolerance", "1e-10", float, errors,
+                                              _positive)
+    radius = config.parse("constants", "radius", "1.0", float, errors)
+    rule_dim = config.parse("constants", "export_rule_dim", None, int, errors, _dimension)
+    if errors or not dims or any(not 2 <= d <= MAX_DIMENSION for d in dims):
         raise ConfigError("invalid constants settings",
                           keys=errors or ["constants.dims"])
 
@@ -315,10 +319,9 @@ def _run_constants(config: RunConfig) -> Report:
                    violated="" if ok else "constants.tolerance")
     report.summary["max_rel_diff"] = max(row[6] for row in report.rows)
 
-    rule_dim = config.get("constants", "export_rule_dim")
     rule_path = config.get("constants", "export_rule_path")
     if rule_dim and rule_path:
-        sphere_quadrature(int(rule_dim)).to_csv(rule_path)
+        sphere_quadrature(rule_dim).to_csv(rule_path)
     return report
 
 
@@ -350,19 +353,15 @@ def _reduction_closed_form(name: str, radius: float, n: int, target: str) -> flo
 
 def _run_reduction(config: RunConfig) -> Report:
     errors: list[str] = []
-    dims = _parse_list(config.get("reduction", "dims", "3, 4, 5, 7"), int,
-                       "reduction", "dims", errors) or []
-    radii = _parse_list(config.get("reduction", "radii", "0.5, 1, 2"), float,
-                        "reduction", "radii", errors) or []
+    dims = config.parse("reduction", "dims", "3, 4, 5, 7", _ints, errors) or []
+    radii = config.parse("reduction", "radii", "0.5, 1, 2", _floats, errors) or []
     names = [s.strip() for s in config.get("reduction", "functions", "one, square, cosine").split(",")]
-    tol = config.tol_override or _parse_tolerance(
-        config.get("reduction", "tolerance", "1e-10"), "reduction", "tolerance", errors)
-    mc_samples = _parse_scalar(config.get("reduction", "mc_samples", "0"), int,
-                               "reduction", "mc_samples", errors)
-    mc_sigmas = _parse_scalar(config.get("reduction", "mc_sigmas", "3.0"), float,
-                              "reduction", "mc_sigmas", errors)
+    tol = config.tol_override or config.parse("reduction", "tolerance", "1e-10", float, errors,
+                                              _positive)
+    mc_samples = config.parse("reduction", "mc_samples", "0", int, errors)
+    mc_sigmas = config.parse("reduction", "mc_sigmas", "3.0", float, errors)
     bad = [name for name in names if name not in _REDUCTION_FUNCTIONS]
-    if errors or bad or not dims or not radii or any(d < 3 for d in dims) \
+    if errors or bad or not dims or not radii or any(not 3 <= d <= MAX_DIMENSION for d in dims) \
             or any(r <= 0 for r in radii):
         raise ConfigError("invalid reduction settings",
                           keys=errors or ["reduction.functions" if bad else "reduction.dims"])
@@ -410,12 +409,9 @@ def _run_reduction(config: RunConfig) -> Report:
 def _identity_tolerance(config: RunConfig, n: int, errors: list[str]) -> float:
     if config.tol_override:
         return config.tol_override
-    raw = config.get("identities", f"tolerance_{n}")
-    if raw is not None:
-        return _parse_tolerance(raw, "identities", f"tolerance_{n}", errors)
-    raw = config.get("identities", "tolerance")
-    if raw is not None:
-        return _parse_tolerance(raw, "identities", "tolerance", errors)
+    for key in (f"tolerance_{n}", "tolerance"):
+        if config.get("identities", key) is not None:
+            return config.parse("identities", key, None, float, errors, _positive)
     if n % 2 == 0:
         return 1e-6
     return 1e-10 if n == 3 else 1e-8
@@ -423,13 +419,10 @@ def _identity_tolerance(config: RunConfig, n: int, errors: list[str]) -> float:
 
 def _run_identities(config: RunConfig) -> Report:
     errors: list[str] = []
-    dims = _parse_list(config.get("identities", "dims", "3, 5, 7"), int,
-                       "identities", "dims", errors) or []
-    count = _parse_scalar(config.get("identities", "count", "200"), int,
-                          "identities", "count", errors)
-    max_product = _parse_scalar(config.get("identities", "max_product", "20.0"), float,
-                                "identities", "max_product", errors)
-    if errors or not dims or any(d < 2 for d in dims) or not count or count < 1:
+    dims = config.parse("identities", "dims", "3, 5, 7", _ints, errors) or []
+    count = config.parse("identities", "count", "200", int, errors)
+    max_product = config.parse("identities", "max_product", "20.0", float, errors)
+    if errors or not dims or any(not 2 <= d <= MAX_DIMENSION for d in dims) or not count or count < 1:
         raise ConfigError("invalid identities settings", keys=errors or ["identities.dims"])
 
     report = Report(config.command, [
@@ -455,16 +448,15 @@ def _run_identities(config: RunConfig) -> Report:
 
 def _run_solve(config: RunConfig) -> Report:
     errors: list[str] = []
-    dim = _parse_scalar(config.get("run", "dim", "3"), int, "run", "dim", errors)
-    times = _parse_list(config.get("solve", "times", "1.0"), float, "solve", "times", errors) or []
+    dim = config.parse("run", "dim", "3", int, errors, _dimension)
+    times = config.parse("solve", "times", "1.0", _floats, errors) or []
     method = config.get("solve", "method", "auto")
-    expect_raw = config.get("solve", "expect_value")
-    expect = None if expect_raw is None else _parse_scalar(expect_raw, float, "solve",
-                                                           "expect_value", errors)
-    expect_tol = _parse_tolerance(config.get("solve", "expect_tol", "1e-6"),
-                                  "solve", "expect_tol", errors)
-    if errors or not dim or dim < 1 or any(t <= 0 for t in times) or not times:
+    expect = config.parse("solve", "expect_value", None, float, errors)
+    expect_tol = config.parse("solve", "expect_tol", "1e-6", float, errors, _positive)
+    if errors or not dim or any(t <= 0 for t in times) or not times:
         raise ConfigError("invalid solve settings", keys=errors or ["solve.times"])
+    if method != "spectral":
+        _check_means_dimension(dim, "run.dim")
 
     rng = np.random.default_rng(config.seed)
     phi = _field_from_config(config, "phi", dim, errors)
@@ -479,16 +471,15 @@ def _run_solve(config: RunConfig) -> Report:
 
     samples: list[SolutionSample] = []
     if method == "spectral":
-        half_width = _parse_scalar(config.get("solve", "grid_half_width", "8.0"), float,
-                                   "solve", "grid_half_width", errors)
-        points = _parse_scalar(config.get("solve", "grid_points", "128"), int,
-                               "solve", "grid_points", errors)
+        half_width = config.parse("solve", "grid_half_width", "8.0", float, errors)
+        points = config.parse("solve", "grid_points", "128", int, errors)
         if errors:
             raise ConfigError("invalid solve settings", keys=errors)
         grid = GridSpec(half_width, points, dim)
+        state = spectral_state(problem, grid)
         for t in times:
             try:
-                sol = spectral_solve(problem, grid, t)
+                sol = spectral_solve(problem, grid, t, state=state)
             except DomainSizeError as exc:
                 raise ConfigError(str(exc), keys=["solve.grid_half_width"]) from exc
             for probe in probes:
@@ -545,15 +536,14 @@ def _rounding_floor(slab: np.ndarray, h_t: float) -> float:
 
 def _converge_residuals(config: RunConfig, target: str, levels: int,
                         errors: list[str]) -> tuple[list[float], list[float], list[float]]:
-    h0 = _parse_scalar(config.get("converge", "h0", "0.2"), float, "converge", "h0", errors)
+    h0 = config.parse("converge", "h0", "0.2", float, errors)
     if errors:
         raise ConfigError("invalid converge settings", keys=errors)
     hs = [h0 / 2**level for level in range(levels)]
 
     if target == "wave-residual":
         profile = config.get("converge", "profile", "coscos")
-        points = _parse_scalar(config.get("converge", "points", "9"), int,
-                               "converge", "points", errors) or 9
+        points = config.parse("converge", "points", "9", int, errors) or 9
         res, floors = [], []
         for h in hs:
             slab = _analytic_slab(profile, h, points)
@@ -562,15 +552,15 @@ def _converge_residuals(config: RunConfig, target: str, levels: int,
         return hs, res, floors
 
     if target == "pde-residual":
-        dim = _parse_scalar(config.get("converge", "dim", "2"), int, "converge", "dim", errors)
+        dim = config.parse("converge", "dim", "2", int, errors, _dimension)
         if errors:
             raise ConfigError("invalid converge settings", keys=errors)
+        _check_means_dimension(dim, "converge.dim")
         phi = _field_from_config(config, "phi", dim, errors)
         psi = _field_from_config(config, "psi", dim, errors)
         problem = CauchyProblem(phi, psi, Dimension(dim))
-        points = _parse_scalar(config.get("converge", "points", "5"), int,
-                               "converge", "points", errors) or 5
-        t0 = _parse_scalar(config.get("converge", "t0", "1.0"), float, "converge", "t0", errors)
+        points = config.parse("converge", "points", "5", int, errors) or 5
+        t0 = config.parse("converge", "t0", "1.0", float, errors)
         res, floors = [], []
         for h in hs:
             axis = h * (np.arange(points) - points // 2)
@@ -586,12 +576,10 @@ def _converge_residuals(config: RunConfig, target: str, levels: int,
         return hs, res, floors
 
     if target in ("odd-identity", "even-identity"):
-        dim = _parse_scalar(config.get("converge", "dim", "5" if target == "odd-identity" else "4"),
-                            int, "converge", "dim", errors)
-        xi_norm = _parse_scalar(config.get("converge", "xi_norm", "3.0"), float,
-                                "converge", "xi_norm", errors)
-        radius = _parse_scalar(config.get("converge", "radius", "1.0"), float,
-                               "converge", "radius", errors)
+        dim = config.parse("converge", "dim", "5" if target == "odd-identity" else "4", int,
+                           errors, _dimension)
+        xi_norm = config.parse("converge", "xi_norm", "3.0", float, errors)
+        radius = config.parse("converge", "radius", "1.0", float, errors)
         if errors:
             raise ConfigError("invalid converge settings", keys=errors)
         d = Dimension(dim)
@@ -618,17 +606,12 @@ def converge(config: RunConfig) -> Report:
     """Run a refinement ladder and fit the observed convergence order."""
     errors: list[str] = []
     target = config.get("converge", "target", "wave-residual")
-    levels = _parse_scalar(config.get("converge", "levels", "3"), int,
-                           "converge", "levels", errors)
+    levels = config.parse("converge", "levels", "3", int, errors)
     if errors or not levels or levels < 3:
         raise ConfigError("converge needs at least 3 ladder levels",
                           keys=errors or ["converge.levels"])
-    expected = config.get("converge", "expected_order")
-    expected_order = None
-    if expected is not None:
-        expected_order = _parse_scalar(expected, float, "converge", "expected_order", errors)
-    order_tol = _parse_tolerance(config.get("converge", "order_tol", "0.5"),
-                                 "converge", "order_tol", errors)
+    expected_order = config.parse("converge", "expected_order", None, float, errors)
+    order_tol = config.parse("converge", "order_tol", "0.5", float, errors, _positive)
 
     hs, residuals, floors = _converge_residuals(config, target, levels, errors)
 

@@ -26,6 +26,8 @@ from .errors import EvaluationError
 #: Gamma-overflow policy: dimensions above this are rejected outright.
 MAX_DIMENSION = 12
 
+_CHUNK_BYTES = 1 << 26  # cap on transient point arrays in sphere_sums
+
 # Default (polar nodes per angle, azimuth nodes) for the product sphere rule.
 # Node counts are L^(n-2) * M, so the per-angle budget has to shrink with n
 # to stay desk-scale; the resulting polynomial exactness is still >= 11 at
@@ -356,6 +358,39 @@ def sphere_quadrature_for_order(n: int, order: int) -> SphereQuadrature:
     return _sphere_rule_cached(n, polar, azimuth)
 
 
+#: Largest even dimension whose descent rule on S^n stays within MAX_DIMENSION.
+MAX_DESCENT_DIMENSION = MAX_DIMENSION - 2
+
+
+def descent_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature:
+    """The S^n rule for an even-n means value by Hadamard descent from n + 1;
+    a rule on S^(n-1) gives way to the S^n rule of the same polynomial order."""
+    if n % 2 or not 2 <= n <= MAX_DESCENT_DIMENSION:
+        raise ValueError(f"descent needs an even n <= {MAX_DESCENT_DIMENSION}, got {n}")
+    if rule is None:
+        return sphere_quadrature(n + 1)
+    if rule.n == n:
+        return sphere_quadrature_for_order(n + 1, rule.order)
+    if rule.n != n + 1:
+        raise ValueError(f"rule on S^{rule.n - 1} does not fit dimension {n}")
+    return rule
+
+
+def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndarray:
+    """S(r_j) = sum_i w_i g(center + r_j node_i), chunked over nodes: omega_n
+    times the mean of g over the sphere of radius r_j. g takes points shaped
+    (..., n) and may be complex-valued."""
+    chunk = max(1, _CHUNK_BYTES // (max(len(radii), 1) * rule.n * 8))
+    out = 0.0
+    for start in range(0, rule.nodes.shape[0], chunk):
+        points = center + radii[:, None, None] * rule.nodes[None, start:start + chunk, :]
+        values = np.asarray(g(points))
+        if not np.all(np.isfinite(values)):
+            raise EvaluationError("g returned non-finite values on a sphere")
+        out = out + values @ rule.weights[start:start + chunk]
+    return out
+
+
 def integrate_on_sphere(g, center, radius: float, rule: SphereQuadrature) -> float:
     """Quadrature for integral of g over the sphere of given center/radius.
 
@@ -366,8 +401,4 @@ def integrate_on_sphere(g, center, radius: float, rule: SphereQuadrature) -> flo
         raise ValueError(f"center has shape {center.shape}, rule is for R^{rule.n}")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    points = center + radius * rule.nodes
-    values = np.asarray(g(points), dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError("g returned non-finite values on the sphere")
-    return radius ** (rule.n - 1) * float(rule.weights @ values)
+    return radius ** (rule.n - 1) * float(sphere_sums(g, center, np.array([radius]), rule)[0])

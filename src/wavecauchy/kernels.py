@@ -23,9 +23,11 @@ from .geometry import (
     _leggauss,
     _omega,
     _unit_gegenbauer,
+    descent_rule,
     solution_constant,
     sphere_quadrature,
     sphere_quadrature_for_order,
+    sphere_sums,
     unit_ball_volume,
 )
 from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, default_spec
@@ -250,8 +252,9 @@ class DistributionFunctional:
     """The functional whose Fourier transform is sin(R|xi|)/|xi|.
 
     Acts on test functions through the parity-appropriate core: the sphere
-    average (odd n) or the weighted ball average (even n), pushed through the
-    iterated radial derivative and scaled by the solution constant. Its
+    average (odd n) or the weighted ball average (even n 2..10, computed by
+    descent as half a sphere average over S^n), pushed through the iterated
+    radial derivative and scaled by the solution constant. Its
     support is the closed ball of the given radius, so the action on
     anything vanishing near that ball is zero up to quadrature noise.
     """
@@ -278,36 +281,29 @@ class DistributionFunctional:
         half_width = (spec.degree / 2.0) * spec.h
         return self.radius + half_width
 
-    def action(self, test_fn, spec: RadialDerivativeSpec | None = None,
-               rule=None, theta_count: int = 64):
-        """Apply the functional to a (possibly complex-valued) test function."""
+    def action(self, test_fn, spec: RadialDerivativeSpec | None = None, rule=None):
+        """Apply the functional to a (possibly complex-valued) test function
+        of points shaped (..., n).
+
+        Even n descends from n + 1: the weighted ball average over B^n is
+        half the sphere average over S^n of the test function at the first n
+        node coordinates, so the profile is R^(n-1) S(R) / (2 v_n) on the
+        rule from `descent_rule`. Raises ValueError above n = 10.
+        """
         n = self.dim.n
         m = self.order
         spec = spec or default_spec(m, self.radius)
         spec.validate_radius(self.radius)
-        rule = rule or sphere_quadrature(n)
-
-        def sphere_sums(radii: np.ndarray) -> np.ndarray:
-            # S(r) = sum_i w_i g(r * node_i), batched over radii
-            points = radii[:, None, None] * rule.nodes[None, :, :]
-            values = np.asarray(test_fn(points.reshape(-1, n))).reshape(len(radii), -1)
-            return values @ rule.weights
-
         if self.dim.is_odd:
-            def profile(radii):
-                return radii ** (n - 2) * sphere_sums(radii) / _omega(n)
+            rule = rule or sphere_quadrature(n)
+            power, norm = n - 2, _omega(n)
         else:
-            u, wu = _leggauss(theta_count)
-            theta = (math.pi / 4.0) * (u + 1.0)
-            w_theta = (math.pi / 4.0) * wu
-            sin_theta = np.sin(theta)
+            rule = descent_rule(n, rule)
+            power, norm = n - 1, 2.0 * unit_ball_volume(n)
 
-            def profile(radii):
-                radii = np.asarray(radii, dtype=np.float64)
-                shell = radii[:, None] * sin_theta[None, :]
-                sums = sphere_sums(shell.ravel()).reshape(len(radii), theta_count)
-                angular = (sums * sin_theta ** (n - 1)) @ w_theta
-                return radii ** (n - 1) * angular / unit_ball_volume(n)
+        def profile(radii):
+            sums = sphere_sums(lambda points: test_fn(points[..., :n]), 0.0, radii, rule)
+            return radii ** power * sums / norm
 
         series = MeanSeries.sample(profile, self.radius, spec)
         return self.constant * chain_apply(series, m, self.radius, spec.h)

@@ -1,12 +1,17 @@
 """Point and grid solvers for the wave-equation Cauchy problem.
 
-Three independent routes:
+Two independent routes:
 
 * odd dimensions >= 3: iterated radial derivatives of r^(n-2)-scaled sphere
   averages of the data (Kirchhoff's formula when n = 3);
-* even dimensions >= 2: the same chain on r^n-scaled weighted ball averages
-  (Poisson's formula when n = 2);
 * n = 1: the two traveling waves plus the integrated velocity.
+
+Even dimensions 2 <= n <= 10 use the odd route by Hadamard descent: data
+extended to R^(n+1) without dependence on x_(n+1) have sphere means over
+S^n equal to twice the weighted ball means over B^n, so the solution at x
+is the (n+1)-dimensional one at (x, 0) (Poisson's formula when n = 2).
+The weighted ball mean itself stays as `weighted_ball_mean`, the paper's
+direct formula, kept as a test oracle.
 
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
@@ -23,20 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainSizeError, EvaluationError
+from .errors import DomainSizeError
 from .fields import ScalarField
 from .geometry import (
     Dimension,
     SphereQuadrature,
     _leggauss,
     _omega,
+    descent_rule,
     solution_constant,
     sphere_quadrature,
+    sphere_sums,
     unit_ball_volume,
 )
 from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, default_spec, stencil_offsets
-
-_CHUNK_BYTES = 1 << 26  # cap on transient point arrays in the means solvers
 
 BINARY_MAGIC = b"WAVE"
 BINARY_VERSION = 1
@@ -71,22 +76,6 @@ class SolutionSample:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_sums(field, center: np.ndarray, radii: np.ndarray, rule: SphereQuadrature) -> np.ndarray:
-    """S(r_j) = sum_i w_i field(center + r_j node_i), chunked over nodes."""
-    n = rule.n
-    n_radii = len(radii)
-    out = np.zeros(n_radii)
-    chunk = max(1, int(_CHUNK_BYTES // (max(n_radii, 1) * n * 8)))
-    for start in range(0, rule.nodes.shape[0], chunk):
-        nodes = rule.nodes[start:start + chunk]
-        points = center + radii[:, None, None] * nodes[None, :, :]
-        values = field(points)
-        if not np.all(np.isfinite(values)):
-            raise EvaluationError("field returned non-finite values on a sphere")
-        out += values @ rule.weights[start:start + chunk]
-    return out
-
-
 def spherical_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | None = None) -> float:
     """Average of psi over the sphere of radius t centered at x."""
     x = np.asarray(x, dtype=np.float64)
@@ -95,29 +84,17 @@ def spherical_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | None 
     rule = rule or sphere_quadrature(psi.dim)
     if rule.n != psi.dim or x.shape != (psi.dim,):
         raise ValueError("dimension mismatch between field, point and rule")
-    return float(_sphere_sums(psi, x, np.array([t]), rule)[0] / _omega(rule.n))
+    return float(sphere_sums(psi, x, np.array([t]), rule)[0] / _omega(rule.n))
 
 
-def _weighted_sums(field, center: np.ndarray, radii: np.ndarray, rule: SphereQuadrature,
-                   theta_count: int) -> np.ndarray:
-    """W(R_j) = integral_0^{pi/2} sin^(n-1)(theta) S(R_j sin theta) d(theta)."""
-    n = rule.n
-    u, wu = _leggauss(theta_count)
-    theta = (math.pi / 4.0) * (u + 1.0)
-    w_theta = (math.pi / 4.0) * wu
-    sin_theta = np.sin(theta)
-    shell = (radii[:, None] * sin_theta[None, :]).ravel()
-    sums = _sphere_sums(field, center, shell, rule).reshape(len(radii), theta_count)
-    return (sums * sin_theta ** (n - 1)) @ w_theta
-
-
-def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | None = None,
-                       theta_count: int = 64) -> float:
+def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | None = None) -> float:
     """Weighted average of psi over the ball of radius t centered at x.
 
     The weight is (t^2 - |x - y|^2)^(-1/2) with normalization 1/(v_n t^n);
-    the boundary singularity is removed by the r = t sin(theta) substitution.
-    Even dimensions only.
+    the boundary singularity is removed by the r = t sin(theta) substitution
+    and 64 Gauss nodes in theta. Even dimensions only. This is the paper's
+    direct formula; the solvers reach the same value by descent, and it
+    stays as their independent test oracle.
     """
     x = np.asarray(x, dtype=np.float64)
     if t <= 0:
@@ -127,7 +104,12 @@ def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | N
     rule = rule or sphere_quadrature(psi.dim)
     if rule.n != psi.dim or x.shape != (psi.dim,):
         raise ValueError("dimension mismatch between field, point and rule")
-    w = _weighted_sums(psi, x, np.array([t]), rule, theta_count)[0]
+    # integral_0^{pi/2} sin^(n-1)(theta) S(t sin theta) d(theta)
+    u, wu = _leggauss(64)
+    theta = (math.pi / 4.0) * (u + 1.0)
+    sin_theta = np.sin(theta)
+    sums = sphere_sums(psi, x, t * sin_theta, rule)
+    w = (sums * sin_theta ** (rule.n - 1)) @ ((math.pi / 4.0) * wu)
     return float(w / (unit_ball_volume(psi.dim) * t))
 
 
@@ -147,24 +129,15 @@ def _resolve_spec(problem: CauchyProblem, t: float, spec: RadialDerivativeSpec |
 
 
 def _means_value(problem: CauchyProblem, x: np.ndarray, t: float, h: float,
-                 spec: RadialDerivativeSpec, rule: SphereQuadrature,
-                 theta_count: int) -> float:
-    """Both solution terms from stencil-sampled means at spacing h."""
+                 spec: RadialDerivativeSpec, rule: SphereQuadrature) -> float:
+    """Both solution terms from stencil-sampled sphere means at spacing h; odd n."""
     n = problem.dim.n
     m = problem.dim.derivative_order
-    constant = solution_constant(n)
 
-    if problem.dim.is_odd:
-        def series_for(field, degree):
-            radii = t + stencil_offsets(degree) * h
-            values = radii ** (n - 2) * _sphere_sums(field, x, radii, rule) / _omega(n)
-            return MeanSeries(radii, values)
-    else:
-        def series_for(field, degree):
-            radii = t + stencil_offsets(degree) * h
-            sums = _weighted_sums(field, x, radii, rule, theta_count)
-            values = radii ** (n - 1) * sums / unit_ball_volume(n)
-            return MeanSeries(radii, values)
+    def series_for(field, degree):
+        radii = t + stencil_offsets(degree) * h
+        values = radii ** (n - 2) * sphere_sums(field, x, radii, rule) / _omega(n)
+        return MeanSeries(radii, values)
 
     total = 0.0
     if not problem.psi.is_zero:
@@ -173,26 +146,41 @@ def _means_value(problem: CauchyProblem, x: np.ndarray, t: float, h: float,
         _, dval = chain_apply(series_for(problem.phi, spec.degree + 2), m, t, h,
                               time_derivative=True)
         total += float(dval)
-    return constant * total
+    return solution_constant(n) * total
+
+
+def _lift(field: ScalarField) -> ScalarField:
+    """field extended to one more dimension, constant in the last coordinate."""
+    n = field.dim
+    return ScalarField(lambda points: field(points[..., :n]), n + 1, is_zero=field.is_zero,
+                       label=field.label)
 
 
 def _solve_means_point(problem: CauchyProblem, x, t: float, method: str,
                        spec: RadialDerivativeSpec | None, rule: SphereQuadrature | None,
-                       theta_count: int, with_error: bool) -> SolutionSample:
+                       with_error: bool) -> SolutionSample:
+    n = problem.dim.n
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (problem.dim.n,):
-        raise ValueError(f"point must have {problem.dim.n} components")
+    if x.shape != (n,):
+        raise ValueError(f"point must have {n} components")
     if t < 0:
         raise ValueError("time must be non-negative")
     if t == 0.0:
         return SolutionSample(x, 0.0, float(problem.phi(x[None, :])[0]), method, 0.0)
     spec = _resolve_spec(problem, t, spec)
-    rule = rule or sphere_quadrature(problem.dim.n)
-    u = _means_value(problem, x, t, spec.h, spec, rule, theta_count)
+    center, means = x, problem
+    if problem.dim.is_odd:
+        rule = rule or sphere_quadrature(n)
+    else:
+        # descent: the (n+1)-dimensional solution at (x, 0), with the same
+        # derivative order (n - 2) / 2
+        rule = descent_rule(n, rule)
+        center = np.append(x, 0.0)
+        means = CauchyProblem(_lift(problem.phi), _lift(problem.psi), Dimension(n + 1))
+    u = _means_value(means, center, t, spec.h, spec, rule)
     err = math.nan
     if with_error:
-        u_half = _means_value(problem, x, t, spec.h / 2.0, spec, rule, theta_count)
-        err = abs(u - u_half)
+        err = abs(u - _means_value(means, center, t, spec.h / 2.0, spec, rule))
     return SolutionSample(x, t, u, method, err)
 
 
@@ -203,18 +191,22 @@ def solve_odd_point(problem: CauchyProblem, x, t: float,
     """Spherical-means solution at one point; odd dimensions >= 3."""
     if not problem.dim.is_odd or problem.dim.n < 3:
         raise ValueError("spherical-means solver needs an odd dimension >= 3")
-    return _solve_means_point(problem, x, t, "spherical_means", spec, rule, 0, with_error)
+    return _solve_means_point(problem, x, t, "spherical_means", spec, rule, with_error)
 
 
 def solve_even_point(problem: CauchyProblem, x, t: float,
                      spec: RadialDerivativeSpec | None = None,
                      rule: SphereQuadrature | None = None,
-                     theta_count: int = 64,
                      with_error: bool = True) -> SolutionSample:
-    """Weighted-ball-means solution at one point; even dimensions >= 2."""
+    """Weighted-means solution at one point; even dimensions 2 <= n <= 10.
+
+    By Hadamard descent: the odd spherical-means solver in n + 1 dimensions
+    at (x, 0), on data that ignore x_(n+1), with the rule from `descent_rule`.
+    `weighted_ball_mean` is the direct formula, kept as its test oracle.
+    """
     if problem.dim.is_odd:
         raise ValueError("weighted-means solver needs an even dimension")
-    return _solve_means_point(problem, x, t, "weighted_means", spec, rule, theta_count, with_error)
+    return _solve_means_point(problem, x, t, "weighted_means", spec, rule, with_error)
 
 
 def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> SolutionSample:
@@ -315,15 +307,8 @@ class SolutionGrid:
 
     def to_csv(self, path) -> None:
         mesh = self.grid.mesh().reshape(-1, self.grid.dim)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"x{k + 1}" for k in range(self.grid.dim)]
-                            + ["t", "u", "method", "error_estimate"])
-            flat = self.values.ravel()
-            for row, value in zip(mesh, flat):
-                writer.writerow([repr(float(c)) for c in row]
-                                + [repr(self.t), repr(float(value)), self.method,
-                                   repr(float(self.error_estimate))])
+        samples_to_csv([SolutionSample(x, self.t, float(u), self.method, self.error_estimate)
+                        for x, u in zip(mesh, self.values.ravel())], path)
 
     def to_binary(self, path) -> None:
         """Little-endian layout: magic 'WAVE', version u32, n u32, N per axis
@@ -353,16 +338,17 @@ def solution_grid_from_binary(path) -> SolutionGrid:
                         "binary", math.nan)
 
 
-def _sample_on_grid(field: ScalarField, grid: GridSpec) -> np.ndarray:
-    return field(grid.mesh())
+def _spectrum(field: ScalarField, grid: GridSpec) -> np.ndarray:
+    """fftn of the field sampled on the grid; a zero field is not sampled."""
+    if field.is_zero:
+        return np.zeros((grid.points,) * grid.dim, dtype=np.complex128)
+    return np.fft.fftn(field(grid.mesh()))
 
 
 def spectral_state(problem: CauchyProblem, grid: GridSpec) -> SpectralState:
     if grid.dim != problem.dim.n:
         raise ValueError("grid dimension does not match the problem")
-    phi_hat = np.fft.fftn(_sample_on_grid(problem.phi, grid))
-    psi_hat = np.fft.fftn(_sample_on_grid(problem.psi, grid))
-    return SpectralState(grid, phi_hat, psi_hat)
+    return SpectralState(grid, _spectrum(problem.phi, grid), _spectrum(problem.psi, grid))
 
 
 def _check_wraparound(problem: CauchyProblem, grid: GridSpec, t: float) -> None:

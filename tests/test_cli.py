@@ -415,6 +415,58 @@ functions = one, sawtooth
 """)
         assert main(["verify-reduction", "--config", cfg]) == 2
 
+    def test_non_numeric_probe(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, """
+[run]
+command = solve
+dim = 3
+
+[data]
+psi = constant
+
+[solve]
+probes = 0 0 x
+""")
+        assert main(["solve", "--config", cfg]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, settings", [
+        ("solve", "dim = 20\n[data]\npsi = constant"),
+        ("constants", "[constants]\ndims = 20"),
+        ("verify-identities", "[identities]\ndims = 20"),
+        ("verify-reduction", "[reduction]\ndims = 20"),
+    ], ids=["solve", "constants", "identities", "reduction"])
+    def test_dimension_above_maximum(self, tmp_path, capsys, command, settings):
+        cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{settings}\n")
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_non_numeric_rule_export_dim(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"""
+[run]
+command = constants
+
+[constants]
+dims = 3
+export_rule_dim = three
+export_rule_path = {tmp_path / "rule.csv"}
+""")
+        assert main(["constants", "--config", cfg]) == 2
+        assert "constants.export_rule_dim" in capsys.readouterr().err
+
+    def test_means_solve_even_dimension_12(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, """
+[run]
+command = solve
+dim = 12
+
+[data]
+psi = constant
+""")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "up to 10" in err
+
     def test_quad_nodes_override_recorded(self, tmp_path):
         out = tmp_path / "ident.csv"
         cfg = write_config(tmp_path, f"""

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import jv
 
 import wavecauchy.fields as fields
 from wavecauchy.errors import DomainSizeError, StencilError
-from wavecauchy.geometry import Dimension, sphere_quadrature, sphere_quadrature_for_order
-from wavecauchy.radial import RadialDerivativeSpec
+from wavecauchy.geometry import (
+    Dimension,
+    descent_rule,
+    sphere_quadrature,
+    sphere_quadrature_for_order,
+)
+from wavecauchy.kernels import DistributionFunctional
+from wavecauchy.radial import RadialDerivativeSpec, default_spec
 from wavecauchy.solvers import (
     CauchyProblem,
     GridSpec,
@@ -188,6 +196,80 @@ class TestMeansSolvers:
         assert s.error_estimate < 1e-8
 
 
+def counting(field):
+    """field with an evaluator that records how many points it was given."""
+    calls = []
+
+    def evaluate(points):
+        calls.append(points.shape[:-1])
+        return field(points)
+
+    return fields.ScalarField(evaluate, field.dim), calls
+
+
+def gaussian_wave_hankel(n, sigma, x, t):
+    """u(x, t) for phi = 0, psi = exp(-|y|^2 / (2 sigma^2)) by the radial
+    inverse Fourier (Hankel) integral of psi_hat(k) sin(k t) / k."""
+    r = float(np.linalg.norm(x))
+
+    def integrand(k):
+        return (sigma**n * math.exp(-0.5 * (sigma * k) ** 2) * math.sin(k * t)
+                * jv(n / 2 - 1, k * r) * k ** (n / 2 - 1))
+
+    value, _ = quad(integrand, 0.0, 40.0 / sigma, limit=400, epsabs=1e-15, epsrel=1e-13)
+    return r ** (1 - n / 2) * value
+
+
+class TestDescent:
+    def test_n2_matches_weighted_ball_mean(self):
+        psi = fields.gaussian(2, sigma=0.8, center=[0.3, -0.2])
+        x = np.array([0.4, 0.1])
+        for t in (0.5, 1.0, 2.0):
+            u = solve_even_point(problem(2, psi=psi), x, t, with_error=False).u
+            oracle = 0.5 * t * t * weighted_ball_mean(psi, x, t)
+            assert u == pytest.approx(oracle, rel=1e-10)
+
+    def test_n4_gaussian_matches_hankel_integral(self):
+        # the default stencil leaves 2e-7 to 7e-7 relative truncation here; a finer one
+        # isolates the descent quadrature
+        psi = fields.gaussian(4, sigma=1.0)
+        p = problem(4, psi=psi)
+        for x, t in ((np.array([0.3, -0.2, 0.1, 0.4]), 0.9),
+                     (np.array([0.5, 0.0, 0.2, -0.1]), 1.5)):
+            spec = RadialDerivativeSpec(1, t / 24.0, 8)
+            u = solve_even_point(p, x, t, spec=spec, with_error=False).u
+            assert u == pytest.approx(gaussian_wave_hankel(4, 1.0, x, t), rel=1e-8)
+
+    def test_n4_field_points(self):
+        psi, calls = counting(fields.gaussian(4, sigma=1.0))
+        t = 1.2
+        solve_even_point(problem(4, psi=psi), np.full(4, 0.1), t, with_error=False)
+        radii = default_spec(1, t).degree + 1  # psi's stencil
+        expected = radii * sphere_quadrature(5).nodes.shape[0]
+        assert sum(math.prod(shape) for shape in calls) == expected
+
+    def test_lower_rule_replaced_by_same_order(self):
+        low = sphere_quadrature_for_order(2, 7)
+        assert descent_rule(2, low) is sphere_quadrature_for_order(3, 7)
+        assert descent_rule(4) is sphere_quadrature(5)
+        psi, calls = counting(fields.gaussian(2, sigma=1.0))
+        p = problem(2, psi=psi)
+        x = np.array([0.2, 0.3])
+        a = solve_even_point(p, x, 1.0, rule=low, with_error=False).u
+        b = solve_even_point(p, x, 1.0, rule=sphere_quadrature_for_order(3, 7),
+                             with_error=False).u
+        assert a == b
+        assert calls[0][-1] == sphere_quadrature_for_order(3, 7).nodes.shape[0]
+        with pytest.raises(ValueError):
+            descent_rule(2, sphere_quadrature(5))
+
+    def test_n12_rejected(self):
+        with pytest.raises(ValueError, match="n <= 10"):
+            solve_even_point(problem(12, psi=fields.constant(12, 1.0)), np.zeros(12), 1.0)
+        with pytest.raises(ValueError, match="n <= 10"):
+            DistributionFunctional(1.0, Dimension(12)).action(lambda pts: pts[..., 0])
+
+
 class TestDalembert:
     def test_linear_phi(self):
         phi = fields.harmonic(1, "linear")
@@ -277,6 +359,19 @@ class TestSpectral:
         assert sol.value_at(point) == pytest.approx(0.5, rel=1e-12)
         with pytest.raises(ValueError):
             sol.value_at(point + 1e-3)
+
+    def test_zero_field_not_evaluated(self):
+        def refuse(points):
+            raise AssertionError("a zero field must not be sampled")
+
+        grid = GridSpec(8.0, 32, 2)
+        silent = fields.ScalarField(refuse, 2, is_zero=True)
+        state = spectral_state(CauchyProblem(silent, fields.gaussian(2, sigma=1.0),
+                                             Dimension(2)), grid)
+        assert state.phi_hat.shape == (32, 32)
+        assert not np.any(state.phi_hat)
+        reference = spectral_state(problem(2, psi=fields.gaussian(2, sigma=1.0)), grid)
+        np.testing.assert_array_equal(state.psi_hat, reference.psi_hat)
 
     def test_state_reuse(self):
         phi = fields.gaussian(1, sigma=1.0)
