@@ -1,27 +1,14 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
-
-Each kernel exists twice: ``*_numpy`` (vectorized, chunked to bound memory)
-and ``*_numba`` (JIT, parallel loops). The module-level names dispatch to one
-of them according to :data:`wavecauchy._accel.USE_NUMBA`. Benchmarks comparing
-the two live in ``benchmarks/bench_kernels.py``.
-"""
+"""Numpy hot kernels: the sinc profile and the wave multiplier."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from ._accel import HAVE_NUMBA, USE_NUMBA, njit, prange
 
 SINC_SERIES_CUTOFF = 1e-4
 
-# ---------------------------------------------------------------------------
-# sin(z)/z with a Taylor branch near the removable singularity
-# ---------------------------------------------------------------------------
 
-
-def sinc_ratio_numpy(z: np.ndarray) -> np.ndarray:
+def sinc_ratio(z: np.ndarray) -> np.ndarray:
+    """sin(z)/z with a Taylor branch near the removable singularity."""
     z = np.asarray(z, dtype=np.float64)
     small = np.abs(z) < SINC_SERIES_CUTOFF
     safe = np.where(small, 1.0, z)
@@ -30,120 +17,11 @@ def sinc_ratio_numpy(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, np.sin(safe) / safe)
 
 
-@njit(cache=True)
-def _sinc_ratio_scalar(z: float) -> float:
-    if abs(z) < SINC_SERIES_CUTOFF:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0))
-    return math.sin(z) / z
-
-
-@njit(cache=True, parallel=True)
-def sinc_ratio_numba(z):  # pragma: no cover - compiled
-    out = np.empty(z.size, dtype=np.float64)
-    flat = z.ravel()
-    for i in prange(flat.size):
-        out[i] = _sinc_ratio_scalar(flat[i])
-    return out.reshape(z.shape)
-
-
-# ---------------------------------------------------------------------------
-# Direct discrete Fourier sum:  out[i] = sum_k coeffs[k] * exp(-i x_i . f_k)
-# ---------------------------------------------------------------------------
-
-
-def dft_at_points_numpy(points: np.ndarray, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    freqs = np.ascontiguousarray(freqs, dtype=np.float64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    n_points = points.shape[0]
-    n_freqs = freqs.shape[0]
-    out = np.empty(n_points, dtype=np.complex128)
-    # keep the (chunk x n_freqs) phase matrix around 64 MB
-    chunk = max(1, int(4_000_000 // max(n_freqs, 1)))
-    for start in range(0, n_points, chunk):
-        stop = min(start + chunk, n_points)
-        phase = points[start:stop] @ freqs.T
-        out[start:stop] = np.exp(-1j * phase) @ coeffs
-    return out
-
-
-@njit(cache=True, parallel=True)
-def dft_at_points_numba(points, freqs, coeffs):  # pragma: no cover - compiled
-    n_points = points.shape[0]
-    n_freqs = freqs.shape[0]
-    ndim = points.shape[1]
-    out = np.empty(n_points, dtype=np.complex128)
-    for i in prange(n_points):
-        acc_re = 0.0
-        acc_im = 0.0
-        for k in range(n_freqs):
-            phase = 0.0
-            for d in range(ndim):
-                phase += points[i, d] * freqs[k, d]
-            c = math.cos(phase)
-            s = math.sin(phase)
-            cr = coeffs[k].real
-            ci = coeffs[k].imag
-            acc_re += cr * c + ci * s
-            acc_im += ci * c - cr * s
-        out[i] = complex(acc_re, acc_im)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Wave multiplier on a frequency lattice:
-#   u_hat = phi_hat * cos(|k| t) + psi_hat * t * sinc(|k| t)
-# ---------------------------------------------------------------------------
-
-
-def wave_multiplier_numpy(phi_hat: np.ndarray, psi_hat: np.ndarray, knorm: np.ndarray, t: float) -> np.ndarray:
+def wave_multiplier(phi_hat: np.ndarray, psi_hat: np.ndarray, knorm: np.ndarray,
+                    t: float) -> np.ndarray:
+    """u_hat = phi_hat * cos(|k| t) + psi_hat * t * sinc(|k| t) on a frequency lattice."""
     zt = knorm * t
-    return phi_hat * np.cos(zt) + psi_hat * (t * sinc_ratio_numpy(zt))
+    return phi_hat * np.cos(zt) + psi_hat * (t * sinc_ratio(zt))
 
 
-@njit(cache=True, parallel=True)
-def wave_multiplier_numba(phi_hat, psi_hat, knorm, t):  # pragma: no cover - compiled
-    out = np.empty(phi_hat.size, dtype=np.complex128)
-    pf = phi_hat.ravel()
-    sf = psi_hat.ravel()
-    kf = knorm.ravel()
-    for i in prange(pf.size):
-        z = kf[i] * t
-        out[i] = pf[i] * math.cos(z) + sf[i] * (t * _sinc_ratio_scalar(z))
-    return out.reshape(phi_hat.shape)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    sinc_ratio = sinc_ratio_numba
-    dft_at_points = dft_at_points_numba
-    wave_multiplier = wave_multiplier_numba
-else:
-    sinc_ratio = sinc_ratio_numpy
-    dft_at_points = dft_at_points_numpy
-    wave_multiplier = wave_multiplier_numpy
-
-
-def using_numba() -> bool:
-    """True when the JIT implementations are active."""
-    return USE_NUMBA
-
-
-__all__ = [
-    "HAVE_NUMBA",
-    "USE_NUMBA",
-    "dft_at_points",
-    "dft_at_points_numba",
-    "dft_at_points_numpy",
-    "sinc_ratio",
-    "sinc_ratio_numba",
-    "sinc_ratio_numpy",
-    "using_numba",
-    "wave_multiplier",
-    "wave_multiplier_numba",
-    "wave_multiplier_numpy",
-]
+__all__ = ["sinc_ratio", "wave_multiplier"]

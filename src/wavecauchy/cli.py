@@ -94,11 +94,13 @@ class RunConfig:
 
 
 def _parse_scalar(raw: str, kind, section: str, key: str, errors: list[str], valid=None):
-    """kind(raw); when the cast fails or valid(value) is false, section.key
-    goes to errors and the result is None."""
+    """kind(raw); when the cast fails, gives a non-finite float, or valid(value)
+    is false, section.key goes to errors and the result is None."""
     try:
         value = kind(raw)
     except (TypeError, ValueError):
+        value = None
+    if isinstance(value, float) and not math.isfinite(value):
         value = None
     if value is None or valid is not None and not valid(value):
         errors.append(f"{section}.{key}")
@@ -111,7 +113,10 @@ def _ints(raw: str) -> list[int]:
 
 
 def _floats(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",") if part.strip()]
+    values = [float(part) for part in raw.split(",") if part.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite entry in {raw!r}")
+    return values
 
 
 def _positive(value) -> bool:
@@ -280,7 +285,7 @@ def _probes(config: RunConfig, section: str, dim: int, rng: np.random.Generator,
             errors.append(f"{section}.probes")
             return []
         try:
-            probes.append(np.array([float(c) for c in comps]))
+            probes.append(np.array(_floats(",".join(comps))))
         except ValueError:
             errors.append(f"{section}.probes")
             return []
@@ -421,7 +426,7 @@ def _run_identities(config: RunConfig) -> Report:
     errors: list[str] = []
     dims = config.parse("identities", "dims", "3, 5, 7", _ints, errors) or []
     count = config.parse("identities", "count", "200", int, errors)
-    max_product = config.parse("identities", "max_product", "20.0", float, errors)
+    max_product = config.parse("identities", "max_product", "20.0", float, errors, _positive)
     if errors or not dims or any(not 2 <= d <= MAX_DIMENSION for d in dims) or not count or count < 1:
         raise ConfigError("invalid identities settings", keys=errors or ["identities.dims"])
 
@@ -579,7 +584,7 @@ def _converge_residuals(config: RunConfig, target: str, levels: int,
         dim = config.parse("converge", "dim", "5" if target == "odd-identity" else "4", int,
                            errors, _dimension)
         xi_norm = config.parse("converge", "xi_norm", "3.0", float, errors)
-        radius = config.parse("converge", "radius", "1.0", float, errors)
+        radius = config.parse("converge", "radius", "1.0", float, errors, _positive)
         if errors:
             raise ConfigError("invalid converge settings", keys=errors)
         d = Dimension(dim)

@@ -33,6 +33,8 @@ from .geometry import (
 from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, default_spec
 
 DEFAULT_OSC_NODES = 64
+#: complex elements (16 bytes each) in the Fourier evaluator's largest per-chunk array
+FOURIER_CHUNK_ELEMENTS = 4_000_000
 
 
 def _osc_nodes(kappa: float, base: int = DEFAULT_OSC_NODES) -> int:
@@ -70,7 +72,7 @@ def sinc_kernel(xi, radius: float) -> float:
     if radius <= 0:
         raise ValueError("radius must be positive")
     knorm = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=np.float64))))
-    return radius * float(_kernels.sinc_ratio_numpy(np.array([radius * knorm]))[0])
+    return radius * float(_kernels.sinc_ratio(np.array([radius * knorm]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +317,10 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64,
 
     Returns (evaluator, freq_nodes, freq_weights) where evaluator(points)
     computes integral of phi(xi) e^{-i x.xi} d(xi) at each point by a
-    tensor-product Gauss-Legendre rule over phi's support box.
+    tensor-product Gauss-Legendre rule over phi's support box. On a tensor
+    grid the sum over nodes factors axis by axis: the last axis is one
+    complex matmul against a (points, nodes_per_axis) exponential table, and
+    each other axis is an einsum against its own table.
     """
     n = phi.dim
     box = phi.support_radius
@@ -327,16 +332,23 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64,
     axis_weights = box * w
     grids = np.meshgrid(*([axis_nodes] * n), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([axis_weights] * n), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for g in wgrids:
-        weights = weights * g.ravel()
-    coeffs = (weights * phi(nodes)).astype(np.complex128)
+    weights = np.prod(np.meshgrid(*([axis_weights] * n), indexing="ij"), axis=0).ravel()
+    coeffs = (weights * phi(nodes)).astype(np.complex128).reshape((nodes_per_axis,) * n)
+    # the (nodes_per_axis^(n-1), chunk) partial sum stays near FOURIER_CHUNK_ELEMENTS
+    chunk = max(1, FOURIER_CHUNK_ELEMENTS // nodes_per_axis ** max(n - 1, 1))
 
     def evaluator(points):
         points = np.asarray(points, dtype=np.float64)
-        flat = np.ascontiguousarray(points.reshape(-1, n))
-        return _kernels.dft_at_points(flat, nodes, coeffs).reshape(points.shape[:-1])
+        flat = points.reshape(-1, n)
+        out = np.empty(flat.shape[0], dtype=np.complex128)
+        for start in range(0, flat.shape[0], chunk):
+            block = flat[start:start + chunk]
+            tables = [np.exp(-1j * np.outer(block[:, d], axis_nodes)) for d in range(n)]
+            acc = coeffs.reshape(-1, nodes_per_axis) @ tables[-1].T
+            for table in reversed(tables[:-1]):
+                acc = np.einsum("ikp,pk->ip", acc.reshape(-1, nodes_per_axis, len(block)), table)
+            out[start:start + len(block)] = acc[0]
+        return out.reshape(points.shape[:-1])
 
     return evaluator, nodes, weights
 
@@ -377,11 +389,11 @@ def distribution_fourier_check(functional: DistributionFunctional, phi,
     evaluator, nodes, weights = make_fourier_evaluator(phi, nodes_per_axis)
     if rule is None:
         # transforms of Schwartz-type test functions are extremely smooth on
-        # the action spheres; a modest order keeps the direct Fourier sums
-        # desk-scale
+        # the action spheres; a modest order keeps the number of points the
+        # Fourier evaluator visits small
         rule = sphere_quadrature_for_order(functional.dim.n, 25)
     lhs = functional.action(evaluator, spec=spec, rule=rule)
     knorm = np.linalg.norm(nodes, axis=1)
-    sinc_vals = functional.radius * _kernels.sinc_ratio_numpy(functional.radius * knorm)
+    sinc_vals = functional.radius * _kernels.sinc_ratio(functional.radius * knorm)
     rhs = float((weights * sinc_vals) @ phi(nodes))
     return float(np.real(lhs)), rhs

@@ -374,12 +374,7 @@ def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
     _check_wraparound(problem, grid, t)
     state = state or spectral_state(problem, grid)
     knorm = grid.wavenumber_norm()
-    u_hat = _kernels.wave_multiplier(
-        np.ascontiguousarray(state.phi_hat.ravel()),
-        np.ascontiguousarray(state.psi_hat.ravel()),
-        np.ascontiguousarray(knorm.ravel()),
-        float(t),
-    ).reshape(state.phi_hat.shape)
+    u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, knorm, float(t))
     u = np.fft.ifftn(u_hat)
     return SolutionGrid(np.ascontiguousarray(u.real), grid, float(t), "spectral",
                         float(np.max(np.abs(u.imag))))
@@ -400,7 +395,7 @@ def spectral_energy(state: SpectralState, t: float) -> float:
     """Discrete energy sum |u_hat_t|^2 + |k|^2 |u_hat|^2; conserved in t."""
     knorm = state.grid.wavenumber_norm()
     zt = knorm * t
-    u_hat = state.phi_hat * np.cos(zt) + state.psi_hat * t * _kernels.sinc_ratio_numpy(zt)
+    u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, knorm, t)
     ut_hat = -state.phi_hat * knorm * np.sin(zt) + state.psi_hat * np.cos(zt)
     return float(np.sum(np.abs(ut_hat) ** 2 + (knorm * np.abs(u_hat)) ** 2))
 

@@ -1,100 +1,45 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from wavecauchy import _kernels
-from wavecauchy._accel import ENV_FLAG, HAVE_NUMBA
-
-
-def _random_inputs(seed=0, n_points=37, n_freqs=53, ndim=3):
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(-2, 2, size=(n_points, ndim))
-    freqs = rng.uniform(-5, 5, size=(n_freqs, ndim))
-    coeffs = rng.standard_normal(n_freqs) + 1j * rng.standard_normal(n_freqs)
-    return points, freqs, coeffs
+from wavecauchy import _kernels, fields, kernels
 
 
 class TestNumpyPath:
     def test_sinc_ratio_values(self):
         z = np.array([0.0, 1e-9, 1e-5, 0.5, 3.0, -2.0])
-        got = _kernels.sinc_ratio_numpy(z)
+        got = _kernels.sinc_ratio(z)
         assert got[0] == 1.0
         np.testing.assert_allclose(got[3:], np.sin(z[3:]) / z[3:], rtol=1e-15)
-
-    def test_dft_matches_brute_force(self):
-        points, freqs, coeffs = _random_inputs()
-        got = _kernels.dft_at_points_numpy(points, freqs, coeffs)
-        brute = np.array([np.sum(coeffs * np.exp(-1j * (freqs @ p))) for p in points])
-        np.testing.assert_allclose(got, brute, rtol=1e-12, atol=1e-12)
-
-    def test_dft_chunking(self):
-        # results must not depend on the internal chunk split
-        points, freqs, coeffs = _random_inputs(n_points=4097, n_freqs=11)
-        got = _kernels.dft_at_points_numpy(points, freqs, coeffs)
-        assert got.shape == (4097,)
 
     def test_wave_multiplier(self):
         rng = np.random.default_rng(1)
         phi_hat = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         psi_hat = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         knorm = np.abs(rng.standard_normal(64)) * 3.0
+        knorm[0] = 0.0  # the sinc limit: t * sinc(0) = t
         t = 0.7
-        got = _kernels.wave_multiplier_numpy(phi_hat, psi_hat, knorm, t)
-        expected = phi_hat * np.cos(knorm * t) + psi_hat * np.sin(knorm * t) / knorm
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        got = _kernels.wave_multiplier(phi_hat, psi_hat, knorm, t)
+        assert got[0] == phi_hat[0] + psi_hat[0] * t
+        k = knorm[1:]
+        expected = phi_hat[1:] * np.cos(k * t) + psi_hat[1:] * np.sin(k * t) / k
+        np.testing.assert_allclose(got[1:], expected, rtol=1e-12)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-class TestNumbaParity:
-    def test_sinc_ratio(self):
-        z = np.linspace(-4.0, 4.0, 257)
-        z[128] = 0.0
-        np.testing.assert_allclose(
-            _kernels.sinc_ratio_numba(z), _kernels.sinc_ratio_numpy(z), rtol=1e-15)
-
-    def test_dft(self):
-        points, freqs, coeffs = _random_inputs(seed=2)
-        a = _kernels.dft_at_points_numba(points, freqs, coeffs)
-        b = _kernels.dft_at_points_numpy(points, freqs, coeffs)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_wave_multiplier(self):
-        rng = np.random.default_rng(3)
-        phi_hat = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        psi_hat = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        knorm = np.abs(rng.standard_normal(128))
-        knorm[0] = 0.0  # the sinc limit must agree between paths
-        a = _kernels.wave_multiplier_numba(phi_hat, psi_hat, knorm, 1.3)
-        b = _kernels.wave_multiplier_numpy(phi_hat, psi_hat, knorm, 1.3)
-        np.testing.assert_allclose(a, b, rtol=1e-13)
-
-
-class TestDispatch:
-    def test_flag_selects_numpy_path(self):
-        code = (
-            "import os; os.environ['WAVECAUCHY_NUMBA'] = '0';"
-            "from wavecauchy import _kernels;"
-            "assert not _kernels.using_numba();"
-            "assert _kernels.dft_at_points is _kernels.dft_at_points_numpy;"
-            "print('numpy path ok')"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert "numpy path ok" in out.stdout
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_default_uses_numba(self):
-        env = dict(os.environ)
-        env.pop(ENV_FLAG, None)
-        code = (
-            "from wavecauchy import _kernels;"
-            "assert _kernels.using_numba();"
-            "print('jit path ok')"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        assert "jit path ok" in out.stdout
+class TestFourierEvaluator:
+    @pytest.mark.parametrize("n, nodes_per_axis", [(1, 24), (2, 16), (3, 10)],
+                             ids=["n1", "n2", "n3"])
+    def test_matches_brute_force(self, monkeypatch, n, nodes_per_axis):
+        # small chunks, so the points span several of them and a partial one
+        monkeypatch.setattr(kernels, "FOURIER_CHUNK_ELEMENTS", 2000)
+        chunk = 2000 // nodes_per_axis ** max(n - 1, 1)
+        # off centre, so a swapped axis or a sign flip in the phase shows
+        phi = fields.gaussian(n, sigma=0.6, center=[0.5, -0.3, 0.2][:n])
+        evaluator, nodes, weights = kernels.make_fourier_evaluator(phi, nodes_per_axis)
+        rng = np.random.default_rng(n)
+        points = rng.uniform(-2.0, 2.0, size=(3, chunk + 5, n))
+        got = evaluator(points)
+        assert got.shape == points.shape[:-1]
+        coeffs = weights * phi(nodes)
+        brute = np.exp(-1j * points @ nodes.T) @ coeffs
+        np.testing.assert_allclose(got, brute, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(brute)))

@@ -430,6 +430,20 @@ probes = 0 0 x
         assert main(["solve", "--config", cfg]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, settings, key", [
+        ("solve", "dim = 3\n[data]\nphi = gaussian\nphi_amplitude = inf", "data.phi_amplitude"),
+        ("converge", "[converge]\ntarget = odd-identity\ndim = 5\nradius = -1",
+         "converge.radius"),
+        ("verify-identities", "[identities]\nmax_product = nan", "identities.max_product"),
+        ("solve", "dim = 3\n[data]\npsi = constant\n[solve]\nprobes = 0 inf 0", "solve.probes"),
+    ], ids=["infinite_amplitude", "negative_radius", "nan_max_product", "infinite_probe"])
+    def test_non_finite_or_nonpositive_float(self, tmp_path, capsys, command, settings, key):
+        cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{settings}\n")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+
     @pytest.mark.parametrize("command, settings", [
         ("solve", "dim = 20\n[data]\npsi = constant"),
         ("constants", "[constants]\ndims = 20"),
