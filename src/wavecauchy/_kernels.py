@@ -19,9 +19,12 @@ def sinc_ratio(z: np.ndarray) -> np.ndarray:
 
 def wave_multiplier(phi_hat: np.ndarray, psi_hat: np.ndarray, knorm: np.ndarray,
                     t: float) -> np.ndarray:
-    """u_hat = phi_hat * cos(|k| t) + psi_hat * t * sinc(|k| t) on a frequency lattice."""
+    """u_hat = phi_hat * cos(|k| t) + psi_hat * sin(|k| t) / |k| on a frequency lattice;
+    the |k| = 0 mode takes the limit t."""
     zt = knorm * t
-    return phi_hat * np.cos(zt) + psi_hat * (t * sinc_ratio(zt))
+    psi_factor = np.full(np.shape(zt), float(t))
+    np.divide(np.sin(zt), knorm, out=psi_factor, where=knorm != 0)
+    return phi_hat * np.cos(zt) + psi_hat * psi_factor
 
 
 __all__ = ["sinc_ratio", "wave_multiplier"]

@@ -476,8 +476,9 @@ def _run_solve(config: RunConfig) -> Report:
 
     samples: list[SolutionSample] = []
     if method == "spectral":
-        half_width = config.parse("solve", "grid_half_width", "8.0", float, errors)
-        points = config.parse("solve", "grid_points", "128", int, errors)
+        half_width = config.parse("solve", "grid_half_width", "8.0", float, errors, _positive)
+        points = config.parse("solve", "grid_points", "128", int, errors,
+                              lambda value: value >= 2)
         if errors:
             raise ConfigError("invalid solve settings", keys=errors)
         grid = GridSpec(half_width, points, dim)

@@ -52,7 +52,10 @@ def gaussian(dim: int, sigma: float = 1.0, center=None, amplitude: float = 1.0) 
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     c = _center(dim, center)
-    inv = 1.0 / (2.0 * sigma * sigma)
+    two_var = 2.0 * sigma * sigma
+    inv = 1.0 / two_var if two_var > 0.0 else math.inf
+    if not math.isfinite(inv):
+        raise ValueError(f"sigma = {sigma:g} is too small: 1 / (2 sigma^2) is not finite")
 
     def evaluate(points):
         d = points - c

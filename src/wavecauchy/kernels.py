@@ -315,9 +315,10 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64,
                            boundary_tol: float = 1e-12):
     """Quadrature evaluator for the Fourier integral of a compactly supported field.
 
-    Returns (evaluator, freq_nodes, freq_weights) where evaluator(points)
+    Returns (evaluator, freq_nodes, coeffs) where evaluator(points)
     computes integral of phi(xi) e^{-i x.xi} d(xi) at each point by a
-    tensor-product Gauss-Legendre rule over phi's support box. On a tensor
+    tensor-product Gauss-Legendre rule over phi's support box, and coeffs are
+    the rule's weights times phi at the nodes, so phi is sampled once. On a tensor
     grid the sum over nodes factors axis by axis: the last axis is one
     complex matmul against a (points, nodes_per_axis) exponential table, and
     each other axis is an einsum against its own table.
@@ -333,7 +334,8 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64,
     grids = np.meshgrid(*([axis_nodes] * n), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.prod(np.meshgrid(*([axis_weights] * n), indexing="ij"), axis=0).ravel()
-    coeffs = (weights * phi(nodes)).astype(np.complex128).reshape((nodes_per_axis,) * n)
+    coeffs = weights * phi(nodes)
+    table_coeffs = coeffs.astype(np.complex128).reshape(-1, nodes_per_axis)
     # the (nodes_per_axis^(n-1), chunk) partial sum stays near FOURIER_CHUNK_ELEMENTS
     chunk = max(1, FOURIER_CHUNK_ELEMENTS // nodes_per_axis ** max(n - 1, 1))
 
@@ -344,13 +346,13 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64,
         for start in range(0, flat.shape[0], chunk):
             block = flat[start:start + chunk]
             tables = [np.exp(-1j * np.outer(block[:, d], axis_nodes)) for d in range(n)]
-            acc = coeffs.reshape(-1, nodes_per_axis) @ tables[-1].T
+            acc = table_coeffs @ tables[-1].T
             for table in reversed(tables[:-1]):
                 acc = np.einsum("ikp,pk->ip", acc.reshape(-1, nodes_per_axis, len(block)), table)
             out[start:start + len(block)] = acc[0]
         return out.reshape(points.shape[:-1])
 
-    return evaluator, nodes, weights
+    return evaluator, nodes, coeffs
 
 
 def _check_support_box(phi, box: float, tol: float) -> None:
@@ -386,7 +388,7 @@ def distribution_fourier_check(functional: DistributionFunctional, phi,
     """
     if phi.dim != functional.dim.n:
         raise ValueError("test function dimension does not match the functional")
-    evaluator, nodes, weights = make_fourier_evaluator(phi, nodes_per_axis)
+    evaluator, nodes, coeffs = make_fourier_evaluator(phi, nodes_per_axis)
     if rule is None:
         # transforms of Schwartz-type test functions are extremely smooth on
         # the action spheres; a modest order keeps the number of points the
@@ -395,5 +397,5 @@ def distribution_fourier_check(functional: DistributionFunctional, phi,
     lhs = functional.action(evaluator, spec=spec, rule=rule)
     knorm = np.linalg.norm(nodes, axis=1)
     sinc_vals = functional.radius * _kernels.sinc_ratio(functional.radius * knorm)
-    rhs = float((weights * sinc_vals) @ phi(nodes))
+    rhs = float(sinc_vals @ coeffs)
     return float(np.real(lhs)), rhs

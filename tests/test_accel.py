@@ -34,12 +34,11 @@ class TestFourierEvaluator:
         chunk = 2000 // nodes_per_axis ** max(n - 1, 1)
         # off centre, so a swapped axis or a sign flip in the phase shows
         phi = fields.gaussian(n, sigma=0.6, center=[0.5, -0.3, 0.2][:n])
-        evaluator, nodes, weights = kernels.make_fourier_evaluator(phi, nodes_per_axis)
+        evaluator, nodes, coeffs = kernels.make_fourier_evaluator(phi, nodes_per_axis)
         rng = np.random.default_rng(n)
         points = rng.uniform(-2.0, 2.0, size=(3, chunk + 5, n))
         got = evaluator(points)
         assert got.shape == points.shape[:-1]
-        coeffs = weights * phi(nodes)
         brute = np.exp(-1j * points @ nodes.T) @ coeffs
         np.testing.assert_allclose(got, brute, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(brute)))

@@ -258,8 +258,9 @@ def test_10_spectral_invariants():
     with criterion("10 Hermitian symmetry and energy conservation"):
         problem = CauchyProblem(fields.gaussian(1, sigma=1.0),
                                 fields.gaussian(1, sigma=0.5), Dimension(1))
-        state = spectral_state(problem, GridSpec(16.0, 4096, 1))
-        assert hermitian_defect(state) <= 1e-12
+        grid = GridSpec(16.0, 4096, 1)
+        state = spectral_state(problem, grid)
+        assert hermitian_defect(problem, grid) <= 1e-12
         base = spectral_energy(state, 0.0)
         for t in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
             drift = abs(spectral_energy(state, t) - base) / base

@@ -444,6 +444,19 @@ probes = 0 0 x
         assert err.startswith("config error:")
         assert key in err
 
+    @pytest.mark.parametrize("data, solve, key", [
+        ("", "method = spectral\ngrid_points = 1", "solve.grid_points"),
+        ("", "method = spectral\ngrid_half_width = -12", "solve.grid_half_width"),
+        ("psi = gaussian\npsi_sigma = 1e-200", "", "data.psi"),
+    ], ids=["one_grid_point", "negative_half_width", "underflowing_sigma"])
+    def test_degenerate_grid_or_width(self, tmp_path, capsys, data, solve, key):
+        cfg = write_config(tmp_path, "[run]\ncommand = solve\ndim = 2\n"
+                           f"[data]\nphi = gaussian\n{data}\n[solve]\n{solve}\n")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+
     @pytest.mark.parametrize("command, settings", [
         ("solve", "dim = 20\n[data]\npsi = constant"),
         ("constants", "[constants]\ndims = 20"),

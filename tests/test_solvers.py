@@ -339,9 +339,10 @@ class TestSpectral:
     def test_hermitian_symmetry(self):
         p = CauchyProblem(fields.gaussian(2, sigma=1.0),
                           fields.bump(2, radius=1.0, center=[0.3, 0.0]), Dimension(2))
-        state = spectral_state(p, GridSpec(10.0, 64, 2))
+        grid = GridSpec(10.0, 64, 2)
+        state = spectral_state(p, grid)
         scale = max(np.max(np.abs(state.phi_hat)), np.max(np.abs(state.psi_hat)))
-        assert hermitian_defect(state) <= 1e-12 * scale
+        assert hermitian_defect(p, grid) <= 1e-12 * scale
 
     def test_energy_conservation(self):
         p = CauchyProblem(fields.gaussian(1, sigma=1.0), fields.gaussian(1, sigma=0.5),
@@ -368,7 +369,7 @@ class TestSpectral:
         silent = fields.ScalarField(refuse, 2, is_zero=True)
         state = spectral_state(CauchyProblem(silent, fields.gaussian(2, sigma=1.0),
                                              Dimension(2)), grid)
-        assert state.phi_hat.shape == (32, 32)
+        assert state.phi_hat.shape == (32, 17)
         assert not np.any(state.phi_hat)
         reference = spectral_state(problem(2, psi=fields.gaussian(2, sigma=1.0)), grid)
         np.testing.assert_array_equal(state.psi_hat, reference.psi_hat)
@@ -382,6 +383,13 @@ class TestSpectral:
         b = spectral_solve(p, grid, 1.0)
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_state_from_other_grid_rejected(self):
+        # irfftn(s=...) would pad the coarser half spectrum without complaint
+        p = CauchyProblem(fields.gaussian(2, sigma=1.0), fields.zero(2), Dimension(2))
+        state = spectral_state(p, GridSpec(12.0, 64, 2))
+        with pytest.raises(ValueError):
+            spectral_solve(p, GridSpec(12.0, 128, 2), 1.0, state=state)
+
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             GridSpec(0.0, 64, 1)
@@ -393,6 +401,49 @@ class TestSpectral:
             spherical_mean(fields.constant(3, 1.0), np.zeros(3), 0.0)
         with pytest.raises(ValueError):
             weighted_ball_mean(fields.constant(2, 1.0), np.zeros(2), -1.0)
+
+
+def _full_lattice(n, points, t):
+    """Off-centre data (complex spectra) on an (N,)^n grid, |k| and the full
+    fftn spectra on the full lattice, and the velocity factor sin(|k| t)/|k|."""
+    centre = [0.5, -0.3, 0.2][:n]
+    p = CauchyProblem(fields.gaussian(n, sigma=0.6, center=centre),
+                      fields.gaussian(n, sigma=0.8, center=centre[::-1]), Dimension(n))
+    grid = GridSpec(10.0, points, n)
+    k = 2.0 * math.pi * np.fft.fftfreq(points, d=grid.spacing)
+    knorm = np.sqrt(sum(g * g for g in np.meshgrid(*([k] * n), indexing="ij")))
+    phi_hat = np.fft.fftn(p.phi(grid.mesh()))
+    psi_hat = np.fft.fftn(p.psi(grid.mesh()))
+    safe = np.where(knorm == 0.0, 1.0, knorm)
+    psi_factor = np.where(knorm == 0.0, t, np.sin(knorm * t) / safe)
+    return p, grid, knorm, phi_hat, psi_hat, psi_factor
+
+
+class TestHalfSpectrum:
+    """The rfftn oracle against an inline full-lattice fftn reference."""
+
+    @pytest.mark.parametrize("n, points", [(1, 64), (1, 63), (2, 32), (2, 31),
+                                           (3, 16), (3, 15)])
+    def test_solve_matches_full_fft(self, n, points):
+        t = 1.3
+        p, grid, knorm, phi_hat, psi_hat, psi_factor = _full_lattice(n, points, t)
+        reference = np.fft.ifftn(phi_hat * np.cos(knorm * t) + psi_hat * psi_factor).real
+        sol = spectral_solve(p, grid, t)
+        assert sol.values.shape == (points,) * n
+        scale = np.max(np.abs(reference))
+        np.testing.assert_allclose(sol.values, reference, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("n, points", [(1, 64), (1, 63), (2, 32), (2, 31)])
+    def test_energy_matches_full_parseval_sum(self, n, points):
+        t = 0.9
+        p, grid, knorm, phi_hat, psi_hat, psi_factor = _full_lattice(n, points, t)
+        u_hat = phi_hat * np.cos(knorm * t) + psi_hat * psi_factor
+        ut_hat = -phi_hat * knorm * np.sin(knorm * t) + psi_hat * np.cos(knorm * t)
+        reference = float(np.sum(np.abs(ut_hat) ** 2 + (knorm * np.abs(u_hat)) ** 2))
+        state = spectral_state(p, grid)
+        half = (points,) * (n - 1) + (points // 2 + 1,)
+        assert state.knorm.shape == state.phi_hat.shape == half
+        assert spectral_energy(state, t) == pytest.approx(reference, rel=1e-12)
 
 
 class TestPropagation:
