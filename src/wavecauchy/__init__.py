@@ -11,11 +11,7 @@ from .errors import ConfigError, DomainSizeError, EvaluationError, StencilError
 from .fields import ScalarField, bump, constant, gaussian, harmonic, make_field, zero
 from .geometry import (
     Dimension,
-    GegenbauerRule,
-    GeomConstants,
     SphereQuadrature,
-    constants_for,
-    gegenbauer_rule,
     gegenbauer_weight_mass,
     integrate_on_sphere,
     reduce_ball_integral,

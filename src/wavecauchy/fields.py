@@ -2,7 +2,9 @@
 
 A ScalarField wraps a vectorized evaluator over points shaped (..., n)
 together with the support/smoothness metadata the solvers rely on (the
-spectral solver refuses data whose numeric support does not fit its box).
+spectral solver refuses data whose numeric support does not fit its box,
+and the means solvers reduce the sphere sums of radial data to one
+coordinate).
 """
 
 from __future__ import annotations
@@ -27,7 +29,23 @@ class ScalarField:
     #: exactly periodic on any sampling box (constants, lattice modes):
     #: exempt from the spectral wrap-around guard
     periodic: bool = False
+    #: the field depends only on |y' - radial_center|, y' the first
+    #: len(radial_center) coordinates (all of them, or all but a last one the
+    #: field ignores, as after Hadamard descent); None for other data
+    radial_center: tuple[float, ...] | None = None
+    #: distance over which a radial field changes; sizes the reduced rule
+    length_scale: float = math.inf
     label: str = field(default="field", compare=False)
+
+    def __post_init__(self):
+        if self.radial_center is not None:
+            center = tuple(float(c) for c in self.radial_center)
+            if not center or len(center) not in (self.dim, self.dim - 1):
+                raise ValueError(f"radial_center must have {self.dim} (or {self.dim - 1}) "
+                                 "components")
+            object.__setattr__(self, "radial_center", center)
+        if not self.length_scale > 0:
+            raise ValueError("length_scale must be positive")
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -64,6 +82,7 @@ def gaussian(dim: int, sigma: float = 1.0, center=None, amplitude: float = 1.0) 
     cut = abs(amplitude) / TAIL_CUTOFF
     support = sigma * math.sqrt(2.0 * math.log(cut)) if cut > 1 else 0.0
     return ScalarField(evaluate, dim, support_radius=float(np.linalg.norm(c)) + support,
+                       radial_center=tuple(c), length_scale=sigma,
                        label=f"gaussian(sigma={sigma})")
 
 
@@ -85,6 +104,7 @@ def bump(dim: int, radius: float = 1.0, sharpness: float = 1.0, center=None,
         return out
 
     return ScalarField(evaluate, dim, support_radius=float(np.linalg.norm(c)) + radius,
+                       radial_center=tuple(c), length_scale=radius / (4.0 * (1.0 + sharpness)),
                        label=f"bump(radius={radius})")
 
 
@@ -94,8 +114,11 @@ def constant(dim: int, value: float = 1.0) -> ScalarField:
     def evaluate(points):
         return np.full(points.shape[:-1], v)
 
+    # radial about any centre; the origin is as good as another
     return ScalarField(evaluate, dim, support_radius=0.0 if v == 0.0 else math.inf,
-                       is_zero=(v == 0.0), periodic=True, label=f"constant({v})")
+                       is_zero=(v == 0.0), periodic=True,
+                       radial_center=(0.0,) * dim,
+                       label=f"constant({v})")
 
 
 def zero(dim: int) -> ScalarField:

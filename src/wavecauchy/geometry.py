@@ -129,23 +129,6 @@ def solution_constant(n: int) -> float:
     return 1.0 / double_factorial(n)
 
 
-@dataclass(frozen=True)
-class GeomConstants:
-    """Per-dimension constants: sphere area, ball volume, solution constant."""
-
-    n: int
-    surface_area: float
-    ball_volume: float
-    mean_constant: float | None  # None for n = 1 (d'Alembert needs none)
-
-
-@lru_cache(maxsize=MAX_DIMENSION + 1)
-def constants_for(n: int) -> GeomConstants:
-    n = _check_dimension(n)
-    mean_const = solution_constant(n) if n >= 2 else None
-    return GeomConstants(n, unit_sphere_area(n), unit_ball_volume(n), mean_const)
-
-
 # ---------------------------------------------------------------------------
 # 1-D rules for the weight (R^2 - s^2)^{(n-3)/2} on (-R, R)
 # ---------------------------------------------------------------------------
@@ -184,34 +167,6 @@ def _unit_gegenbauer(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-@dataclass(frozen=True)
-class GegenbauerRule:
-    """Quadrature for integral_{-R}^{R} f(s) (R^2 - s^2)^{(n-3)/2} ds."""
-
-    radius: float
-    n: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        values = np.asarray(f(self.nodes), dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise EvaluationError("integrand returned non-finite values on (-R, R)")
-        return float(self.weights @ values)
-
-
-def gegenbauer_rule(radius: float, n: int, count: int = 64) -> GegenbauerRule:
-    n = _check_dimension(n, minimum=3)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    x, v = _unit_gegenbauer(n, count)
-    nodes = radius * x
-    weights = radius ** (n - 2) * v
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return GegenbauerRule(float(radius), n, nodes, weights)
 
 
 def gegenbauer_weight_mass(radius: float, n: int) -> float:
@@ -362,11 +317,16 @@ def sphere_quadrature_for_order(n: int, order: int) -> SphereQuadrature:
 MAX_DESCENT_DIMENSION = MAX_DIMENSION - 2
 
 
+def check_descent(n: int) -> None:
+    """Reject an n that is odd or whose descent would leave MAX_DIMENSION."""
+    if n % 2 or not 2 <= n <= MAX_DESCENT_DIMENSION:
+        raise ValueError(f"descent needs an even n <= {MAX_DESCENT_DIMENSION}, got {n}")
+
+
 def descent_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature:
     """The S^n rule for an even-n means value by Hadamard descent from n + 1;
     a rule on S^(n-1) gives way to the S^n rule of the same polynomial order."""
-    if n % 2 or not 2 <= n <= MAX_DESCENT_DIMENSION:
-        raise ValueError(f"descent needs an even n <= {MAX_DESCENT_DIMENSION}, got {n}")
+    check_descent(n)
     if rule is None:
         return sphere_quadrature(n + 1)
     if rule.n == n:
@@ -388,6 +348,66 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
         if not np.all(np.isfinite(values)):
             raise EvaluationError("g returned non-finite values on a sphere")
         out = out + values @ rule.weights[start:start + chunk]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _radial_rule(k: int, n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(radius factor, s, weight) per node of the reduced rule on S^(n-1) for
+    data radial in the first k = n or n - 1 coordinates.
+
+    k = n: omega = s e + ..., and the weight (1 - s^2)^((n-3)/2) with the
+    factor omega_(n-1) is the single-coordinate reduction. k = n - 1 (data
+    lifted by descent): omega = (sqrt(1 - zeta^2) eta, zeta) with eta on
+    S^(k-1), zeta weighted by (1 - zeta^2)^((n-3)/2), and eta reduced as
+    above on the sphere of radius sqrt(1 - zeta^2): a tensor rule, zeta
+    major. zeta and -zeta give the same radius, so the count-node zeta rule
+    is folded onto its upper ceil(count / 2) nodes.
+    """
+    s, v = _unit_gegenbauer(k, count)
+    v = _omega(k - 1) * v
+    if k == n:
+        factor, weights = np.ones(count), v
+    else:
+        zeta, vz = _unit_gegenbauer(n, count)
+        zeta, vz = zeta[count // 2:], 2.0 * vz[count // 2:]
+        if count % 2:
+            vz[0] /= 2.0  # the middle node zeta = 0 is its own mirror image
+        factor = np.repeat(np.sqrt(1.0 - zeta * zeta), count)
+        s = np.tile(s, zeta.shape[0])
+        weights = np.outer(vz, v).ravel()
+    for a in (factor, s, weights):
+        a.setflags(write=False)
+    return factor, s, weights
+
+
+def radial_sphere_sums(g, center, radii: np.ndarray, radial_center, count: int) -> np.ndarray:
+    """`sphere_sums` for g(y) = f(|y' - c|^2), y' the first k = len(c)
+    coordinates of y (k = n, or n - 1 for data lifted by descent), on the
+    reduced rule with `count` nodes per coordinate.
+
+    With d = |center' - c| and rho = r (k = n) or r sqrt(1 - zeta^2), each
+    node has |y' - c|^2 = q = (d - rho)^2 + 2 d rho (1 - s), and g is
+    evaluated at c + sqrt(q) e_1, so the field's own evaluator stays the only
+    way its values are computed.
+    """
+    center = np.asarray(center, dtype=np.float64)
+    c = np.asarray(radial_center, dtype=np.float64)
+    n, k = center.shape[0], c.shape[0]
+    factor, s, weights = _radial_rule(k, n, count)
+    d = float(np.linalg.norm(center[:k] - c))
+    chunk = max(1, _CHUNK_BYTES // (max(len(radii), 1) * n * 8))
+    out = 0.0
+    for start in range(0, weights.shape[0], chunk):
+        rho = radii[:, None] * factor[None, start:start + chunk]
+        q = (d - rho) ** 2 + 2.0 * d * rho * (1.0 - s[start:start + chunk])
+        points = np.zeros(q.shape + (n,))
+        points[..., :k] = c
+        points[..., 0] += np.sqrt(q)
+        values = np.asarray(g(points))
+        if not np.all(np.isfinite(values)):
+            raise EvaluationError("g returned non-finite values on a sphere")
+        out = out + values @ weights[start:start + chunk]
     return out
 
 

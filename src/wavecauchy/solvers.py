@@ -13,6 +13,12 @@ is the (n+1)-dimensional one at (x, 0) (Poisson's formula when n = 2).
 The weighted ball mean itself stays as `weighted_ball_mean`, the paper's
 direct formula, kept as a test oracle.
 
+Which sphere rule runs depends only on the data: a radial field (one with a
+`radial_center`: gaussian, bump, constant) takes the paper's
+single-coordinate reduction, two coordinates after descent
+(`geometry.radial_sphere_sums`); any other field takes the product rule,
+built only when such a field needs it.
+
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
 and sin(|k| t) / |k| on the lattice. The data are real, so their spectra are
@@ -22,6 +28,7 @@ Hermitian and the half lattice of `rfftn` carries every mode.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -36,7 +43,9 @@ from .geometry import (
     SphereQuadrature,
     _leggauss,
     _omega,
+    check_descent,
     descent_rule,
+    radial_sphere_sums,
     solution_constant,
     sphere_quadrature,
     sphere_sums,
@@ -129,21 +138,53 @@ def _resolve_spec(problem: CauchyProblem, t: float, spec: RadialDerivativeSpec |
     return spec
 
 
-def _means_value(problem: CauchyProblem, x: np.ndarray, t: float, h: float,
-                 spec: RadialDerivativeSpec, rule: SphereQuadrature) -> float:
-    """Both solution terms from stencil-sampled sphere means at spacing h; odd n."""
+#: fewest nodes per coordinate of the reduced rule for radial data
+MIN_RADIAL_NODES = 64
+
+
+def radial_node_count(field: ScalarField, t: float) -> int:
+    """Nodes per coordinate for a radial field's sphere sums up to radius ~t:
+    max(64, 4 t / length_scale), rounded up to a power of two. A sphere of
+    radius t crosses a feature of width length_scale along an arc of about
+    t / length_scale, and Gauss rules need a few nodes per width."""
+    need = 4.0 * t / field.length_scale
+    count = MIN_RADIAL_NODES
+    while count < need:
+        count *= 2
+    return count
+
+
+def _is_radial(field: ScalarField) -> bool:
+    return field.radial_center is not None
+
+
+def _means_value(problem: CauchyProblem, x: np.ndarray, t: float,
+                 spec: RadialDerivativeSpec, product_rule, h: float, count: int,
+                 select=lambda field: True) -> float:
+    """The solution terms of the selected fields from stencil-sampled sphere
+    means at spacing h; odd n.
+
+    Radial fields take `geometry.radial_sphere_sums` with `count` nodes per
+    coordinate; the others take `sphere_sums` on `product_rule()`.
+    """
     n = problem.dim.n
     m = problem.dim.derivative_order
 
     def series_for(field, degree):
         radii = t + stencil_offsets(degree) * h
-        values = radii ** (n - 2) * sphere_sums(field, x, radii, rule) / _omega(n)
-        return MeanSeries(radii, values)
+        if _is_radial(field):
+            sums = radial_sphere_sums(field, x, radii, field.radial_center, count)
+        else:
+            sums = sphere_sums(field, x, radii, product_rule())
+        return MeanSeries(radii, radii ** (n - 2) * sums / _omega(n))
+
+    def included(field):
+        return not field.is_zero and select(field)
 
     total = 0.0
-    if not problem.psi.is_zero:
+    if included(problem.psi):
         total += float(chain_apply(series_for(problem.psi, spec.degree), m, t, h))
-    if not problem.phi.is_zero:
+    if included(problem.phi):
         _, dval = chain_apply(series_for(problem.phi, spec.degree + 2), m, t, h,
                               time_derivative=True)
         total += float(dval)
@@ -151,9 +192,11 @@ def _means_value(problem: CauchyProblem, x: np.ndarray, t: float, h: float,
 
 
 def _lift(field: ScalarField) -> ScalarField:
-    """field extended to one more dimension, constant in the last coordinate."""
+    """field extended to one more dimension, constant in the last coordinate;
+    a radial field stays radial in its first n coordinates."""
     n = field.dim
     return ScalarField(lambda points: field(points[..., :n]), n + 1, is_zero=field.is_zero,
+                       radial_center=field.radial_center, length_scale=field.length_scale,
                        label=field.label)
 
 
@@ -169,19 +212,34 @@ def _solve_means_point(problem: CauchyProblem, x, t: float, method: str,
     if t == 0.0:
         return SolutionSample(x, 0.0, float(problem.phi(x[None, :])[0]), method, 0.0)
     spec = _resolve_spec(problem, t, spec)
+    # the product rule is built (memoized) only when a non-radial field asks for it
     center, means = x, problem
     if problem.dim.is_odd:
-        rule = rule or sphere_quadrature(n)
+        def product_rule():
+            return rule or sphere_quadrature(n)
     else:
         # descent: the (n+1)-dimensional solution at (x, 0), with the same
         # derivative order (n - 2) / 2
-        rule = descent_rule(n, rule)
+        check_descent(n)
+
+        def product_rule():
+            return descent_rule(n, rule)
         center = np.append(x, 0.0)
         means = CauchyProblem(_lift(problem.phi), _lift(problem.psi), Dimension(n + 1))
-    u = _means_value(means, center, t, spec.h, spec, rule)
+    radial = [f for f in (problem.phi, problem.psi) if _is_radial(f) and not f.is_zero]
+    count = max((radial_node_count(f, t) for f in radial), default=MIN_RADIAL_NODES)
+    value = functools.partial(_means_value, means, center, t, spec, product_rule)
+    u_radial = value(spec.h, count, _is_radial)
+    u = u_radial + value(spec.h, count, lambda field: not _is_radial(field))
     err = math.nan
     if with_error:
-        err = abs(u - _means_value(means, center, t, spec.h / 2.0, spec, rule))
+        # stencil truncation (h against h / 2) plus the reduced rule's
+        # quadrature error (count against 2 count nodes). Each difference is
+        # doubled: where refining at least halves the error, the error of the
+        # coarser value is at most twice its distance to the finer one.
+        err = 2.0 * abs(u - value(spec.h / 2.0, count))
+        if radial:
+            err += 2.0 * abs(u_radial - value(spec.h, 2 * count, _is_radial))
     return SolutionSample(x, t, u, method, err)
 
 

@@ -112,3 +112,29 @@ class TestConstantsAndShapes:
     def test_custom_field(self):
         f = ScalarField(lambda pts: pts[..., 0] ** 2, 2, support_radius=1.0)
         assert float(f(np.array([[3.0, 0.0]]))[0]) == 9.0
+
+
+class TestRadialMetadata:
+    def test_library_fields(self):
+        g = gaussian(3, sigma=0.7, center=[0.5, 0.0, -1.0])
+        assert g.radial_center == (0.5, 0.0, -1.0) and g.length_scale == 0.7
+        b = bump(2, radius=1.0, center=[0.2, 0.1])
+        assert b.radial_center == (0.2, 0.1) and 0.0 < b.length_scale < 1.0
+        assert constant(4, 2.0).radial_center == (0.0,) * 4
+        assert harmonic(3, "linear").radial_center is None
+        assert ScalarField(lambda pts: pts[..., 0], 2).radial_center is None
+
+    def test_survives_dataclasses_replace(self):
+        import dataclasses
+
+        g = gaussian(3, sigma=0.4, center=[1.0, 0.0, 0.0])
+        wrapped = dataclasses.replace(g, evaluator=lambda pts: 2.0 * g(pts))
+        assert wrapped.radial_center == g.radial_center
+        assert wrapped.length_scale == g.length_scale
+        assert float(wrapped(np.array([[1.0, 0.0, 0.0]]))[0]) == pytest.approx(2.0)
+
+    def test_invalid_metadata(self):
+        with pytest.raises(ValueError):
+            ScalarField(lambda pts: pts[..., 0], 3, radial_center=(0.0,))
+        with pytest.raises(ValueError):
+            ScalarField(lambda pts: pts[..., 0], 3, radial_center=(0.0,) * 3, length_scale=0.0)

@@ -8,8 +8,8 @@ from scipy.special import jv
 from wavecauchy.errors import EvaluationError
 from wavecauchy.geometry import (
     Dimension,
+    _unit_gegenbauer,
     double_factorial,
-    gegenbauer_rule,
     gegenbauer_weight_mass,
     integrate_on_sphere,
     reduce_ball_integral,
@@ -81,29 +81,23 @@ class TestConstants:
 
 
 class TestGegenbauerRule:
+    """The unit rule for the weight (1 - s^2)^((n-3)/2) that the reductions run on."""
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
     def test_total_mass(self, n, radius):
-        rule = gegenbauer_rule(radius, n)
-        assert rule.weights.sum() == pytest.approx(gegenbauer_weight_mass(radius, n), rel=1e-12)
+        # scaled to (-R, R): nodes R s, weights R^(n-2) v
+        _, weights = _unit_gegenbauer(n, 64)
+        assert radius ** (n - 2) * weights.sum() == pytest.approx(
+            gegenbauer_weight_mass(radius, n), rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 7])
     def test_symmetry(self, n):
-        rule = gegenbauer_rule(1.3, n)
-        np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-15)
-        np.testing.assert_allclose(rule.weights, rule.weights[::-1], rtol=1e-14)
-        assert np.all(rule.weights > 0)
-        assert np.all(np.abs(rule.nodes) < rule.radius)
-
-    def test_integrate_and_errors(self):
-        rule = gegenbauer_rule(1.0, 3)
-        assert rule.integrate(lambda s: np.ones_like(s)) == pytest.approx(2.0, rel=1e-14)
-        with pytest.raises(EvaluationError), np.errstate(divide="ignore", invalid="ignore"):
-            rule.integrate(lambda s: 1.0 / (s - s))
-        with pytest.raises(ValueError):
-            gegenbauer_rule(0.0, 3)
-        with pytest.raises(ValueError):
-            gegenbauer_rule(1.0, 2)
+        nodes, weights = _unit_gegenbauer(n, 64)
+        np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-15)
+        np.testing.assert_allclose(weights, weights[::-1], rtol=1e-14)
+        assert np.all(weights > 0)
+        assert np.all(np.abs(nodes) < 1.0)
 
 
 class TestReductionFormulas:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import jv
 
 import wavecauchy.fields as fields
+import wavecauchy.solvers as solvers
 from wavecauchy.errors import DomainSizeError, StencilError
 from wavecauchy.geometry import (
     Dimension,
@@ -207,13 +209,15 @@ def counting(field):
     return fields.ScalarField(evaluate, field.dim), calls
 
 
-def gaussian_wave_hankel(n, sigma, x, t):
+def gaussian_wave_hankel(n, sigma, x, t, velocity=True):
     """u(x, t) for phi = 0, psi = exp(-|y|^2 / (2 sigma^2)) by the radial
-    inverse Fourier (Hankel) integral of psi_hat(k) sin(k t) / k."""
+    inverse Fourier (Hankel) integral of psi_hat(k) sin(k t) / k; with
+    velocity=False, for phi that Gaussian and psi = 0 (cos(k t) for sin(k t) / k)."""
     r = float(np.linalg.norm(x))
 
     def integrand(k):
-        return (sigma**n * math.exp(-0.5 * (sigma * k) ** 2) * math.sin(k * t)
+        time_factor = math.sin(k * t) if velocity else k * math.cos(k * t)
+        return (sigma**n * math.exp(-0.5 * (sigma * k) ** 2) * time_factor
                 * jv(n / 2 - 1, k * r) * k ** (n / 2 - 1))
 
     value, _ = quad(integrand, 0.0, 40.0 / sigma, limit=400, epsabs=1e-15, epsrel=1e-13)
@@ -268,6 +272,160 @@ class TestDescent:
             solve_even_point(problem(12, psi=fields.constant(12, 1.0)), np.zeros(12), 1.0)
         with pytest.raises(ValueError, match="n <= 10"):
             DistributionFunctional(1.0, Dimension(12)).action(lambda pts: pts[..., 0])
+
+
+def kirchhoff_offset_gaussian(sigma, offset, t):
+    """n = 3, phi = 0, psi = exp(-|y - c|^2 / (2 sigma^2)) with |x - c| = offset:
+    t times the elementary sphere mean of the Gaussian."""
+    return sigma**2 / (2.0 * offset) * (math.exp(-((t - offset) ** 2) / (2.0 * sigma**2))
+                                        - math.exp(-((t + offset) ** 2) / (2.0 * sigma**2)))
+
+
+def probe(n, offset):
+    """(0.1, ..., 0.1) when offset is None, else offset * e_1."""
+    if offset is None:
+        return np.full(n, 0.1)
+    x = np.zeros(n)
+    x[0] = offset
+    return x
+
+
+#: (n, sigma, t, probe offset): the cases the product rule got 0.4 % to 140 %
+#: wrong with an error_estimate near 1e-7
+HANKEL_CASES = [(6, 0.5, 2.0, None), (8, 0.5, 2.0, None), (10, 0.5, 2.0, None),
+                (4, 0.3, 3.0, None), (7, 0.5, 2.0, 1.5), (9, 0.5, 2.0, 1.5)]
+
+#: the Hankel reference's own quadrature tolerance, relative to the data's amplitude
+REFERENCE_TOL = 1e-12
+
+
+class TestRadialReduction:
+    """Radial data take the single-coordinate reduction (two coordinates by
+    descent); the references are independent of the program's quadrature."""
+
+    @pytest.mark.parametrize("n, sigma, t, offset", HANKEL_CASES)
+    def test_matches_hankel_integral(self, n, sigma, t, offset):
+        x = probe(n, offset)
+        s = solve_point(problem(n, psi=fields.gaussian(n, sigma=sigma)), x, t)
+        ref = gaussian_wave_hankel(n, sigma, x, t)
+        assert abs(s.u - ref) <= 1e-3 * abs(ref)
+        assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL
+
+    def test_error_estimate_bounds_error_on_random_draws(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(12):
+            n = int(rng.integers(2, 11))
+            s_phi, s_psi = rng.uniform(0.4, 1.2, size=2)
+            t = rng.uniform(0.5, 3.0)
+            x = rng.standard_normal(n)
+            x *= rng.uniform(0.0, 1.5) / np.linalg.norm(x)
+            p = CauchyProblem(fields.gaussian(n, sigma=s_phi), fields.gaussian(n, sigma=s_psi),
+                              Dimension(n))
+            s = solve_point(p, x, t)
+            ref = (gaussian_wave_hankel(n, s_phi, x, t, velocity=False)
+                   + gaussian_wave_hankel(n, s_psi, x, t))
+            assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL, (n, s_phi, s_psi, t, x)
+
+    def test_near_front_matches_kirchhoff(self):
+        # a narrow Gaussian six units off, sampled as its front reaches the probe
+        psi = fields.gaussian(3, sigma=0.15, center=[6.0, 0.0, 0.0])
+        s = solve_point(problem(3, psi=psi), np.zeros(3), 6.0)
+        ref = kirchhoff_offset_gaussian(0.15, 6.0, 6.0)
+        assert abs(s.u - ref) <= 1e-8 * ref
+        assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL
+
+    def test_quadrature_estimate_reports_a_short_rule(self):
+        # a length scale 4 t / 64 holds the rule at 64 nodes, which misses the
+        # near-front value by about 4 %; the 64-against-128 difference shows it
+        psi = dataclasses.replace(fields.gaussian(3, sigma=0.15, center=[6.0, 0.0, 0.0]),
+                                  length_scale=6.0 * 4.0 / 64.0)
+        assert solvers.radial_node_count(psi, 6.0) == 64
+        s = solve_point(problem(3, psi=psi), np.zeros(3), 6.0)
+        error = abs(s.u - kirchhoff_offset_gaussian(0.15, 6.0, 6.0))
+        assert error > 1e-2 * s.u
+        assert s.error_estimate >= error
+
+    def test_node_count_rule(self):
+        g = fields.gaussian(3, sigma=0.5)
+        assert solvers.radial_node_count(g, 2.0) == 64
+        assert solvers.radial_node_count(g, 8.5) == 128  # 4 t / sigma = 68
+        assert solvers.radial_node_count(fields.constant(3, 1.0), 100.0) == 64
+
+    @pytest.mark.parametrize("n", [3, 5, 4, 6])
+    def test_field_points(self, n):
+        # the counting wrapper keeps the radial metadata, as dataclasses.replace does
+        calls = []
+        psi = fields.gaussian(n, sigma=0.8)
+
+        def evaluate(points):
+            calls.append(points.shape[:-1])
+            return psi(points)
+
+        counted = dataclasses.replace(psi, evaluator=evaluate)
+        t = 1.2
+        solve_point(problem(n, psi=counted), np.full(n, 0.1), t, with_error=False)
+        radii = default_spec(Dimension(n).derivative_order, t).degree + 1
+        count = solvers.radial_node_count(psi, t)
+        per_radius = count if n % 2 else count * (count // 2)  # zeta folded onto zeta > 0
+        assert sum(math.prod(shape) for shape in calls) == radii * per_radius
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_radial_data_build_no_product_rule(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("radial data must not build a product rule")
+
+        monkeypatch.setattr(solvers, "sphere_quadrature", refuse)
+        monkeypatch.setattr(solvers, "descent_rule", refuse)
+        p = CauchyProblem(fields.gaussian(n, sigma=0.8),
+                          fields.bump(n, radius=1.5, center=[0.2] * n), Dimension(n))
+        assert math.isfinite(solve_point(p, np.full(n, 0.1), 1.0).u)
+
+    def test_lift_keeps_the_centre(self):
+        lifted = solvers._lift(fields.gaussian(4, sigma=0.6, center=[0.1, 0.2, 0.3, 0.4]))
+        assert lifted.dim == 5
+        assert lifted.radial_center == (0.1, 0.2, 0.3, 0.4)
+        assert lifted.length_scale == 0.6
+
+
+def _lattice_probes(grid, n, indices):
+    axis = grid.axis()
+    return [np.array([axis[i]] * n) for i in indices]
+
+
+class TestAgainstSpectralOracle:
+    """Both sphere-sum paths against the periodic FFT oracle at lattice points."""
+
+    @pytest.mark.parametrize("n, points", [(2, 256), (3, 64)])
+    def test_two_offset_gaussians_take_the_product_rule(self, n, points):
+        g1 = fields.gaussian(n, sigma=0.8, center=[0.5] + [0.0] * (n - 1))
+        g2 = fields.gaussian(n, sigma=0.7, center=[-0.3, 0.4] + [0.0] * (n - 2), amplitude=0.6)
+        psi = fields.ScalarField(lambda pts: g1(pts) + g2(pts), n,
+                                 support_radius=max(g1.support_radius, g2.support_radius))
+        assert psi.radial_center is None
+        p = problem(n, psi=psi)
+        grid = GridSpec(12.0, points, n)
+        t = 1.1
+        sol = spectral_solve(p, grid, t)
+        scale = float(np.max(np.abs(sol.values)))
+        for x in _lattice_probes(grid, n, (points // 2, points // 2 + 1)):
+            u = solve_point(p, x, t, with_error=False).u
+            assert abs(u - sol.value_at(x)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("n, points", [(2, 256), (3, 128)])
+    def test_bump(self, n, points):
+        psi = fields.bump(n, radius=1.5, center=[0.3] + [0.0] * (n - 1))
+        phi = fields.bump(n, radius=2.0, sharpness=2.0)
+        p = CauchyProblem(phi, psi, Dimension(n))
+        grid = GridSpec(4.0, points, n)
+        t = 1.3
+        sol = spectral_solve(p, grid, t)
+        scale = float(np.max(np.abs(sol.values)))
+        fine = RadialDerivativeSpec(0, t / 40.0, 4)  # the default h = t / 10 leaves 1e-3
+        for x in _lattice_probes(grid, n, (points // 2, points // 2 + points // 16)):
+            oracle = sol.value_at(x)
+            s = solve_point(p, x, t)
+            assert abs(s.u - oracle) <= s.error_estimate
+            assert abs(solve_point(p, x, t, spec=fine).u - oracle) <= 1e-5 * scale
 
 
 class TestDalembert:
