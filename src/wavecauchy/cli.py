@@ -5,36 +5,31 @@ headers, lists comma-separated. Every command writes a CSV report whose rows
 are deterministic for a fixed config + seed (no timestamps anywhere), with
 provenance (config hash, seed, version) in leading ``#`` comment lines.
 
-Commands and their fixed CSV column orders:
-
-constants:
-    n, parity, surface_area, ball_volume, constant_product,
-    constant_normalization, rel_diff, tol, pass, violated
-verify-reduction:
-    n, R, function, target, quadrature, closed_form, rel_err,
-    mc_value, mc_sigma, mc_z, tol, pass, violated
-verify-identities:
-    n, R, xi_norm, residual_real, residual_imag, h, nodes, tol, pass, violated
-solve:
-    x1..xn, t, u, method, error_estimate, pass, violated
-converge:
-    level, h, residual, ratio, observed_order, note, pass, violated
+Each command reads the config keys listed below and no others. The whole
+config is checked before any work and every offending key is reported at
+once (exit 2, ``config error:``); a solver failure exits 1 (``error:``).
+The list comes from `COMMANDS`, the one table of each command's runner,
+report columns and keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import functools
 import hashlib
+import itertools
 import math
 import sys
+import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainSizeError
-from .fields import ScalarField, make_field
+from .errors import ConfigError, DomainSizeError, EvaluationError, StencilError
+from .fields import make_field
 from .geometry import (
     MAX_DESCENT_DIMENSION,
     MAX_DIMENSION,
@@ -46,12 +41,7 @@ from .geometry import (
     reduce_ball_integral,
     reduce_sphere_integral,
 )
-from .kernels import (
-    KernelQuery,
-    identity_record,
-    identity_sweep,
-    normalization_constant,
-)
+from .kernels import KernelQuery, identity_record, identity_sweep, normalization_constant
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
 from .radial import RadialDerivativeSpec
 from .solvers import (
@@ -64,8 +54,6 @@ from .solvers import (
     wave_residual,
 )
 
-COMMANDS = ("solve", "verify-identities", "verify-reduction", "constants", "converge")
-
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -74,108 +62,102 @@ COMMANDS = ("solve", "verify-identities", "verify-reduction", "constants", "conv
 
 @dataclass
 class RunConfig:
+    """section -> key -> typed value (None for an unset optional key)."""
+
     command: str
-    seed: int
-    output: str | None
-    quad_nodes: int | None
-    tol_override: float | None
-    sections: configparser.ConfigParser
+    values: dict
     sha256: str
 
-    def get(self, section: str, key: str, default=None) -> str | None:
-        if self.sections.has_option(section, key):
-            return self.sections.get(section, key)
-        return default
-
-    def parse(self, section: str, key: str, default, kind, errors: list[str], valid=None):
-        """section.key (or default) through _parse_scalar; None when both are absent."""
-        raw = self.get(section, key, default)
-        return None if raw is None else _parse_scalar(raw, kind, section, key, errors, valid)
+    def __getitem__(self, section: str) -> dict:
+        return self.values[section]
 
 
-def _parse_scalar(raw: str, kind, section: str, key: str, errors: list[str], valid=None):
-    """kind(raw); when the cast fails, gives a non-finite float, or valid(value)
-    is false, section.key goes to errors and the result is None."""
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError):
-        value = None
-    if isinstance(value, float) and not math.isfinite(value):
-        value = None
-    if value is None or valid is not None and not valid(value):
-        errors.append(f"{section}.{key}")
-        return None
-    return value
+def _list(kind):
+    """Parse comma-separated entries with kind, skipping blank ones."""
+    return lambda raw: [kind(part.strip()) for part in raw.split(",") if part.strip()]
 
 
-def _ints(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part.strip()]
+_ints, _floats, _words = _list(int), _list(float), _list(str)
 
 
-def _floats(raw: str) -> list[float]:
-    values = [float(part) for part in raw.split(",") if part.strip()]
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite entry in {raw!r}")
-    return values
+def _points(raw: str):
+    """``random``, or comma-separated points of space-separated coordinates."""
+    if raw.strip() == "random":
+        return "random"
+    return [np.array(_floats(",".join(chunk.split()))) for chunk in raw.split(",")]
 
 
 def _positive(value) -> bool:
     return value > 0
 
 
-def _dimension(value) -> bool:
-    return 1 <= value <= MAX_DIMENSION
+def _between(low, high=math.inf):
+    return lambda value: low <= value <= high
 
 
-def _check_means_dimension(n: int, key: str) -> None:
-    """Even n reaches the means solvers by descent, on a rule on S^n."""
-    if n % 2 == 0 and n > MAX_DESCENT_DIMENSION:
-        raise ConfigError(f"means solvers cover even dimensions up to {MAX_DESCENT_DIMENSION} "
-                          f"(descent needs a sphere rule in R^{n + 1}), got {n}", keys=[key])
+def _checked(value, valid):
+    """value, if each entry of it (a list: at least one) is finite and passes
+    valid, a predicate or a tuple of choices; ValueError otherwise."""
+    accepts = valid.__contains__ if isinstance(valid, tuple) else valid or (lambda item: True)
+    items = value if isinstance(value, list) else [value]
+    numbers = [item for item in items if isinstance(item, (float, np.ndarray))]
+    if not items or not all(map(accepts, items)) \
+            or not all(np.all(np.isfinite(x)) for x in numbers):
+        raise ValueError(value)
+    return value
 
 
 def load_config(path: str, command: str, overrides: dict) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """Parse and validate every key of the config file against the command's
+    schema. The overrides out, seed and quad_nodes replace run.output,
+    run.seed and run.quad_nodes, and tol replaces the command's tolerance."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.optionxform = str
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parser.read_string(text)
-    errors: list[str] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        parser.read_string(text)
+    except (OSError, UnicodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read the config: {exc}", keys=["--config"]) from exc
 
     cfg_command = parser.get("run", "command", fallback=command)
-    if cfg_command != command:
-        raise ConfigError(
-            f"config says command = {cfg_command!r} but {command!r} was requested",
-            keys=["run.command"],
-        )
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}", keys=["run.command"])
+    if cfg_command != command or command not in COMMANDS:
+        raise ConfigError(f"config says command = {cfg_command!r} but {command!r} was requested",
+                          keys=["run.command"])
+    schema = COMMANDS[command][2]
+    errors = [f"{section}.{key}" for section in parser.sections() for key in parser[section]
+              if key not in schema.get(section, {})]
+    values = {}
+    for section, keys in schema.items():
+        got = values[section] = {}
+        for key, (parse, default, valid) in keys.items():
+            raw = parser.get(section, key, fallback=default)
+            if isinstance(raw, dict):
+                raw = raw.get(got.get("target"))
+            try:
+                got[key] = None if raw is None else _checked(parse(raw), valid)
+            except (TypeError, ValueError):
+                got[key] = None
+                errors.append(f"{section}.{key}")
 
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = _parse_scalar(parser.get("run", "seed", fallback="0"), int, "run", "seed", errors)
-    output = overrides.get("out") or parser.get("run", "output", fallback=None)
-    quad_nodes = overrides.get("quad_nodes")
-    if quad_nodes is None and parser.has_option("run", "quad_nodes"):
-        quad_nodes = _parse_scalar(parser.get("run", "quad_nodes"), int, "run", "quad_nodes", errors)
-    tol_override = overrides.get("tol")
-    if tol_override is not None and tol_override <= 0:
-        raise ConfigError("tolerance override must be positive", keys=["tol"])
+    values["run"]["output"] = overrides.get("out") or values["run"]["output"]
+    for flag, key, value in (("--seed", "seed", overrides.get("seed")),
+                             ("--quad-nodes", "quad_nodes", overrides.get("quad_nodes")),
+                             ("--tol", "tolerance", overrides.get("tol"))):
+        if value is None:
+            continue
+        if not (value < math.inf and (_RUN[key][2] if key in _RUN else _positive)(value)):
+            errors.append(flag)
+        for keys in values.values():
+            if key in keys:
+                keys[key] = value
     if errors:
-        raise ConfigError("invalid run settings", keys=errors)
-    return RunConfig(
-        command=command,
-        seed=int(seed),
-        output=output,
-        quad_nodes=quad_nodes,
-        tol_override=tol_override,
-        sections=parser,
-        sha256=hashlib.sha256(text.encode()).hexdigest(),
-    )
+        raise ConfigError(f"invalid {command} config", keys=errors)
+    return RunConfig(command, values, hashlib.sha256(text.encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
-# Report
+# Report and commands
 # ---------------------------------------------------------------------------
 
 
@@ -186,8 +168,6 @@ def _fmt(value) -> str:
         return "yes" if value else "no"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 
@@ -201,121 +181,64 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        if not self.rows:
-            return False
         flag = self.columns.index("pass")
-        return all(bool(row[flag]) for row in self.rows)
+        return bool(self.rows) and all(bool(row[flag]) for row in self.rows)
 
     def add(self, passed: bool, **cells) -> None:
         cells["pass"] = bool(passed)
         self.rows.append([cells.get(c) for c in self.columns])
 
     def write_csv(self, path) -> None:
-        import csv as _csv
-
         with open(path, "w", newline="") as fh:
             for key in sorted(self.provenance):
                 fh.write(f"# {key}={self.provenance[key]}\n")
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(self.columns)
             for row in self.rows:
                 writer.writerow([_fmt(cell) for cell in row])
 
 
-def _finish(report: Report, config: RunConfig) -> Report:
-    report.provenance.update(
-        command=config.command,
-        config_sha256=config.sha256,
-        seed=config.seed,
-        version=__version__,
-    )
-    failures = sum(1 for row in report.rows if not row[report.columns.index("pass")])
-    report.summary.update(cases=len(report.rows), failures=failures)
-    if config.output:
-        report.write_csv(config.output)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Shared pieces
-# ---------------------------------------------------------------------------
-
-
-#: numeric parameters of each field kind, read as data.<role>_<key>; center is a list
+#: parameters of each field kind, read as data.<role>_<key>
 _FIELD_KEYS = {
     "gaussian": ("sigma", "amplitude", "center"),
     "bump": ("radius", "sharpness", "amplitude", "center"),
-    "harmonic": ("amplitude", "offset"),
+    "harmonic": ("poly", "amplitude", "offset"),
     "constant": ("value",),
     "zero": (),
 }
 
 
-def _field_from_config(config: RunConfig, role: str, dim: int, errors: list[str]) -> ScalarField:
-    kind = config.get("data", role, "zero")
-    if kind not in _FIELD_KEYS:
-        errors.append(f"data.{role}")
-        return make_field("zero", dim)
-    params: dict = {"value": 1.0} if kind == "constant" else {}
-    if kind == "harmonic" and config.get("data", f"{role}_poly"):
-        params["name"] = config.get("data", f"{role}_poly")
-    for key in _FIELD_KEYS[kind]:
-        value = config.parse("data", f"{role}_{key}", None,
-                             _floats if key == "center" else float, errors)
-        if value is not None:
-            params[key] = value
-    try:
-        return make_field(kind, dim, **params)
-    except (TypeError, ValueError):
-        errors.append(f"data.{role}")
-        return make_field("zero", dim)
-
-
-def _probes(config: RunConfig, section: str, dim: int, rng: np.random.Generator,
-            errors: list[str]) -> list[np.ndarray]:
-    raw = config.get(section, "probes", "random")
-    if raw.strip() == "random":
-        count = config.parse(section, "probe_count", "5", int, errors) or 5
-        radius = config.parse(section, "probe_radius", "1.0", float, errors) or 1.0
-        return [rng.uniform(-radius, radius, size=dim) for _ in range(count)]
-    probes = []
-    for chunk in raw.split(","):
-        comps = chunk.split()
-        if len(comps) != dim:
-            errors.append(f"{section}.probes")
-            return []
+def _problem(config: RunConfig, dim: int, means_key: str | None) -> CauchyProblem:
+    """The Cauchy problem of the [data] section. A parameter the field kind
+    does not take, or one make_field rejects, is a config error; so is, with
+    means_key, an even dim beyond the means solvers' descent."""
+    if means_key and dim % 2 == 0 and dim > MAX_DESCENT_DIMENSION:
+        raise ConfigError(f"means solvers cover even dimensions up to {MAX_DESCENT_DIMENSION} "
+                          f"(descent needs a sphere rule in R^{dim + 1}), got {dim}",
+                          keys=[means_key])
+    data, fields, errors = config["data"], [], []
+    for role in ("phi", "psi"):
+        kind = data[role]
+        given = {key.split("_", 1)[1]: value for key, value in data.items()
+                 if key.startswith(f"{role}_") and value is not None}
+        errors += [f"data.{role}_{key}" for key in given if key not in _FIELD_KEYS[kind]]
         try:
-            probes.append(np.array(_floats(",".join(comps))))
-        except ValueError:
-            errors.append(f"{section}.probes")
-            return []
-    return probes
+            fields.append(make_field(kind, dim, **{"name" if key == "poly" else key: value
+                                                   for key, value in given.items()}))
+        except (TypeError, ValueError):
+            errors.append(f"data.{role}")
+    if errors:
+        raise ConfigError("invalid data settings", keys=errors)
+    return CauchyProblem(*fields, Dimension(dim))
 
 
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-
-def _run_constants(config: RunConfig) -> Report:
-    errors: list[str] = []
-    dims = config.parse("constants", "dims", "2, 3, 4, 5, 6, 7", _ints, errors) or []
-    tol = config.tol_override or config.parse("constants", "tolerance", "1e-10", float, errors,
-                                              _positive)
-    radius = config.parse("constants", "radius", "1.0", float, errors)
-    rule_dim = config.parse("constants", "export_rule_dim", None, int, errors, _dimension)
-    if errors or not dims or any(not 2 <= d <= MAX_DIMENSION for d in dims):
-        raise ConfigError("invalid constants settings",
-                          keys=errors or ["constants.dims"])
-
-    report = Report(config.command, [
-        "n", "parity", "surface_area", "ball_volume", "constant_product",
-        "constant_normalization", "rel_diff", "tol", "pass", "violated",
-    ])
-    for n in dims:
+def _run_constants(config: RunConfig, report: Report) -> None:
+    keys = config["constants"]
+    tol = keys["tolerance"]
+    for n in keys["dims"]:
         product = solution_constant(n)
-        recovered = normalization_constant(n, radius=radius,
-                                           base_nodes=config.quad_nodes or 64)
+        recovered = normalization_constant(n, radius=keys["radius"],
+                                           base_nodes=config["run"]["quad_nodes"])
         rel = abs(recovered - product) / abs(product)
         ok = rel <= tol
         report.add(ok, n=n, parity=Dimension(n).parity, surface_area=unit_sphere_area(n),
@@ -324,10 +247,8 @@ def _run_constants(config: RunConfig) -> Report:
                    violated="" if ok else "constants.tolerance")
     report.summary["max_rel_diff"] = max(row[6] for row in report.rows)
 
-    rule_path = config.get("constants", "export_rule_path")
-    if rule_dim and rule_path:
-        sphere_quadrature(rule_dim).to_csv(rule_path)
-    return report
+    if keys["export_rule_dim"] and keys["export_rule_path"]:
+        sphere_quadrature(keys["export_rule_dim"]).to_csv(keys["export_rule_path"])
 
 
 _REDUCTION_FUNCTIONS = {
@@ -347,100 +268,47 @@ def _reduction_closed_form(name: str, radius: float, n: int, target: str) -> flo
         if target == "ball":
             return omega * radius ** (n + 2) / (n * (n + 2))
         return omega * radius ** (n + 1) / n
-    if name == "cosine":
-        prefix = unit_sphere_area(n - 1) * math.sqrt(math.pi) * math.gamma((n - 1) / 2.0)
-        if target == "ball":
-            return prefix * 2.0 ** ((n - 2) / 2.0) * radius ** (n / 2.0) * jv(n / 2.0, radius)
-        return (prefix * radius ** (n - 1) * (2.0 / radius) ** ((n - 2) / 2.0)
-                * jv((n - 2) / 2.0, radius))
-    raise ConfigError(f"unknown reduction function {name!r}", keys=["reduction.functions"])
+    prefix = unit_sphere_area(n - 1) * math.sqrt(math.pi) * math.gamma((n - 1) / 2.0)
+    if target == "ball":
+        return prefix * 2.0 ** ((n - 2) / 2.0) * radius ** (n / 2.0) * jv(n / 2.0, radius)
+    return (prefix * radius ** (n - 1) * (2.0 / radius) ** ((n - 2) / 2.0)
+            * jv((n - 2) / 2.0, radius))
 
 
-def _run_reduction(config: RunConfig) -> Report:
-    errors: list[str] = []
-    dims = config.parse("reduction", "dims", "3, 4, 5, 7", _ints, errors) or []
-    radii = config.parse("reduction", "radii", "0.5, 1, 2", _floats, errors) or []
-    names = [s.strip() for s in config.get("reduction", "functions", "one, square, cosine").split(",")]
-    tol = config.tol_override or config.parse("reduction", "tolerance", "1e-10", float, errors,
-                                              _positive)
-    mc_samples = config.parse("reduction", "mc_samples", "0", int, errors)
-    mc_sigmas = config.parse("reduction", "mc_sigmas", "3.0", float, errors)
-    bad = [name for name in names if name not in _REDUCTION_FUNCTIONS]
-    if errors or bad or not dims or not radii or any(not 3 <= d <= MAX_DIMENSION for d in dims) \
-            or any(r <= 0 for r in radii):
-        raise ConfigError("invalid reduction settings",
-                          keys=errors or ["reduction.functions" if bad else "reduction.dims"])
-
-    count = config.quad_nodes or 64
-    report = Report(config.command, [
-        "n", "R", "function", "target", "quadrature", "closed_form", "rel_err",
-        "mc_value", "mc_sigma", "mc_z", "tol", "pass", "violated",
-    ])
-    case = 0
-    for n in dims:
-        for radius in radii:
-            for name in names:
-                f = _REDUCTION_FUNCTIONS[name]
-                for target in ("ball", "sphere"):
-                    if target == "ball":
-                        quad = reduce_ball_integral(f, radius, n, count=count)
-                    else:
-                        quad = reduce_sphere_integral(f, radius, n, count=count)
-                    exact = _reduction_closed_form(name, radius, n, target)
-                    scale = max(abs(exact), 1e-300)
-                    rel = abs(quad - exact) / scale
-                    ok = rel <= tol
-                    violated = [] if ok else ["reduction.tolerance"]
-                    mc_value = mc_sigma = mc_z = None
-                    if mc_samples:
-                        fn = lambda pts: f(pts[:, n - 1])
-                        sampler = ball_monte_carlo if target == "ball" else sphere_monte_carlo
-                        est = sampler(fn, radius, n, samples=mc_samples,
-                                      seed=config.seed + case)
-                        mc_value, mc_sigma = est.value, est.sigma
-                        mc_z = est.z_score(quad)
-                        if mc_z > mc_sigmas:
-                            ok = False
-                            violated.append("reduction.mc_sigmas")
-                    report.add(ok, n=n, R=radius, function=name, target=target,
-                               quadrature=quad, closed_form=exact, rel_err=rel,
-                               mc_value=mc_value, mc_sigma=mc_sigma, mc_z=mc_z, tol=tol,
-                               violated=";".join(violated))
-                    case += 1
+def _run_reduction(config: RunConfig, report: Report) -> None:
+    keys, seed = config["reduction"], config["run"]["seed"]
+    tol, mc_samples = keys["tolerance"], keys["mc_samples"]
+    targets = (("ball", reduce_ball_integral, ball_monte_carlo),
+               ("sphere", reduce_sphere_integral, sphere_monte_carlo))
+    for case, (n, radius, name, (target, reduce, sampler)) in enumerate(itertools.product(
+            keys["dims"], keys["radii"], keys["functions"], targets)):
+        f = _REDUCTION_FUNCTIONS[name]
+        quad = reduce(f, radius, n, count=config["run"]["quad_nodes"])
+        exact = _reduction_closed_form(name, radius, n, target)
+        rel = abs(quad - exact) / max(abs(exact), 1e-300)
+        ok = rel <= tol
+        violated = [] if ok else ["reduction.tolerance"]
+        mc_value = mc_sigma = mc_z = None
+        if mc_samples:
+            est = sampler(lambda pts: f(pts[:, n - 1]), radius, n, samples=mc_samples,
+                          seed=seed + case)
+            mc_value, mc_sigma, mc_z = est.value, est.sigma, est.z_score(quad)
+            if mc_z > keys["mc_sigmas"]:
+                ok = False
+                violated.append("reduction.mc_sigmas")
+        report.add(ok, n=n, R=radius, function=name, target=target, quadrature=quad,
+                   closed_form=exact, rel_err=rel, mc_value=mc_value, mc_sigma=mc_sigma,
+                   mc_z=mc_z, tol=tol, violated=";".join(violated))
     report.summary["max_rel_err"] = max(row[6] for row in report.rows)
-    return report
 
 
-def _identity_tolerance(config: RunConfig, n: int, errors: list[str]) -> float:
-    if config.tol_override:
-        return config.tol_override
-    for key in (f"tolerance_{n}", "tolerance"):
-        if config.get("identities", key) is not None:
-            return config.parse("identities", key, None, float, errors, _positive)
-    if n % 2 == 0:
-        return 1e-6
-    return 1e-10 if n == 3 else 1e-8
-
-
-def _run_identities(config: RunConfig) -> Report:
-    errors: list[str] = []
-    dims = config.parse("identities", "dims", "3, 5, 7", _ints, errors) or []
-    count = config.parse("identities", "count", "200", int, errors)
-    max_product = config.parse("identities", "max_product", "20.0", float, errors, _positive)
-    if errors or not dims or any(not 2 <= d <= MAX_DIMENSION for d in dims) or not count or count < 1:
-        raise ConfigError("invalid identities settings", keys=errors or ["identities.dims"])
-
-    report = Report(config.command, [
-        "n", "R", "xi_norm", "residual_real", "residual_imag", "h", "nodes",
-        "tol", "pass", "violated",
-    ])
-    for n in dims:
-        tol = _identity_tolerance(config, n, errors)
-        if errors:
-            raise ConfigError("invalid identities settings", keys=errors)
-        records = identity_sweep(n, count, seed=config.seed + n,
-                                 max_product=max_product,
-                                 base_nodes=config.quad_nodes or 64)
+def _run_identities(config: RunConfig, report: Report) -> None:
+    keys = config["identities"]
+    for n in keys["dims"]:
+        tol = keys["tolerance"] or (1e-6 if n % 2 == 0 else 1e-10 if n == 3 else 1e-8)
+        records = identity_sweep(n, keys["count"], seed=config["run"]["seed"] + n,
+                                 max_product=keys["max_product"],
+                                 base_nodes=config["run"]["quad_nodes"])
         for rec in records:
             ok = rec.residual <= tol
             report.add(ok, n=rec.n, R=rec.radius, xi_norm=rec.knorm,
@@ -448,61 +316,40 @@ def _run_identities(config: RunConfig) -> Report:
                        h=rec.h, nodes=rec.nodes, tol=tol,
                        violated="" if ok else "identities.tolerance")
     report.summary["max_residual"] = max(row[3] for row in report.rows)
-    return report
 
 
-def _run_solve(config: RunConfig) -> Report:
-    errors: list[str] = []
-    dim = config.parse("run", "dim", "3", int, errors, _dimension)
-    times = config.parse("solve", "times", "1.0", _floats, errors) or []
-    method = config.get("solve", "method", "auto")
-    expect = config.parse("solve", "expect_value", None, float, errors)
-    expect_tol = config.parse("solve", "expect_tol", "1e-6", float, errors, _positive)
-    if errors or not dim or any(t <= 0 for t in times) or not times:
-        raise ConfigError("invalid solve settings", keys=errors or ["solve.times"])
-    if method != "spectral":
-        _check_means_dimension(dim, "run.dim")
-
-    rng = np.random.default_rng(config.seed)
-    phi = _field_from_config(config, "phi", dim, errors)
-    psi = _field_from_config(config, "psi", dim, errors)
-    probes = _probes(config, "solve", dim, rng, errors)
-    if errors or not probes:
-        raise ConfigError("invalid solve settings", keys=errors or ["solve.probes"])
-    problem = CauchyProblem(phi, psi, Dimension(dim))
-
-    report = Report(config.command, [f"x{k + 1}" for k in range(dim)]
-                    + ["t", "u", "method", "error_estimate", "pass", "violated"])
+def _run_solve(config: RunConfig, report: Report) -> None:
+    dim, keys = config["run"]["dim"], config["solve"]
+    method, probes = keys["method"], keys["probes"]
+    problem = _problem(config, dim, None if method == "spectral" else "run.dim")
+    if probes == "random":
+        rng = np.random.default_rng(config["run"]["seed"])
+        radius = keys["probe_radius"]
+        probes = [rng.uniform(-radius, radius, size=dim) for _ in range(keys["probe_count"])]
+    elif any(len(probe) != dim for probe in probes):
+        raise ConfigError(f"each probe needs {dim} coordinates", keys=["solve.probes"])
 
     samples: list[SolutionSample] = []
     if method == "spectral":
-        half_width = config.parse("solve", "grid_half_width", "8.0", float, errors, _positive)
-        points = config.parse("solve", "grid_points", "128", int, errors,
-                              lambda value: value >= 2)
-        if errors:
-            raise ConfigError("invalid solve settings", keys=errors)
+        half_width, points = keys["grid_half_width"], keys["grid_points"]
         grid = GridSpec(half_width, points, dim)
         state = spectral_state(problem, grid)
-        for t in times:
+        for t in keys["times"]:
             try:
                 sol = spectral_solve(problem, grid, t, state=state)
             except DomainSizeError as exc:
                 raise ConfigError(str(exc), keys=["solve.grid_half_width"]) from exc
             for probe in probes:
                 idx = tuple(int(round((c + half_width) / grid.spacing)) % points for c in probe)
-                lattice_point = -half_width + grid.spacing * np.array(idx)
-                samples.append(SolutionSample(lattice_point, t, sol.value_at_index(idx),
-                                              "spectral", sol.error_estimate))
-        binary_out = config.get("solve", "binary_out")
-        if binary_out:
-            sol.to_binary(binary_out)
+                samples.append(SolutionSample(-half_width + grid.spacing * np.array(idx), t,
+                                              sol.value_at_index(idx), "spectral",
+                                              sol.error_estimate))
+        if keys["binary_out"]:
+            sol.to_binary(keys["binary_out"])
     else:
-        if method not in ("auto", "means", "dalembert"):
-            raise ConfigError(f"unknown solve method {method!r}", keys=["solve.method"])
-        for t in times:
-            for probe in probes:
-                samples.append(solve_point(problem, probe, t))
+        samples = [solve_point(problem, probe, t) for t in keys["times"] for probe in probes]
 
+    expect, expect_tol = keys["expect_value"], keys["expect_tol"]
     for s in samples:
         ok = math.isfinite(s.u)
         violated = [] if ok else ["solve.finite"]
@@ -513,7 +360,6 @@ def _run_solve(config: RunConfig) -> Report:
         cells.update(t=s.t, u=s.u, method=s.method, error_estimate=s.error_estimate,
                      violated=";".join(violated))
         report.add(ok, **cells)
-    return report
 
 
 # --- converge ---------------------------------------------------------------
@@ -523,107 +369,67 @@ def _analytic_slab(profile: str, h: float, points: int):
     # time step h/2: with equal steps the second-difference errors of
     # separable products like cos(x)cos(t) cancel identically
     x = h * (np.arange(points) - points // 2)
-    t0 = 1.0
-    t = t0 + (h / 2.0) * np.array([-1.0, 0.0, 1.0])
+    t = 1.0 + (h / 2.0) * np.array([-1.0, 0.0, 1.0])
     tt, xx = np.meshgrid(t, x, indexing="ij")
     if profile == "coscos":
         return np.cos(xx) * np.cos(tt)
     if profile == "quadratic":
         return xx * xx + tt * tt
-    if profile == "linear":
-        return tt * xx
-    raise ConfigError(f"unknown converge profile {profile!r}", keys=["converge.profile"])
+    return tt * xx
 
 
-def _rounding_floor(slab: np.ndarray, h_t: float) -> float:
-    # second differences amplify rounding by ~eps |u| / h^2
-    return 64.0 * np.finfo(float).eps * float(np.max(np.abs(slab))) / (h_t * h_t)
+def _means_slab(problem: CauchyProblem, points: int, t0: float, h: float) -> np.ndarray:
+    """Means solutions on the slab of times t0 - h, t0, t0 + h and points^n
+    sites spaced h around the origin."""
+    axis = h * (np.arange(points) - points // 2)
+    slab = np.empty((3,) + (points,) * problem.dim.n)
+    for it, t in enumerate(t0 + h * np.array([-1.0, 0.0, 1.0])):
+        for idx in np.ndindex(*slab.shape[1:]):
+            slab[(it,) + idx] = solve_point(problem, axis[list(idx)], t, with_error=False).u
+    return slab
 
 
-def _converge_residuals(config: RunConfig, target: str, levels: int,
-                        errors: list[str]) -> tuple[list[float], list[float], list[float]]:
-    h0 = config.parse("converge", "h0", "0.2", float, errors)
-    if errors:
-        raise ConfigError("invalid converge settings", keys=errors)
-    hs = [h0 / 2**level for level in range(levels)]
+def _identity_ladder(keys: dict) -> tuple[list[float], list[float], list[float]]:
+    target, dim, radius = keys["target"], keys["dim"], keys["radius"]
+    d = Dimension(dim)
+    if (target == "odd-identity") != d.is_odd or dim < 2:
+        parity = "an odd dimension >= 3" if target == "odd-identity" else "an even dimension"
+        raise ConfigError(f"{target} needs {parity}", keys=["converge.dim"])
+    xi = np.zeros(dim)
+    xi[0] = keys["xi_norm"]
+    query = KernelQuery(xi, radius, d)
+    m = d.derivative_order
+    h0 = min(keys["h0"], 0.9 * radius / (2 * m + 6))
+    hs = [h0 / 2**level for level in range(keys["levels"])]
+    res = [identity_record(query, RadialDerivativeSpec(m, h, 2 * m + 4)).residual for h in hs]
+    return hs, res, [1e-12] * len(hs)
 
+
+def _converge_residuals(config: RunConfig) -> tuple[list[float], list[float], list[float]]:
+    """(h, residual, rounding floor) of each level of the target's ladder."""
+    keys = config["converge"]
+    target, h0, points = keys["target"], keys["h0"], keys["points"]
+    if target.endswith("identity"):
+        return _identity_ladder(keys)
+    hs = [h0 / 2**level for level in range(keys["levels"])]
     if target == "wave-residual":
-        profile = config.get("converge", "profile", "coscos")
-        points = config.parse("converge", "points", "9", int, errors) or 9
-        res, floors = [], []
-        for h in hs:
-            slab = _analytic_slab(profile, h, points)
-            res.append(wave_residual(slab, h, h / 2.0))
-            floors.append(_rounding_floor(slab, h / 2.0))
-        return hs, res, floors
-
-    if target == "pde-residual":
-        dim = config.parse("converge", "dim", "2", int, errors, _dimension)
-        if errors:
-            raise ConfigError("invalid converge settings", keys=errors)
-        _check_means_dimension(dim, "converge.dim")
-        phi = _field_from_config(config, "phi", dim, errors)
-        psi = _field_from_config(config, "psi", dim, errors)
-        problem = CauchyProblem(phi, psi, Dimension(dim))
-        points = config.parse("converge", "points", "5", int, errors) or 5
-        t0 = config.parse("converge", "t0", "1.0", float, errors)
-        res, floors = [], []
-        for h in hs:
-            axis = h * (np.arange(points) - points // 2)
-            tvals = t0 + h * np.array([-1.0, 0.0, 1.0])
-            shape = (3,) + (points,) * dim
-            slab = np.empty(shape)
-            for it, t in enumerate(tvals):
-                for flat_idx in np.ndindex(*(points,) * dim):
-                    x = np.array([axis[i] for i in flat_idx])
-                    slab[(it,) + flat_idx] = solve_point(problem, x, t, with_error=False).u
-            res.append(wave_residual(slab, h, h))
-            floors.append(_rounding_floor(slab, h))
-        return hs, res, floors
-
-    if target in ("odd-identity", "even-identity"):
-        dim = config.parse("converge", "dim", "5" if target == "odd-identity" else "4", int,
-                           errors, _dimension)
-        xi_norm = config.parse("converge", "xi_norm", "3.0", float, errors)
-        radius = config.parse("converge", "radius", "1.0", float, errors, _positive)
-        if errors:
-            raise ConfigError("invalid converge settings", keys=errors)
-        d = Dimension(dim)
-        if (target == "odd-identity") != d.is_odd:
-            raise ConfigError("converge.dim parity does not match the identity",
-                              keys=["converge.dim"])
-        xi = np.zeros(dim)
-        xi[0] = xi_norm
-        query = KernelQuery(xi, radius, d)
-        m = d.derivative_order
-        degree = 2 * m + 4
-        res = []
-        h0_eff = min(h0, 0.9 * radius / (2 * m + 6))
-        hs = [h0_eff / 2**level for level in range(levels)]
-        for h in hs:
-            spec = RadialDerivativeSpec(m, h, degree)
-            res.append(identity_record(query, spec).residual)
-        return hs, res, [1e-12] * levels
-
-    raise ConfigError(f"unknown converge target {target!r}", keys=["converge.target"])
+        slabs = [(_analytic_slab(keys["profile"], h, points), h / 2.0) for h in hs]
+    else:
+        if keys["t0"] < h0:
+            raise ConfigError("the first slab reaches back to t0 - h0, so t0 must be at "
+                              "least h0", keys=["converge.t0", "converge.h0"])
+        problem = _problem(config, keys["dim"], "converge.dim")
+        slabs = [(_means_slab(problem, points, keys["t0"], h), h) for h in hs]
+    # second differences amplify rounding by ~eps |u| / h^2
+    return (hs, [wave_residual(slab, h, h_t) for h, (slab, h_t) in zip(hs, slabs)],
+            [64.0 * np.finfo(float).eps * float(np.max(np.abs(slab))) / (h_t * h_t)
+             for slab, h_t in slabs])
 
 
-def converge(config: RunConfig) -> Report:
+def _run_converge(config: RunConfig, report: Report) -> None:
     """Run a refinement ladder and fit the observed convergence order."""
-    errors: list[str] = []
-    target = config.get("converge", "target", "wave-residual")
-    levels = config.parse("converge", "levels", "3", int, errors)
-    if errors or not levels or levels < 3:
-        raise ConfigError("converge needs at least 3 ladder levels",
-                          keys=errors or ["converge.levels"])
-    expected_order = config.parse("converge", "expected_order", None, float, errors)
-    order_tol = config.parse("converge", "order_tol", "0.5", float, errors, _positive)
-
-    hs, residuals, floors = _converge_residuals(config, target, levels, errors)
-
-    report = Report(config.command, [
-        "level", "h", "residual", "ratio", "observed_order", "note", "pass", "violated",
-    ])
+    keys = config["converge"]
+    hs, residuals, floors = _converge_residuals(config)
     orders = []
     for level, (h, res) in enumerate(zip(hs, residuals)):
         ratio = residuals[level - 1] / res if level and res > 0 else None
@@ -632,22 +438,124 @@ def converge(config: RunConfig) -> Report:
         if ratio is not None and not saturated and residuals[level - 1] > floors[level - 1]:
             order = math.log2(ratio)
             orders.append(order)
-        note = "saturated" if saturated else ""
-        ok = True
-        violated = []
+        ok = math.isfinite(res)
+        violated = [] if ok else ["converge.finite"]
         if not saturated and level > 0 and res >= residuals[level - 1]:
             ok = False
             violated.append("converge.monotone")
         report.add(ok, level=level, h=h, residual=res, ratio=ratio, observed_order=order,
-                   note=note, violated=";".join(violated))
+                   note="saturated" if saturated else "", violated=";".join(violated))
 
     fitted = sum(orders) / len(orders) if orders else None
     report.summary["fitted_order"] = fitted if fitted is not None else "saturated"
-    if expected_order is not None and fitted is not None and abs(fitted - expected_order) > order_tol:
+    expected = keys["expected_order"]
+    if expected is not None and fitted is not None and abs(fitted - expected) > keys["order_tol"]:
         for row in report.rows:
             row[report.columns.index("pass")] = False
             row[report.columns.index("violated")] = "converge.expected_order"
-    return report
+
+
+_RUN = {
+    "command": (str, None, None),
+    "seed": (int, "0", _between(0)),
+    "output": (str, None, None),
+    "quad_nodes": (int, "64", _positive),
+}
+
+_DATA = {role: (str, "zero", tuple(_FIELD_KEYS)) for role in ("phi", "psi")}
+_DATA.update({f"{role}_{key}": ({"center": _floats, "poly": str}.get(key, float), None, None)
+              for role in ("phi", "psi")
+              for key in sorted({key for keys in _FIELD_KEYS.values() for key in keys})})
+
+#: command -> (runner, report columns, config keys as section -> key ->
+#: (parse, default, validator)). A default is the raw text to parse, None for
+#: an optional key, or a dict keyed by the section's target.
+COMMANDS = {
+    "solve": (_run_solve, "x1..xn t u method error_estimate pass violated", {
+        "run": {**_RUN, "dim": (int, "3", _between(1, MAX_DIMENSION))},
+        "data": _DATA,
+        "solve": {
+            "method": (str, "auto", ("auto", "means", "dalembert", "spectral")),
+            "times": (_floats, "1.0", _positive),
+            "probes": (_points, "random", None),
+            "probe_count": (int, "5", _positive),
+            "probe_radius": (float, "1.0", _positive),
+            "expect_value": (float, None, None),
+            "expect_tol": (float, "1e-6", _positive),
+            "grid_half_width": (float, "8.0", _positive),
+            "grid_points": (int, "128", _between(2)),
+            "binary_out": (str, None, None),
+        }}),
+    "verify-identities": (_run_identities, "n R xi_norm residual_real residual_imag h nodes tol "
+                                           "pass violated", {
+        "run": _RUN,
+        "identities": {
+            "dims": (_ints, "3, 5, 7", _between(2, MAX_DIMENSION)),
+            "count": (int, "200", _positive),
+            "max_product": (float, "20.0", _positive),
+            "tolerance": (float, None, _positive),
+        }}),
+    "verify-reduction": (_run_reduction, "n R function target quadrature closed_form rel_err "
+                                         "mc_value mc_sigma mc_z tol pass violated", {
+        "run": _RUN,
+        "reduction": {
+            "dims": (_ints, "3, 4, 5, 7", _between(3, MAX_DIMENSION)),
+            "radii": (_floats, "0.5, 1, 2", _positive),
+            "functions": (_words, "one, square, cosine", tuple(_REDUCTION_FUNCTIONS)),
+            "tolerance": (float, "1e-10", _positive),
+            "mc_samples": (int, "0", _between(0)),
+            "mc_sigmas": (float, "3.0", _positive),
+        }}),
+    "constants": (_run_constants, "n parity surface_area ball_volume constant_product "
+                                  "constant_normalization rel_diff tol pass violated", {
+        "run": _RUN,
+        "constants": {
+            "dims": (_ints, "2, 3, 4, 5, 6, 7", _between(2, MAX_DIMENSION)),
+            "tolerance": (float, "1e-10", _positive),
+            "radius": (float, "1.0", _positive),
+            "export_rule_dim": (int, None, _between(1, MAX_DIMENSION)),
+            "export_rule_path": (str, None, None),
+        }}),
+    "converge": (_run_converge, "level h residual ratio observed_order note pass violated", {
+        "run": _RUN,
+        "data": _DATA,
+        "converge": {
+            "target": (str, "wave-residual", ("wave-residual", "pde-residual", "odd-identity",
+                                              "even-identity")),
+            "levels": (int, "3", _between(3)),
+            "h0": (float, "0.2", _positive),
+            "expected_order": (float, None, None),
+            "order_tol": (float, "0.5", _positive),
+            "profile": (str, "coscos", ("coscos", "quadratic", "linear")),
+            "points": (int, {"wave-residual": "9", "pde-residual": "5"}, _between(3)),
+            "dim": (int, {"pde-residual": "2", "odd-identity": "5", "even-identity": "4"},
+                    _between(1, MAX_DIMENSION)),
+            "t0": (float, "1.0", _positive),
+            "xi_norm": (float, "3.0", None),
+            "radius": (float, "1.0", _positive),
+        }}),
+}
+
+
+@functools.cache
+def _schema_help() -> str:
+    """Each command's report columns and config keys, as key=default(choices)."""
+    def entry(key, default, valid):
+        if isinstance(default, dict):
+            default = ",".join(f"{target}:{value}" for target, value in default.items())
+        text = key if default is None else f"{key}={default.replace(' ', '')}"
+        return text + (f"({'|'.join(valid)})" if isinstance(valid, tuple) else "")
+
+    wrap = textwrap.TextWrapper(79, subsequent_indent="    ", break_long_words=False,
+                                break_on_hyphens=False)
+    lines = ["report columns and config keys (key=default(choices)) of each command:"]
+    for name, (_, columns, sections) in COMMANDS.items():
+        wrap.initial_indent = "  columns: "
+        lines += [f"{name}:", wrap.fill(", ".join(columns.split()))]
+        for section, keys in sections.items():
+            wrap.initial_indent = f"  [{section}] "
+            lines.append(wrap.fill("; ".join(entry(key, *spec[1:]) for key, spec in keys.items())))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -656,22 +564,25 @@ def converge(config: RunConfig) -> Report:
 
 
 def run(config: RunConfig) -> Report:
-    """Dispatch the configured command and write its report."""
-    dispatch = {
-        "constants": _run_constants,
-        "verify-reduction": _run_reduction,
-        "verify-identities": _run_identities,
-        "solve": _run_solve,
-        "converge": converge,
-    }
-    report = dispatch[config.command](config)
-    return _finish(report, config)
+    """Run the configured command and write its report."""
+    runner, columns, _ = COMMANDS[config.command]
+    coordinates = " ".join(f"x{k + 1}" for k in range(config["run"].get("dim", 0)))
+    report = Report(config.command, columns.replace("x1..xn", coordinates).split())
+    runner(config, report)
+    report.provenance.update(command=config.command, config_sha256=config.sha256,
+                             seed=config["run"]["seed"], version=__version__)
+    failures = sum(1 for row in report.rows if not row[report.columns.index("pass")])
+    report.summary.update(cases=len(report.rows), failures=failures)
+    if config["run"]["output"]:
+        report.write_csv(config["run"]["output"])
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavecauchy",
         description=__doc__,
+        epilog=_schema_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=COMMANDS)
@@ -686,19 +597,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"out": args.out, "seed": args.seed, "quad_nodes": args.quad_nodes,
-                 "tol": args.tol}
     try:
-        config = load_config(args.config, args.command, overrides)
+        config = load_config(args.config, args.command, vars(args))
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (EvaluationError, StencilError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     status = "PASS" if report.passed else "FAIL"
     summary = ", ".join(f"{k}={v}" for k, v in sorted(report.summary.items()))
     print(f"{report.command}: {status} ({summary})")
-    if config.output:
-        print(f"report written to {config.output}")
+    if config["run"]["output"]:
+        print(f"report written to {config['run']['output']}")
     return 0 if report.passed else 1
 
 

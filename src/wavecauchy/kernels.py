@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError
+from .errors import ConfigError, EvaluationError
 from .geometry import (
     Dimension,
     _leggauss,
@@ -240,8 +240,10 @@ def normalization_constant(n: int, radius: float = 1.0,
     else:
         profile = lambda radii: ball_average_profile(0.0, radii, n, "direct", base_nodes).real
     series = MeanSeries.sample(profile, radius, spec)
-    denominator = chain_apply(series, m, radius, spec.h)
-    return radius / float(denominator)
+    denominator = float(chain_apply(series, m, radius, spec.h))
+    if denominator == 0.0 or not math.isfinite(denominator):
+        raise EvaluationError(f"the derivative chain at R = {radius:g} gave {denominator!r}")
+    return radius / denominator
 
 
 # ---------------------------------------------------------------------------

@@ -156,13 +156,16 @@ def chain_apply(series: MeanSeries, m: int, t: float, h: float,
     chain = radial_chain_coefficients(m)
     max_order = m + (1 if time_derivative else 0)
     derivs = _fit_derivatives(series, h, max_order)
-    val = sum(a * t ** (j - 2 * m) * derivs[j] for j, a in chain)
-    if not time_derivative:
-        return val
-    dval = sum(
-        a * ((j - 2 * m) * t ** (j - 2 * m - 1) * derivs[j] + t ** (j - 2 * m) * derivs[j + 1])
-        for j, a in chain
-    )
+    try:
+        val = sum(a * t ** (j - 2 * m) * derivs[j] for j, a in chain)
+        if not time_derivative:
+            return val
+        dval = sum(
+            a * ((j - 2 * m) * t ** (j - 2 * m - 1) * derivs[j] + t ** (j - 2 * m) * derivs[j + 1])
+            for j, a in chain
+        )
+    except OverflowError as exc:  # a float t ** (j - 2m) beyond the float range
+        raise EvaluationError(f"(1/t d/dt)^{m} at t = {t:g} overflows") from exc
     return val, dval
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainSizeError
+from .errors import DomainSizeError, EvaluationError
 from .fields import ScalarField
 from .geometry import (
     Dimension,
@@ -141,13 +141,26 @@ def _resolve_spec(problem: CauchyProblem, t: float, spec: RadialDerivativeSpec |
 #: fewest nodes per coordinate of the reduced rule for radial data
 MIN_RADIAL_NODES = 64
 
+#: most nodes per coordinate of the reduced rule. The error estimate builds
+#: the rule with twice the count L: 2L nodes at odd n, 2L * L after descent.
+#: The largest product rule the package builds (n = 12) has 2^23 nodes, and
+#: 2L * L <= 2^23 gives L <= 2048. Odd n keeps the same L: numpy builds a
+#: Gauss rule from a dense eigenproblem, which at 2L = 4096 nodes already
+#: takes 128 MB and seconds.
+MAX_RADIAL_NODES = 2048
+
 
 def radial_node_count(field: ScalarField, t: float) -> int:
     """Nodes per coordinate for a radial field's sphere sums up to radius ~t:
     max(64, 4 t / length_scale), rounded up to a power of two. A sphere of
     radius t crosses a feature of width length_scale along an arc of about
-    t / length_scale, and Gauss rules need a few nodes per width."""
+    t / length_scale, and Gauss rules need a few nodes per width.
+    EvaluationError when that exceeds MAX_RADIAL_NODES."""
     need = 4.0 * t / field.length_scale
+    if not need <= MAX_RADIAL_NODES:
+        raise EvaluationError(f"{field.label} of length scale {field.length_scale:g} needs "
+                              f"{need:.3g} nodes per coordinate at t = {t:g}, more than "
+                              f"{MAX_RADIAL_NODES}")
     count = MIN_RADIAL_NODES
     while count < need:
         count *= 2

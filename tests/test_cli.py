@@ -1,9 +1,12 @@
+import collections
 import csv
 import math
+import re
 
+import numpy as np
 import pytest
 
-from wavecauchy.cli import build_parser, load_config, main, run
+from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
 from wavecauchy.errors import ConfigError
 
 
@@ -335,6 +338,23 @@ h0 = 0.2
         comments, _, body = read_report(out)
         assert all(r["note"] == "saturated" for r in body)
 
+    def test_nan_ladder_fails(self, tmp_path):
+        # h0 = 1e-300: h^2 underflows and every residual is 0/0
+        out = tmp_path / "conv.csv"
+        cfg = write_config(tmp_path, f"""
+[run]
+command = converge
+output = {out}
+
+[converge]
+target = wave-residual
+h0 = 1e-300
+""")
+        assert main(["converge", "--config", cfg]) == 1
+        _, _, body = read_report(out)
+        assert all(r["residual"] == "nan" and r["pass"] == "no" for r in body)
+        assert all("converge.finite" in r["violated"] for r in body)
+
     def test_too_few_levels(self, tmp_path):
         cfg = write_config(tmp_path, """
 [run]
@@ -436,7 +456,29 @@ probes = 0 0 x
          "converge.radius"),
         ("verify-identities", "[identities]\nmax_product = nan", "identities.max_product"),
         ("solve", "dim = 3\n[data]\npsi = constant\n[solve]\nprobes = 0 inf 0", "solve.probes"),
-    ], ids=["infinite_amplitude", "negative_radius", "nan_max_product", "infinite_probe"])
+        ("converge", "[data]\npsi = gaussian\n[converge]\ntarget = pde-residual\nt0 = 0.1\n"
+         "h0 = 0.2", "converge.t0"),
+        ("converge", "[converge]\npoints = 2", "converge.points"),
+        ("converge", "[converge]\ntarget = odd-identity\ndim = 1", "converge.dim"),
+        ("converge", "[converge]\nh0 = -0.2", "converge.h0"),
+        ("converge", "[converge]\nh0 = 0", "converge.h0"),
+        ("constants", "[constants]\ndims = 3\nradius = -1", "constants.radius"),
+        ("constants", "[constants]\ndims = 3\nradius = 0", "constants.radius"),
+        ("solve", "dim = 3\nseed = -1\n[data]\npsi = constant", "run.seed"),
+        ("constants", "quad_nodes = 0\n[constants]\ndims = 3", "run.quad_nodes"),
+        ("constants", "quad_nodes = -3\n[constants]\ndims = 3", "run.quad_nodes"),
+        ("solve", "dim = 3\n[data]\npsi = constant\n[solve]\nprobe_count = 0",
+         "solve.probe_count"),
+        ("verify-reduction", "[reduction]\ndims = 3\nmc_samples = -5", "reduction.mc_samples"),
+        ("verify-reduction", "[reduction]\ndims = 3\nmc_sigmas = -1", "reduction.mc_sigmas"),
+        ("verify-identities", "[identities]\ncount = 0", "identities.count"),
+        ("solve", "dim = 3\n[data]\npsi = gaussian\npsi_sigam = 0.1", "data.psi_sigam"),
+    ], ids=["infinite_amplitude", "negative_radius", "nan_max_product", "infinite_probe",
+            "t0_below_h0", "two_points", "odd_identity_dim_1", "negative_h0", "zero_h0",
+            "negative_constants_radius", "zero_constants_radius", "negative_seed",
+            "zero_quad_nodes", "negative_quad_nodes", "zero_probe_count",
+            "negative_mc_samples", "negative_mc_sigmas", "zero_identity_count",
+            "misspelt_data_key"])
     def test_non_finite_or_nonpositive_float(self, tmp_path, capsys, command, settings, key):
         cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{settings}\n")
         assert main([command, "--config", cfg]) == 2
@@ -519,3 +561,100 @@ count = 3
         assert args.quad_nodes == 32
         assert args.tol == 1e-8
         assert "verify-identities" in build_parser().format_help()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--quad-nodes", "0"), ("--quad-nodes", "-3"), ("--seed", "-1"), ("--tol", "nan"),
+    ])
+    def test_invalid_override(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, "[run]\ncommand = constants\n[constants]\ndims = 3\n")
+        assert main(["constants", "--config", cfg, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert flag in err
+
+    def test_help_lists_every_key_and_column(self):
+        text = build_parser().format_help()
+        for name, (_, columns, sections) in COMMANDS.items():
+            block = re.search(rf"^{re.escape(name)}:\n((?:  .*\n?)+)", text, re.M).group(1)
+            listed = re.search(r"columns: (.*?)(?=\n  \S|\Z)", block, re.S).group(1)
+            assert listed.replace(",", " ").split() == columns.split()
+            listed = dict(re.findall(r"\[(\S+)\] (.*?)(?=\n  \S|\Z)", block, re.S))
+            assert listed.keys() == sections.keys()
+            for section, keys in sections.items():
+                entries = " ".join(listed[section].split()).split("; ")
+                assert [re.match(r"\w+", e).group() for e in entries] == list(keys)
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("command, settings", [
+        ("constants", "[constants]\ndims = 4\nradius = 1e-300"),
+        ("constants", "[constants]\ndims = 6\nradius = 1e-300"),
+        ("solve", "dim = 3\n[data]\npsi = gaussian\npsi_sigma = 1e-150\n[solve]\nprobes = 0 0 0"),
+        ("solve", "dim = 4\n[data]\npsi = gaussian\npsi_sigma = 1e-150\n[solve]\n"
+                  "probes = 0 0 0 0"),
+        ("solve", "dim = 7\n[data]\npsi = gaussian\n[solve]\ntimes = 1e-150\n"
+                  "probes = 0 0 0 0 0 0 0"),
+    ], ids=["chain_underflow", "chain_overflow", "odd_rule_beyond_cap", "even_rule_beyond_cap",
+            "tiny_time"])
+    def test_solver_error_exits_one(self, tmp_path, capsys, command, settings):
+        cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{settings}\n")
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+#: one small config per command (and converge target) that the fuzz mutates
+FUZZ_BASES = {
+    "constants": {"constants": {"dims": "3, 6", "radius": "1.0", "tolerance": "1e-10"}},
+    "verify-reduction": {"reduction": {"dims": "3", "radii": "1", "functions": "square",
+                                       "mc_samples": "100", "mc_sigmas": "3.0",
+                                       "tolerance": "1e-10"}},
+    "verify-identities": {"run": {"quad_nodes": "32"},
+                          "identities": {"dims": "3, 4", "count": "3", "max_product": "20.0"}},
+    "solve": {"run": {"dim": "5"},
+              "data": {"phi": "bump", "phi_radius": "1.0", "psi": "gaussian", "psi_sigma": "1.0"},
+              "solve": {"times": "1.0", "probes": "0 0 0 0 0", "expect_value": "0.5",
+                        "expect_tol": "10"}},
+    "spectral": {"run": {"dim": "2"},
+                 "data": {"psi": "gaussian", "psi_sigma": "0.5"},
+                 "solve": {"method": "spectral", "times": "0.5", "grid_points": "32",
+                           "grid_half_width": "8.0", "probe_count": "2", "probe_radius": "1.0"}},
+    "wave-residual": {"converge": {"target": "wave-residual", "profile": "coscos", "levels": "3",
+                                   "h0": "0.2", "points": "9", "expected_order": "2.0",
+                                   "order_tol": "0.5"}},
+    "pde-residual": {"data": {"psi": "gaussian", "psi_sigma": "1.0"},
+                     "converge": {"target": "pde-residual", "dim": "1", "points": "3",
+                                  "levels": "3", "h0": "0.2", "t0": "1.0"}},
+    "odd-identity": {"converge": {"target": "odd-identity", "dim": "3", "xi_norm": "3.0",
+                                  "levels": "3", "h0": "0.1", "radius": "1.0"}},
+}
+
+#: values a mutation writes; no large counts or grids
+FUZZ_POOL = ["", "0", "-1", "nan", "inf", "1e-300", "1e-150", "13", "abc", "1, 2"]
+
+
+class TestConfigFuzz:
+    def test_mutated_configs_exit_0_1_or_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # an output path mutated to "13" lands here
+        rng = np.random.default_rng(7)
+        codes = collections.Counter()
+        for draw in range(300):
+            base = sorted(FUZZ_BASES)[rng.integers(len(FUZZ_BASES))]
+            command = base if base in COMMANDS else "solve" if base == "spectral" else "converge"
+            sections = {"run": {"command": command, "seed": "3"}}
+            for section, keys in FUZZ_BASES[base].items():
+                sections.setdefault(section, {}).update(keys)
+            slots = [(s, k) for s in sections for k in sections[s] if k != "command"]
+            for i in rng.choice(len(slots), size=rng.integers(1, 3), replace=False):
+                section, key = slots[i]
+                sections[section][key] = FUZZ_POOL[rng.integers(len(FUZZ_POOL))]
+            text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for s, keys in sections.items())
+            cfg = write_config(tmp_path, text)
+            try:
+                code = main([command, "--config", cfg])
+            except Exception as exc:  # name the config that broke through
+                pytest.fail(f"draw {draw} raised {type(exc).__name__}: {exc}\n{text}")
+            assert code in (0, 1, 2), text
+            codes[code] += 1
+        capsys.readouterr()
+        assert set(codes) == {0, 1, 2}

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import dawsn
 
 import wavecauchy.fields as fields
-from wavecauchy.errors import ConfigError
+from wavecauchy.errors import ConfigError, EvaluationError
 from wavecauchy.geometry import Dimension, solution_constant
 from wavecauchy.kernels import (
     DistributionFunctional,
@@ -191,6 +191,12 @@ class TestConstantsTwoWays:
     def test_product_and_normalization_agree(self, n, expected):
         assert solution_constant(n) == pytest.approx(expected, rel=1e-15)
         assert normalization_constant(n) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_degenerate_radius_is_an_evaluation_error(self, n):
+        # at R = 1e-300 the chain underflows to 0 (n = 4) or overflows (n = 6)
+        with pytest.raises(EvaluationError):
+            normalization_constant(n, radius=1e-300)
 
 
 class TestDistributionFunctional:

@@ -111,6 +111,14 @@ class TestIteratedDerivative:
         assert val == pytest.approx(4.0 * t0**2, rel=1e-13)
         assert dval == pytest.approx(8.0 * t0, rel=1e-12)
 
+    def test_overflowing_chain_is_an_evaluation_error(self):
+        # t ** (j - 2m) at t = 1e-150 and m = 2 is beyond the float range
+        t0 = 1e-150
+        spec = RadialDerivativeSpec(2, t0 / 20.0, 8)
+        series = MeanSeries.sample(lambda t: t * t, t0, spec)
+        with pytest.raises(EvaluationError):
+            chain_apply(series, 2, t0, spec.h)
+
     def test_convergence_order(self):
         # halving h: the even-degree symmetric fit should gain at least
         # 2^(degree - m) per refinement

@@ -8,7 +8,7 @@ from scipy.special import jv
 
 import wavecauchy.fields as fields
 import wavecauchy.solvers as solvers
-from wavecauchy.errors import DomainSizeError, StencilError
+from wavecauchy.errors import DomainSizeError, EvaluationError, StencilError
 from wavecauchy.geometry import (
     Dimension,
     descent_rule,
@@ -350,6 +350,16 @@ class TestRadialReduction:
         assert solvers.radial_node_count(g, 2.0) == 64
         assert solvers.radial_node_count(g, 8.5) == 128  # 4 t / sigma = 68
         assert solvers.radial_node_count(fields.constant(3, 1.0), 100.0) == 64
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_node_count_beyond_the_cap(self, n):
+        # 4 t / sigma = 4e150 nodes: refused before any rule is built
+        psi = fields.gaussian(n, sigma=1e-150)
+        with pytest.raises(EvaluationError):
+            solve_point(problem(n, psi=psi), np.zeros(n), 1.0)
+        assert solvers.radial_node_count(fields.gaussian(n, sigma=1.0), 512.0) == 2048
+        with pytest.raises(EvaluationError):
+            solvers.radial_node_count(fields.gaussian(n, sigma=1.0), 513.0)
 
     @pytest.mark.parametrize("n", [3, 5, 4, 6])
     def test_field_points(self, n):
