@@ -1,7 +1,7 @@
 """Initial-data fields on R^n and the built-in library the CLI exposes.
 
 A ScalarField wraps a vectorized evaluator over points shaped (..., n)
-together with the support/smoothness metadata the solvers rely on (the
+together with the support and symmetry metadata the solvers rely on (the
 spectral solver refuses data whose numeric support does not fit its box,
 and the means solvers reduce the sphere sums of radial data to one
 coordinate).
@@ -24,7 +24,6 @@ class ScalarField:
     evaluator: Callable[[np.ndarray], np.ndarray]
     dim: int
     support_radius: float = math.inf
-    smoothness: str = "smooth"
     is_zero: bool = False
     #: exactly periodic on any sampling box (constants, lattice modes):
     #: exempt from the spectral wrap-around guard
@@ -125,14 +124,14 @@ def zero(dim: int) -> ScalarField:
     return constant(dim, 0.0)
 
 
-# Harmonic polynomials (numerical Laplacian is zero); min_dim is the smallest
+# Harmonic polynomials (numerical Laplacian is zero) with the smallest
 # dimension in which the formula makes sense.
 _HARMONIC_POLYS = {
-    "linear": (lambda x: x[..., 0], 1, 1),
-    "bilinear": (lambda x: x[..., 0] * x[..., 1], 2, 2),
-    "saddle": (lambda x: x[..., 0] ** 2 - x[..., 1] ** 2, 2, 2),
-    "cubic": (lambda x: x[..., 0] ** 3 - 3.0 * x[..., 0] * x[..., 1] ** 2, 2, 3),
-    "triple": (lambda x: x[..., 0] * x[..., 1] * x[..., 2], 3, 3),
+    "linear": (lambda x: x[..., 0], 1),
+    "bilinear": (lambda x: x[..., 0] * x[..., 1], 2),
+    "saddle": (lambda x: x[..., 0] ** 2 - x[..., 1] ** 2, 2),
+    "cubic": (lambda x: x[..., 0] ** 3 - 3.0 * x[..., 0] * x[..., 1] ** 2, 2),
+    "triple": (lambda x: x[..., 0] * x[..., 1] * x[..., 2], 3),
 }
 
 
@@ -144,7 +143,7 @@ def harmonic(dim: int, name: str = "linear", amplitude: float = 1.0,
              offset: float = 0.0) -> ScalarField:
     """A harmonic polynomial (plus an optional constant, still harmonic)."""
     try:
-        fn, min_dim, degree = _HARMONIC_POLYS[name]
+        fn, min_dim = _HARMONIC_POLYS[name]
     except KeyError:
         raise ValueError(f"unknown harmonic polynomial {name!r}; have {harmonic_names()}")
     if dim < min_dim:
@@ -153,9 +152,7 @@ def harmonic(dim: int, name: str = "linear", amplitude: float = 1.0,
     def evaluate(points):
         return amplitude * fn(points) + offset
 
-    out = ScalarField(evaluate, dim, smoothness=f"polynomial(degree={degree})",
-                      label=f"harmonic({name})")
-    return out
+    return ScalarField(evaluate, dim, label=f"harmonic({name})")
 
 
 BUILTIN_FIELDS = ("gaussian", "bump", "harmonic", "constant", "zero")

@@ -2,7 +2,9 @@
 
 The central objects are a product quadrature on the unit sphere S^{n-1}
 (Gauss rules in the cosines of the polar angles, uniform rule in the
-azimuth) and one-dimensional rules for integrals of the form
+azimuth), the reduced rules on S^{n-1} for radial data, one summation
+routine for both (`sphere_sums`), and one-dimensional rules for integrals of
+the form
 
     integral_{-R}^{R} f(s) (R^2 - s^2)^{(n-3)/2} ds,
 
@@ -26,26 +28,15 @@ from .errors import EvaluationError
 #: Gamma-overflow policy: dimensions above this are rejected outright.
 MAX_DIMENSION = 12
 
-_CHUNK_BYTES = 1 << 26  # cap on transient point arrays in sphere_sums
+#: cap on the transient point array of one sphere_sums chunk. Larger arrays
+#: are mmapped by the allocator and zero-faulted afresh on every call.
+_CHUNK_BYTES = 1 << 23
 
-# Default (polar nodes per angle, azimuth nodes) for the product sphere rule.
-# Node counts are L^(n-2) * M, so the per-angle budget has to shrink with n
-# to stay desk-scale; the resulting polynomial exactness is still >= 11 at
-# n = 7, which covers every polynomial-data use in the package.
-_DEFAULT_SPHERE_SIZES = {
-    1: (0, 2),
-    2: (0, 128),
-    3: (48, 96),
-    4: (24, 48),
-    5: (12, 24),
-    6: (8, 16),
-    7: (6, 12),
-    8: (5, 10),
-    9: (4, 8),
-    10: (4, 8),
-    11: (4, 8),
-    12: (4, 8),
-}
+# Default polynomial order of the product sphere rule per n (7 above n = 8).
+# Node counts grow like order^(n-1), so the order has to shrink with n to
+# stay desk-scale; it is still 11 at n = 7, which covers every
+# polynomial-data use in the package.
+_DEFAULT_SPHERE_ORDERS = {2: 127, 3: 95, 4: 47, 5: 23, 6: 15, 7: 11, 8: 9}
 
 
 def _check_dimension(n: int, minimum: int = 1) -> int:
@@ -202,17 +193,18 @@ def reduce_sphere_integral(f, radius: float, n: int, count: int = 64) -> float:
     return _omega(n - 1) * radius ** (n - 1) * float(v @ values)
 
 
-def reduce_ball_integral(f, radius: float, n: int, count: int = 64, radial_count: int = 64) -> float:
+def reduce_ball_integral(f, radius: float, n: int, count: int = 64) -> float:
     """integral over the ball of radius R in R^n of f(x_n), by nested quadrature.
 
-    Outer Gauss-Legendre in the radius, inner Gegenbauer-weighted rule; the
-    inner rule is shared across radii through the scaling s = rho * x.
+    Outer 64-node Gauss-Legendre rule in the radius, inner Gegenbauer-weighted
+    rule of `count` nodes; the inner rule is shared across radii through the
+    scaling s = rho * x.
     """
     n = _check_dimension(n, minimum=3)
     if radius <= 0:
         raise ValueError("radius must be positive")
     x, v = _unit_gegenbauer(n, count)
-    u, wu = _leggauss(radial_count)
+    u, wu = _leggauss(64)
     rho = 0.5 * radius * (u + 1.0)
     w_rho = 0.5 * radius * wu
     values = _eval_profile(f, np.outer(rho, x))
@@ -298,11 +290,10 @@ def _sphere_rule_cached(n: int, polar: int, azimuth: int) -> SphereQuadrature:
     return _build_sphere_rule(n, polar, azimuth)
 
 
-def sphere_quadrature(n: int, polar: int | None = None, azimuth: int | None = None) -> SphereQuadrature:
-    """Product quadrature on S^{n-1}; memoized per (n, polar, azimuth)."""
+def sphere_quadrature(n: int) -> SphereQuadrature:
+    """The default product quadrature on S^{n-1}; memoized per n."""
     n = _check_dimension(n)
-    d_polar, d_azimuth = _DEFAULT_SPHERE_SIZES[n]
-    return _sphere_rule_cached(n, polar or d_polar, azimuth or d_azimuth)
+    return sphere_quadrature_for_order(n, _DEFAULT_SPHERE_ORDERS.get(n, 7))
 
 
 def sphere_quadrature_for_order(n: int, order: int) -> SphereQuadrature:
@@ -339,11 +330,14 @@ def descent_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadratu
 def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndarray:
     """S(r_j) = sum_i w_i g(center + r_j node_i), chunked over nodes: omega_n
     times the mean of g over the sphere of radius r_j. g takes points shaped
-    (..., n) and may be complex-valued."""
+    (..., n) and may be complex-valued. The only place a field is evaluated
+    on spheres: the product rules and the reduced rules of radial data
+    (`_radial_rule`) both come through here."""
     chunk = max(1, _CHUNK_BYTES // (max(len(radii), 1) * rule.n * 8))
     out = 0.0
     for start in range(0, rule.nodes.shape[0], chunk):
-        points = center + radii[:, None, None] * rule.nodes[None, start:start + chunk, :]
+        points = radii[:, None, None] * rule.nodes[None, start:start + chunk, :]
+        points += center
         values = np.asarray(g(points))
         if not np.all(np.isfinite(values)):
             raise EvaluationError("g returned non-finite values on a sphere")
@@ -352,63 +346,48 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
 
 
 @lru_cache(maxsize=64)
-def _radial_rule(k: int, n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(radius factor, s, weight) per node of the reduced rule on S^(n-1) for
-    data radial in the first k = n or n - 1 coordinates.
+def _radial_rule(k: int, n: int, count: int) -> SphereQuadrature:
+    """The single-coordinate reduction as a rule on S^(n-1), with `count`
+    nodes per coordinate: exact for radial data only (order 0), data that
+    depend on |y' - c|, y' the first k = n or n - 1 coordinates of y, summed
+    about a centre on the ray c + d e_1 (`radial_sum_center`).
 
-    k = n: omega = s e + ..., and the weight (1 - s^2)^((n-3)/2) with the
-    factor omega_(n-1) is the single-coordinate reduction. k = n - 1 (data
-    lifted by descent): omega = (sqrt(1 - zeta^2) eta, zeta) with eta on
-    S^(k-1), zeta weighted by (1 - zeta^2)^((n-3)/2), and eta reduced as
-    above on the sphere of radius sqrt(1 - zeta^2): a tensor rule, zeta
-    major. zeta and -zeta give the same radius, so the count-node zeta rule
-    is folded onto its upper ceil(count / 2) nodes.
+    k = n: nodes (s, sqrt(1 - s^2), 0, ...), s weighted by (1 - s^2)^((n-3)/2)
+    with the factor omega_(n-1): |y' - c|^2 = d^2 + 2 d r s + r^2 depends on
+    s alone. k = n - 1 (data lifted by descent): omega = (sqrt(1 - zeta^2)
+    eta, zeta) with eta on S^(k-1) reduced as above and zeta weighted by
+    (1 - zeta^2)^((n-3)/2): a tensor rule, zeta major. zeta and -zeta give the
+    same |y' - c|, so the zeta rule is folded onto its upper ceil(count / 2)
+    nodes.
     """
     s, v = _unit_gegenbauer(k, count)
-    v = _omega(k - 1) * v
-    if k == n:
-        factor, weights = np.ones(count), v
-    else:
+    weights = _omega(k - 1) * v
+    nodes = np.zeros((count, n))
+    nodes[:, 0], nodes[:, 1] = s, np.sqrt(1.0 - s * s)
+    if k != n:
         zeta, vz = _unit_gegenbauer(n, count)
         zeta, vz = zeta[count // 2:], 2.0 * vz[count // 2:]
         if count % 2:
             vz[0] /= 2.0  # the middle node zeta = 0 is its own mirror image
-        factor = np.repeat(np.sqrt(1.0 - zeta * zeta), count)
-        s = np.tile(s, zeta.shape[0])
-        weights = np.outer(vz, v).ravel()
-    for a in (factor, s, weights):
-        a.setflags(write=False)
-    return factor, s, weights
+        nodes = np.sqrt(1.0 - zeta * zeta)[:, None, None] * nodes
+        nodes[..., -1] = zeta[:, None]
+        nodes = nodes.reshape(-1, n)
+        weights = np.outer(vz, weights).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return SphereQuadrature(Dimension(n), nodes, weights, 0)
 
 
-def radial_sphere_sums(g, center, radii: np.ndarray, radial_center, count: int) -> np.ndarray:
-    """`sphere_sums` for g(y) = f(|y' - c|^2), y' the first k = len(c)
-    coordinates of y (k = n, or n - 1 for data lifted by descent), on the
-    reduced rule with `count` nodes per coordinate.
-
-    With d = |center' - c| and rho = r (k = n) or r sqrt(1 - zeta^2), each
-    node has |y' - c|^2 = q = (d - rho)^2 + 2 d rho (1 - s), and g is
-    evaluated at c + sqrt(q) e_1, so the field's own evaluator stays the only
-    way its values are computed.
-    """
-    center = np.asarray(center, dtype=np.float64)
+def radial_sum_center(x, radial_center) -> np.ndarray:
+    """x with its first k = len(c) coordinates x' moved to c + |x' - c| e_1.
+    Sphere sums of data radial about c are the same there as at x, and the
+    point lies on the ray that `_radial_rule` expects."""
+    center = np.array(x, dtype=np.float64)
     c = np.asarray(radial_center, dtype=np.float64)
-    n, k = center.shape[0], c.shape[0]
-    factor, s, weights = _radial_rule(k, n, count)
-    d = float(np.linalg.norm(center[:k] - c))
-    chunk = max(1, _CHUNK_BYTES // (max(len(radii), 1) * n * 8))
-    out = 0.0
-    for start in range(0, weights.shape[0], chunk):
-        rho = radii[:, None] * factor[None, start:start + chunk]
-        q = (d - rho) ** 2 + 2.0 * d * rho * (1.0 - s[start:start + chunk])
-        points = np.zeros(q.shape + (n,))
-        points[..., :k] = c
-        points[..., 0] += np.sqrt(q)
-        values = np.asarray(g(points))
-        if not np.all(np.isfinite(values)):
-            raise EvaluationError("g returned non-finite values on a sphere")
-        out = out + values @ weights[start:start + chunk]
-    return out
+    d = float(np.linalg.norm(center[:c.shape[0]] - c))
+    center[:c.shape[0]] = c
+    center[0] += d
+    return center
 
 
 def integrate_on_sphere(g, center, radius: float, rule: SphereQuadrature) -> float:

@@ -2,9 +2,10 @@
 
 Odd dimensions represent the kernel through iterated (1/R d/dR) applications
 of the normalized sphere average of exp(-i x.xi); even dimensions use the
-weighted ball average with the 1/sqrt(R^2 - |x|^2) hemisphere factor, which
-can be computed directly (radial-angular quadrature with a sine substitution
-at the boundary) or by descending from the sphere average one dimension up.
+weighted ball average with the 1/sqrt(R^2 - |x|^2) hemisphere factor,
+computed by descending from the sphere average one dimension up; the direct
+radial-angular quadrature (a sine substitution at the boundary) stays as
+its test oracle.
 Everything reduces to one-dimensional oscillatory quadrature against the
 (R^2 - s^2)^((n-3)/2) weight.
 """
@@ -33,15 +34,23 @@ from .geometry import (
 from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, default_spec
 
 DEFAULT_OSC_NODES = 64
+#: most nodes of an oscillatory 1-D rule, reached at R|xi| ~ 1275: numpy builds
+#: a Gauss rule from a dense count x count eigenproblem, which at 4096 nodes
+#: already takes 128 MB and seconds
+MAX_OSC_NODES = 4096
 #: complex elements (16 bytes each) in the Fourier evaluator's largest per-chunk array
 FOURIER_CHUNK_ELEMENTS = 4_000_000
 
 
 def _osc_nodes(kappa: float, base: int = DEFAULT_OSC_NODES) -> int:
     """Node count for the oscillatory 1-D rules; grows linearly past R|xi| ~ 30
-    to keep at least ~10 nodes per oscillation period."""
+    to keep at least ~10 nodes per oscillation period. EvaluationError past
+    MAX_OSC_NODES, and for an infinite or NaN R|xi|."""
     if kappa <= 30.0:
         return base
+    if not 3.2 * kappa + 16 <= MAX_OSC_NODES:
+        raise EvaluationError(f"R|xi| = {kappa:.3g} needs more than {MAX_OSC_NODES} "
+                              "oscillatory quadrature nodes")
     return max(base, int(math.ceil(3.2 * kappa)) + 16)
 
 
@@ -157,6 +166,14 @@ class IdentityRecord:
     nodes: int
 
 
+def _average_profile(knorm: float, n: int, base_nodes: int, route: str = "descent"):
+    """The parity-appropriate exponential average as a function of the radii:
+    the sphere average (odd n) or the weighted ball average (even n)."""
+    if n % 2:
+        return lambda radii: sphere_average_profile(knorm, radii, n, base_nodes)
+    return lambda radii: ball_average_profile(knorm, radii, n, route, base_nodes)
+
+
 def identity_record(query: KernelQuery, spec: RadialDerivativeSpec | None = None,
                     base_nodes: int = DEFAULT_OSC_NODES,
                     route: str = "descent") -> IdentityRecord:
@@ -164,19 +181,14 @@ def identity_record(query: KernelQuery, spec: RadialDerivativeSpec | None = None
     n = query.dim.n
     knorm = query.knorm
     m = query.dim.derivative_order
+    _osc_nodes(knorm * query.radius, base_nodes)  # refuse an oversized rule before default_spec
     if spec is None:
         spec = default_spec(m, query.radius, oscillation=knorm)
     elif spec.iterations != m:
         raise ValueError(f"spec.iterations = {spec.iterations}, dimension needs {m}")
     spec.validate_radius(query.radius)
     nodes = _osc_nodes(knorm * (query.radius + spec.h * spec.degree / 2.0), base_nodes)
-
-    if query.dim.is_odd:
-        profile = lambda radii: sphere_average_profile(knorm, radii, n, base_nodes)
-    else:
-        profile = lambda radii: ball_average_profile(knorm, radii, n, route, base_nodes)
-
-    series = MeanSeries.sample(profile, query.radius, spec)
+    series = MeanSeries.sample(_average_profile(knorm, n, base_nodes, route), query.radius, spec)
     value = solution_constant(n) * chain_apply(series, m, query.radius, spec.h)
     lhs = sinc_kernel(query.xi, query.radius)
     return IdentityRecord(
@@ -230,16 +242,13 @@ def normalization_constant(n: int, radius: float = 1.0,
 
     At xi = 0 both identities read R = const * (1/R d/dR)^m of the purely
     radial average, so the constant is R divided by the numerically computed
-    derivative chain. Cross-checks the double-factorial product formula.
+    derivative chain, on the profiles `identity_record` uses. Cross-checks the
+    double-factorial product formula.
     """
-    dim = Dimension(n)
-    m = dim.derivative_order
+    m = Dimension(n).derivative_order
     spec = default_spec(m, radius)
-    if dim.is_odd:
-        profile = lambda radii: sphere_average_profile(0.0, radii, n, base_nodes).real
-    else:
-        profile = lambda radii: ball_average_profile(0.0, radii, n, "direct", base_nodes).real
-    series = MeanSeries.sample(profile, radius, spec)
+    profile = _average_profile(0.0, n, base_nodes)
+    series = MeanSeries.sample(lambda radii: profile(radii).real, radius, spec)
     denominator = float(chain_apply(series, m, radius, spec.h))
     if denominator == 0.0 or not math.isfinite(denominator):
         raise EvaluationError(f"the derivative chain at R = {radius:g} gave {denominator!r}")
@@ -313,8 +322,7 @@ class DistributionFunctional:
         return self.constant * chain_apply(series, m, self.radius, spec.h)
 
 
-def make_fourier_evaluator(phi, nodes_per_axis: int = 64,
-                           boundary_tol: float = 1e-12):
+def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
     """Quadrature evaluator for the Fourier integral of a compactly supported field.
 
     Returns (evaluator, freq_nodes, coeffs) where evaluator(points)
@@ -329,7 +337,7 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64,
     box = phi.support_radius
     if not math.isfinite(box):
         raise ConfigError("test function must declare a finite support radius")
-    _check_support_box(phi, box, boundary_tol)
+    _check_support_box(phi, box)
     x, w = _leggauss(nodes_per_axis)
     axis_nodes = box * x
     axis_weights = box * w
@@ -357,8 +365,8 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64,
     return evaluator, nodes, coeffs
 
 
-def _check_support_box(phi, box: float, tol: float) -> None:
-    """Reject a support box whose boundary still carries field mass."""
+def _check_support_box(phi, box: float) -> None:
+    """Reject a support box whose boundary carries field mass above 1e-12."""
     n = phi.dim
     coarse = np.linspace(-box, box, 7)
     grids = np.meshgrid(*([coarse] * max(n - 1, 1)), indexing="ij")
@@ -371,7 +379,7 @@ def _check_support_box(phi, box: float, tol: float) -> None:
                 pts[:, [d for d in range(n) if d != axis]] = face
             pts[:, axis] = sign
             worst = max(worst, float(np.max(np.abs(phi(pts)))))
-    if worst > tol:
+    if worst > 1e-12:
         raise ConfigError(
             f"support box half-width {box:g} too small: |phi| = {worst:.2e} on its boundary"
         )

@@ -66,8 +66,7 @@ class RadialDerivativeSpec:
             )
 
 
-def default_spec(iterations: int, t: float, oscillation: float = 0.0,
-                 extra_degree: int = 0) -> RadialDerivativeSpec:
+def default_spec(iterations: int, t: float, oscillation: float = 0.0) -> RadialDerivativeSpec:
     """Spacing tuned to the evaluation radius and the integrand oscillation.
 
     oscillation is the magnitude of d/dt-frequencies present in F (for the
@@ -77,7 +76,7 @@ def default_spec(iterations: int, t: float, oscillation: float = 0.0,
     h = t / (2 * iterations + 10)
     if oscillation > 0:
         h = min(h, 0.05 / oscillation)
-    return RadialDerivativeSpec(iterations, h, 2 * iterations + 4 + extra_degree)
+    return RadialDerivativeSpec(iterations, h, 2 * iterations + 4)
 
 
 @lru_cache(maxsize=64)

@@ -13,11 +13,14 @@ is the (n+1)-dimensional one at (x, 0) (Poisson's formula when n = 2).
 The weighted ball mean itself stays as `weighted_ball_mean`, the paper's
 direct formula, kept as a test oracle.
 
-Which sphere rule runs depends only on the data: a radial field (one with a
+Every field's sphere sums go through `geometry.sphere_sums`; only the rule
+and the centre depend on the data. A radial field (one with a
 `radial_center`: gaussian, bump, constant) takes the paper's
-single-coordinate reduction, two coordinates after descent
-(`geometry.radial_sphere_sums`); any other field takes the product rule,
-built only when such a field needs it.
+single-coordinate reduction, two coordinates after descent, as a rule on
+the sphere (`geometry._radial_rule`), summed about the point on the ray
+from its centre at the probe's distance (`geometry.radial_sum_center`).
+Any other field takes the product rule at the probe, built only when such a
+field needs it.
 
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
@@ -28,7 +31,6 @@ Hermitian and the half lattice of `rfftn` carries every mode.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -43,9 +45,10 @@ from .geometry import (
     SphereQuadrature,
     _leggauss,
     _omega,
+    _radial_rule,
     check_descent,
     descent_rule,
-    radial_sphere_sums,
+    radial_sum_center,
     solution_constant,
     sphere_quadrature,
     sphere_sums,
@@ -142,11 +145,12 @@ def _resolve_spec(problem: CauchyProblem, t: float, spec: RadialDerivativeSpec |
 MIN_RADIAL_NODES = 64
 
 #: most nodes per coordinate of the reduced rule. The error estimate builds
-#: the rule with twice the count L: 2L nodes at odd n, 2L * L after descent.
-#: The largest product rule the package builds (n = 12) has 2^23 nodes, and
-#: 2L * L <= 2^23 gives L <= 2048. Odd n keeps the same L: numpy builds a
-#: Gauss rule from a dense eigenproblem, which at 2L = 4096 nodes already
-#: takes 128 MB and seconds.
+#: the rule with twice the count L: 2L nodes at odd n, 2L * L after descent,
+#: each a unit vector in R^(n+1). At L = 2048 and even n = 10 that is 2^23
+#: nodes and 0.74 GB, below the 0.8 GB of the largest product rule the
+#: package builds (n = 12, also 2^23 nodes). Odd n keeps the same L: numpy
+#: builds a Gauss rule from a dense eigenproblem, which at 2L = 4096 nodes
+#: already takes 128 MB and seconds.
 MAX_RADIAL_NODES = 2048
 
 
@@ -167,41 +171,20 @@ def radial_node_count(field: ScalarField, t: float) -> int:
     return count
 
 
-def _is_radial(field: ScalarField) -> bool:
-    return field.radial_center is not None
-
-
-def _means_value(problem: CauchyProblem, x: np.ndarray, t: float,
-                 spec: RadialDerivativeSpec, product_rule, h: float, count: int,
-                 select=lambda field: True) -> float:
-    """The solution terms of the selected fields from stencil-sampled sphere
-    means at spacing h; odd n.
-
-    Radial fields take `geometry.radial_sphere_sums` with `count` nodes per
-    coordinate; the others take `sphere_sums` on `product_rule()`.
-    """
-    n = problem.dim.n
-    m = problem.dim.derivative_order
-
-    def series_for(field, degree):
-        radii = t + stencil_offsets(degree) * h
-        if _is_radial(field):
-            sums = radial_sphere_sums(field, x, radii, field.radial_center, count)
-        else:
-            sums = sphere_sums(field, x, radii, product_rule())
-        return MeanSeries(radii, radii ** (n - 2) * sums / _omega(n))
-
-    def included(field):
-        return not field.is_zero and select(field)
-
-    total = 0.0
-    if included(problem.psi):
-        total += float(chain_apply(series_for(problem.psi, spec.degree), m, t, h))
-    if included(problem.phi):
-        _, dval = chain_apply(series_for(problem.phi, spec.degree + 2), m, t, h,
-                              time_derivative=True)
-        total += float(dval)
-    return solution_constant(n) * total
+def _means_term(means: CauchyProblem, role: str, center: np.ndarray, rule: SphereQuadrature,
+                t: float, spec: RadialDerivativeSpec, h: float) -> float:
+    """One field's part of the solution sum from stencil-sampled sphere means
+    at spacing h, odd n: (1/t d/dt)^m of psi's r^(n-2)-scaled mean, or the
+    d/dt of phi's."""
+    n = means.dim.n
+    m = means.dim.derivative_order
+    field, degree = (means.psi, spec.degree) if role == "psi" else (means.phi, spec.degree + 2)
+    radii = t + stencil_offsets(degree) * h
+    sums = sphere_sums(field, center, radii, rule)
+    series = MeanSeries(radii, radii ** (n - 2) * sums / _omega(n))
+    if role == "psi":
+        return float(chain_apply(series, m, t, h))
+    return float(chain_apply(series, m, t, h, time_derivative=True)[1])
 
 
 def _lift(field: ScalarField) -> ScalarField:
@@ -225,34 +208,44 @@ def _solve_means_point(problem: CauchyProblem, x, t: float, method: str,
     if t == 0.0:
         return SolutionSample(x, 0.0, float(problem.phi(x[None, :])[0]), method, 0.0)
     spec = _resolve_spec(problem, t, spec)
-    # the product rule is built (memoized) only when a non-radial field asks for it
     center, means = x, problem
-    if problem.dim.is_odd:
-        def product_rule():
-            return rule or sphere_quadrature(n)
-    else:
+    if not problem.dim.is_odd:
         # descent: the (n+1)-dimensional solution at (x, 0), with the same
         # derivative order (n - 2) / 2
         check_descent(n)
-
-        def product_rule():
-            return descent_rule(n, rule)
         center = np.append(x, 0.0)
         means = CauchyProblem(_lift(problem.phi), _lift(problem.psi), Dimension(n + 1))
-    radial = [f for f in (problem.phi, problem.psi) if _is_radial(f) and not f.is_zero]
-    count = max((radial_node_count(f, t) for f in radial), default=MIN_RADIAL_NODES)
-    value = functools.partial(_means_value, means, center, t, spec, product_rule)
-    u_radial = value(spec.h, count, _is_radial)
-    u = u_radial + value(spec.h, count, lambda field: not _is_radial(field))
+    # keyed by role: a problem may pass one field as both phi and psi
+    fields = {role: f for role, f in (("psi", means.psi), ("phi", means.phi)) if not f.is_zero}
+    radial = [role for role, f in fields.items() if f.radial_center is not None]
+    count = max((radial_node_count(fields[role], t) for role in radial),
+                default=MIN_RADIAL_NODES)
+
+    def placement(field: ScalarField, count: int) -> tuple[np.ndarray, SphereQuadrature]:
+        # the product rule is built (memoized) only when a non-radial field asks for it
+        if field.radial_center is None:
+            return center, ((rule or sphere_quadrature(n)) if problem.dim.is_odd
+                            else descent_rule(n, rule))
+        k = len(field.radial_center)
+        return radial_sum_center(center, field.radial_center), _radial_rule(k, means.dim.n, count)
+
+    def terms(roles, h: float, count: int) -> dict[str, float]:
+        return {role: _means_term(means, role, *placement(fields[role], count), t, spec, h)
+                for role in roles}
+
+    scale = solution_constant(means.dim.n)
+    u_terms = terms(fields, spec.h, count)
+    u = scale * sum(u_terms.values())
     err = math.nan
     if with_error:
         # stencil truncation (h against h / 2) plus the reduced rule's
         # quadrature error (count against 2 count nodes). Each difference is
         # doubled: where refining at least halves the error, the error of the
         # coarser value is at most twice its distance to the finer one.
-        err = 2.0 * abs(u - value(spec.h / 2.0, count))
+        err = 2.0 * abs(u - scale * sum(terms(fields, spec.h / 2.0, count).values()))
         if radial:
-            err += 2.0 * abs(u_radial - value(spec.h, 2 * count, _is_radial))
+            u_radial = scale * sum(u_terms[role] for role in radial)
+            err += 2.0 * abs(u_radial - scale * sum(terms(radial, spec.h, 2 * count).values()))
     return SolutionSample(x, t, u, method, err)
 
 

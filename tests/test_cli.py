@@ -594,8 +594,10 @@ class TestErrorExits:
                   "probes = 0 0 0 0"),
         ("solve", "dim = 7\n[data]\npsi = gaussian\n[solve]\ntimes = 1e-150\n"
                   "probes = 0 0 0 0 0 0 0"),
+        ("verify-identities", "[identities]\ndims = 3\nmax_product = 1e300"),
+        ("converge", "[converge]\ntarget = odd-identity\nradius = 1e300"),
     ], ids=["chain_underflow", "chain_overflow", "odd_rule_beyond_cap", "even_rule_beyond_cap",
-            "tiny_time"])
+            "tiny_time", "oscillatory_rule_beyond_cap", "identity_radius_beyond_cap"])
     def test_solver_error_exits_one(self, tmp_path, capsys, command, settings):
         cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{settings}\n")
         assert main([command, "--config", cfg]) == 1

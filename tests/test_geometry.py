@@ -225,7 +225,8 @@ class TestSphereQuadrature:
 
     def test_memoized(self):
         assert sphere_quadrature(3) is sphere_quadrature(3)
-        assert sphere_quadrature(3, 8, 16) is sphere_quadrature(3, 8, 16)
+        # 8 polar and 16 azimuth nodes
+        assert sphere_quadrature_for_order(3, 15) is sphere_quadrature_for_order(3, 15)
 
     def test_nodes_read_only(self):
         rule = sphere_quadrature(3)
@@ -233,7 +234,7 @@ class TestSphereQuadrature:
             rule.nodes[0, 0] = 2.0
 
     def test_csv_export(self, tmp_path):
-        rule = sphere_quadrature(3, 4, 8)
+        rule = sphere_quadrature_for_order(3, 7)  # 4 polar and 8 azimuth nodes
         path = tmp_path / "rule.csv"
         rule.to_csv(path)
         with open(path, newline="") as fh:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,22 @@ class TestDescent:
             solve_even_point(problem(12, psi=fields.constant(12, 1.0)), np.zeros(12), 1.0)
         with pytest.raises(ValueError, match="n <= 10"):
             DistributionFunctional(1.0, Dimension(12)).action(lambda pts: pts[..., 0])
+
+
+class TestSphereSums:
+    def test_product_rule_solve_memory(self):
+        # one chunk's points are built in place within geometry._CHUNK_BYTES
+        # (8 MB); the evaluator's temporaries add a fraction of that
+        p = problem(7, psi=fields.harmonic(7, "cubic"))
+        x = np.full(7, 0.1)
+        solve_point(p, x, 1.0)  # builds the memoized product rule
+        tracemalloc.start()
+        try:
+            solve_point(p, x, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 def kirchhoff_offset_gaussian(sigma, offset, t):
