@@ -45,6 +45,7 @@ from .kernels import KernelQuery, identity_record, identity_sweep, normalization
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
 from .radial import RadialDerivativeSpec
 from .solvers import (
+    MAX_GRID_POINTS,
     CauchyProblem,
     GridSpec,
     SolutionSample,
@@ -321,6 +322,9 @@ def _run_identities(config: RunConfig, report: Report) -> None:
 def _run_solve(config: RunConfig, report: Report) -> None:
     dim, keys = config["run"]["dim"], config["solve"]
     method, probes = keys["method"], keys["probes"]
+    if method == "spectral" and keys["grid_points"] ** dim > MAX_GRID_POINTS:
+        raise ConfigError(f"a {dim}-D grid of {keys['grid_points']} points per axis has more "
+                          f"than {MAX_GRID_POINTS} points", keys=["solve.grid_points"])
     problem = _problem(config, dim, None if method == "spectral" else "run.dim")
     if probes == "random":
         rng = np.random.default_rng(config["run"]["seed"])
@@ -335,6 +339,7 @@ def _run_solve(config: RunConfig, report: Report) -> None:
         grid = GridSpec(half_width, points, dim)
         state = spectral_state(problem, grid)
         for t in keys["times"]:
+            sol = None  # release the previous grid before the next is built
             try:
                 sol = spectral_solve(problem, grid, t, state=state)
             except DomainSizeError as exc:

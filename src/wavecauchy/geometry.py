@@ -28,8 +28,9 @@ from .errors import EvaluationError
 #: Gamma-overflow policy: dimensions above this are rejected outright.
 MAX_DIMENSION = 12
 
-#: cap on the transient point array of one sphere_sums chunk. Larger arrays
-#: are mmapped by the allocator and zero-faulted afresh on every call.
+#: cap on the transient point array of one sphere_sums chunk, and of one slab
+#: of grid coordinates in `solvers.GridSpec.sample`. Larger arrays are
+#: mmapped by the allocator and zero-faulted afresh on every call.
 _CHUNK_BYTES = 1 << 23
 
 # Default polynomial order of the product sphere rule per n (7 above n = 8).

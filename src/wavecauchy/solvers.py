@@ -25,12 +25,16 @@ field needs it.
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
 and sin(|k| t) / |k| on the lattice. The data are real, so their spectra are
-Hermitian and the half lattice of `rfftn` carries every mode.
+Hermitian and the half lattice of `rfftn` carries every mode. The grid is
+sampled one slab at a time (`GridSpec.sample`) and the spectra are
+transformed, evolved and inverted in place, so a solve holds no coordinate
+mesh and no spare full-lattice temporary.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -41,6 +45,7 @@ from . import _kernels
 from .errors import DomainSizeError, EvaluationError
 from .fields import ScalarField
 from .geometry import (
+    _CHUNK_BYTES,
     Dimension,
     SphereQuadrature,
     _leggauss,
@@ -188,11 +193,16 @@ def _means_term(means: CauchyProblem, role: str, center: np.ndarray, rule: Spher
 
 
 def _lift(field: ScalarField) -> ScalarField:
-    """field extended to one more dimension, constant in the last coordinate;
-    a radial field stays radial in its first n coordinates."""
+    """field extended to one more dimension, constant in the last coordinate.
+    A field radial in all n coordinates stays radial in the first n; one
+    radial in its first n - 1 only loses its centre and takes the product
+    rule, as a centre may leave out one last coordinate, not two."""
     n = field.dim
+    center = field.radial_center
+    if center is not None and len(center) != n:
+        center = None
     return ScalarField(lambda points: field(points[..., :n]), n + 1, is_zero=field.is_zero,
-                       radial_center=field.radial_center, length_scale=field.length_scale,
+                       radial_center=center, length_scale=field.length_scale,
                        label=field.label)
 
 
@@ -307,6 +317,11 @@ def solve_point(problem: CauchyProblem, x, t: float, **kwargs) -> SolutionSample
 # ---------------------------------------------------------------------------
 
 
+#: most points a spectral grid may have in total: at 2^24 its real values
+#: take 128 MB and each half spectrum about as much
+MAX_GRID_POINTS = 1 << 24
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic grid on [-L, L)^n with N points per axis."""
@@ -326,9 +341,18 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.points)
 
-    def mesh(self) -> np.ndarray:
-        axes = [self.axis()] * self.dim
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    def sample(self, field: ScalarField) -> np.ndarray:
+        """field on the (N,) * n grid, evaluated at stacked (..., n)
+        coordinates one slab along axis 0 at a time, each slab's coordinates
+        at most _CHUNK_BYTES; the full coordinate mesh is never built."""
+        axis = self.axis()
+        out = np.empty((self.points,) * self.dim)
+        rows = max(1, _CHUNK_BYTES // (self.points ** (self.dim - 1) * self.dim * 8))
+        for start in range(0, self.points, rows):
+            slab = np.meshgrid(axis[start:start + rows], *[axis] * (self.dim - 1),
+                               indexing="ij", copy=False)
+            out[start:start + rows] = field(np.stack(slab, axis=-1))
+        return out
 
     def wavenumber_norm(self) -> np.ndarray:
         """|k| on the rfftn half lattice, shape (N,) * (n - 1) + (N // 2 + 1,),
@@ -375,9 +399,10 @@ class SolutionGrid:
         return self.value_at_index(self.index_of(point))
 
     def to_csv(self, path) -> None:
-        mesh = self.grid.mesh().reshape(-1, self.grid.dim)
-        samples_to_csv([SolutionSample(x, self.t, float(u), self.method, self.error_estimate)
-                        for x, u in zip(mesh, self.values.ravel())], path)
+        points = itertools.product(self.grid.axis(), repeat=self.grid.dim)
+        samples_to_csv([SolutionSample(np.array(x), self.t, float(u), self.method,
+                                       self.error_estimate)
+                        for x, u in zip(points, self.values.ravel())], path)
 
     def to_binary(self, path) -> None:
         """Little-endian layout: magic 'WAVE', version u32, n u32, N per axis
@@ -408,10 +433,12 @@ def solution_grid_from_binary(path) -> SolutionGrid:
 
 
 def _half_spectrum(field: ScalarField, grid: GridSpec, knorm: np.ndarray) -> np.ndarray:
-    """rfftn of the field sampled on the grid; a zero field is not sampled."""
-    if field.is_zero:
-        return np.zeros(knorm.shape, dtype=np.complex128)
-    return np.fft.rfftn(field(grid.mesh()))
+    """rfftn of the field sampled on the grid, transformed in place in one
+    half-lattice buffer; a zero field is not sampled."""
+    out = np.zeros(knorm.shape, dtype=np.complex128)
+    if not field.is_zero:
+        np.fft.rfftn(grid.sample(field), out=out)
+    return out
 
 
 def spectral_state(problem: CauchyProblem, grid: GridSpec) -> SpectralState:
@@ -440,7 +467,9 @@ def _check_wraparound(problem: CauchyProblem, grid: GridSpec, t: float) -> None:
 def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
                    state: SpectralState | None = None) -> SolutionGrid:
     """Evolve the half spectrum by the exact per-mode oscillator factors and
-    invert it with irfftn.
+    invert it: complex inverse FFTs in place over the leading axes, then one
+    real inverse FFT over the last, the steps of irfftn without its
+    per-axis copies.
 
     The error estimate is the transform's rounding scale,
     eps * log2(N^n) * max|u|; like any rounding-only figure it says nothing
@@ -453,11 +482,13 @@ def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
     if state.grid != grid:
         raise ValueError("spectral state was built on a different grid")
     u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.knorm, float(t))
-    # s= fixes the length of the last axis, which the half spectrum leaves
+    for axis in range(grid.dim - 1):
+        np.fft.ifft(u_hat, axis=axis, out=u_hat)
+    # n= fixes the length of the last axis, which the half spectrum leaves
     # ambiguous for odd N
-    u = np.fft.irfftn(u_hat, s=(grid.points,) * grid.dim, axes=tuple(range(grid.dim)))
+    u = np.fft.irfft(u_hat, n=grid.points, axis=-1)
     rounding = np.finfo(np.float64).eps * grid.dim * math.log2(grid.points)
-    return SolutionGrid(u, grid, float(t), "spectral", rounding * float(np.max(np.abs(u))))
+    return SolutionGrid(u, grid, float(t), "spectral", rounding * float(max(u.max(), -u.min())))
 
 
 def hermitian_defect(problem: CauchyProblem, grid: GridSpec) -> float:
@@ -471,7 +502,7 @@ def hermitian_defect(problem: CauchyProblem, grid: GridSpec) -> float:
     for field in (problem.phi, problem.psi):
         if field.is_zero:
             continue
-        arr = np.fft.fftn(field(grid.mesh()))
+        arr = np.fft.fftn(grid.sample(field))
         mirrored = arr
         for axis in range(arr.ndim):
             mirrored = np.roll(np.flip(mirrored, axis=axis), 1, axis=axis)

@@ -24,6 +24,23 @@ class TestNumpyPath:
         expected = phi_hat[1:] * np.cos(k * t) + psi_hat[1:] * np.sin(k * t) / k
         np.testing.assert_allclose(got[1:], expected, rtol=1e-12)
 
+    def test_wave_multiplier_slabs(self, monkeypatch):
+        # slabs of 3 rows over 10: the whole-lattice expression, bit for bit
+        rng = np.random.default_rng(2)
+        shape = (10, 4, 3)
+        phi_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        knorm = np.abs(rng.standard_normal(shape)) * 3.0
+        knorm[0, 0, 0] = 0.0
+        t = 0.7
+        zt = knorm * t
+        psi_factor = np.full(shape, t)
+        np.divide(np.sin(zt), knorm, out=psi_factor, where=knorm != 0)
+        expected = phi_hat * np.cos(zt) + psi_hat * psi_factor
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", 3 * 4 * 3 * 16)
+        np.testing.assert_array_equal(_kernels.wave_multiplier(phi_hat, psi_hat, knorm, t),
+                                      expected)
+
 
 class TestFourierEvaluator:
     @pytest.mark.parametrize("n, nodes_per_axis", [(1, 24), (2, 16), (3, 10)],

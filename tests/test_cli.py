@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import wavecauchy.cli as cli
 from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
 from wavecauchy.errors import ConfigError
 
@@ -498,6 +499,21 @@ probes = 0 0 x
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert key in err
+
+    def test_spectral_grid_above_the_point_cap(self, tmp_path, capsys, monkeypatch):
+        # 10^15 points would end in an allocation error; refused before any
+        # grid, field sample or spectrum is made
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may be built for an oversized grid")
+
+        for name in ("GridSpec", "spectral_state", "_problem"):
+            monkeypatch.setattr(cli, name, refuse)
+        cfg = write_config(tmp_path, "[run]\ncommand = solve\ndim = 3\n[data]\npsi = gaussian\n"
+                           "[solve]\nmethod = spectral\ngrid_points = 100000\n")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "solve.grid_points" in err
 
     @pytest.mark.parametrize("command, settings", [
         ("solve", "dim = 20\n[data]\npsi = constant"),

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
+import wavecauchy._kernels as _kernels
 import wavecauchy.fields as fields
 import wavecauchy.solvers as solvers
 from wavecauchy.errors import DomainSizeError, EvaluationError, StencilError
@@ -413,6 +414,20 @@ class TestRadialReduction:
         assert lifted.radial_center == (0.1, 0.2, 0.3, 0.4)
         assert lifted.length_scale == 0.6
 
+    @pytest.mark.parametrize("x", [[0.3, -0.2, 0.1, 0.7], [-0.5, 0.4, 0.2, -1.1]])
+    def test_partial_centre_takes_the_product_rule(self, x):
+        # exp(-|y_1..3|^2) in R^4, radial in its first three coordinates only:
+        # the lifted field drops the centre. The data ignore y_4, so the 3-D
+        # solution of the same data at x[:3] is the reference.
+        g3 = fields.gaussian(3, sigma=math.sqrt(0.5))
+        g4 = fields.ScalarField(lambda pts: g3(pts[..., :3]), 4, radial_center=(0.0, 0.0, 0.0),
+                                length_scale=g3.length_scale)
+        assert solvers._lift(g4).radial_center is None
+        x, t = np.array(x), 1.1
+        s4 = solve_point(problem(4, psi=g4, phi=g4), x, t)
+        s3 = solve_point(problem(3, psi=g3, phi=g3), x[:3], t)
+        assert abs(s4.u - s3.u) <= s4.error_estimate + s3.error_estimate
+
 
 def _lattice_probes(grid, n, indices):
     axis = grid.axis()
@@ -597,8 +612,8 @@ def _full_lattice(n, points, t):
     grid = GridSpec(10.0, points, n)
     k = 2.0 * math.pi * np.fft.fftfreq(points, d=grid.spacing)
     knorm = np.sqrt(sum(g * g for g in np.meshgrid(*([k] * n), indexing="ij")))
-    phi_hat = np.fft.fftn(p.phi(grid.mesh()))
-    psi_hat = np.fft.fftn(p.psi(grid.mesh()))
+    phi_hat = np.fft.fftn(grid.sample(p.phi))
+    psi_hat = np.fft.fftn(grid.sample(p.psi))
     safe = np.where(knorm == 0.0, 1.0, knorm)
     psi_factor = np.where(knorm == 0.0, t, np.sin(knorm * t) / safe)
     return p, grid, knorm, phi_hat, psi_hat, psi_factor
@@ -629,6 +644,62 @@ class TestHalfSpectrum:
         half = (points,) * (n - 1) + (points // 2 + 1,)
         assert state.knorm.shape == state.phi_hat.shape == half
         assert spectral_energy(state, t) == pytest.approx(reference, rel=1e-12)
+
+
+def _stacked_mesh(grid):
+    return np.stack(np.meshgrid(*[grid.axis()] * grid.dim, indexing="ij"), axis=-1)
+
+
+class TestLeanSpectral:
+    """Slab sampling and the in-place transforms give the bits of the
+    whole-lattice computations they replace, and hold no full temporaries."""
+
+    @pytest.mark.parametrize("n, points, chunk", [
+        (1, 63, None), (2, 31, None), (3, 15, None),
+        (1, 63, 8 * 10), (2, 31, 2 * 31 * 8 * 4), (3, 15, 3 * 15 * 15 * 8 * 4),
+    ], ids=["n1", "n2", "n3", "n1-partial", "n2-partial", "n3-partial"])
+    def test_sample_matches_stacked_meshgrid(self, monkeypatch, n, points, chunk):
+        # the small caps give slabs of 10 or 4 rows: 63, 31 and 15 rows end
+        # in a partial slab
+        if chunk is not None:
+            monkeypatch.setattr(solvers, "_CHUNK_BYTES", chunk)
+        grid = GridSpec(5.0, points, n)
+        field = fields.gaussian(n, sigma=0.7, center=[0.3, -0.2, 0.1][:n])
+        np.testing.assert_array_equal(grid.sample(field), field(_stacked_mesh(grid)))
+
+    @pytest.mark.parametrize("n, points", [(1, 64), (1, 63), (2, 32), (2, 31),
+                                           (3, 16), (3, 15)])
+    def test_solve_matches_irfftn(self, monkeypatch, n, points):
+        # slabs of two or three rows, so the multiplier takes several, the
+        # last of them partial for some N
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2 * 16 * points ** (n - 1))
+        t = 1.3
+        p, grid = _full_lattice(n, points, t)[:2]
+        state = spectral_state(p, grid)
+        u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.knorm, t)
+        reference = np.fft.irfftn(u_hat, s=(points,) * n, axes=tuple(range(n)))
+        np.testing.assert_array_equal(spectral_solve(p, grid, t, state=state).values,
+                                      reference)
+
+    def test_memory_within_three_half_spectra(self, monkeypatch):
+        # caps of one row, so the slabs' temporaries are small against the
+        # lattice and the peak shows the full-lattice arrays alone: the real
+        # samples, the evolved spectrum and the solution, never together
+        # with a copy per axis
+        monkeypatch.setattr(solvers, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", 1)
+        p = CauchyProblem(fields.gaussian(3, sigma=1.0), fields.gaussian(3, sigma=0.8),
+                          Dimension(3))
+        grid = GridSpec(12.0, 64, 3)
+        tracemalloc.start()
+        try:
+            state = spectral_state(p, grid)
+            spectral_solve(p, grid, 1.0, state=state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        live = state.phi_hat.nbytes + state.psi_hat.nbytes + state.knorm.nbytes
+        assert peak - live < 3 * state.phi_hat.nbytes
 
 
 class TestPropagation:
@@ -744,6 +815,15 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,t,u,method,error_estimate"
         assert len(lines) == 1 + 4
+
+    def test_grid_csv_coordinates_in_c_order(self, tmp_path):
+        grid = GridSpec(1.0, 3, 2)
+        sol = spectral_solve(problem(2, psi=fields.constant(2, 1.0)), grid, 0.25)
+        path = tmp_path / "sol.csv"
+        sol.to_csv(path)
+        rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+        expected = _stacked_mesh(grid).reshape(-1, 2)
+        assert [[float(c) for c in row] for row in rows] == expected.tolist()
 
     def test_samples_csv(self, tmp_path):
         p = problem(3, psi=fields.constant(3, 1.0))
