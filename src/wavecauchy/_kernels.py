@@ -1,4 +1,5 @@
-"""Numpy hot kernels: the sinc profile and the wave multiplier."""
+"""Numpy hot kernels: the sinc profile and the wave multiplier, whose
+oscillator factors depend on |k| alone and are computed once per |k|^2 shell."""
 
 from __future__ import annotations
 
@@ -21,19 +22,21 @@ def sinc_ratio(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, np.sin(safe) / safe)
 
 
-def wave_multiplier(phi_hat: np.ndarray, psi_hat: np.ndarray, knorm: np.ndarray,
-                    t: float) -> np.ndarray:
-    """u_hat = phi_hat * cos(|k| t) + psi_hat * sin(|k| t) / |k| on a frequency lattice;
-    the |k| = 0 mode takes the limit t. Filled in slabs along axis 0."""
-    u_hat = np.empty(knorm.shape, dtype=np.complex128)
+def wave_multiplier(phi_hat: np.ndarray, psi_hat: np.ndarray, shell: np.ndarray,
+                    radii: np.ndarray, t: float) -> np.ndarray:
+    """u_hat = phi_hat cos(|k| t) + psi_hat sin(|k| t)/|k| with |k| = radii[shell] (limit
+    t at |k| = 0); the factors, computed once per shell, are gathered in slabs on axis 0."""
+    zt = radii * t
+    cos_zt = np.cos(zt)
+    psi_factor = np.full(radii.shape, float(t))
+    np.divide(np.sin(zt), radii, out=psi_factor, where=radii != 0)
+    u_hat = np.empty(shell.shape, dtype=np.complex128)
     rows = max(1, _SLAB_BYTES // u_hat[:1].nbytes)
     for start in range(0, len(u_hat), rows):
         slab = slice(start, start + rows)
-        k = knorm[slab]
-        zt = k * t
-        psi_factor = np.full(np.shape(zt), float(t))
-        np.divide(np.sin(zt), k, out=psi_factor, where=k != 0)
-        u_hat[slab] = phi_hat[slab] * np.cos(zt) + psi_hat[slab] * psi_factor
+        index = shell[slab]
+        np.multiply(phi_hat[slab], cos_zt.take(index), out=u_hat[slab])
+        u_hat[slab] += psi_hat[slab] * psi_factor.take(index)
     return u_hat
 
 

@@ -41,7 +41,8 @@ from .geometry import (
     reduce_ball_integral,
     reduce_sphere_integral,
 )
-from .kernels import KernelQuery, identity_record, identity_sweep, normalization_constant
+from .kernels import (MAX_OSC_NODES, KernelQuery, identity_record, identity_sweep,
+                      normalization_constant)
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
 from .radial import RadialDerivativeSpec
 from .solvers import (
@@ -464,7 +465,7 @@ _RUN = {
     "command": (str, None, None),
     "seed": (int, "0", _between(0)),
     "output": (str, None, None),
-    "quad_nodes": (int, "64", _positive),
+    "quad_nodes": (int, "64", _between(1, MAX_OSC_NODES)),
 }
 
 _DATA = {role: (str, "zero", tuple(_FIELD_KEYS)) for role in ("phi", "psi")}

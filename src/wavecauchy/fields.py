@@ -64,6 +64,16 @@ def _center(dim: int, center) -> np.ndarray:
     return c
 
 
+def _squared_distance(points: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|points - c|^2, summed over the trailing axis one coordinate at a time."""
+    out = np.zeros(points.shape[:-1])
+    part = np.empty_like(out)
+    for i, ci in enumerate(c):
+        np.subtract(points[..., i], ci, out=part)
+        out += np.square(part, out=part)
+    return out
+
+
 def gaussian(dim: int, sigma: float = 1.0, center=None, amplitude: float = 1.0) -> ScalarField:
     """amplitude * exp(-|x - center|^2 / (2 sigma^2))."""
     if sigma <= 0:
@@ -75,8 +85,9 @@ def gaussian(dim: int, sigma: float = 1.0, center=None, amplitude: float = 1.0) 
         raise ValueError(f"sigma = {sigma:g} is too small: 1 / (2 sigma^2) is not finite")
 
     def evaluate(points):
-        d = points - c
-        return amplitude * np.exp(-inv * np.einsum("...i,...i->...", d, d))
+        q = _squared_distance(points, c)
+        q *= -inv
+        return np.multiply(np.exp(q, out=q), amplitude, out=q)
 
     cut = abs(amplitude) / TAIL_CUTOFF
     support = sigma * math.sqrt(2.0 * math.log(cut)) if cut > 1 else 0.0
@@ -93,13 +104,11 @@ def bump(dim: int, radius: float = 1.0, sharpness: float = 1.0, center=None,
     c = _center(dim, center)
 
     def evaluate(points):
-        d = points - c
-        rho2 = np.einsum("...i,...i->...", d, d) / (radius * radius)
+        rho2 = _squared_distance(points, c)
+        rho2 /= radius * radius
         out = np.zeros(rho2.shape)
         inside = rho2 < 1.0
-        if np.any(inside):
-            ri = rho2[inside]
-            out[inside] = amplitude * np.exp(sharpness - sharpness / (1.0 - ri))
+        out[inside] = amplitude * np.exp(sharpness - sharpness / (1.0 - rho2[inside]))
         return out
 
     return ScalarField(evaluate, dim, support_radius=float(np.linalg.norm(c)) + radius,

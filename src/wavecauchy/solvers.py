@@ -24,11 +24,11 @@ field needs it.
 
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
-and sin(|k| t) / |k| on the lattice. The data are real, so their spectra are
-Hermitian and the half lattice of `rfftn` carries every mode. The grid is
-sampled one slab at a time (`GridSpec.sample`) and the spectra are
-transformed, evolved and inverted in place, so a solve holds no coordinate
-mesh and no spare full-lattice temporary.
+and sin(|k| t) / |k|, computed once per |k|^2 shell (`GridSpec.shells`). The
+data are real, so their spectra are Hermitian and the half lattice of `rfftn`
+carries every mode. The grid is sampled one slab at a time (`GridSpec.sample`)
+and the spectra are transformed, evolved and inverted in place, so a solve
+holds no coordinate mesh and no spare full-lattice temporary.
 """
 
 from __future__ import annotations
@@ -354,26 +354,33 @@ class GridSpec:
             out[start:start + rows] = field(np.stack(slab, axis=-1))
         return out
 
-    def wavenumber_norm(self) -> np.ndarray:
-        """|k| on the rfftn half lattice, shape (N,) * (n - 1) + (N // 2 + 1,),
-        summed by broadcasting the 1-D frequency axes."""
-        k = 2.0 * math.pi * np.fft.fftfreq(self.points, d=self.spacing)
-        k_half = 2.0 * math.pi * np.fft.rfftfreq(self.points, d=self.spacing)
-        out = np.zeros(())
-        for axis in [k] * (self.dim - 1) + [k_half]:
-            out = out[..., None] + axis * axis
-        return np.sqrt(out)
+    def shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rfftn half lattice, shape (N,) * (n - 1) + (N // 2 + 1,), as shells
+        |k| = radii[shell] = (pi/L) sqrt(m), m the sum of the squared integer frequencies:
+        an int32 index per mode, one increasing radius per distinct m, marked in a table
+        over 0..max m on the orthant |i_d| <= N // 2 (n = 1: each mode is its own shell)."""
+        scale = math.pi / self.half_width
+        half = np.arange(self.points // 2 + 1, dtype=np.int32)
+        if self.dim == 1:
+            return half, scale * half
+        m = sum(np.ix_(*[half * half] * self.dim))
+        used = np.zeros(self.dim * (self.points // 2) ** 2 + 1, dtype=bool)
+        used[m] = True
+        orthant = (np.cumsum(used, dtype=np.int32) - 1)[m]
+        full = np.minimum(np.arange(self.points), self.points - np.arange(self.points))
+        return orthant[np.ix_(*[full] * (self.dim - 1))], scale * np.sqrt(np.flatnonzero(used))
 
 
 @dataclass(frozen=True)
 class SpectralState:
     """Half-lattice (rfftn) Fourier coefficients of the initial data on a
-    periodic lattice, with |k| on the same half lattice."""
+    periodic lattice, with the lattice's |k|^2 shells: |k| = radii[shell]."""
 
     grid: GridSpec
     phi_hat: np.ndarray
     psi_hat: np.ndarray
-    knorm: np.ndarray
+    shell: np.ndarray
+    radii: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -432,10 +439,10 @@ def solution_grid_from_binary(path) -> SolutionGrid:
                         "binary", math.nan)
 
 
-def _half_spectrum(field: ScalarField, grid: GridSpec, knorm: np.ndarray) -> np.ndarray:
+def _half_spectrum(field: ScalarField, grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
     """rfftn of the field sampled on the grid, transformed in place in one
-    half-lattice buffer; a zero field is not sampled."""
-    out = np.zeros(knorm.shape, dtype=np.complex128)
+    half-lattice buffer of the given shape; a zero field is not sampled."""
+    out = np.zeros(shape, dtype=np.complex128)
     if not field.is_zero:
         np.fft.rfftn(grid.sample(field), out=out)
     return out
@@ -444,9 +451,9 @@ def _half_spectrum(field: ScalarField, grid: GridSpec, knorm: np.ndarray) -> np.
 def spectral_state(problem: CauchyProblem, grid: GridSpec) -> SpectralState:
     if grid.dim != problem.dim.n:
         raise ValueError("grid dimension does not match the problem")
-    knorm = grid.wavenumber_norm()
-    return SpectralState(grid, _half_spectrum(problem.phi, grid, knorm),
-                         _half_spectrum(problem.psi, grid, knorm), knorm)
+    shell, radii = grid.shells()
+    return SpectralState(grid, _half_spectrum(problem.phi, grid, shell.shape),
+                         _half_spectrum(problem.psi, grid, shell.shape), shell, radii)
 
 
 def _check_wraparound(problem: CauchyProblem, grid: GridSpec, t: float) -> None:
@@ -481,7 +488,7 @@ def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
     state = state or spectral_state(problem, grid)
     if state.grid != grid:
         raise ValueError("spectral state was built on a different grid")
-    u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.knorm, float(t))
+    u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell, state.radii, t)
     for axis in range(grid.dim - 1):
         np.fft.ifft(u_hat, axis=axis, out=u_hat)
     # n= fixes the length of the last axis, which the half spectrum leaves
@@ -518,9 +525,9 @@ def spectral_energy(state: SpectralState, t: float) -> float:
     column 0 and, for even N, the Nyquist column N/2, so the other columns
     count twice.
     """
-    knorm = state.knorm
+    knorm = state.radii[state.shell]
     zt = knorm * t
-    u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, knorm, t)
+    u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell, state.radii, t)
     ut_hat = -state.phi_hat * knorm * np.sin(zt) + state.psi_hat * np.cos(zt)
     weights = np.full(knorm.shape[-1], 2.0)
     weights[0] = 1.0

@@ -15,31 +15,39 @@ class TestNumpyPath:
         rng = np.random.default_rng(1)
         phi_hat = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         psi_hat = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        knorm = np.abs(rng.standard_normal(64)) * 3.0
-        knorm[0] = 0.0  # the sinc limit: t * sinc(0) = t
+        # 64 modes on 16 shells, shell 0 at |k| = 0
+        radii = np.sort(np.abs(rng.standard_normal(16))) * 3.0
+        radii[0] = 0.0  # the sinc limit: t * sinc(0) = t
+        shell = rng.integers(1, 16, 64, dtype=np.int32)
+        shell[0] = 0
+        knorm = radii[shell]
         t = 0.7
-        got = _kernels.wave_multiplier(phi_hat, psi_hat, knorm, t)
+        got = _kernels.wave_multiplier(phi_hat, psi_hat, shell, radii, t)
         assert got[0] == phi_hat[0] + psi_hat[0] * t
         k = knorm[1:]
         expected = phi_hat[1:] * np.cos(k * t) + psi_hat[1:] * np.sin(k * t) / k
         np.testing.assert_allclose(got[1:], expected, rtol=1e-12)
 
     def test_wave_multiplier_slabs(self, monkeypatch):
-        # slabs of 3 rows over 10: the whole-lattice expression, bit for bit
+        # slabs of 3 rows over 10: the whole-lattice expression, bit for bit,
+        # with the factors gathered from 30 shells
         rng = np.random.default_rng(2)
         shape = (10, 4, 3)
         phi_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         psi_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        knorm = np.abs(rng.standard_normal(shape)) * 3.0
-        knorm[0, 0, 0] = 0.0
+        radii = np.sort(np.abs(rng.standard_normal(30))) * 3.0
+        radii[0] = 0.0
+        shell = rng.integers(1, 30, shape, dtype=np.int32)
+        shell[0, 0, 0] = 0
+        knorm = radii[shell]
         t = 0.7
         zt = knorm * t
         psi_factor = np.full(shape, t)
         np.divide(np.sin(zt), knorm, out=psi_factor, where=knorm != 0)
         expected = phi_hat * np.cos(zt) + psi_hat * psi_factor
         monkeypatch.setattr(_kernels, "_SLAB_BYTES", 3 * 4 * 3 * 16)
-        np.testing.assert_array_equal(_kernels.wave_multiplier(phi_hat, psi_hat, knorm, t),
-                                      expected)
+        np.testing.assert_array_equal(
+            _kernels.wave_multiplier(phi_hat, psi_hat, shell, radii, t), expected)
 
 
 class TestFourierEvaluator:

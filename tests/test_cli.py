@@ -9,6 +9,7 @@ import pytest
 import wavecauchy.cli as cli
 from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
 from wavecauchy.errors import ConfigError
+from wavecauchy.kernels import MAX_OSC_NODES
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -587,6 +588,24 @@ count = 3
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert flag in err
+
+    @pytest.mark.parametrize("setting, flags, key", [
+        (f"quad_nodes = {MAX_OSC_NODES + 1}\n", [], "run.quad_nodes"),
+        ("", ["--quad-nodes", "10000000"], "--quad-nodes"),
+    ], ids=["config_key", "override"])
+    def test_quad_nodes_above_cap(self, tmp_path, capsys, monkeypatch, setting, flags, key):
+        # a Gauss rule solves a dense count x count eigenproblem: the cap is a
+        # config error, raised before any rule is built
+        def refuse(count):
+            raise AssertionError(f"a {count}-node Gauss rule was built")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        cfg = write_config(tmp_path, f"[run]\ncommand = verify-reduction\n{setting}"
+                                     "[reduction]\ndims = 3\n")
+        assert main(["verify-reduction", "--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
 
     def test_help_lists_every_key_and_column(self):
         text = build_parser().format_help()

@@ -65,6 +65,57 @@ class TestBump:
         assert np.all(np.diff(vals) <= 0.0)  # radially decreasing
 
 
+def _einsum_squared_distance(points, c):
+    """|points - c|^2 as the evaluators computed it before the axis-by-axis
+    sum: the reference, whose summation order may differ in the last bits."""
+    d = points - c
+    return np.einsum("...i,...i->...", d, d)
+
+
+def _layouts(n):
+    """A contiguous (4, 25, n) batch, the lifted strided view points[..., :n]
+    of an (..., n + 1) batch, and a single point of shape (n,)."""
+    rng = np.random.default_rng(n)
+    lifted = rng.uniform(-1.0, 1.0, size=(40, n + 1))
+    return {"contiguous": rng.uniform(-1.0, 1.0, size=(4, 25, n)),
+            "lifted": lifted[..., :n], "single": lifted[0, :n].copy()}
+
+
+class TestSquaredDistanceEvaluators:
+    """gaussian and bump against the einsum expression they replace, to
+    1e-15 n relative: the sums differ only in their order."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_gaussian_matches_einsum(self, n):
+        # sigma grows with n, so exp(-q) has q <= 1.4 and stays far from 0
+        sigma, center = 0.8 * math.sqrt(n), np.linspace(-0.3, 0.4, n)
+        f = gaussian(n, sigma=sigma, center=center, amplitude=2.0)
+        for name, points in _layouts(n).items():
+            expected = 2.0 * np.exp(-_einsum_squared_distance(points, center)
+                                    / (2.0 * sigma * sigma))
+            got = f(points)
+            assert got.shape == points.shape[:-1], name
+            np.testing.assert_allclose(got, expected, rtol=1e-15 * n, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bump_matches_einsum(self, n):
+        # rho^2 <= 0.43 inside, away from the edge where the bump's exponent
+        # would amplify a last-bit difference; the appended point lies outside
+        radius, center = 2.0 * math.sqrt(n), np.linspace(-0.3, 0.4, n)
+        f = bump(n, radius=radius, sharpness=1.5, center=center, amplitude=3.0)
+        layouts = _layouts(n)
+        layouts["outside"] = np.vstack([layouts["contiguous"][0], center + 3.0 * radius])
+        for name, points in layouts.items():
+            rho2 = _einsum_squared_distance(points, center) / (radius * radius)
+            expected = np.zeros(rho2.shape)
+            inside = rho2 < 1.0
+            expected[inside] = 3.0 * np.exp(1.5 - 1.5 / (1.0 - rho2[inside]))
+            got = f(points)
+            assert got.shape == points.shape[:-1], name
+            np.testing.assert_allclose(got, expected, rtol=1e-15 * n, atol=0, err_msg=name)
+        assert f(layouts["outside"])[-1] == 0.0
+
+
 class TestHarmonic:
     @pytest.mark.parametrize("name", harmonic_names())
     def test_numerically_harmonic(self, name):

@@ -619,6 +619,41 @@ def _full_lattice(n, points, t):
     return p, grid, knorm, phi_hat, psi_hat, psi_factor
 
 
+class TestShells:
+    """The |k|^2 shells of the half lattice against |k| summed by broadcasting
+    the 1-D frequency axes."""
+
+    @pytest.mark.parametrize("n, points", [(1, 64), (1, 63), (2, 32), (2, 31),
+                                           (3, 16), (3, 15)])
+    def test_radii_match_broadcast_norm(self, n, points):
+        grid = GridSpec(10.0, points, n)
+        k = 2.0 * math.pi * np.fft.fftfreq(points, d=grid.spacing)
+        k_half = 2.0 * math.pi * np.fft.rfftfreq(points, d=grid.spacing)
+        knorm = np.zeros(())
+        for axis in [k] * (n - 1) + [k_half]:
+            knorm = knorm[..., None] + axis * axis
+        knorm = np.sqrt(knorm)
+        shell, radii = grid.shells()
+        assert shell.dtype == np.int32 and shell.shape == knorm.shape
+        assert np.all(np.abs(radii[shell] - knorm) <= 4 * np.spacing(knorm))
+        assert radii[0] == 0.0 and np.all(np.diff(radii) > 0)
+        assert np.array_equal(np.unique(shell), np.arange(len(radii)))
+
+    def test_one_dimension_needs_no_quadratic_table(self):
+        # max m = (N/2)^2: a table over it would take 2^42 bytes here, where
+        # each half-axis mode is its own shell
+        points = 1 << 22
+        tracemalloc.start()
+        try:
+            shell, radii = GridSpec(10.0, points, 1).shells()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shell.shape == radii.shape == (points // 2 + 1,)
+        assert peak < 4 * radii.nbytes
+        assert np.array_equal(shell, np.arange(points // 2 + 1))
+
+
 class TestHalfSpectrum:
     """The rfftn oracle against an inline full-lattice fftn reference."""
 
@@ -642,7 +677,7 @@ class TestHalfSpectrum:
         reference = float(np.sum(np.abs(ut_hat) ** 2 + (knorm * np.abs(u_hat)) ** 2))
         state = spectral_state(p, grid)
         half = (points,) * (n - 1) + (points // 2 + 1,)
-        assert state.knorm.shape == state.phi_hat.shape == half
+        assert state.shell.shape == state.phi_hat.shape == half
         assert spectral_energy(state, t) == pytest.approx(reference, rel=1e-12)
 
 
@@ -676,7 +711,8 @@ class TestLeanSpectral:
         t = 1.3
         p, grid = _full_lattice(n, points, t)[:2]
         state = spectral_state(p, grid)
-        u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.knorm, t)
+        u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell,
+                                         state.radii, t)
         reference = np.fft.irfftn(u_hat, s=(points,) * n, axes=tuple(range(n)))
         np.testing.assert_array_equal(spectral_solve(p, grid, t, state=state).values,
                                       reference)
@@ -698,7 +734,8 @@ class TestLeanSpectral:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        live = state.phi_hat.nbytes + state.psi_hat.nbytes + state.knorm.nbytes
+        live = (state.phi_hat.nbytes + state.psi_hat.nbytes + state.shell.nbytes
+                + state.radii.nbytes)
         assert peak - live < 3 * state.phi_hat.nbytes
 
 
