@@ -12,8 +12,6 @@ from .fields import ScalarField, bump, constant, gaussian, harmonic, make_field,
 from .geometry import (
     Dimension,
     SphereQuadrature,
-    gegenbauer_weight_mass,
-    integrate_on_sphere,
     reduce_ball_integral,
     reduce_sphere_integral,
     solution_constant,

@@ -1,10 +1,10 @@
 """Initial-data fields on R^n and the built-in library the CLI exposes.
 
 A ScalarField wraps a vectorized evaluator over points shaped (..., n)
-together with the support and symmetry metadata the solvers rely on (the
-spectral solver refuses data whose numeric support does not fit its box,
-and the means solvers reduce the sphere sums of radial data to one
-coordinate).
+together with the support, symmetry and degree metadata the solvers rely
+on (the spectral solver refuses data whose numeric support does not fit its
+box, the means solvers reduce the sphere sums of radial data to one
+coordinate and sum polynomial data with a rule of their degree).
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ class ScalarField:
     radial_center: tuple[float, ...] | None = None
     #: distance over which a radial field changes; sizes the reduced rule
     length_scale: float = math.inf
+    #: a promise that the evaluator is a polynomial of total degree <= degree;
+    #: the means solvers trust it, as they trust radial_center, and sum the
+    #: field with the product rule of that order, which is then exact, unless
+    #: that rule would be larger than the default one
+    degree: int | None = None
     label: str = field(default="field", compare=False)
 
     def __post_init__(self):
@@ -45,6 +50,8 @@ class ScalarField:
             object.__setattr__(self, "radial_center", center)
         if not self.length_scale > 0:
             raise ValueError("length_scale must be positive")
+        if self.degree is not None and not (isinstance(self.degree, int) and self.degree >= 0):
+            raise ValueError("degree must be a non-negative integer or None")
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -125,7 +132,7 @@ def constant(dim: int, value: float = 1.0) -> ScalarField:
     # radial about any centre; the origin is as good as another
     return ScalarField(evaluate, dim, support_radius=0.0 if v == 0.0 else math.inf,
                        is_zero=(v == 0.0), periodic=True,
-                       radial_center=(0.0,) * dim,
+                       radial_center=(0.0,) * dim, degree=0,
                        label=f"constant({v})")
 
 
@@ -133,14 +140,14 @@ def zero(dim: int) -> ScalarField:
     return constant(dim, 0.0)
 
 
-# Harmonic polynomials (numerical Laplacian is zero) with the smallest
-# dimension in which the formula makes sense.
+# Harmonic polynomials (numerical Laplacian is zero) with their total degree
+# and the smallest dimension in which the formula makes sense.
 _HARMONIC_POLYS = {
-    "linear": (lambda x: x[..., 0], 1),
-    "bilinear": (lambda x: x[..., 0] * x[..., 1], 2),
-    "saddle": (lambda x: x[..., 0] ** 2 - x[..., 1] ** 2, 2),
-    "cubic": (lambda x: x[..., 0] ** 3 - 3.0 * x[..., 0] * x[..., 1] ** 2, 2),
-    "triple": (lambda x: x[..., 0] * x[..., 1] * x[..., 2], 3),
+    "linear": (lambda x: x[..., 0], 1, 1),
+    "bilinear": (lambda x: x[..., 0] * x[..., 1], 2, 2),
+    "saddle": (lambda x: x[..., 0] ** 2 - x[..., 1] ** 2, 2, 2),
+    "cubic": (lambda x: x[..., 0] ** 3 - 3.0 * x[..., 0] * x[..., 1] ** 2, 3, 2),
+    "triple": (lambda x: x[..., 0] * x[..., 1] * x[..., 2], 3, 3),
 }
 
 
@@ -152,7 +159,7 @@ def harmonic(dim: int, name: str = "linear", amplitude: float = 1.0,
              offset: float = 0.0) -> ScalarField:
     """A harmonic polynomial (plus an optional constant, still harmonic)."""
     try:
-        fn, min_dim = _HARMONIC_POLYS[name]
+        fn, degree, min_dim = _HARMONIC_POLYS[name]
     except KeyError:
         raise ValueError(f"unknown harmonic polynomial {name!r}; have {harmonic_names()}")
     if dim < min_dim:
@@ -161,7 +168,7 @@ def harmonic(dim: int, name: str = "linear", amplitude: float = 1.0,
     def evaluate(points):
         return amplitude * fn(points) + offset
 
-    return ScalarField(evaluate, dim, label=f"harmonic({name})")
+    return ScalarField(evaluate, dim, degree=degree, label=f"harmonic({name})")
 
 
 BUILTIN_FIELDS = ("gaussian", "bump", "harmonic", "constant", "zero")

@@ -34,9 +34,8 @@ MAX_DIMENSION = 12
 _CHUNK_BYTES = 1 << 23
 
 # Default polynomial order of the product sphere rule per n (7 above n = 8).
-# Node counts grow like order^(n-1), so the order has to shrink with n to
-# stay desk-scale; it is still 11 at n = 7, which covers every
-# polynomial-data use in the package.
+# Node counts grow like order^(n-1), so the order has to shrink with n; data
+# of a lower degree take the smaller rule of their own order instead.
 _DEFAULT_SPHERE_ORDERS = {2: 127, 3: 95, 4: 47, 5: 23, 6: 15, 7: 11, 8: 9}
 
 
@@ -159,11 +158,6 @@ def _unit_gegenbauer(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def gegenbauer_weight_mass(radius: float, n: int) -> float:
-    """Closed form of integral_{-R}^{R} (R^2 - s^2)^{(n-3)/2} ds."""
-    return radius ** (n - 2) * _omega(n) / _omega(n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +285,15 @@ def _sphere_rule_cached(n: int, polar: int, azimuth: int) -> SphereQuadrature:
     return _build_sphere_rule(n, polar, azimuth)
 
 
+def default_sphere_order(n: int) -> int:
+    """Polynomial order of the default product rule on S^{n-1}."""
+    return _DEFAULT_SPHERE_ORDERS.get(n, 7)
+
+
 def sphere_quadrature(n: int) -> SphereQuadrature:
     """The default product quadrature on S^{n-1}; memoized per n."""
     n = _check_dimension(n)
-    return sphere_quadrature_for_order(n, _DEFAULT_SPHERE_ORDERS.get(n, 7))
+    return sphere_quadrature_for_order(n, default_sphere_order(n))
 
 
 def sphere_quadrature_for_order(n: int, order: int) -> SphereQuadrature:
@@ -390,15 +389,3 @@ def radial_sum_center(x, radial_center) -> np.ndarray:
     center[0] += d
     return center
 
-
-def integrate_on_sphere(g, center, radius: float, rule: SphereQuadrature) -> float:
-    """Quadrature for integral of g over the sphere of given center/radius.
-
-    g must accept points shaped (..., n).
-    """
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != (rule.n,):
-        raise ValueError(f"center has shape {center.shape}, rule is for R^{rule.n}")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return radius ** (rule.n - 1) * float(sphere_sums(g, center, np.array([radius]), rule)[0])

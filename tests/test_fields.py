@@ -189,3 +189,35 @@ class TestRadialMetadata:
             ScalarField(lambda pts: pts[..., 0], 3, radial_center=(0.0,))
         with pytest.raises(ValueError):
             ScalarField(lambda pts: pts[..., 0], 3, radial_center=(0.0,) * 3, length_scale=0.0)
+
+
+class TestDegreeMetadata:
+    DEGREES = {"linear": 1, "bilinear": 2, "saddle": 2, "cubic": 3, "triple": 3}
+
+    def test_library_degrees(self):
+        assert {name: harmonic(3, name, offset=1.0).degree
+                for name in harmonic_names()} == self.DEGREES
+        assert constant(4, 2.0).degree == 0 and zero(2).degree == 0
+        assert gaussian(3).degree is None and bump(2).degree is None
+        assert ScalarField(lambda pts: pts[..., 0], 2).degree is None
+
+    @pytest.mark.parametrize("name", harmonic_names())
+    def test_degree_is_the_polynomial_degree(self, name):
+        # along a random line a polynomial of degree d has a vanishing
+        # (d + 1)-th difference and, for these, a d-th difference away from zero
+        f = harmonic(4, name, amplitude=1.3, offset=0.7)
+        x, v = np.array([0.3, -0.5, 0.2, 0.8]), np.array([0.9, -0.8, 0.7, 0.6])
+        values = f(x + np.arange(f.degree + 2)[:, None] * v)
+        assert abs(np.diff(values, f.degree + 1)[0]) <= 1e-12
+        assert abs(np.diff(values, f.degree)).min() > 0.1
+
+    def test_survives_dataclasses_replace(self):
+        import dataclasses
+
+        f = harmonic(3, "cubic")
+        assert dataclasses.replace(f, evaluator=lambda pts: f(pts)).degree == 3
+
+    def test_invalid_degree(self):
+        for bad in (-1, 1.5, "2"):
+            with pytest.raises(ValueError):
+                ScalarField(lambda pts: pts[..., 0], 2, degree=bad)

@@ -8,15 +8,15 @@ from scipy.special import jv
 from wavecauchy.errors import EvaluationError
 from wavecauchy.geometry import (
     Dimension,
+    _omega,
     _unit_gegenbauer,
     double_factorial,
-    gegenbauer_weight_mass,
-    integrate_on_sphere,
     reduce_ball_integral,
     reduce_sphere_integral,
     solution_constant,
     sphere_quadrature,
     sphere_quadrature_for_order,
+    sphere_sums,
     unit_ball_volume,
     unit_sphere_area,
 )
@@ -86,10 +86,11 @@ class TestGegenbauerRule:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
     def test_total_mass(self, n, radius):
-        # scaled to (-R, R): nodes R s, weights R^(n-2) v
+        # scaled to (-R, R): nodes R s, weights R^(n-2) v, against the closed form
+        # of integral_{-R}^{R} (R^2 - s^2)^((n-3)/2) ds
         _, weights = _unit_gegenbauer(n, 64)
         assert radius ** (n - 2) * weights.sum() == pytest.approx(
-            gegenbauer_weight_mass(radius, n), rel=1e-12)
+            radius ** (n - 2) * _omega(n) / _omega(n - 1), rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 7])
     def test_symmetry(self, n):
@@ -207,21 +208,23 @@ class TestSphereQuadrature:
 
     def test_integrate_on_sphere_examples(self):
         rule = sphere_quadrature(3)
+
+        def integrate(g, radius):
+            return radius ** 2 * float(sphere_sums(g, np.zeros(3), np.array([radius]), rule)[0])
+
         one = lambda pts: np.ones(pts.shape[:-1])
-        assert integrate_on_sphere(one, np.zeros(3), 2.0, rule) == pytest.approx(
-            unit_sphere_area(3) * 4.0, rel=1e-12)
+        assert integrate(one, 2.0) == pytest.approx(unit_sphere_area(3) * 4.0, rel=1e-12)
         x3sq = lambda pts: pts[..., 2] ** 2
-        assert integrate_on_sphere(x3sq, np.zeros(3), 1.0, rule) == pytest.approx(
+        assert integrate(x3sq, 1.0) == pytest.approx(
             reduce_sphere_integral(lambda s: s * s, 1.0, 3), rel=1e-12)
         x1 = lambda pts: pts[..., 0]
-        assert integrate_on_sphere(x1, np.zeros(3), 1.0, rule) == pytest.approx(0.0, abs=1e-12)
+        assert integrate(x1, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_integrate_on_sphere_errors(self):
         rule = sphere_quadrature(3)
-        with pytest.raises(ValueError):
-            integrate_on_sphere(lambda p: np.ones(p.shape[:-1]), np.zeros(2), 1.0, rule)
         with pytest.raises(EvaluationError):
-            integrate_on_sphere(lambda p: np.full(p.shape[:-1], np.nan), np.zeros(3), 1.0, rule)
+            sphere_sums(lambda p: np.full(p.shape[:-1], np.nan), np.zeros(3), np.array([1.0]),
+                        rule)
 
     def test_memoized(self):
         assert sphere_quadrature(3) is sphere_quadrature(3)

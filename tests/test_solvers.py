@@ -279,8 +279,12 @@ class TestDescent:
 class TestSphereSums:
     def test_product_rule_solve_memory(self):
         # one chunk's points are built in place within geometry._CHUNK_BYTES
-        # (8 MB); the evaluator's temporaries add a fraction of that
-        p = problem(7, psi=fields.harmonic(7, "cubic"))
+        # (8 MB); the evaluator's temporaries add a fraction of that. The
+        # cubic without its degree takes the default product rule, as any
+        # callable does.
+        cubic = fields.harmonic(7, "cubic")
+        assert cubic.degree == 3
+        p = problem(7, psi=fields.ScalarField(cubic.evaluator, 7))
         x = np.full(7, 0.1)
         solve_point(p, x, 1.0)  # builds the memoized product rule
         tracemalloc.start()
@@ -290,6 +294,131 @@ class TestSphereSums:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+
+def counted(field):
+    """field, metadata kept, with an evaluator that records how many points it was given."""
+    calls = []
+
+    def evaluate(points):
+        calls.append(math.prod(points.shape[:-1]))
+        return field(points)
+
+    return dataclasses.replace(field, evaluator=evaluate), calls
+
+
+class TestPolynomialData:
+    """Fields with a degree take the product rule of that order, which sums them
+    exactly: u = phi + t psi for harmonic data (criterion 06) with no rule given."""
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_harmonic_solves_are_exact(self, n):
+        rng = np.random.default_rng(100 + n)
+        for name in fields.harmonic_names():
+            if n < 3 and name == "triple":
+                continue
+            phi = fields.harmonic(n, name, offset=3.0)
+            psi = fields.harmonic(n, name, amplitude=0.5, offset=2.0)
+            p = CauchyProblem(phi, psi, Dimension(n))
+            x, t = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0)
+            exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
+            s = solve_point(p, x, t)
+            assert abs(s.u - exact) <= 1e-8 * abs(exact), (name, s.u, exact)
+            assert abs(s.u - exact) <= s.error_estimate, (name, s.u, exact)
+
+    def test_error_estimate_bounds_error_on_random_draws(self):
+        # the error of exactly summed data is rounding, which the h against
+        # h / 2 difference alone misses on about one draw in twenty
+        rng = np.random.default_rng(20261018)
+        names = fields.harmonic_names()
+        for _ in range(60):
+            n = int(rng.integers(2, 12))
+            pool = [name for name in names if n >= 3 or name != "triple"]
+            phi, psi = (fields.harmonic(n, str(rng.choice(pool)), amplitude=rng.uniform(-2, 2),
+                                        offset=rng.uniform(-2, 2)) for _ in range(2))
+            x, t = rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 3.0)
+            s = solve_point(CauchyProblem(phi, psi, Dimension(n)), x, t)
+            exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
+            assert abs(s.u - exact) <= s.error_estimate, (n, phi.label, psi.label, x, t)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5] + [pytest.param(n, marks=pytest.mark.xfail(
+        strict=True, reason="radial._fit_matrix inverts the degree-8 and degree-10 "
+        "stencil fits with np.linalg.inv, whose rounding leaves about 1e-11")) for n in (6, 7)])
+    def test_constant_data(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            a, b = rng.uniform(0.5, 3.0, 2)
+            x, t = rng.uniform(-2.0, 2.0, n), rng.uniform(0.2, 4.0)
+            s = solve_point(CauchyProblem(fields.constant(n, a), fields.constant(n, b),
+                                          Dimension(n)), x, t)
+            assert abs(s.u - (a + t * b)) <= 1e-12 * (a + t * b)
+            assert abs(s.u - (a + t * b)) <= s.error_estimate
+
+    @pytest.mark.parametrize("n, name", [(3, "saddle"), (4, "triple"), (7, "cubic"),
+                                         (3, "linear")])
+    def test_field_points_of_the_order_d_rule(self, n, name):
+        f, calls = counted(fields.harmonic(n, name))
+        t = 1.2
+        solve_point(problem(n, psi=f), np.full(n, 0.1), t, with_error=False)
+        radii = default_spec(Dimension(n).derivative_order, t).degree + 1
+        means_n = n + 1 - n % 2
+        rule = sphere_quadrature_for_order(means_n, f.degree)
+        assert sum(calls) == radii * rule.nodes.shape[0]
+        assert rule.nodes.shape[0] < sphere_quadrature(means_n).nodes.shape[0]
+
+    def test_constant_takes_the_order_0_rule(self):
+        # a constant is radial too; its degree wins
+        c, calls = counted(fields.constant(3, 2.0))
+        solve_point(problem(3, psi=c), np.full(3, 0.1), 1.0, with_error=False)
+        radii = default_spec(0, 1.0).degree + 1
+        assert sum(calls) == radii * sphere_quadrature_for_order(3, 0).nodes.shape[0]
+
+    @pytest.mark.parametrize("n, degree", [(3, 96), (4, 24), (11, 8)])
+    def test_degree_above_the_default_order_takes_the_default_rule(self, n, degree, monkeypatch):
+        # a degree's rule would be larger than the default one: it is never built
+        means_n = n + 1 - n % 2
+        default = sphere_quadrature(n) if n % 2 else descent_rule(n)
+        if n == 11:
+            # the default n = 11 rule has 2^21 nodes; a small rule stands in for it
+            default = sphere_quadrature_for_order(11, 1)
+            monkeypatch.setattr(solvers, "sphere_quadrature", lambda k: default)
+
+        def refuse(k, order):
+            raise AssertionError(f"built the order-{order} rule on S^{k - 1}")
+
+        monkeypatch.setattr(solvers, "sphere_quadrature_for_order", refuse)
+        cubic = fields.harmonic(n, "cubic")
+        f, calls = counted(fields.ScalarField(cubic.evaluator, n, degree=degree))
+        t = 1.2
+        solve_point(problem(n, psi=f), np.full(n, 0.1), t, with_error=False)
+        radii = default_spec(Dimension(n).derivative_order, t).degree + 1
+        assert default.n == means_n
+        assert sum(calls) == radii * default.nodes.shape[0]
+
+    def test_lift_keeps_the_degree(self):
+        assert solvers._lift(fields.harmonic(4, "triple")).degree == 3
+        assert solvers._lift(fields.constant(2, 1.0)).degree == 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_explicit_rule_is_honoured(self, n):
+        f, calls = counted(fields.harmonic(n, "saddle", offset=1.0))
+        rule = sphere_quadrature_for_order(n, 7)
+        x, t = np.full(n, 0.1), 1.2
+        s = solve_point(problem(n, psi=f), x, t, rule=rule, with_error=False)
+        radii = default_spec(Dimension(n).derivative_order, t).degree + 1
+        means_rule = rule if n % 2 else descent_rule(n, rule)
+        assert sum(calls) == radii * means_rule.nodes.shape[0]
+        assert s.u == pytest.approx(t * float(f(x[None, :])[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_field_without_degree_takes_the_default_rule(self, n):
+        # the same cubic without its degree: the default product rule, as before
+        cubic = fields.harmonic(n, "cubic", offset=1.0)
+        plain = fields.ScalarField(cubic.evaluator, n)
+        x, t = np.full(n, 0.2), 0.9
+        default = sphere_quadrature(n) if n % 2 else descent_rule(n)
+        assert (solve_point(problem(n, psi=plain), x, t).u
+                == solve_point(problem(n, psi=plain), x, t, rule=default).u)
 
 
 def kirchhoff_offset_gaussian(sigma, offset, t):
