@@ -29,12 +29,9 @@ from .kernels import (
     identity_sweep,
     normalization_constant,
     sinc_kernel,
-    sphere_exponential_average,
-    verify_even_identity,
-    verify_odd_identity,
 )
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
-from .radial import MeanSeries, RadialDerivativeSpec, default_spec, iterated_radial_derivative
+from .radial import MeanSeries, RadialDerivativeSpec, default_spec
 from .solvers import (
     CauchyProblem,
     GridSpec,

@@ -50,8 +50,11 @@ class ScalarField:
             object.__setattr__(self, "radial_center", center)
         if not self.length_scale > 0:
             raise ValueError("length_scale must be positive")
-        if self.degree is not None and not (isinstance(self.degree, int) and self.degree >= 0):
-            raise ValueError("degree must be a non-negative integer or None")
+        if self.degree is not None:
+            if (isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer))
+                    or self.degree < 0):
+                raise ValueError("degree must be a non-negative integer or None")
+            object.__setattr__(self, "degree", int(self.degree))
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)

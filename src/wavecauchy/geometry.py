@@ -167,8 +167,6 @@ def _unit_gegenbauer(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _eval_profile(f, s: np.ndarray) -> np.ndarray:
     values = np.asarray(f(s), dtype=np.float64)
-    if values.shape != s.shape:  # scalar-only callable
-        values = np.asarray(np.vectorize(f)(s), dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise EvaluationError("integrand returned non-finite values")
     return values

@@ -136,13 +136,6 @@ def ball_average_profile(knorm: float, radii: np.ndarray, n: int,
     return (_omega(n - 1) / unit_ball_volume(n)) * radii ** (n - 1) * angular
 
 
-def sphere_exponential_average(query: KernelQuery,
-                               base_nodes: int = DEFAULT_OSC_NODES) -> complex:
-    """Normalized sphere average of e^{-i x.xi} at the query's radius."""
-    return complex(sphere_average_profile(query.knorm, np.array([query.radius]),
-                                          query.dim.n, base_nodes)[0])
-
-
 def ball_weighted_exponential_average(query: KernelQuery, route: str = "descent",
                                       base_nodes: int = DEFAULT_OSC_NODES) -> complex:
     """Normalized weighted ball average of e^{-i x.xi} at the query's radius."""
@@ -166,17 +159,16 @@ class IdentityRecord:
     nodes: int
 
 
-def _average_profile(knorm: float, n: int, base_nodes: int, route: str = "descent"):
+def _average_profile(knorm: float, n: int, base_nodes: int):
     """The parity-appropriate exponential average as a function of the radii:
     the sphere average (odd n) or the weighted ball average (even n)."""
     if n % 2:
         return lambda radii: sphere_average_profile(knorm, radii, n, base_nodes)
-    return lambda radii: ball_average_profile(knorm, radii, n, route, base_nodes)
+    return lambda radii: ball_average_profile(knorm, radii, n, base_nodes=base_nodes)
 
 
 def identity_record(query: KernelQuery, spec: RadialDerivativeSpec | None = None,
-                    base_nodes: int = DEFAULT_OSC_NODES,
-                    route: str = "descent") -> IdentityRecord:
+                    base_nodes: int = DEFAULT_OSC_NODES) -> IdentityRecord:
     """Residual of the parity-appropriate identity at one (xi, R) point."""
     n = query.dim.n
     knorm = query.knorm
@@ -188,7 +180,7 @@ def identity_record(query: KernelQuery, spec: RadialDerivativeSpec | None = None
         raise ValueError(f"spec.iterations = {spec.iterations}, dimension needs {m}")
     spec.validate_radius(query.radius)
     nodes = _osc_nodes(knorm * (query.radius + spec.h * spec.degree / 2.0), base_nodes)
-    series = MeanSeries.sample(_average_profile(knorm, n, base_nodes, route), query.radius, spec)
+    series = MeanSeries.sample(_average_profile(knorm, n, base_nodes), query.radius, spec)
     value = solution_constant(n) * chain_apply(series, m, query.radius, spec.h)
     lhs = sinc_kernel(query.xi, query.radius)
     return IdentityRecord(
@@ -200,23 +192,6 @@ def identity_record(query: KernelQuery, spec: RadialDerivativeSpec | None = None
         h=spec.h,
         nodes=nodes,
     )
-
-
-def verify_odd_identity(query: KernelQuery, spec: RadialDerivativeSpec | None = None,
-                        base_nodes: int = DEFAULT_OSC_NODES) -> float:
-    """|sinc kernel - c_n (1/R d/dR)^m sphere average| for odd dimensions."""
-    if not query.dim.is_odd or query.dim.n < 3:
-        raise ValueError("odd identity needs an odd dimension >= 3")
-    return identity_record(query, spec, base_nodes).residual
-
-
-def verify_even_identity(query: KernelQuery, spec: RadialDerivativeSpec | None = None,
-                         base_nodes: int = DEFAULT_OSC_NODES,
-                         route: str = "descent") -> float:
-    """|sinc kernel - d_n (1/R d/dR)^m' weighted ball average| for even dims."""
-    if query.dim.is_odd:
-        raise ValueError("even identity needs an even dimension >= 2")
-    return identity_record(query, spec, base_nodes, route).residual
 
 
 def identity_sweep(n: int, count: int, seed: int, max_product: float = 20.0,
@@ -288,11 +263,6 @@ class DistributionFunctional:
     @property
     def constant(self) -> float:
         return solution_constant(self.dim.n)
-
-    def support_radius(self, spec: RadialDerivativeSpec | None = None) -> float:
-        spec = spec or default_spec(self.order, self.radius)
-        half_width = (spec.degree / 2.0) * spec.h
-        return self.radius + half_width
 
     def action(self, test_fn, spec: RadialDerivativeSpec | None = None, rule=None):
         """Apply the functional to a (possibly complex-valued) test function

@@ -102,10 +102,19 @@ def stencil_offsets(degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _fit_matrix(degree: int) -> np.ndarray:
-    offsets = stencil_offsets(degree)
-    scale = offsets[-1]
-    v = np.vander(offsets / scale, increasing=True)
-    inv = np.linalg.inv(v)
+    """Inverse of the Vandermonde matrix of the stencil scaled to [-1, 1]:
+    column i holds the power coefficients of the Lagrange basis polynomial of
+    node x_i. Over the integer nodes a_k = 2k - degree = degree * x_k those are
+    integer ratios, c_j degree^j / prod_{k != i} (a_i - a_k), and int / int
+    rounds each entry once, to the float nearest the exact inverse."""
+    nodes = [2 * k - degree for k in range(degree + 1)]
+    inv = np.empty((degree + 1, degree + 1))
+    for i, a_i in enumerate(nodes):
+        poly, denom = [1], 1  # prod_{k != i} (a - a_k), increasing powers of a
+        for a_k in nodes[:i] + nodes[i + 1:]:
+            poly = [p - a_k * q for p, q in zip([0] + poly, poly + [0])]
+            denom *= a_i - a_k
+        inv[:, i] = [c * degree**j / denom for j, c in enumerate(poly)]
     inv.setflags(write=False)
     return inv
 
@@ -118,17 +127,15 @@ class MeanSeries:
     values: np.ndarray
 
     @classmethod
-    def sample(cls, profile, t: float, spec: RadialDerivativeSpec,
-               degree: int | None = None) -> "MeanSeries":
-        degree = spec.degree if degree is None else degree
-        radii = t + stencil_offsets(degree) * spec.h
+    def sample(cls, profile, t: float, spec: RadialDerivativeSpec) -> "MeanSeries":
+        """profile, a vectorized function of the radii, on the spec's stencil
+        around t."""
+        radii = t + stencil_offsets(spec.degree) * spec.h
         if radii[0] <= 0:
             raise StencilError(
-                f"stencil of degree {degree} with h = {spec.h:g} reaches radius "
+                f"stencil of degree {spec.degree} with h = {spec.h:g} reaches radius "
                 f"{radii[0]:g} <= 0 at t = {t:g}")
         values = np.asarray(profile(radii))
-        if values.shape != radii.shape:
-            values = np.asarray([profile(r) for r in radii])
         if not np.all(np.isfinite(values)):
             raise EvaluationError("profile returned non-finite samples")
         return cls(radii, values)
@@ -166,17 +173,3 @@ def chain_apply(series: MeanSeries, m: int, t: float, h: float,
     except OverflowError as exc:  # a float t ** (j - 2m) beyond the float range
         raise EvaluationError(f"(1/t d/dt)^{m} at t = {t:g} overflows") from exc
     return val, dval
-
-
-def iterated_radial_derivative(profile, spec: RadialDerivativeSpec, t: float):
-    """(1/t d/dt)^iterations of the sampled profile, evaluated at t.
-
-    profile is called on the array of stencil radii (scalar fallback is
-    handled); complex-valued profiles are supported and give complex output.
-    """
-    spec.validate_radius(t)
-    series = MeanSeries.sample(profile, t, spec)
-    result = chain_apply(series, spec.iterations, t, spec.h)
-    if np.iscomplexobj(series.values):
-        return complex(result)
-    return float(result)

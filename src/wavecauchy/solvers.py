@@ -34,8 +34,6 @@ holds no coordinate mesh and no spare full-lattice temporary.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -77,10 +75,6 @@ class CauchyProblem:
     def __post_init__(self):
         if self.phi.dim != self.dim.n or self.psi.dim != self.dim.n:
             raise ValueError("initial data dimension does not match the problem dimension")
-
-    @property
-    def support_radius(self) -> float:
-        return max(self.phi.support_radius, self.psi.support_radius)
 
 
 @dataclass(frozen=True)
@@ -179,9 +173,10 @@ def radial_node_count(field: ScalarField, t: float) -> int:
     return count
 
 
-#: factor of the rounding bound of polynomial data: over 1200 seeded harmonic
-#: draws at n = 2..11 their error reached 34 eps sum_j |a_j| M_j, as the fit
-#: matrix's own rounding, the same at h and h / 2, hides from their difference
+#: factor of the rounding bound of polynomial data: over 1260 seeded harmonic
+#: draws at n = 2..11 their error reached 29 eps sum_j |a_j| M_j, rounding of
+#: the sums and of the fit that is the same at h and h / 2 and so hides from
+#: their difference
 ROUNDING_FACTOR = 128
 
 
@@ -424,23 +419,6 @@ class SolutionGrid:
     def value_at_index(self, index) -> float:
         return float(self.values[tuple(index)])
 
-    def index_of(self, point) -> tuple[int, ...]:
-        point = np.asarray(point, dtype=np.float64)
-        idx = np.rint((point + self.grid.half_width) / self.grid.spacing).astype(int)
-        lattice = -self.grid.half_width + idx * self.grid.spacing
-        if not np.allclose(lattice, point, atol=1e-9):
-            raise ValueError("point is not on the grid lattice")
-        return tuple(int(i) % self.grid.points for i in idx)
-
-    def value_at(self, point) -> float:
-        return self.value_at_index(self.index_of(point))
-
-    def to_csv(self, path) -> None:
-        points = itertools.product(self.grid.axis(), repeat=self.grid.dim)
-        samples_to_csv([SolutionSample(np.array(x), self.t, float(u), self.method,
-                                       self.error_estimate)
-                        for x, u in zip(points, self.values.ravel())], path)
-
     def to_binary(self, path) -> None:
         """Little-endian layout: magic 'WAVE', version u32, n u32, N per axis
         (u32 each), L f64, t f64, then the values as f64 in C order."""
@@ -593,17 +571,3 @@ def wave_residual(values: np.ndarray, h_x: float, h_t: float) -> float:
         hi[axis] = slice(2, None)
         lap += (values[tuple(hi)] - 2.0 * interior + values[tuple(lo)]) / (h_x * h_x)
     return float(np.max(np.abs(u_tt - lap)))
-
-
-def samples_to_csv(samples: list[SolutionSample], path) -> None:
-    """CSV with the SolutionGrid column layout, one row per sample."""
-    if not samples:
-        raise ValueError("no samples to write")
-    n = len(samples[0].x)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{k + 1}" for k in range(n)] + ["t", "u", "method", "error_estimate"])
-        for s in samples:
-            writer.writerow([repr(float(c)) for c in s.x]
-                            + [repr(float(s.t)), repr(float(s.u)), s.method,
-                               repr(float(s.error_estimate))])

@@ -304,6 +304,39 @@ order_tol = 0.3
         residuals = [float(r["residual"]) for r in body]
         assert residuals[0] > residuals[1] > residuals[2]
 
+    @staticmethod
+    def _pde_ladder(tmp_path, dim, data, t0):
+        cfg = write_config(tmp_path, f"""
+[run]
+command = converge
+
+[data]
+{data}
+
+[converge]
+target = pde-residual
+dim = {dim}
+points = 3
+levels = 3
+h0 = 0.2
+t0 = {t0}
+""")
+        return run(load_config(cfg, "converge", {}))
+
+    def test_pde_residual_ladder_two_gaussians_n2(self, tmp_path):
+        report = self._pde_ladder(tmp_path, 2, "phi = gaussian\nphi_sigma = 1.18\n"
+                                  "psi = gaussian\npsi_sigma = 1.10", 1.14)
+        assert report.passed
+        assert report.summary["fitted_order"] >= 1.7
+
+    @pytest.mark.xfail(strict=True, reason="at points = 3 the residual is taken at the "
+                       "single interior point, where its h^2 term and the higher-order "
+                       "ones cancel near h0 = 0.2 (residual 2.6e-7, then 9.1e-6 at h0 / 2), "
+                       "so the ladder is not monotone")
+    def test_pde_residual_ladder_gaussian_psi_n3(self, tmp_path):
+        report = self._pde_ladder(tmp_path, 3, "psi = gaussian\npsi_sigma = 0.92", 1.25)
+        assert report.passed
+
     def test_identity_ladder_decreases(self, tmp_path):
         out = tmp_path / "conv.csv"
         cfg = write_config(tmp_path, f"""

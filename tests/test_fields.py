@@ -218,6 +218,10 @@ class TestDegreeMetadata:
         assert dataclasses.replace(f, evaluator=lambda pts: f(pts)).degree == 3
 
     def test_invalid_degree(self):
-        for bad in (-1, 1.5, "2"):
+        for bad in (-1, 1.5, "2", True):
             with pytest.raises(ValueError):
                 ScalarField(lambda pts: pts[..., 0], 2, degree=bad)
+
+    def test_numpy_integer_degree_is_stored_as_int(self):
+        f = ScalarField(lambda pts: pts[..., 0] ** 2, 2, degree=np.int64(2))
+        assert f.degree == 2 and type(f.degree) is int

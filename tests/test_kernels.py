@@ -10,17 +10,16 @@ from wavecauchy.geometry import Dimension, solution_constant
 from wavecauchy.kernels import (
     DistributionFunctional,
     KernelQuery,
+    ball_average_profile,
     ball_weighted_exponential_average,
     distribution_fourier_check,
     identity_record,
     identity_sweep,
     normalization_constant,
     sinc_kernel,
-    sphere_exponential_average,
-    verify_even_identity,
-    verify_odd_identity,
+    sphere_average_profile,
 )
-from wavecauchy.radial import RadialDerivativeSpec
+from wavecauchy.radial import MeanSeries, RadialDerivativeSpec, chain_apply
 
 
 def random_query(rng, n, max_product=20.0):
@@ -29,6 +28,11 @@ def random_query(rng, n, max_product=20.0):
     direction = rng.standard_normal(n)
     xi = direction * (knorm / np.linalg.norm(direction))
     return KernelQuery(xi, radius, Dimension(n))
+
+
+def sphere_average(q):
+    """The normalized sphere average of e^{-i x.xi} at the query's radius."""
+    return complex(sphere_average_profile(q.knorm, np.array([q.radius]), q.dim.n)[0])
 
 
 class TestSincKernel:
@@ -52,19 +56,19 @@ class TestSincKernel:
 class TestExponentialAverages:
     def test_sphere_zero_frequency_is_power(self):
         q = KernelQuery(np.zeros(3), 2.0, Dimension(3))
-        assert sphere_exponential_average(q) == pytest.approx(2.0, rel=1e-13)
+        assert sphere_average(q) == pytest.approx(2.0, rel=1e-13)
         q5 = KernelQuery(np.zeros(5), 1.5, Dimension(5))
-        assert sphere_exponential_average(q5) == pytest.approx(1.5**3, rel=1e-13)
+        assert sphere_average(q5) == pytest.approx(1.5**3, rel=1e-13)
 
     def test_sphere_n3_closed_form(self):
         # n = 3: the average itself equals sin(R|xi|)/|xi| (no derivative)
         rng = np.random.default_rng(42)
         for _ in range(20):
             q = random_query(rng, 3)
-            got = sphere_exponential_average(q)
+            got = sphere_average(q)
             assert got.real == pytest.approx(sinc_kernel(q.xi, q.radius), abs=1e-12)
         qpi = KernelQuery(np.array([math.pi, 0.0, 0.0]), 1.0, Dimension(3))
-        assert abs(sphere_exponential_average(qpi)) < 1e-14
+        assert abs(sphere_average(qpi)) < 1e-14
 
     def test_ball_zero_frequency(self):
         # n = 2, R = 1: (1/pi) 2 pi int_0^1 r (1-r^2)^(-1/2) dr = 2
@@ -83,7 +87,7 @@ class TestExponentialAverages:
         rng = np.random.default_rng(n)
         for _ in range(100):
             q = random_query(rng, n)
-            value = sphere_exponential_average(q)
+            value = sphere_average(q)
             assert abs(value.imag) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -105,7 +109,7 @@ class TestExponentialAverages:
 
     def test_parity_usage_errors(self):
         with pytest.raises(ValueError):
-            sphere_exponential_average(KernelQuery(np.zeros(2), 1.0, Dimension(2)))
+            sphere_average(KernelQuery(np.zeros(2), 1.0, Dimension(2)))
         with pytest.raises(ValueError):
             ball_weighted_exponential_average(KernelQuery(np.zeros(3), 1.0, Dimension(3)))
         with pytest.raises(ValueError):
@@ -116,37 +120,42 @@ class TestExponentialAverages:
 class TestIdentities:
     def test_odd_zero_frequency(self):
         q = KernelQuery(np.zeros(5), 1.0, Dimension(5))
-        assert verify_odd_identity(q) <= 1e-10
+        assert identity_record(q).residual <= 1e-10
 
     def test_odd_n3_sweep(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             q = random_query(rng, 3)
-            assert verify_odd_identity(q) <= 1e-10
+            assert identity_record(q).residual <= 1e-10
 
     def test_odd_n5_against_refined_oracle(self):
         q = KernelQuery(np.array([2.0, 0, 0, 0, 0]), 1.0, Dimension(5))
-        assert verify_odd_identity(q) <= 1e-8
+        assert identity_record(q).residual <= 1e-8
         # doubled-resolution oracle: twice the nodes, half the spacing, two
         # extra fit degrees; the residual target must hold there too
         spec = RadialDerivativeSpec(1, 0.0125, 8)
-        assert verify_odd_identity(q, spec=spec, base_nodes=128) <= 1e-10
+        assert identity_record(q, spec, 128).residual <= 1e-10
 
     def test_even_zero_frequency(self):
         q = KernelQuery(np.zeros(4), 1.0, Dimension(4))
-        assert verify_even_identity(q) <= 1e-8
+        assert identity_record(q).residual <= 1e-8
 
     def test_even_n2_sweep(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             q = random_query(rng, 2)
-            assert verify_even_identity(q) <= 1e-8
+            assert identity_record(q).residual <= 1e-8
 
     def test_even_n4_against_refined_oracle(self):
         q = KernelQuery(np.array([3.0, 0, 0, 0]), 1.0, Dimension(4))
-        assert verify_even_identity(q) <= 1e-6
+        assert identity_record(q).residual <= 1e-6
+        # the refined residual on the direct radial-angular ball average
         spec = RadialDerivativeSpec(1, 0.008, 8)
-        assert verify_even_identity(q, spec=spec, base_nodes=128, route="direct") <= 1e-8
+        spec.validate_radius(q.radius)
+        series = MeanSeries.sample(
+            lambda radii: ball_average_profile(q.knorm, radii, 4, "direct", 128), q.radius, spec)
+        value = solution_constant(4) * chain_apply(series, 1, q.radius, spec.h)
+        assert abs(sinc_kernel(q.xi, q.radius) - value.real) <= 1e-8
 
     def test_residual_refinement_order(self):
         # residual drops at (at least) order degree - m when h halves
@@ -173,10 +182,6 @@ class TestIdentities:
         assert all(r.radius * r.knorm <= 20.0 + 1e-12 for r in records)
 
     def test_parity_dispatch_errors(self):
-        with pytest.raises(ValueError):
-            verify_odd_identity(KernelQuery(np.zeros(4), 1.0, Dimension(4)))
-        with pytest.raises(ValueError):
-            verify_even_identity(KernelQuery(np.zeros(3), 1.0, Dimension(3)))
         with pytest.raises(ValueError):
             identity_record(KernelQuery(np.zeros(5), 1.0, Dimension(5)),
                             spec=RadialDerivativeSpec(2, 0.01, 8))

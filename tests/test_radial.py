@@ -7,10 +7,10 @@ import sympy
 from wavecauchy.errors import EvaluationError, StencilError
 from wavecauchy.radial import (
     MeanSeries,
+    _fit_matrix,
     RadialDerivativeSpec,
     chain_apply,
     default_spec,
-    iterated_radial_derivative,
     radial_chain_coefficients,
     stencil_offsets,
 )
@@ -48,6 +48,18 @@ def richardson_radial_derivative(f, m, t, h0=1e-2, steps=4):
     return g(t)
 
 
+class TestFitMatrix:
+    @pytest.mark.parametrize("degree", [4, 6, 8, 10, 14])
+    def test_is_the_exact_inverse_rounded_once(self, degree):
+        nodes = [sympy.Rational(2 * k - degree, degree) for k in range(degree + 1)]
+        exact = sympy.Matrix(degree + 1, degree + 1, lambda i, j: nodes[i] ** j).inv()
+        # p / q of Python ints is the float nearest the rational
+        expected = np.array([[r.p / r.q for r in exact.row(j)] for j in range(degree + 1)])
+        got = _fit_matrix(degree)
+        np.testing.assert_array_equal(got, expected)
+        assert not got.flags.writeable
+
+
 class TestChainCoefficients:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_against_sympy(self, m):
@@ -65,23 +77,30 @@ class TestChainCoefficients:
         assert radial_chain_coefficients(3) == ((1, 3), (2, -3), (3, 1))
 
 
+def radial_derivative(profile, spec, t):
+    """(1/t d/dt)^m of a vectorized profile at t, composed from the library
+    steps the solvers take: validate the radius, sample, apply the chain."""
+    spec.validate_radius(t)
+    return chain_apply(MeanSeries.sample(profile, t, spec), spec.iterations, t, spec.h)
+
+
 class TestIteratedDerivative:
     def test_polynomial_exactness(self):
         spec = RadialDerivativeSpec(1, 0.05, 4)
-        assert iterated_radial_derivative(lambda t: t**2, spec, 1.7) == pytest.approx(
+        assert radial_derivative(lambda t: t**2, spec, 1.7) == pytest.approx(
             2.0, abs=1e-12)
         spec2 = RadialDerivativeSpec(2, 0.05, 8)
-        assert iterated_radial_derivative(lambda t: t**4, spec2, 1.3) == pytest.approx(
+        assert radial_derivative(lambda t: t**4, spec2, 1.3) == pytest.approx(
             8.0, abs=1e-11)
         # (1/t d/dt) t^3 = 3 t, so the value at t = 2 is 6
-        assert iterated_radial_derivative(lambda t: t**3, spec, 2.0) == pytest.approx(
+        assert radial_derivative(lambda t: t**3, spec, 2.0) == pytest.approx(
             6.0, abs=1e-12)
 
     def test_matches_richardson_oracle(self):
         f = lambda t: np.exp(np.sin(2.0 * t))
         for m, t in ((1, 1.5), (2, 2.0)):
             spec = default_spec(m, t, oscillation=4.0)
-            got = iterated_radial_derivative(f, spec, t)
+            got = radial_derivative(f, spec, t)
             oracle = richardson_radial_derivative(lambda x: math.exp(math.sin(2.0 * x)), m, t)
             assert got == pytest.approx(oracle, rel=1e-8)
 
@@ -91,13 +110,13 @@ class TestIteratedDerivative:
         for m, t0 in ((1, 1.2), (2, 0.9)):
             exact = float(sympy_radial_operator(expr, t_sym, m).subs(t_sym, t0))
             spec = default_spec(m, t0, oscillation=3.0)
-            got = iterated_radial_derivative(
+            got = radial_derivative(
                 lambda t: np.exp(-(t**2)) * np.cos(t), spec, t0)
             assert got == pytest.approx(exact, rel=1e-9)
 
     def test_complex_profiles(self):
         spec = default_spec(1, 1.0, oscillation=3.0)
-        got = iterated_radial_derivative(lambda t: np.exp(1j * 3.0 * t), spec, 1.0)
+        got = radial_derivative(lambda t: np.exp(1j * 3.0 * t), spec, 1.0)
         exact = 3j * np.exp(3j) / 1.0
         assert isinstance(got, complex)
         assert got == pytest.approx(complex(exact), rel=1e-9)
@@ -128,7 +147,7 @@ class TestIteratedDerivative:
         errs = []
         for h in (0.08, 0.04, 0.02):
             spec = RadialDerivativeSpec(m, h, degree)
-            errs.append(abs(iterated_radial_derivative(f, spec, t0) - exact))
+            errs.append(abs(radial_derivative(f, spec, t0) - exact))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= degree - m
 
@@ -143,23 +162,23 @@ class TestIteratedDerivative:
     def test_stencil_errors(self):
         spec = RadialDerivativeSpec(1, 0.2, 4)
         with pytest.raises(StencilError):
-            iterated_radial_derivative(lambda t: t, spec, 1.0)  # h >= t/(2m+6)
+            radial_derivative(lambda t: t, spec, 1.0)  # h >= t/(2m+6)
         with pytest.raises(StencilError):
-            iterated_radial_derivative(lambda t: t, spec, -1.0)
+            radial_derivative(lambda t: t, spec, -1.0)
         # spacing fine, but a very wide stencil would cross t = 0
         wide = RadialDerivativeSpec(0, 0.15, 16)
         with pytest.raises(StencilError):
-            iterated_radial_derivative(lambda t: t, wide, 1.0)
+            radial_derivative(lambda t: t, wide, 1.0)
 
     def test_conditioning_warning(self):
         spec = RadialDerivativeSpec(1, 1e-8, 4)
         with pytest.warns(RuntimeWarning):
-            iterated_radial_derivative(lambda t: t**2, spec, 1.0)
+            radial_derivative(lambda t: t**2, spec, 1.0)
 
     def test_nonfinite_samples(self):
         spec = RadialDerivativeSpec(1, 0.05, 4)
         with pytest.raises(EvaluationError):
-            iterated_radial_derivative(lambda t: np.full_like(t, np.nan), spec, 1.0)
+            radial_derivative(lambda t: np.full_like(t, np.nan), spec, 1.0)
 
     def test_offsets_symmetric(self):
         for degree in (4, 5, 6, 8):
