@@ -2,15 +2,16 @@
 
 The central objects are a product quadrature on the unit sphere S^{n-1}
 (Gauss rules in the cosines of the polar angles, uniform rule in the
-azimuth), the reduced rules on S^{n-1} for radial data, one summation
-routine for both (`sphere_sums`), and one-dimensional rules for integrals of
-the form
+azimuth), the reduced rules on S^{n-1} for radial data, and one summation
+routine for both (`sphere_sums`). The reduced rules are built from
+one-dimensional rules for integrals of the form
 
     integral_{-R}^{R} f(s) (R^2 - s^2)^{(n-3)/2} ds,
 
 which is what an n-dimensional ball or sphere integral of a function of a
-single coordinate collapses to. Everything here is float64 and pure; rule
-construction is memoized per dimension and node count.
+single coordinate collapses to; the reduction formulas sum on them too.
+Everything here is float64 and pure; rule construction is memoized per
+dimension and node count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_gegenbauer
 
 from .errors import EvaluationError
 
@@ -165,44 +165,36 @@ def _unit_gegenbauer(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _eval_profile(f, s: np.ndarray) -> np.ndarray:
-    values = np.asarray(f(s), dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError("integrand returned non-finite values")
-    return values
-
-
 def reduce_sphere_integral(f, radius: float, n: int, count: int = 64) -> float:
     """integral over the sphere of radius R in R^n of f(x_n), reduced to 1-D.
 
     Collapses to omega_{n-1} R^{n-1} * integral of f against the
-    (1 - x^2)^{(n-3)/2} weight on [-1, 1].
+    (1 - x^2)^{(n-3)/2} weight on [-1, 1]: the sphere sum on the reduced
+    rule `_radial_rule(n, n, count)`, whose first coordinate carries that
+    weight (x_n and x_1 are alike on the sphere).
     """
     n = _check_dimension(n, minimum=3)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    x, v = _unit_gegenbauer(n, count)
-    values = _eval_profile(f, radius * x)
-    return _omega(n - 1) * radius ** (n - 1) * float(v @ values)
+    sums = sphere_sums(lambda points: f(points[..., 0]), 0.0, np.array([radius]),
+                       _radial_rule(n, n, count))
+    return radius ** (n - 1) * float(sums[0])
 
 
 def reduce_ball_integral(f, radius: float, n: int, count: int = 64) -> float:
     """integral over the ball of radius R in R^n of f(x_n), by nested quadrature.
 
-    Outer 64-node Gauss-Legendre rule in the radius, inner Gegenbauer-weighted
-    rule of `count` nodes; the inner rule is shared across radii through the
-    scaling s = rho * x.
+    Outer 64-node Gauss-Legendre rule in the radius, inner sphere sums on
+    the reduced rule of `count` nodes, as in `reduce_sphere_integral`.
     """
     n = _check_dimension(n, minimum=3)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    x, v = _unit_gegenbauer(n, count)
     u, wu = _leggauss(64)
     rho = 0.5 * radius * (u + 1.0)
     w_rho = 0.5 * radius * wu
-    values = _eval_profile(f, np.outer(rho, x))
-    inner = values @ v
-    return _omega(n - 1) * float((w_rho * rho ** (n - 1)) @ inner)
+    sums = sphere_sums(lambda points: f(points[..., 0]), 0.0, rho, _radial_rule(n, n, count))
+    return float((w_rho * rho ** (n - 1)) @ sums)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +235,9 @@ def _build_sphere_rule(n: int, polar: int, azimuth: int) -> SphereQuadrature:
         weights = np.full(azimuth, 2.0 * math.pi / azimuth)
         order = azimuth - 1
     else:
+        # imported here: scipy.special is most of the package's import time
+        from scipy.special import roots_gegenbauer
+
         # polar angles phi_1..phi_{n-2}: Gauss rule in zeta = cos(phi_k) for
         # the absorbed weight (1 - zeta^2)^{(p-1)/2}, with sin-power
         # p = n - 1 - k; azimuth: uniform midpoint rule.
@@ -330,16 +325,17 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
     times the mean of g over the sphere of radius r_j. g takes points shaped
     (..., n) and may be complex-valued. The only place a field is evaluated
     on spheres: the product rules and the reduced rules of radial data
-    (`_radial_rule`) both come through here."""
+    (`_radial_rule`) both come through here. The sums are checked, not each
+    value: the weights are positive, so a non-finite value leaves its sum
+    non-finite."""
     chunk = max(1, _CHUNK_BYTES // (max(len(radii), 1) * rule.n * 8))
     out = 0.0
     for start in range(0, rule.nodes.shape[0], chunk):
         points = radii[:, None, None] * rule.nodes[None, start:start + chunk, :]
         points += center
-        values = np.asarray(g(points))
-        if not np.all(np.isfinite(values)):
-            raise EvaluationError("g returned non-finite values on a sphere")
-        out = out + values @ rule.weights[start:start + chunk]
+        out = out + np.asarray(g(points)) @ rule.weights[start:start + chunk]
+    if not np.isfinite(out).all():
+        raise EvaluationError("g returned non-finite values on a sphere")
     return out
 
 

@@ -1,13 +1,14 @@
-"""The sinc kernel sin(R|xi|)/|xi| and its two radial-derivative identities.
+"""The sinc kernel sin(R|xi|)/|xi| as the wave propagator T_R, and its
+radial-derivative identities.
 
-Odd dimensions represent the kernel through iterated (1/R d/dR) applications
-of the normalized sphere average of exp(-i x.xi); even dimensions use the
-weighted ball average with the 1/sqrt(R^2 - |x|^2) hemisphere factor,
-computed by descending from the sphere average one dimension up; the direct
-radial-angular quadrature (a sine substitution at the boundary) stays as
-its test oracle.
-Everything reduces to one-dimensional oscillatory quadrature against the
-(R^2 - s^2)^((n-3)/2) weight.
+T_R is the solver's velocity term: c_N (1/R d/dR)^m of the r^(N-2)-scaled
+sphere means over S^(N-1) (`solvers.means_series`), with N = n for odd n and
+N = n + 1 by descent for even n. `DistributionFunctional.action` applies it to
+a test function and `identity_record` to the plane wave e^{-i x.xi}, whose
+sphere sums take the reduced rule of radial data (`geometry._radial_rule`).
+The exponential averages are sphere sums on the same rule; the weighted ball
+average's direct radial-angular quadrature (a sine substitution at the
+boundary) stays as the test oracle of the descent.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ from .geometry import (
     Dimension,
     _leggauss,
     _omega,
+    _radial_rule,
     _unit_gegenbauer,
-    descent_rule,
     solution_constant,
-    sphere_quadrature,
     sphere_quadrature_for_order,
     sphere_sums,
     unit_ball_volume,
 )
-from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, default_spec
+from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, default_spec, resolve_spec
+from .solvers import means_rule, means_series
 
 DEFAULT_OSC_NODES = 64
 #: most nodes of an oscillatory 1-D rule, reached at R|xi| ~ 1275: numpy builds
@@ -93,15 +94,15 @@ def sphere_average_profile(knorm: float, radii: np.ndarray, n: int,
                            base_nodes: int = DEFAULT_OSC_NODES) -> np.ndarray:
     """(1/(omega_n R)) * integral over the sphere of radius R of e^{-i x.xi}.
 
-    Odd n >= 3. Radial symmetry reduces this to the 1-D weighted oscillatory
-    integral; the value at knorm = 0 is R^(n-2).
+    Odd n >= 3. Radial symmetry reduces this to the sphere sums of the plane
+    wave e^{-i knorm y_1} on the reduced rule; the value at knorm = 0 is R^(n-2).
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("sphere average profile is the odd-dimension route")
     radii = np.asarray(radii, dtype=np.float64)
-    x, v = _unit_gegenbauer(n, _osc_nodes(knorm * float(radii.max()), base_nodes))
-    phases = np.exp(1j * knorm * np.outer(radii, x))
-    return (_omega(n - 1) / _omega(n)) * radii ** (n - 2) * (phases @ v)
+    rule = _radial_rule(n, n, _osc_nodes(knorm * float(radii.max()), base_nodes))
+    sums = sphere_sums(lambda points: np.exp(-1j * knorm * points[..., 0]), 0.0, radii, rule)
+    return radii ** (n - 2) * sums / _omega(n)
 
 
 def ball_average_profile(knorm: float, radii: np.ndarray, n: int,
@@ -159,50 +160,33 @@ class IdentityRecord:
     nodes: int
 
 
-def _average_profile(knorm: float, n: int, base_nodes: int):
-    """The parity-appropriate exponential average as a function of the radii:
-    the sphere average (odd n) or the weighted ball average (even n)."""
-    if n % 2:
-        return lambda radii: sphere_average_profile(knorm, radii, n, base_nodes)
-    return lambda radii: ball_average_profile(knorm, radii, n, base_nodes=base_nodes)
-
-
 def identity_record(query: KernelQuery, spec: RadialDerivativeSpec | None = None,
                     base_nodes: int = DEFAULT_OSC_NODES) -> IdentityRecord:
-    """Residual of the parity-appropriate identity at one (xi, R) point."""
-    n = query.dim.n
-    knorm = query.knorm
-    m = query.dim.derivative_order
-    _osc_nodes(knorm * query.radius, base_nodes)  # refuse an oversized rule before default_spec
-    if spec is None:
-        spec = default_spec(m, query.radius, oscillation=knorm)
-    elif spec.iterations != m:
-        raise ValueError(f"spec.iterations = {spec.iterations}, dimension needs {m}")
-    spec.validate_radius(query.radius)
-    nodes = _osc_nodes(knorm * (query.radius + spec.h * spec.degree / 2.0), base_nodes)
-    series = MeanSeries.sample(_average_profile(knorm, n, base_nodes), query.radius, spec)
-    value = solution_constant(n) * chain_apply(series, m, query.radius, spec.h)
-    lhs = sinc_kernel(query.xi, query.radius)
-    return IdentityRecord(
-        n=n,
-        radius=query.radius,
-        knorm=knorm,
-        residual=abs(lhs - value.real),
-        imag_residual=abs(value.imag),
-        h=spec.h,
-        nodes=nodes,
-    )
+    """Residual of the identity at one (xi, R) point: sin(R|xi|)/|xi| against
+    the solver's psi term at the origin (`solvers.means_series`) for the plane
+    wave e^{-i |xi| y_1}, summed on the reduced rule of S^(N-1), with N = n for
+    odd n and N = n + 1 (descent) for even n."""
+    n, knorm, radius = query.dim.n, query.knorm, query.radius
+    _osc_nodes(knorm * radius, base_nodes)  # refuse an oversized rule before resolve_spec
+    spec = resolve_spec(query.dim.derivative_order, radius, spec, oscillation=knorm)
+    nodes = _osc_nodes(knorm * (radius + spec.h * spec.degree / 2.0), base_nodes)
+    n_means = n + 1 - n % 2
+    series = means_series(lambda points: np.exp(-1j * knorm * points[..., 0]), 0.0,
+                          _radial_rule(n_means, n_means, nodes), radius, spec.degree, spec.h)
+    value = solution_constant(n_means) * chain_apply(series, spec.iterations, radius, spec.h)
+    return IdentityRecord(n, radius, knorm, abs(sinc_kernel(query.xi, radius) - value.real),
+                          abs(value.imag), spec.h, nodes)
 
 
 def identity_sweep(n: int, count: int, seed: int, max_product: float = 20.0,
-                   radius_range: tuple[float, float] = (0.5, 2.0),
                    base_nodes: int = DEFAULT_OSC_NODES) -> list[IdentityRecord]:
-    """Residuals at `count` random (xi, R) draws with R|xi| <= max_product."""
+    """Residuals at `count` random (xi, R) draws, R in [0.5, 2) and
+    R|xi| <= max_product."""
     rng = np.random.default_rng(seed)
     dim = Dimension(n)
     records = []
     for _ in range(count):
-        radius = rng.uniform(*radius_range)
+        radius = rng.uniform(0.5, 2.0)
         knorm = rng.uniform(0.0, max_product / radius)
         direction = rng.standard_normal(n)
         norm = np.linalg.norm(direction)
@@ -217,13 +201,14 @@ def normalization_constant(n: int, radius: float = 1.0,
 
     At xi = 0 both identities read R = const * (1/R d/dR)^m of the purely
     radial average, so the constant is R divided by the numerically computed
-    derivative chain, on the profiles `identity_record` uses. Cross-checks the
-    double-factorial product formula.
+    derivative chain, on the sphere average (odd n) or the weighted ball
+    average (even n). Cross-checks the double-factorial product formula.
     """
     m = Dimension(n).derivative_order
     spec = default_spec(m, radius)
-    profile = _average_profile(0.0, n, base_nodes)
-    series = MeanSeries.sample(lambda radii: profile(radii).real, radius, spec)
+    average = sphere_average_profile if n % 2 else ball_average_profile
+    series = MeanSeries.sample(lambda radii: average(0.0, radii, n, base_nodes=base_nodes).real,
+                               radius, spec)
     denominator = float(chain_apply(series, m, radius, spec.h))
     if denominator == 0.0 or not math.isfinite(denominator):
         raise EvaluationError(f"the derivative chain at R = {radius:g} gave {denominator!r}")
@@ -239,11 +224,11 @@ def normalization_constant(n: int, radius: float = 1.0,
 class DistributionFunctional:
     """The functional whose Fourier transform is sin(R|xi|)/|xi|.
 
-    Acts on test functions through the parity-appropriate core: the sphere
-    average (odd n) or the weighted ball average (even n 2..10, computed by
-    descent as half a sphere average over S^n), pushed through the iterated
-    radial derivative and scaled by the solution constant. Its
-    support is the closed ball of the given radius, so the action on
+    Acts on a test function as the wave propagator does on the velocity:
+    the solver's psi term at the origin and time R, the iterated radial
+    derivative of the r^(N-2)-scaled sphere means (`solvers.means_series`)
+    scaled by the solution constant, with even n by descent to N = n + 1.
+    Its support is the closed ball of the given radius, so the action on
     anything vanishing near that ball is zero up to quadrature noise.
     """
 
@@ -256,40 +241,17 @@ class DistributionFunctional:
         if self.dim.n < 2:
             raise ValueError("functional defined for dimension >= 2")
 
-    @property
-    def order(self) -> int:
-        return self.dim.derivative_order
-
-    @property
-    def constant(self) -> float:
-        return solution_constant(self.dim.n)
-
-    def action(self, test_fn, spec: RadialDerivativeSpec | None = None, rule=None):
+    def action(self, test_fn, rule=None):
         """Apply the functional to a (possibly complex-valued) test function
-        of points shaped (..., n).
-
-        Even n descends from n + 1: the weighted ball average over B^n is
-        half the sphere average over S^n of the test function at the first n
-        node coordinates, so the profile is R^(n-1) S(R) / (2 v_n) on the
-        rule from `descent_rule`. Raises ValueError above n = 10.
-        """
+        of points shaped (..., n), on the rule from `solvers.means_rule`.
+        Raises ValueError above n = 10."""
         n = self.dim.n
-        m = self.order
-        spec = spec or default_spec(m, self.radius)
-        spec.validate_radius(self.radius)
-        if self.dim.is_odd:
-            rule = rule or sphere_quadrature(n)
-            power, norm = n - 2, _omega(n)
-        else:
-            rule = descent_rule(n, rule)
-            power, norm = n - 1, 2.0 * unit_ball_volume(n)
-
-        def profile(radii):
-            sums = sphere_sums(lambda points: test_fn(points[..., :n]), 0.0, radii, rule)
-            return radii ** power * sums / norm
-
-        series = MeanSeries.sample(profile, self.radius, spec)
-        return self.constant * chain_apply(series, m, self.radius, spec.h)
+        rule = means_rule(n, rule)
+        spec = resolve_spec(self.dim.derivative_order, self.radius)
+        series = means_series(lambda points: test_fn(points[..., :n]), 0.0, rule, self.radius,
+                              spec.degree, spec.h)
+        return solution_constant(rule.n) * chain_apply(series, spec.iterations, self.radius,
+                                                       spec.h)
 
 
 def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
@@ -356,9 +318,7 @@ def _check_support_box(phi, box: float) -> None:
 
 
 def distribution_fourier_check(functional: DistributionFunctional, phi,
-                               nodes_per_axis: int = 64,
-                               spec: RadialDerivativeSpec | None = None,
-                               rule=None) -> tuple[float, float]:
+                               nodes_per_axis: int = 64) -> tuple[float, float]:
     """Compare T(phi_hat) against integral of sinc kernel times phi.
 
     Both sides are quadratures: the left applies the functional to the
@@ -369,12 +329,11 @@ def distribution_fourier_check(functional: DistributionFunctional, phi,
     if phi.dim != functional.dim.n:
         raise ValueError("test function dimension does not match the functional")
     evaluator, nodes, coeffs = make_fourier_evaluator(phi, nodes_per_axis)
-    if rule is None:
-        # transforms of Schwartz-type test functions are extremely smooth on
-        # the action spheres; a modest order keeps the number of points the
-        # Fourier evaluator visits small
-        rule = sphere_quadrature_for_order(functional.dim.n, 25)
-    lhs = functional.action(evaluator, spec=spec, rule=rule)
+    # transforms of Schwartz-type test functions are extremely smooth on the
+    # action spheres; a modest order keeps the number of points the Fourier
+    # evaluator visits small
+    rule = sphere_quadrature_for_order(functional.dim.n, 25)
+    lhs = functional.action(evaluator, rule=rule)
     knorm = np.linalg.norm(nodes, axis=1)
     sinc_vals = functional.radius * _kernels.sinc_ratio(functional.radius * knorm)
     rhs = float(sinc_vals @ coeffs)

@@ -79,6 +79,17 @@ def default_spec(iterations: int, t: float, oscillation: float = 0.0) -> RadialD
     return RadialDerivativeSpec(iterations, h, 2 * iterations + 4)
 
 
+def resolve_spec(m: int, t: float, spec: RadialDerivativeSpec | None = None,
+                 oscillation: float = 0.0) -> RadialDerivativeSpec:
+    """spec, or the default one for m iterations at t, checked against m and t."""
+    if spec is None:
+        spec = default_spec(m, t, oscillation)
+    elif spec.iterations != m:
+        raise ValueError(f"spec.iterations = {spec.iterations}, dimension needs {m}")
+    spec.validate_radius(t)
+    return spec
+
+
 @lru_cache(maxsize=64)
 def radial_chain_coefficients(m: int) -> tuple[tuple[int, int], ...]:
     """Pairs (j, a_{m,j}) such that D^m F = sum a_{m,j} t^(j-2m) F^(j)."""
@@ -98,6 +109,16 @@ def stencil_offsets(degree: int) -> np.ndarray:
     """Symmetric, equally spaced offsets (in units of h) for degree+1 points."""
     npts = degree + 1
     return np.arange(npts, dtype=np.float64) - (npts - 1) / 2.0
+
+
+def stencil_radii(t: float, degree: int, h: float) -> np.ndarray:
+    """The degree + 1 stencil radii at spacing h around t; StencilError when
+    the stencil reaches a radius <= 0."""
+    radii = t + stencil_offsets(degree) * h
+    if radii[0] <= 0:
+        raise StencilError(f"stencil of degree {degree} with h = {h:g} reaches radius "
+                           f"{radii[0]:g} <= 0 at t = {t:g}")
+    return radii
 
 
 @lru_cache(maxsize=64)
@@ -130,11 +151,7 @@ class MeanSeries:
     def sample(cls, profile, t: float, spec: RadialDerivativeSpec) -> "MeanSeries":
         """profile, a vectorized function of the radii, on the spec's stencil
         around t."""
-        radii = t + stencil_offsets(spec.degree) * spec.h
-        if radii[0] <= 0:
-            raise StencilError(
-                f"stencil of degree {spec.degree} with h = {spec.h:g} reaches radius "
-                f"{radii[0]:g} <= 0 at t = {t:g}")
+        radii = stencil_radii(t, spec.degree, spec.h)
         values = np.asarray(profile(radii))
         if not np.all(np.isfinite(values)):
             raise EvaluationError("profile returned non-finite samples")

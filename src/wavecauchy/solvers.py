@@ -13,13 +13,16 @@ is the (n+1)-dimensional one at (x, 0) (Poisson's formula when n = 2).
 The weighted ball mean itself stays as `weighted_ball_mean`, the paper's
 direct formula, kept as a test oracle.
 
-Every field's sphere sums go through `geometry.sphere_sums`; only the rule
-and the centre depend on the data. A field with a `degree` (harmonic,
-constant) takes the product rule of that order, which sums it exactly. Any
-other field with a `radial_center` (gaussian, bump) takes the paper's
-single-coordinate reduction, two coordinates after descent, as a rule on
-the sphere (`geometry._radial_rule`), summed about the point on the ray
-from its centre at the probe's distance (`geometry.radial_sum_center`).
+Every field's sphere sums go through `geometry.sphere_sums`, and
+`means_series` turns them into the stencil samples the radial derivative
+acts on, for the solver's terms and for the kernel identities and the
+distribution functional of `kernels` alike; only the rule and the centre
+depend on the data. A field with a `degree` (harmonic, constant) takes the
+product rule of that order, which sums it exactly. Any other field with a
+`radial_center` (gaussian, bump) takes the paper's single-coordinate
+reduction, two coordinates after descent, as a rule on the sphere
+(`geometry._radial_rule`), summed about the point on the ray from its
+centre at the probe's distance (`geometry.radial_sum_center`).
 Any other field takes the default product rule at the probe. A caller's
 `rule` replaces both product rules; each is built only when a field needs it.
 
@@ -45,6 +48,7 @@ from .errors import DomainSizeError, EvaluationError
 from .fields import ScalarField
 from .geometry import (
     _CHUNK_BYTES,
+    MAX_DIMENSION,
     Dimension,
     SphereQuadrature,
     _leggauss,
@@ -60,7 +64,7 @@ from .geometry import (
     sphere_sums,
     unit_ball_volume,
 )
-from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, default_spec, stencil_offsets
+from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, resolve_spec, stencil_radii
 
 BINARY_MAGIC = b"WAVE"
 BINARY_VERSION = 1
@@ -133,16 +137,6 @@ def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | N
 # ---------------------------------------------------------------------------
 
 
-def _resolve_spec(problem: CauchyProblem, t: float, spec: RadialDerivativeSpec | None):
-    m = problem.dim.derivative_order
-    if spec is None:
-        spec = default_spec(m, t)
-    elif spec.iterations != m:
-        raise ValueError(f"spec.iterations = {spec.iterations}, dimension needs {m}")
-    spec.validate_radius(t)
-    return spec
-
-
 #: fewest nodes per coordinate of the reduced rule for radial data
 MIN_RADIAL_NODES = 64
 
@@ -180,6 +174,23 @@ def radial_node_count(field: ScalarField, t: float) -> int:
 ROUNDING_FACTOR = 128
 
 
+def means_series(g, center, rule: SphereQuadrature, t: float, degree: int,
+                 h: float) -> MeanSeries:
+    """g's r^(N-2)-scaled sphere sums over omega_N, N = rule.n, at the degree + 1
+    stencil radii of spacing h around t: the samples (1/t d/dt)^m acts on, and
+    the only place sphere sums become them. StencilError when the stencil
+    reaches a radius <= 0."""
+    radii = stencil_radii(t, degree, h)
+    n = rule.n
+    return MeanSeries(radii, radii ** (n - 2) * sphere_sums(g, center, radii, rule) / _omega(n))
+
+
+def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature:
+    """The product rule the means path sums an n-dimensional field on: rule or
+    the default one on S^(n-1) for odd n, its S^n rule by descent for even n."""
+    return (rule or sphere_quadrature(n)) if n % 2 else descent_rule(n, rule)
+
+
 def _means_term(means: CauchyProblem, role: str, center: np.ndarray, rule: SphereQuadrature,
                 t: float, spec: RadialDerivativeSpec, h: float, magnitude: bool = False) -> float:
     """One field's part of the solution sum from stencil-sampled sphere means
@@ -187,16 +198,14 @@ def _means_term(means: CauchyProblem, role: str, center: np.ndarray, rule: Spher
     d/dt of phi's. With magnitude, a bound on that part's rounding instead:
     ROUNDING_FACTOR eps sum_j |a_j| M_j, with a_j the chain's weight on
     sample j and M_j the sample's scaled sum of |field|."""
-    n = means.dim.n
     m = means.dim.derivative_order
     field, degree = (means.psi, spec.degree) if role == "psi" else (means.phi, spec.degree + 2)
-    radii = t + stencil_offsets(degree) * h
     if magnitude:
+        series = means_series(lambda points: np.abs(field(points)), center, rule, t, degree, h)
         # one column per sample, so that the chain gives a_j M_j in column j
-        sums = np.diag(sphere_sums(lambda points: np.abs(field(points)), center, radii, rule))
+        series = MeanSeries(series.radii, np.diag(series.values))
     else:
-        sums = sphere_sums(field, center, radii, rule)
-    series = MeanSeries(radii, radii ** (n - 2) * sums / _omega(n))
+        series = means_series(field, center, rule, t, degree, h)
     if role == "psi":
         value = chain_apply(series, m, t, h)
     else:
@@ -231,7 +240,7 @@ def _solve_means_point(problem: CauchyProblem, x, t: float, method: str,
         raise ValueError("time must be non-negative")
     if t == 0.0:
         return SolutionSample(x, 0.0, float(problem.phi(x[None, :])[0]), method, 0.0)
-    spec = _resolve_spec(problem, t, spec)
+    spec = resolve_spec(problem.dim.derivative_order, t, spec)
     center, means = x, problem
     if not problem.dim.is_odd:
         # descent: the (n+1)-dimensional solution at (x, 0), with the same
@@ -254,8 +263,7 @@ def _solve_means_point(problem: CauchyProblem, x, t: float, method: str,
                 and field.degree <= default_sphere_order(means.dim.n)):
             return center, sphere_quadrature_for_order(means.dim.n, field.degree)
         if field.radial_center is None or field.degree is not None:
-            return center, ((rule or sphere_quadrature(n)) if problem.dim.is_odd
-                            else descent_rule(n, rule))
+            return center, means_rule(n, rule)
         k = len(field.radial_center)
         return radial_sum_center(center, field.radial_center), _radial_rule(k, means.dim.n, count)
 
@@ -430,19 +438,33 @@ class SolutionGrid:
             fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated file: {len(data)} of {size} header bytes")
+    return data
+
+
 def solution_grid_from_binary(path) -> SolutionGrid:
+    """A grid written by `SolutionGrid.to_binary`; ValueError for any file
+    that is not one."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
             raise ValueError(f"bad magic {magic!r}")
-        version, dim = struct.unpack("<II", fh.read(8))
+        version, dim = struct.unpack("<II", _read_exact(fh, 8))
         if version != BINARY_VERSION:
             raise ValueError(f"unsupported version {version}")
-        counts = struct.unpack(f"<{dim}I", fh.read(4 * dim))
+        if not 1 <= dim <= MAX_DIMENSION:
+            raise ValueError(f"dimension {dim} outside 1..{MAX_DIMENSION}")
+        counts = struct.unpack(f"<{dim}I", _read_exact(fh, 4 * dim))
         if len(set(counts)) != 1:
             raise ValueError("only uniform per-axis point counts are written")
-        half_width, t = struct.unpack("<dd", fh.read(16))
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(counts)
+        half_width, t = struct.unpack("<dd", _read_exact(fh, 16))
+        data = fh.read()
+    if len(data) != 8 * math.prod(counts):
+        raise ValueError(f"{len(data)} value bytes for a grid of {math.prod(counts)} points")
+    values = np.frombuffer(data, dtype="<f8").reshape(counts)
     return SolutionGrid(values.copy(), GridSpec(half_width, counts[0], dim), t,
                         "binary", math.nan)
 

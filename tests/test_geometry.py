@@ -1,10 +1,15 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
+import wavecauchy
 from wavecauchy.errors import EvaluationError
 from wavecauchy.geometry import (
     Dimension,
@@ -246,3 +251,14 @@ class TestSphereQuadrature:
         assert len(rows) - 1 == len(rule.weights)
         total = sum(float(r[-1]) for r in rows[1:])
         assert total == pytest.approx(unit_sphere_area(3), rel=1e-12)
+
+
+def test_import_loads_no_scipy():
+    # scipy.special is most of the package's import time, so it is imported
+    # only where a product rule is built
+    env = dict(os.environ, PYTHONPATH=str(Path(wavecauchy.__file__).resolve().parent.parent))
+    code = ("import sys, wavecauchy; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

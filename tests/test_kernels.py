@@ -20,6 +20,7 @@ from wavecauchy.kernels import (
     sphere_average_profile,
 )
 from wavecauchy.radial import MeanSeries, RadialDerivativeSpec, chain_apply
+from wavecauchy.solvers import CauchyProblem, solve_point
 
 
 def random_query(rng, n, max_product=20.0):
@@ -226,6 +227,18 @@ class TestDistributionFunctional:
         lhs = T.action(combo)
         rhs = a * T.action(f) + b * T.action(g)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("radius", [0.6, 1.3])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_action_is_the_solver_psi_term(self, n, radius):
+        # a field with neither centre nor degree takes the default product rule
+        # in both, so T_R(f) is the solution of u(0) = 0, u_t(0) = f at x = 0
+        gauss = fields.gaussian(n, sigma=0.9, center=np.linspace(0.4, -0.3, n))
+        f = fields.ScalarField(gauss.evaluator, n)
+        u = solve_point(CauchyProblem(fields.zero(n), f, Dimension(n)), np.zeros(n), radius,
+                        with_error=False).u
+        action = DistributionFunctional(radius, Dimension(n)).action(f)
+        assert abs(action - u) <= 1e-12 * abs(u)
 
     def test_guards(self):
         with pytest.raises(ValueError):

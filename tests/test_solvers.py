@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -190,6 +191,17 @@ class TestMeansSolvers:
             solve_odd_point(p, np.zeros(3), 1.0, spec=RadialDerivativeSpec(0, 0.5, 4))
         with pytest.raises(ValueError):
             solve_odd_point(p, np.zeros(3), 1.0, spec=RadialDerivativeSpec(2, 0.01, 8))
+
+    @pytest.mark.parametrize("psi", [fields.gaussian(3, sigma=1.0),
+                                     fields.harmonic(3, "saddle"),
+                                     fields.ScalarField(lambda pts: pts[..., 0] ** 4, 3)],
+                             ids=["reduced_rule", "degree_rule", "product_rule"])
+    def test_stencil_reaching_nonpositive_radius(self, psi):
+        # h = 0.1 passes validate_radius at t = 1 (m = 0), but the degree-30
+        # stencil reaches 1 - 15 h = -0.5: no sphere of negative radius is summed
+        with pytest.raises(StencilError, match="reaches radius -0.5"):
+            solve_point(problem(3, psi=psi), np.zeros(3), 1.0,
+                        spec=RadialDerivativeSpec(0, 0.1, 30))
 
     def test_error_estimate_tracks_truth(self):
         psi = fields.gaussian(2, sigma=1.0)
@@ -965,4 +977,22 @@ class TestSerialization:
         path = tmp_path / "bad.wave"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            solution_grid_from_binary(path)
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda raw: raw[:8], "truncated"),  # cut after the version field
+        (lambda raw: raw[:20], "truncated"),  # cut inside L and t
+        (lambda raw: raw[:8] + struct.pack("<I", 0) + raw[12:], "dimension 0"),
+        (lambda raw: raw[:8] + struct.pack("<I", 13) + raw[12:], "dimension 13"),
+        (lambda raw: raw[:8] + struct.pack("<I", 1 << 20) + raw[12:], "dimension 1048576"),
+        (lambda raw: raw[:-8], "value bytes"),
+        (lambda raw: raw + bytes(8), "value bytes"),
+    ], ids=["header_cut_after_version", "header_cut_in_floats", "dim_0", "dim_13", "dim_2_20",
+            "values_truncated", "values_trailing"])
+    def test_binary_rejects_malformed_files(self, tmp_path, mangle, message):
+        path = tmp_path / "sol.wave"
+        spectral_solve(problem(2, psi=fields.constant(2, 1.0)), GridSpec(4.0, 8, 2),
+                       0.5).to_binary(path)
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
             solution_grid_from_binary(path)
