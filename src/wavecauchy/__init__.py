@@ -23,7 +23,6 @@ from .geometry import (
 from .kernels import (
     DistributionFunctional,
     KernelQuery,
-    ball_weighted_exponential_average,
     distribution_fourier_check,
     identity_record,
     identity_sweep,

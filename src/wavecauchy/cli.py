@@ -210,14 +210,22 @@ _FIELD_KEYS = {
 }
 
 
+def _check_means_dims(dims: list[int], key: str) -> None:
+    """A config error naming key for an even dim beyond the descent of the
+    means path, which the solvers and the kernel identities share."""
+    for dim in dims:
+        if dim % 2 == 0 and dim > MAX_DESCENT_DIMENSION:
+            raise ConfigError(f"means solvers cover even dimensions up to "
+                              f"{MAX_DESCENT_DIMENSION} (descent needs a sphere rule in "
+                              f"R^{dim + 1}), got {dim}", keys=[key])
+
+
 def _problem(config: RunConfig, dim: int, means_key: str | None) -> CauchyProblem:
     """The Cauchy problem of the [data] section. A parameter the field kind
     does not take, or one make_field rejects, is a config error; so is, with
     means_key, an even dim beyond the means solvers' descent."""
-    if means_key and dim % 2 == 0 and dim > MAX_DESCENT_DIMENSION:
-        raise ConfigError(f"means solvers cover even dimensions up to {MAX_DESCENT_DIMENSION} "
-                          f"(descent needs a sphere rule in R^{dim + 1}), got {dim}",
-                          keys=[means_key])
+    if means_key:
+        _check_means_dims([dim], means_key)
     data, fields, errors = config["data"], [], []
     for role in ("phi", "psi"):
         kind = data[role]
@@ -237,6 +245,7 @@ def _problem(config: RunConfig, dim: int, means_key: str | None) -> CauchyProble
 def _run_constants(config: RunConfig, report: Report) -> None:
     keys = config["constants"]
     tol = keys["tolerance"]
+    _check_means_dims(keys["dims"], "constants.dims")
     for n in keys["dims"]:
         product = solution_constant(n)
         recovered = normalization_constant(n, radius=keys["radius"],
@@ -306,6 +315,7 @@ def _run_reduction(config: RunConfig, report: Report) -> None:
 
 def _run_identities(config: RunConfig, report: Report) -> None:
     keys = config["identities"]
+    _check_means_dims(keys["dims"], "identities.dims")
     for n in keys["dims"]:
         tol = keys["tolerance"] or (1e-6 if n % 2 == 0 else 1e-10 if n == 3 else 1e-8)
         records = identity_sweep(n, keys["count"], seed=config["run"]["seed"] + n,
@@ -401,6 +411,7 @@ def _identity_ladder(keys: dict) -> tuple[list[float], list[float], list[float]]
     if (target == "odd-identity") != d.is_odd or dim < 2:
         parity = "an odd dimension >= 3" if target == "odd-identity" else "an even dimension"
         raise ConfigError(f"{target} needs {parity}", keys=["converge.dim"])
+    _check_means_dims([dim], "converge.dim")
     xi = np.zeros(dim)
     xi[0] = keys["xi_norm"]
     query = KernelQuery(xi, radius, d)

@@ -4,11 +4,11 @@ radial-derivative identities.
 T_R is the solver's velocity term: c_N (1/R d/dR)^m of the r^(N-2)-scaled
 sphere means over S^(N-1) (`solvers.means_series`), with N = n for odd n and
 N = n + 1 by descent for even n. `DistributionFunctional.action` applies it to
-a test function and `identity_record` to the plane wave e^{-i x.xi}, whose
-sphere sums take the reduced rule of radial data (`geometry._radial_rule`).
-The exponential averages are sphere sums on the same rule; the weighted ball
-average's direct radial-angular quadrature (a sine substitution at the
-boundary) stays as the test oracle of the descent.
+a test function, `identity_record` to the plane wave e^{-i x.xi} and
+`normalization_constant` to the constant 1; the last two sum on the reduced
+rule of radial data (`geometry._radial_rule`). `means_series` is the only
+code here that turns sphere sums into samples; the direct weighted ball mean
+(`solvers.weighted_ball_mean`) stays as the test oracle of the descent.
 """
 
 from __future__ import annotations
@@ -20,18 +20,17 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, EvaluationError
+from .fields import constant
 from .geometry import (
     Dimension,
     _leggauss,
     _omega,
     _radial_rule,
-    _unit_gegenbauer,
     solution_constant,
     sphere_quadrature_for_order,
-    sphere_sums,
     unit_ball_volume,
 )
-from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, default_spec, resolve_spec
+from .radial import RadialDerivativeSpec, chain_apply, default_spec, resolve_spec
 from .solvers import means_rule, means_series
 
 DEFAULT_OSC_NODES = 64
@@ -83,65 +82,6 @@ def sinc_kernel(xi, radius: float) -> float:
         raise ValueError("radius must be positive")
     knorm = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=np.float64))))
     return radius * float(_kernels.sinc_ratio(np.array([radius * knorm]))[0])
-
-
-# ---------------------------------------------------------------------------
-# The two exponential averages, vectorized over a batch of radii
-# ---------------------------------------------------------------------------
-
-
-def sphere_average_profile(knorm: float, radii: np.ndarray, n: int,
-                           base_nodes: int = DEFAULT_OSC_NODES) -> np.ndarray:
-    """(1/(omega_n R)) * integral over the sphere of radius R of e^{-i x.xi}.
-
-    Odd n >= 3. Radial symmetry reduces this to the sphere sums of the plane
-    wave e^{-i knorm y_1} on the reduced rule; the value at knorm = 0 is R^(n-2).
-    """
-    if n % 2 == 0 or n < 3:
-        raise ValueError("sphere average profile is the odd-dimension route")
-    radii = np.asarray(radii, dtype=np.float64)
-    rule = _radial_rule(n, n, _osc_nodes(knorm * float(radii.max()), base_nodes))
-    sums = sphere_sums(lambda points: np.exp(-1j * knorm * points[..., 0]), 0.0, radii, rule)
-    return radii ** (n - 2) * sums / _omega(n)
-
-
-def ball_average_profile(knorm: float, radii: np.ndarray, n: int,
-                         route: str = "descent",
-                         base_nodes: int = DEFAULT_OSC_NODES) -> np.ndarray:
-    """(1/v_n) * integral over the ball of radius R of the weighted exponential
-    (R^2-|x|^2)^(-1/2) e^{-i x.xi}. Even n >= 2.
-
-    route="descent" halves the hemisphere-decomposed sphere average one
-    dimension up; route="direct" does radial-angular quadrature with the
-    r = R sin(theta) substitution at the boundary.
-    """
-    if n % 2 or n < 2:
-        raise ValueError("ball average profile is the even-dimension route")
-    radii = np.asarray(radii, dtype=np.float64)
-    if route == "descent":
-        return (_omega(n + 1) / (2.0 * unit_ball_volume(n))) * sphere_average_profile(
-            knorm, radii, n + 1, base_nodes
-        )
-    if route != "direct":
-        raise ValueError(f"unknown route {route!r}")
-    count = _osc_nodes(knorm * float(radii.max()), base_nodes)
-    x, v = _unit_gegenbauer(n, count)
-    u, wu = _leggauss(count)
-    theta = (math.pi / 4.0) * (u + 1.0)
-    w_theta = (math.pi / 4.0) * wu
-    sin_theta = np.sin(theta)
-    # phase(radius j, theta t, node i) = R_j sin(theta_t) x_i knorm
-    phases = np.exp(1j * knorm * radii[:, None, None] * sin_theta[None, :, None] * x[None, None, :])
-    inner = phases @ v  # (J, T)
-    angular = inner * sin_theta ** (n - 1) @ w_theta
-    return (_omega(n - 1) / unit_ball_volume(n)) * radii ** (n - 1) * angular
-
-
-def ball_weighted_exponential_average(query: KernelQuery, route: str = "descent",
-                                      base_nodes: int = DEFAULT_OSC_NODES) -> complex:
-    """Normalized weighted ball average of e^{-i x.xi} at the query's radius."""
-    return complex(ball_average_profile(query.knorm, np.array([query.radius]),
-                                        query.dim.n, route, base_nodes)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +139,25 @@ def normalization_constant(n: int, radius: float = 1.0,
                            base_nodes: int = DEFAULT_OSC_NODES) -> float:
     """The solution constant recovered from the xi = 0 limit.
 
-    At xi = 0 both identities read R = const * (1/R d/dR)^m of the purely
-    radial average, so the constant is R divided by the numerically computed
-    derivative chain, on the sphere average (odd n) or the weighted ball
-    average (even n). Cross-checks the double-factorial product formula.
+    At xi = 0 the identity reads R = c_N (1/R d/dR)^m of the r^(N-2)-scaled
+    sphere means of the constant 1, so c_N is R divided by the numerically
+    computed derivative chain on the solver's means path, N = n for odd n
+    and N = n + 1 for even n. Cross-checks the double-factorial product
+    formula.
     """
     m = Dimension(n).derivative_order
     spec = default_spec(m, radius)
-    average = sphere_average_profile if n % 2 else ball_average_profile
-    series = MeanSeries.sample(lambda radii: average(0.0, radii, n, base_nodes=base_nodes).real,
-                               radius, spec)
+    n_means = n + 1 - n % 2
+    series = means_series(constant(n_means), 0.0, _radial_rule(n_means, n_means, base_nodes),
+                          radius, spec.degree, spec.h)
     denominator = float(chain_apply(series, m, radius, spec.h))
     if denominator == 0.0 or not math.isfinite(denominator):
         raise EvaluationError(f"the derivative chain at R = {radius:g} gave {denominator!r}")
-    return radius / denominator
+    if n % 2:
+        return radius / denominator
+    # the weighted ball mean over B^n is omega_(n+1) / (2 v_n) times the sphere
+    # mean over S^n, so the paper's 1/n!! is 1/(n-1)!! times 2 v_n / omega_(n+1)
+    return radius / denominator * (2.0 * unit_ball_volume(n) / _omega(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +276,9 @@ def distribution_fourier_check(functional: DistributionFunctional, phi,
     evaluator, nodes, coeffs = make_fourier_evaluator(phi, nodes_per_axis)
     # transforms of Schwartz-type test functions are extremely smooth on the
     # action spheres; a modest order keeps the number of points the Fourier
-    # evaluator visits small
-    rule = sphere_quadrature_for_order(functional.dim.n, 25)
+    # evaluator visits small. The rule lies on the means sphere, S^n for even n.
+    n = functional.dim.n
+    rule = sphere_quadrature_for_order(n + 1 - n % 2, 25)
     lhs = functional.action(evaluator, rule=rule)
     knorm = np.linalg.norm(nodes, axis=1)
     sinc_vals = functional.radius * _kernels.sinc_ratio(functional.radius * knorm)

@@ -147,16 +147,6 @@ class MeanSeries:
     radii: np.ndarray
     values: np.ndarray
 
-    @classmethod
-    def sample(cls, profile, t: float, spec: RadialDerivativeSpec) -> "MeanSeries":
-        """profile, a vectorized function of the radii, on the spec's stencil
-        around t."""
-        radii = stencil_radii(t, spec.degree, spec.h)
-        values = np.asarray(profile(radii))
-        if not np.all(np.isfinite(values)):
-            raise EvaluationError("profile returned non-finite samples")
-        return cls(radii, values)
-
 
 def _fit_derivatives(series: MeanSeries, h: float, max_order: int) -> np.ndarray:
     """F^(0..max_order) at the stencil center from the polynomial interpolant."""

@@ -112,8 +112,9 @@ def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | N
     The weight is (t^2 - |x - y|^2)^(-1/2) with normalization 1/(v_n t^n);
     the boundary singularity is removed by the r = t sin(theta) substitution
     and 64 Gauss nodes in theta. Even dimensions only. This is the paper's
-    direct formula; the solvers reach the same value by descent, and it
-    stays as their independent test oracle.
+    direct formula and the package's only direct one; the solvers and the
+    kernel identities reach the same value by descent, and it stays as
+    their independent test oracle.
     """
     x = np.asarray(x, dtype=np.float64)
     if t <= 0:

@@ -15,6 +15,8 @@ from scipy.special import jv
 import wavecauchy.fields as fields
 from wavecauchy.geometry import (
     Dimension,
+    _omega,
+    _radial_rule,
     reduce_ball_integral,
     reduce_sphere_integral,
     solution_constant,
@@ -25,7 +27,7 @@ from wavecauchy.geometry import (
 from wavecauchy.kernels import (
     DistributionFunctional,
     KernelQuery,
-    ball_weighted_exponential_average,
+    _osc_nodes,
     distribution_fourier_check,
     identity_sweep,
     normalization_constant,
@@ -35,6 +37,7 @@ from wavecauchy.solvers import (
     CauchyProblem,
     GridSpec,
     hermitian_defect,
+    means_series,
     solve_dalembert_point,
     solve_even_point,
     solve_odd_point,
@@ -43,6 +46,7 @@ from wavecauchy.solvers import (
     spectral_solve,
     spectral_state,
     wave_residual,
+    weighted_ball_mean,
 )
 
 from conftest import ACCEPTANCE_RESULTS
@@ -128,16 +132,24 @@ def test_04_even_identity_sweeps():
             records = identity_sweep(n, 200, seed=211 + n, max_product=20.0)
             worst = max(r.residual for r in records)
             assert worst <= 1e-6, f"n={n}: worst residual {worst:.3e} > 1e-6"
+        # R^n times the weighted ball mean of the plane wave e^{-i |xi| y_1}:
+        # the means path on S^n scaled by omega_(n+1) / (2 v_n), against the
+        # direct weighted ball mean of its real part
         rng = np.random.default_rng(77)
         for n in (2, 4, 6):
             for _ in range(25):
                 radius = rng.uniform(0.5, 2.0)
                 knorm = rng.uniform(0.0, 20.0 / radius)
                 direction = rng.standard_normal(n)
-                xi = direction * (knorm / np.linalg.norm(direction))
-                q = KernelQuery(xi, radius, Dimension(n))
-                a = ball_weighted_exponential_average(q, route="descent")
-                b = ball_weighted_exponential_average(q, route="direct")
+                q = KernelQuery(direction * (knorm / np.linalg.norm(direction)), radius,
+                                Dimension(n))
+                nodes = _osc_nodes(q.knorm * radius)
+                means = means_series(lambda points: np.exp(-1j * q.knorm * points[..., 0]), 0.0,
+                                     _radial_rule(n + 1, n + 1, nodes), radius, 0, radius)
+                a = _omega(n + 1) / (2.0 * unit_ball_volume(n)) * complex(means.values[0])
+                wave = fields.ScalarField(lambda points: np.cos(q.knorm * points[..., 0]), n)
+                b = radius**n * weighted_ball_mean(wave, np.zeros(n), radius,
+                                                   _radial_rule(n, n, nodes))
                 assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)
 
 

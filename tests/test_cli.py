@@ -549,16 +549,23 @@ probes = 0 0 x
         assert err.startswith("config error:")
         assert "solve.grid_points" in err
 
-    @pytest.mark.parametrize("command, settings", [
-        ("solve", "dim = 20\n[data]\npsi = constant"),
-        ("constants", "[constants]\ndims = 20"),
-        ("verify-identities", "[identities]\ndims = 20"),
-        ("verify-reduction", "[reduction]\ndims = 20"),
-    ], ids=["solve", "constants", "identities", "reduction"])
-    def test_dimension_above_maximum(self, tmp_path, capsys, command, settings):
+    @pytest.mark.parametrize("command, settings, key", [
+        ("solve", "dim = 20\n[data]\npsi = constant", None),
+        ("constants", "[constants]\ndims = 20", None),
+        ("verify-identities", "[identities]\ndims = 20", None),
+        ("verify-reduction", "[reduction]\ndims = 20", None),
+        # even n = 12 is within MAX_DIMENSION, but its descent to n + 1 is not
+        ("constants", "[constants]\ndims = 3, 12", "constants.dims"),
+        ("verify-identities", "[identities]\ndims = 3, 12", "identities.dims"),
+        ("converge", "[converge]\ntarget = even-identity\ndim = 12", "converge.dim"),
+    ], ids=["solve", "constants", "identities", "reduction", "constants-even-12",
+            "identities-even-12", "converge-even-12"])
+    def test_dimension_above_maximum(self, tmp_path, capsys, command, settings, key):
         cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{settings}\n")
         assert main([command, "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key is None or ("up to 10" in err and key in err)
 
     def test_non_numeric_rule_export_dim(self, tmp_path, capsys):
         cfg = write_config(tmp_path, f"""

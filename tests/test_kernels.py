@@ -5,22 +5,28 @@ import pytest
 from scipy.special import dawsn
 
 import wavecauchy.fields as fields
+import wavecauchy.kernels as kernels
 from wavecauchy.errors import ConfigError, EvaluationError
-from wavecauchy.geometry import Dimension, solution_constant
+from wavecauchy.geometry import (
+    Dimension,
+    _omega,
+    _radial_rule,
+    solution_constant,
+    sphere_quadrature_for_order,
+    unit_ball_volume,
+)
 from wavecauchy.kernels import (
     DistributionFunctional,
     KernelQuery,
-    ball_average_profile,
-    ball_weighted_exponential_average,
+    _osc_nodes,
     distribution_fourier_check,
     identity_record,
     identity_sweep,
     normalization_constant,
     sinc_kernel,
-    sphere_average_profile,
 )
-from wavecauchy.radial import MeanSeries, RadialDerivativeSpec, chain_apply
-from wavecauchy.solvers import CauchyProblem, solve_point
+from wavecauchy.radial import MeanSeries, RadialDerivativeSpec, chain_apply, stencil_radii
+from wavecauchy.solvers import CauchyProblem, means_series, solve_point, weighted_ball_mean
 
 
 def random_query(rng, n, max_product=20.0):
@@ -31,9 +37,27 @@ def random_query(rng, n, max_product=20.0):
     return KernelQuery(xi, radius, Dimension(n))
 
 
-def sphere_average(q):
-    """The normalized sphere average of e^{-i x.xi} at the query's radius."""
-    return complex(sphere_average_profile(q.knorm, np.array([q.radius]), q.dim.n)[0])
+def sphere_average(q, n):
+    """R^(n-2) times the mean of e^{-i x.xi} over the sphere of radius R in
+    R^n: the means path at a degree-0 stencil, whose one radius is R."""
+    rule = _radial_rule(n, n, _osc_nodes(q.knorm * q.radius))
+    wave = lambda points: np.exp(-1j * q.knorm * points[..., 0])
+    return complex(means_series(wave, 0.0, rule, q.radius, 0, q.radius).values[0])
+
+
+def ball_by_descent(q):
+    """R^n times the weighted ball mean of e^{-i x.xi}, by descent: the
+    means over S^n, scaled by omega_(n+1) / (2 v_n)."""
+    n = q.dim.n
+    return _omega(n + 1) / (2.0 * unit_ball_volume(n)) * sphere_average(q, n + 1)
+
+
+def direct_ball_wave(q, radius, nodes):
+    """R^n times the direct weighted ball mean of the real part of the plane
+    wave, cos(|xi| y_1), at radius R on the reduced rule of `nodes` nodes."""
+    n = q.dim.n
+    wave = fields.ScalarField(lambda points: np.cos(q.knorm * points[..., 0]), n)
+    return radius**n * weighted_ball_mean(wave, np.zeros(n), radius, _radial_rule(n, n, nodes))
 
 
 class TestSincKernel:
@@ -57,38 +81,37 @@ class TestSincKernel:
 class TestExponentialAverages:
     def test_sphere_zero_frequency_is_power(self):
         q = KernelQuery(np.zeros(3), 2.0, Dimension(3))
-        assert sphere_average(q) == pytest.approx(2.0, rel=1e-13)
+        assert sphere_average(q, 3) == pytest.approx(2.0, rel=1e-13)
         q5 = KernelQuery(np.zeros(5), 1.5, Dimension(5))
-        assert sphere_average(q5) == pytest.approx(1.5**3, rel=1e-13)
+        assert sphere_average(q5, 5) == pytest.approx(1.5**3, rel=1e-13)
 
     def test_sphere_n3_closed_form(self):
         # n = 3: the average itself equals sin(R|xi|)/|xi| (no derivative)
         rng = np.random.default_rng(42)
         for _ in range(20):
             q = random_query(rng, 3)
-            got = sphere_average(q)
+            got = sphere_average(q, 3)
             assert got.real == pytest.approx(sinc_kernel(q.xi, q.radius), abs=1e-12)
         qpi = KernelQuery(np.array([math.pi, 0.0, 0.0]), 1.0, Dimension(3))
-        assert abs(sphere_average(qpi)) < 1e-14
+        assert abs(sphere_average(qpi, 3)) < 1e-14
 
     def test_ball_zero_frequency(self):
         # n = 2, R = 1: (1/pi) 2 pi int_0^1 r (1-r^2)^(-1/2) dr = 2
         q = KernelQuery(np.zeros(2), 1.0, Dimension(2))
-        assert ball_weighted_exponential_average(q) == pytest.approx(2.0, rel=1e-12)
-        assert ball_weighted_exponential_average(q, route="direct") == pytest.approx(
-            2.0, rel=1e-12)
+        assert ball_by_descent(q) == pytest.approx(2.0, rel=1e-12)
+        assert direct_ball_wave(q, 1.0, 64) == pytest.approx(2.0, rel=1e-12)
 
     def test_ball_n2_vanishes_at_pi(self):
         # m' = 0 for n = 2, so the average equals sinc/d_2; at R|xi| = pi it is 0
         q = KernelQuery(np.array([math.pi, 0.0]), 1.0, Dimension(2))
-        assert abs(ball_weighted_exponential_average(q)) < 1e-12
+        assert abs(ball_by_descent(q)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_sphere_parity(self, n):
         rng = np.random.default_rng(n)
         for _ in range(100):
             q = random_query(rng, n)
-            value = sphere_average(q)
+            value = sphere_average(q, n)
             assert abs(value.imag) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -96,7 +119,7 @@ class TestExponentialAverages:
         rng = np.random.default_rng(n)
         for _ in range(100):
             q = random_query(rng, n)
-            value = ball_weighted_exponential_average(q)
+            value = ball_by_descent(q)
             assert abs(value.imag) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -104,18 +127,9 @@ class TestExponentialAverages:
         rng = np.random.default_rng(100 + n)
         for _ in range(25):
             q = random_query(rng, n)
-            a = ball_weighted_exponential_average(q, route="descent")
-            b = ball_weighted_exponential_average(q, route="direct")
+            a = ball_by_descent(q)
+            b = direct_ball_wave(q, q.radius, _osc_nodes(q.knorm * q.radius))
             assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)
-
-    def test_parity_usage_errors(self):
-        with pytest.raises(ValueError):
-            sphere_average(KernelQuery(np.zeros(2), 1.0, Dimension(2)))
-        with pytest.raises(ValueError):
-            ball_weighted_exponential_average(KernelQuery(np.zeros(3), 1.0, Dimension(3)))
-        with pytest.raises(ValueError):
-            ball_weighted_exponential_average(KernelQuery(np.zeros(2), 1.0, Dimension(2)),
-                                              route="sideways")
 
 
 class TestIdentities:
@@ -150,13 +164,13 @@ class TestIdentities:
     def test_even_n4_against_refined_oracle(self):
         q = KernelQuery(np.array([3.0, 0, 0, 0]), 1.0, Dimension(4))
         assert identity_record(q).residual <= 1e-6
-        # the refined residual on the direct radial-angular ball average
+        # the refined residual on the direct weighted ball mean, not the descent
         spec = RadialDerivativeSpec(1, 0.008, 8)
         spec.validate_radius(q.radius)
-        series = MeanSeries.sample(
-            lambda radii: ball_average_profile(q.knorm, radii, 4, "direct", 128), q.radius, spec)
+        radii = stencil_radii(q.radius, spec.degree, spec.h)
+        series = MeanSeries(radii, np.array([direct_ball_wave(q, r, 128) for r in radii]))
         value = solution_constant(4) * chain_apply(series, 1, q.radius, spec.h)
-        assert abs(sinc_kernel(q.xi, q.radius) - value.real) <= 1e-8
+        assert abs(sinc_kernel(q.xi, q.radius) - value) <= 1e-8
 
     def test_residual_refinement_order(self):
         # residual drops at (at least) order degree - m when h halves
@@ -189,14 +203,16 @@ class TestIdentities:
 
 
 class TestConstantsTwoWays:
-    # c_3 = 1, c_5 = 1/3, c_7 = 1/15; d_2 = 1/2, d_4 = 1/8, d_6 = 1/48
+    # c_3 = 1, c_5 = 1/3, c_7 = 1/15; d_2 = 1/2, d_4 = 1/8, d_6 = 1/48. Even n
+    # recovers c_(n+1) = 1/(n-1)!! by descent and scales it by 2 v_n / omega_(n+1)
     @pytest.mark.parametrize("n,expected", [
-        (3, 1.0), (5, 1.0 / 3.0), (7, 1.0 / 15.0),
-        (2, 0.5), (4, 0.125), (6, 1.0 / 48.0),
+        (3, 1.0), (5, 1.0 / 3.0), (7, 1.0 / 15.0), (9, 1.0 / 105.0), (11, 1.0 / 945.0),
+        (2, 0.5), (4, 0.125), (6, 1.0 / 48.0), (8, 1.0 / 384.0), (10, 1.0 / 3840.0),
     ])
     def test_product_and_normalization_agree(self, n, expected):
         assert solution_constant(n) == pytest.approx(expected, rel=1e-15)
-        assert normalization_constant(n) == pytest.approx(expected, rel=1e-10)
+        for radius in (0.3, 1.0, 2.5):
+            assert normalization_constant(n, radius) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_degenerate_radius_is_an_evaluation_error(self, n):
@@ -295,6 +311,21 @@ class TestFourierDuality:
         T = DistributionFunctional(1.0, Dimension(2))
         with pytest.raises(ConfigError):
             distribution_fourier_check(T, fields.harmonic(2, "linear"))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_even_n_builds_only_the_means_sphere_rule(self, n, monkeypatch):
+        # the order-25 rule is built on S^n, where descent sums it, and no
+        # S^(n-1) rule is built to be replaced
+        calls = []
+
+        def recording(dim, order):
+            calls.append((dim, order))
+            return sphere_quadrature_for_order(dim, order)
+
+        monkeypatch.setattr(kernels, "sphere_quadrature_for_order", recording)
+        T = DistributionFunctional(1.0, Dimension(n))
+        distribution_fourier_check(T, fields.bump(n, radius=1.0), nodes_per_axis=4)
+        assert calls == [(n + 1, 25)]
 
     def test_dimension_mismatch(self):
         T = DistributionFunctional(1.0, Dimension(3))

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from wavecauchy.errors import EvaluationError, StencilError
+from wavecauchy.geometry import sphere_quadrature
 from wavecauchy.radial import (
     MeanSeries,
     _fit_matrix,
@@ -13,7 +14,9 @@ from wavecauchy.radial import (
     default_spec,
     radial_chain_coefficients,
     stencil_offsets,
+    stencil_radii,
 )
+from wavecauchy.solvers import means_series
 
 
 def sympy_radial_operator(expr, t_sym, m):
@@ -81,7 +84,8 @@ def radial_derivative(profile, spec, t):
     """(1/t d/dt)^m of a vectorized profile at t, composed from the library
     steps the solvers take: validate the radius, sample, apply the chain."""
     spec.validate_radius(t)
-    return chain_apply(MeanSeries.sample(profile, t, spec), spec.iterations, t, spec.h)
+    radii = stencil_radii(t, spec.degree, spec.h)
+    return chain_apply(MeanSeries(radii, profile(radii)), spec.iterations, t, spec.h)
 
 
 class TestIteratedDerivative:
@@ -125,7 +129,8 @@ class TestIteratedDerivative:
         # d/dt of (1/t d/dt) t^4 = d/dt (4 t^2) = 8 t
         t0 = 1.3
         spec = RadialDerivativeSpec(1, 0.05, 6)
-        series = MeanSeries.sample(lambda t: t**4, t0, spec)
+        radii = stencil_radii(t0, spec.degree, spec.h)
+        series = MeanSeries(radii, radii**4)
         val, dval = chain_apply(series, 1, t0, spec.h, time_derivative=True)
         assert val == pytest.approx(4.0 * t0**2, rel=1e-13)
         assert dval == pytest.approx(8.0 * t0, rel=1e-12)
@@ -134,7 +139,8 @@ class TestIteratedDerivative:
         # t ** (j - 2m) at t = 1e-150 and m = 2 is beyond the float range
         t0 = 1e-150
         spec = RadialDerivativeSpec(2, t0 / 20.0, 8)
-        series = MeanSeries.sample(lambda t: t * t, t0, spec)
+        radii = stencil_radii(t0, spec.degree, spec.h)
+        series = MeanSeries(radii, radii * radii)
         with pytest.raises(EvaluationError):
             chain_apply(series, 2, t0, spec.h)
 
@@ -176,9 +182,10 @@ class TestIteratedDerivative:
             radial_derivative(lambda t: t**2, spec, 1.0)
 
     def test_nonfinite_samples(self):
-        spec = RadialDerivativeSpec(1, 0.05, 4)
+        # the samples are checked where they are summed, in geometry.sphere_sums
+        nan = lambda points: np.full(points.shape[:-1], np.nan)
         with pytest.raises(EvaluationError):
-            radial_derivative(lambda t: np.full_like(t, np.nan), spec, 1.0)
+            means_series(nan, np.zeros(3), sphere_quadrature(3), 1.0, 4, 0.05)
 
     def test_offsets_symmetric(self):
         for degree in (4, 5, 6, 8):
