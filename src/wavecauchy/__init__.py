@@ -43,6 +43,7 @@ from .solvers import (
     solve_even_point,
     solve_odd_point,
     solve_point,
+    solve_points,
     spectral_energy,
     spectral_solve,
     spectral_state,

@@ -50,7 +50,7 @@ from .solvers import (
     CauchyProblem,
     GridSpec,
     SolutionSample,
-    solve_point,
+    solve_points,
     spectral_solve,
     spectral_state,
     wave_residual,
@@ -363,7 +363,7 @@ def _run_solve(config: RunConfig, report: Report) -> None:
         if keys["binary_out"]:
             sol.to_binary(keys["binary_out"])
     else:
-        samples = [solve_point(problem, probe, t) for t in keys["times"] for probe in probes]
+        samples = [s for t in keys["times"] for s in solve_points(problem, np.array(probes), t)]
 
     expect, expect_tol = keys["expect_value"], keys["expect_tol"]
     for s in samples:
@@ -397,11 +397,13 @@ def _analytic_slab(profile: str, h: float, points: int):
 def _means_slab(problem: CauchyProblem, points: int, t0: float, h: float) -> np.ndarray:
     """Means solutions on the slab of times t0 - h, t0, t0 + h and points^n
     sites spaced h around the origin."""
+    n = problem.dim.n
     axis = h * (np.arange(points) - points // 2)
-    slab = np.empty((3,) + (points,) * problem.dim.n)
+    sites = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    slab = np.empty((3,) + (points,) * n)
     for it, t in enumerate(t0 + h * np.array([-1.0, 0.0, 1.0])):
-        for idx in np.ndindex(*slab.shape[1:]):
-            slab[(it,) + idx] = solve_point(problem, axis[list(idx)], t, with_error=False).u
+        slab[it] = np.reshape([s.u for s in solve_points(problem, sites, t, with_error=False)],
+                              slab.shape[1:])
     return slab
 
 

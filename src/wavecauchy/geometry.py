@@ -33,6 +33,11 @@ MAX_DIMENSION = 12
 #: mmapped by the allocator and zero-faulted afresh on every call.
 _CHUNK_BYTES = 1 << 23
 
+#: cap on the point array of a group of sphere_sums centres whose chunk is
+#: smaller than this: one array for several centres saves calls, and a
+#: larger one ran slower
+_GROUP_BYTES = 1 << 20
+
 # Default polynomial order of the product sphere rule per n (7 above n = 8).
 # Node counts grow like order^(n-1), so the order has to shrink with n; data
 # of a lower degree take the smaller rule of their own order instead.
@@ -327,13 +332,36 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
     on spheres: the product rules and the reduced rules of radial data
     (`_radial_rule`) both come through here. The sums are checked, not each
     value: the weights are positive, so a non-finite value leaves its sum
-    non-finite."""
-    chunk = max(1, _CHUNK_BYTES // (max(len(radii), 1) * rule.n * 8))
-    out = 0.0
-    for start in range(0, rule.nodes.shape[0], chunk):
-        points = radii[:, None, None] * rule.nodes[None, start:start + chunk, :]
-        points += center
-        out = out + np.asarray(g(points)) @ rule.weights[start:start + chunk]
+    non-finite.
+
+    center is one point, shape (n,) or a scalar, and gives sums of shape
+    (R,); or P points, shape (P, n), and gives (P, R). The node chunks do not
+    depend on P, and the centres go in groups whose point array stays within
+    _GROUP_BYTES, or one at a time when one centre's chunk is larger, so each
+    centre's sums are the ones it gets alone, to the bit."""
+    centers = np.asarray(center, dtype=np.float64)
+    nodes, n_radii = rule.nodes, max(len(radii), 1)
+    chunk = max(1, _CHUNK_BYTES // (n_radii * rule.n * 8))
+    group = 1
+    if centers.ndim < 2:
+        parts = [center]
+    else:
+        block = n_radii * min(chunk, len(nodes)) * rule.n * 8
+        group = max(_GROUP_BYTES, block) // block
+        parts = [centers[first:first + group, None, None, :] if group > 1 else centers[first]
+                 for first in range(0, len(centers), group)]
+    sums = []
+    for part in parts:
+        out = 0.0
+        for start in range(0, len(nodes), chunk):
+            points = radii[:, None, None] * nodes[None, start:start + chunk, :]
+            if group > 1:  # one centre's chunk is at most _GROUP_BYTES / 2
+                points = points + part
+            else:
+                points += part
+            out = out + np.asarray(g(points)) @ rule.weights[start:start + chunk]
+        sums.append(out)
+    out = sums[0] if centers.ndim < 2 else np.vstack(sums or [np.zeros((0, len(radii)))])
     if not np.isfinite(out).all():
         raise EvaluationError("g returned non-finite values on a sphere")
     return out
@@ -373,13 +401,14 @@ def _radial_rule(k: int, n: int, count: int) -> SphereQuadrature:
 
 
 def radial_sum_center(x, radial_center) -> np.ndarray:
-    """x with its first k = len(c) coordinates x' moved to c + |x' - c| e_1.
-    Sphere sums of data radial about c are the same there as at x, and the
-    point lies on the ray that `_radial_rule` expects."""
-    center = np.array(x, dtype=np.float64)
+    """Points x, shape (P, n), each with its first k = len(c) coordinates x'
+    moved to c + |x' - c| e_1. Sphere sums of data radial about c are the
+    same there as at x, and the point lies on the ray that `_radial_rule`
+    expects. Each distance is its own norm, as a norm over an axis rounds
+    differently."""
+    centers = np.array(x, dtype=np.float64)
     c = np.asarray(radial_center, dtype=np.float64)
-    d = float(np.linalg.norm(center[:c.shape[0]] - c))
-    center[:c.shape[0]] = c
-    center[0] += d
-    return center
-
+    d = [np.linalg.norm(offset) for offset in centers[:, :c.shape[0]] - c]
+    centers[:, :c.shape[0]] = c
+    centers[:, 0] += d
+    return centers

@@ -142,19 +142,28 @@ def _fit_matrix(degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeanSeries:
-    """Samples of a radial profile on a symmetric stencil around some t."""
+    """Samples of a radial profile on a symmetric stencil around some t:
+    values of shape (R,), or (R, ...) for one profile per trailing index."""
 
     radii: np.ndarray
     values: np.ndarray
 
 
 def _fit_derivatives(series: MeanSeries, h: float, max_order: int) -> np.ndarray:
-    """F^(0..max_order) at the stencil center from the polynomial interpolant."""
+    """F^(0..max_order) at the stencil center from the polynomial interpolant,
+    shaped (max_order + 1,) + the trailing shape of the samples."""
     degree = len(series.radii) - 1
     if max_order > degree:
         raise StencilError(f"need derivative order {max_order} but fit degree is {degree}")
     scale = stencil_offsets(degree)[-1] * h
-    coeffs = _fit_matrix(degree) @ series.values
+    fit, values = _fit_matrix(degree), series.values
+    if values.ndim == 1:
+        coeffs = fit @ values
+    else:
+        # one matrix-vector product per profile, which rounds as it does for
+        # that profile alone; one matrix product over all of them would not
+        profiles = values.reshape(degree + 1, -1).T
+        coeffs = np.matmul(fit, profiles[..., None])[..., 0].T.reshape(values.shape)
     return np.array(
         [math.factorial(j) * coeffs[j] / scale**j for j in range(max_order + 1)]
     )

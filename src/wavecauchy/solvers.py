@@ -26,6 +26,12 @@ centre at the probe's distance (`geometry.radial_sum_center`).
 Any other field takes the default product rule at the probe. A caller's
 `rule` replaces both product rules; each is built only when a field needs it.
 
+`solve_points` solves at P points of one time together: the stencil, the
+node count and the rules are resolved once, each field's sphere sums are
+taken once per stencil radius set for all P centres, and the radial chain
+acts on samples of shape (R, P). Each point's value and error estimate are
+the ones it gets alone, to the bit; `solve_point` is the P = 1 case.
+
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
 and sin(|k| t) / |k|, computed once per |k|^2 shell (`GridSpec.shells`). The
@@ -179,11 +185,13 @@ def means_series(g, center, rule: SphereQuadrature, t: float, degree: int,
                  h: float) -> MeanSeries:
     """g's r^(N-2)-scaled sphere sums over omega_N, N = rule.n, at the degree + 1
     stencil radii of spacing h around t: the samples (1/t d/dt)^m acts on, and
-    the only place sphere sums become them. StencilError when the stencil
-    reaches a radius <= 0."""
+    the only place sphere sums become them. One centre (shape (N,) or a
+    scalar) gives samples of shape (R,), P centres (shape (P, N)) give (R, P).
+    StencilError when the stencil reaches a radius <= 0."""
     radii = stencil_radii(t, degree, h)
     n = rule.n
-    return MeanSeries(radii, radii ** (n - 2) * sphere_sums(g, center, radii, rule) / _omega(n))
+    sums = sphere_sums(g, center, radii, rule)
+    return MeanSeries(radii, (radii ** (n - 2) * sums / _omega(n)).T)
 
 
 def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature:
@@ -192,28 +200,32 @@ def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature
     return (rule or sphere_quadrature(n)) if n % 2 else descent_rule(n, rule)
 
 
-def _means_term(means: CauchyProblem, role: str, center: np.ndarray, rule: SphereQuadrature,
-                t: float, spec: RadialDerivativeSpec, h: float, magnitude: bool = False) -> float:
-    """One field's part of the solution sum from stencil-sampled sphere means
-    at spacing h, odd n: (1/t d/dt)^m of psi's r^(n-2)-scaled mean, or the
-    d/dt of phi's. With magnitude, a bound on that part's rounding instead:
-    ROUNDING_FACTOR eps sum_j |a_j| M_j, with a_j the chain's weight on
-    sample j and M_j the sample's scaled sum of |field|."""
+def _means_term(means: CauchyProblem, role: str, centers: np.ndarray, rule: SphereQuadrature,
+                t: float, spec: RadialDerivativeSpec, h: float,
+                magnitude: bool = False) -> np.ndarray:
+    """One field's part of the solution sum at each of the P centres, from
+    stencil-sampled sphere means at spacing h, odd n: (1/t d/dt)^m of psi's
+    r^(n-2)-scaled mean, or the d/dt of phi's. With magnitude, a bound on that
+    part's rounding instead: ROUNDING_FACTOR eps sum_j |a_j| M_j, with a_j the
+    chain's weight on sample j and M_j the sample's scaled sum of |field|."""
     m = means.dim.derivative_order
     field, degree = (means.psi, spec.degree) if role == "psi" else (means.phi, spec.degree + 2)
     if magnitude:
-        series = means_series(lambda points: np.abs(field(points)), center, rule, t, degree, h)
+        series = means_series(lambda points: np.abs(field(points)), centers, rule, t, degree, h)
         # one column per sample, so that the chain gives a_j M_j in column j
-        series = MeanSeries(series.radii, np.diag(series.values))
+        diagonal = np.eye(len(series.radii))[:, :, None] * series.values[:, None, :]
+        series = MeanSeries(series.radii, diagonal)
     else:
-        series = means_series(field, center, rule, t, degree, h)
+        series = means_series(field, centers, rule, t, degree, h)
     if role == "psi":
         value = chain_apply(series, m, t, h)
     else:
         value = chain_apply(series, m, t, h, time_derivative=True)[1]
     if magnitude:
-        return ROUNDING_FACTOR * np.finfo(np.float64).eps * float(np.abs(value).sum())
-    return float(value)
+        # each centre's columns summed as one contiguous row, as for one centre
+        rows = np.ascontiguousarray(np.abs(value).T)
+        return ROUNDING_FACTOR * np.finfo(np.float64).eps * rows.sum(axis=1)
+    return value
 
 
 def _lift(field: ScalarField) -> ScalarField:
@@ -230,24 +242,25 @@ def _lift(field: ScalarField) -> ScalarField:
                        degree=field.degree, label=field.label)
 
 
-def _solve_means_point(problem: CauchyProblem, x, t: float, method: str,
-                       spec: RadialDerivativeSpec | None, rule: SphereQuadrature | None,
-                       with_error: bool) -> SolutionSample:
-    n = problem.dim.n
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"point must have {n} components")
+def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: float,
+                        spec: RadialDerivativeSpec | None, rule: SphereQuadrature | None,
+                        with_error: bool) -> list[SolutionSample]:
+    method = "spherical_means" if problem.dim.is_odd else "weighted_means"
     if t < 0:
         raise ValueError("time must be non-negative")
+    if not len(xs):
+        return []
     if t == 0.0:
-        return SolutionSample(x, 0.0, float(problem.phi(x[None, :])[0]), method, 0.0)
+        return [SolutionSample(x, 0.0, float(u), method, 0.0)
+                for x, u in zip(xs, problem.phi(xs))]
+    n = problem.dim.n
     spec = resolve_spec(problem.dim.derivative_order, t, spec)
-    center, means = x, problem
+    centers, means = xs, problem
     if not problem.dim.is_odd:
         # descent: the (n+1)-dimensional solution at (x, 0), with the same
         # derivative order (n - 2) / 2
         check_descent(n)
-        center = np.append(x, 0.0)
+        centers = np.hstack([xs, np.zeros((len(xs), 1))])
         means = CauchyProblem(_lift(problem.phi), _lift(problem.psi), Dimension(n + 1))
     # keyed by role: a problem may pass one field as both phi and psi
     fields = {role: f for role, f in (("psi", means.psi), ("phi", means.phi)) if not f.is_zero}
@@ -262,21 +275,21 @@ def _solve_means_point(problem: CauchyProblem, x, t: float, method: str,
         # degree's rule is never larger than the default one it replaces
         if (field.degree is not None and rule is None
                 and field.degree <= default_sphere_order(means.dim.n)):
-            return center, sphere_quadrature_for_order(means.dim.n, field.degree)
+            return centers, sphere_quadrature_for_order(means.dim.n, field.degree)
         if field.radial_center is None or field.degree is not None:
-            return center, means_rule(n, rule)
+            return centers, means_rule(n, rule)
         k = len(field.radial_center)
-        return radial_sum_center(center, field.radial_center), _radial_rule(k, means.dim.n, count)
+        return radial_sum_center(centers, field.radial_center), _radial_rule(k, means.dim.n, count)
 
-    def terms(roles, h: float, count: int, magnitude: bool = False) -> dict[str, float]:
+    def terms(roles, h: float, count: int, magnitude: bool = False) -> dict[str, np.ndarray]:
         return {role: _means_term(means, role, *placement(fields[role], count), t, spec, h,
                                   magnitude)
                 for role in roles}
 
     scale = solution_constant(means.dim.n)
     u_terms = terms(fields, spec.h, count)
-    u = scale * sum(u_terms.values())
-    err = math.nan
+    u = scale * sum(u_terms.values(), np.zeros(len(xs)))
+    err = np.full(len(xs), math.nan)
     if with_error:
         # stencil truncation (h against h / 2) plus the reduced rule's
         # quadrature error (count against 2 count nodes). Each difference is
@@ -290,7 +303,36 @@ def _solve_means_point(problem: CauchyProblem, x, t: float, method: str,
         # the h against h / 2 difference does not see
         exact = [role for role, f in fields.items() if f.degree is not None]
         err += scale * sum(terms(exact, spec.h, count, magnitude=True).values())
-    return SolutionSample(x, t, u, method, err)
+    return [SolutionSample(x, t, float(ux), method, float(ex)) for x, ux, ex in zip(xs, u, err)]
+
+
+def solve_points(problem: CauchyProblem, xs, t: float,
+                 spec: RadialDerivativeSpec | None = None,
+                 rule: SphereQuadrature | None = None,
+                 with_error: bool = True) -> list[SolutionSample]:
+    """The solution at the P points xs, shape (P, n), at time t: one sample
+    per point, in their order. d'Alembert for n = 1; otherwise the means
+    solver, which takes each field's sphere sums once per stencil for all P
+    points and gives each point the value it gets alone, to the bit."""
+    n = problem.dim.n
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise ValueError(f"points must have shape (P, {n})")
+    if n == 1:
+        return [solve_dalembert_point(problem, x, t) for x in xs]
+    return _solve_means_points(problem, xs, t, spec, rule, with_error)
+
+
+def solve_point(problem: CauchyProblem, x, t: float, **kwargs) -> SolutionSample:
+    """The solution at one point x: `solve_points` with P = 1 (d'Alembert for
+    n = 1 takes a scalar x too)."""
+    n = problem.dim.n
+    x = np.asarray(x, dtype=np.float64)
+    if n == 1:
+        x = x.reshape(1)
+    if x.shape != (n,):
+        raise ValueError(f"point must have {n} components")
+    return solve_points(problem, x[None, :], t, **kwargs)[0]
 
 
 def solve_odd_point(problem: CauchyProblem, x, t: float,
@@ -300,7 +342,7 @@ def solve_odd_point(problem: CauchyProblem, x, t: float,
     """Spherical-means solution at one point; odd dimensions >= 3."""
     if not problem.dim.is_odd or problem.dim.n < 3:
         raise ValueError("spherical-means solver needs an odd dimension >= 3")
-    return _solve_means_point(problem, x, t, "spherical_means", spec, rule, with_error)
+    return solve_point(problem, x, t, spec=spec, rule=rule, with_error=with_error)
 
 
 def solve_even_point(problem: CauchyProblem, x, t: float,
@@ -315,7 +357,7 @@ def solve_even_point(problem: CauchyProblem, x, t: float,
     """
     if problem.dim.is_odd:
         raise ValueError("weighted-means solver needs an even dimension")
-    return _solve_means_point(problem, x, t, "weighted_means", spec, rule, with_error)
+    return solve_point(problem, x, t, spec=spec, rule=rule, with_error=with_error)
 
 
 def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> SolutionSample:
@@ -335,15 +377,6 @@ def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> Solutio
         integral, abserr = quad(lambda s: float(psi(np.array([s]))), x - t, x + t,
                                 epsabs=1e-12, epsrel=1e-12, limit=200)
     return SolutionSample(np.array([x]), t, travel + 0.5 * integral, "dalembert", 0.5 * abserr)
-
-
-def solve_point(problem: CauchyProblem, x, t: float, **kwargs) -> SolutionSample:
-    """Dispatch to d'Alembert (n = 1) or the parity-appropriate means solver."""
-    if problem.dim.n == 1:
-        return solve_dalembert_point(problem, x, t)
-    if problem.dim.is_odd:
-        return solve_odd_point(problem, x, t, **kwargs)
-    return solve_even_point(problem, x, t, **kwargs)
 
 
 # ---------------------------------------------------------------------------

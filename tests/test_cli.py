@@ -8,8 +8,11 @@ import pytest
 
 import wavecauchy.cli as cli
 from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
+from wavecauchy import fields
 from wavecauchy.errors import ConfigError
+from wavecauchy.geometry import Dimension
 from wavecauchy.kernels import MAX_OSC_NODES
+from wavecauchy.solvers import CauchyProblem, solve_point
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -176,6 +179,84 @@ binary_out = {binary}
 """)
         assert main(["solve", "--config", cfg]) == 0
         assert binary.read_bytes()[:4] == b"WAVE"
+
+
+class TestBatchedMeans:
+    """solve makes one solve_points call per time and converge one per slab
+    time; the rows are those of one solve_point call per point, to the bit."""
+
+    @pytest.mark.parametrize("dim, data", [
+        (2, "phi = gaussian\nphi_sigma = 0.9\npsi = harmonic\npsi_poly = saddle"),
+        (3, "phi = bump\nphi_radius = 1.5\npsi = gaussian\npsi_sigma = 0.8\n"
+            "psi_center = 0.3, 0, -0.2"),
+        (5, "phi = harmonic\nphi_poly = triple\npsi = gaussian\npsi_sigma = 1.1"),
+    ], ids=["n2", "n3", "n5"])
+    def test_solve_report_matches_point_loop(self, tmp_path, dim, data):
+        out = tmp_path / "solve.csv"
+        cfg = write_config(tmp_path, f"""
+[run]
+command = solve
+dim = {dim}
+seed = 5
+output = {out}
+
+[data]
+{data}
+
+[solve]
+times = 0.7, 1.3
+probes = random
+probe_count = 4
+""")
+        assert main(["solve", "--config", cfg]) == 0
+        _, _, body = read_report(out)
+        problem = cli._problem(load_config(cfg, "solve", {}), dim, "run.dim")
+        rng = np.random.default_rng(5)
+        probes = [rng.uniform(-1.0, 1.0, size=dim) for _ in range(4)]
+        # times outer, probes inner
+        expected = [solve_point(problem, x, t) for t in (0.7, 1.3) for x in probes]
+        assert len(body) == len(expected)
+        for row, s in zip(body, expected):
+            assert [row[f"x{k + 1}"] for k in range(dim)] == [repr(float(c)) for c in s.x]
+            assert (row["t"], row["u"], row["error_estimate"]) == (
+                repr(s.t), repr(s.u), repr(s.error_estimate))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_means_slab_matches_point_loop(self, dim):
+        problem = CauchyProblem(fields.gaussian(dim, 1.2, amplitude=0.6),
+                                fields.gaussian(dim, 1.0, amplitude=0.8), Dimension(dim))
+        points, t0, h = 3, 1.0, 0.1
+        slab = cli._means_slab(problem, points, t0, h)
+        axis = h * (np.arange(points) - points // 2)
+        for it, t in enumerate(t0 + h * np.array([-1.0, 0.0, 1.0])):
+            for idx in np.ndindex(*slab.shape[1:]):
+                x = axis[list(idx)]
+                assert slab[(it,) + idx] == solve_point(problem, x, t, with_error=False).u
+
+    @pytest.mark.parametrize("dim, data, times", [
+        # the second time needs 4000 nodes per coordinate, above the cap
+        (3, "psi = gaussian\npsi_sigma = 0.005", "0.1, 5.0"),
+        # the second time overflows the radial chain
+        (7, "psi = gaussian", "1.0, 1e-150"),
+    ], ids=["node_count", "tiny_time"])
+    def test_one_refused_time_exits_one(self, tmp_path, capsys, dim, data, times):
+        out = tmp_path / "solve.csv"
+        cfg = write_config(tmp_path, f"""
+[run]
+command = solve
+dim = {dim}
+output = {out}
+
+[data]
+{data}
+
+[solve]
+times = {times}
+probe_count = 3
+""")
+        assert main(["solve", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestReductionCommand:

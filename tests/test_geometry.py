@@ -10,6 +10,7 @@ import pytest
 from scipy.special import jv
 
 import wavecauchy
+from wavecauchy import geometry
 from wavecauchy.errors import EvaluationError
 from wavecauchy.geometry import (
     Dimension,
@@ -230,6 +231,28 @@ class TestSphereQuadrature:
         with pytest.raises(EvaluationError):
             sphere_sums(lambda p: np.full(p.shape[:-1], np.nan), np.zeros(3), np.array([1.0]),
                         rule)
+
+    @pytest.mark.parametrize("rule, radii, centers, calls", [
+        # 40 radii on the 27,648 nodes of the n = 4 default rule: five node
+        # chunks of one centre each
+        (sphere_quadrature(4), np.linspace(0.5, 2.0, 40), 3, 15),
+        # 5 radii on a 128-node rule: groups of 68 centres within 1 MB
+        (sphere_quadrature_for_order(3, 15), np.linspace(0.8, 1.2, 5), 150, 3),
+    ], ids=["chunked", "grouped"])
+    def test_batched_centres_equal_single_centres(self, rule, radii, centers, calls):
+        xs = np.random.default_rng(rule.n).uniform(-1.0, 1.0, (centers, rule.n))
+        sizes = []
+
+        def g(points):
+            sizes.append(points.nbytes)
+            return np.exp(-np.einsum("...i,...i->...", points, points)) + 1j * points[..., 0]
+
+        batched = sphere_sums(g, xs, radii, rule)
+        # the batched point arrays stay within the 8 MB of one chunk
+        assert len(sizes) == calls and max(sizes) <= geometry._CHUNK_BYTES
+        single = np.array([sphere_sums(g, x, radii, rule) for x in xs])
+        assert batched.shape == (centers, len(radii))
+        assert np.array_equal(batched, single)
 
     def test_memoized(self):
         assert sphere_quadrature(3) is sphere_quadrature(3)

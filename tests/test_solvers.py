@@ -29,6 +29,7 @@ from wavecauchy.solvers import (
     solve_even_point,
     solve_odd_point,
     solve_point,
+    solve_points,
     spectral_energy,
     spectral_solve,
     spectral_state,
@@ -305,6 +306,90 @@ class TestSphereSums:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+
+def batch_cases(n):
+    """(label, phi, psi) initial data for comparing solve_points with solve_point."""
+    plain = fields.harmonic(n, "bilinear")
+    cases = [
+        ("gaussians", fields.gaussian(n, 0.9, amplitude=1.3), fields.gaussian(n, 1.1)),
+        ("off-centre", fields.zero(n), fields.gaussian(n, 0.8, center=np.linspace(0.4, -0.3, n))),
+        ("bump", fields.bump(n, 1.5, center=0.1), fields.zero(n)),
+        ("constants", fields.constant(n, 0.4), fields.constant(n, -1.2)),
+        ("radial psi, harmonic phi", fields.harmonic(n, "saddle", 1.1, 0.3),
+         fields.gaussian(n, 1.0)),
+        # a bare callable takes the default product rule, or the caller's
+        ("plain", fields.ScalarField(plain.evaluator, n), fields.zero(n)),
+    ]
+    for name in fields.harmonic_names():
+        if n >= 3 or name != "triple":
+            cases.append((name, fields.harmonic(n, name, 0.9, 1.5),
+                          fields.harmonic(n, "linear", 0.5, 2.0)))
+    return cases
+
+
+class TestSolvePoints:
+    """solve_points sums each field once for all points and gives each point
+    the solve_point value, to the bit."""
+
+    @staticmethod
+    def assert_same(batch, single):
+        assert len(batch) == len(single)
+        for b, s in zip(batch, single):
+            assert b.u == s.u or (math.isnan(b.u) and math.isnan(s.u)), (b.u, s.u)
+            assert (b.error_estimate == s.error_estimate
+                    or (math.isnan(b.error_estimate) and math.isnan(s.error_estimate)))
+            assert np.array_equal(b.x, s.x) and b.t == s.t and b.method == s.method
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_bitwise_equal_to_one_point_at_a_time(self, n):
+        rng = np.random.default_rng(40 + n)
+        xs = rng.uniform(-1.0, 1.0, size=(4, n))
+        small = sphere_quadrature_for_order(n, 5)
+        for label, phi, psi in batch_cases(n):
+            p = CauchyProblem(phi, psi, Dimension(n))
+            kwargs = [{"with_error": False}, {"rule": small}]
+            if label != "plain":  # its estimate on the default rule takes seconds at n >= 5
+                kwargs.append({})
+            for t in (0.0, 0.9):
+                for kw in kwargs:
+                    self.assert_same(solve_points(p, xs, t, **kw),
+                                     [solve_point(p, x, t, **kw) for x in xs])
+            spec = RadialDerivativeSpec(Dimension(n).derivative_order, 0.05,
+                                        default_spec(Dimension(n).derivative_order, 1.4).degree)
+            self.assert_same(solve_points(p, xs, 1.4, spec=spec, rule=small),
+                             [solve_point(p, x, 1.4, spec=spec, rule=small) for x in xs])
+
+    def test_dalembert_points(self):
+        p = problem(1, phi=fields.gaussian(1, 0.7), psi=fields.bump(1, 1.2))
+        xs = np.array([[-0.3], [0.0], [0.8]])
+        self.assert_same(solve_points(p, xs, 0.6), [solve_point(p, x, 0.6) for x in xs])
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_no_points_evaluate_no_field(self, n):
+        psi, calls = counted(fields.gaussian(n, 1.0))
+        phi, phi_calls = counted(fields.harmonic(n, "linear"))
+        assert solve_points(problem(n, phi=phi, psi=psi), np.empty((0, n)), 1.0) == []
+        assert calls == [] and phi_calls == []
+
+    def test_shapes_and_errors(self):
+        p = problem(3, psi=fields.gaussian(3, 1.0))
+        with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
+            solve_points(p, np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="3 components"):
+            solve_point(p, np.zeros((1, 3)), 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_points(p, np.zeros((2, 3)), -1.0)
+        with pytest.raises(StencilError):
+            solve_points(p, np.zeros((2, 3)), 1.0, spec=RadialDerivativeSpec(0, 0.5, 4))
+
+    def test_one_sphere_sum_call_per_radius_set(self):
+        # all points share each sphere_sums call: the n = 3 reduced rule of
+        # 64 nodes at 5 psi radii keeps 40 points within one group
+        psi, calls = counted(fields.gaussian(3, 1.0))
+        solve_points(problem(3, psi=psi), np.random.default_rng(1).uniform(-1, 1, (40, 3)),
+                     1.0, with_error=False)
+        assert calls == [40 * 5 * 64]
 
 
 def counted(field):
