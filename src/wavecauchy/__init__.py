@@ -38,16 +38,12 @@ from .solvers import (
     SolutionSample,
     SpectralState,
     hermitian_defect,
-    solution_grid_from_binary,
     solve_dalembert_point,
-    solve_even_point,
-    solve_odd_point,
     solve_point,
     solve_points,
     spectral_energy,
     spectral_solve,
     spectral_state,
-    spherical_mean,
     wave_residual,
     weighted_ball_mean,
 )

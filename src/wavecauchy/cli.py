@@ -494,7 +494,7 @@ COMMANDS = {
         "run": {**_RUN, "dim": (int, "3", _between(1, MAX_DIMENSION))},
         "data": _DATA,
         "solve": {
-            "method": (str, "auto", ("auto", "means", "dalembert", "spectral")),
+            "method": (str, "auto", ("auto", "spectral")),
             "times": (_floats, "1.0", _positive),
             "probes": (_points, "random", None),
             "probe_count": (int, "5", _positive),

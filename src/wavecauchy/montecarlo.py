@@ -29,8 +29,25 @@ class MCEstimate:
         return abs(self.value - reference) / self.sigma
 
 
+#: samples drawn and evaluated at a time
+_BATCH = 1_000_000
+
+
+def _estimate(draw, samples: int, scale: float) -> MCEstimate:
+    """scale times the mean of the values draw(m) returns for m samples at a
+    time, _BATCH at most, with the standard error of that mean as sigma."""
+    total = total_sq = 0.0
+    for done in range(0, samples, _BATCH):
+        vals = draw(min(_BATCH, samples - done))
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return MCEstimate(scale * mean, float(scale * np.sqrt(var / samples)), samples)
+
+
 def ball_monte_carlo(fn, radius: float, n: int, samples: int = DEFAULT_SAMPLES,
-                     seed: int = 0, batch: int = 1_000_000) -> MCEstimate:
+                     seed: int = 0) -> MCEstimate:
     """Estimate integral of fn over the ball B(0, R) in R^n.
 
     fn takes points shaped (M, n). Proposals are uniform on the bounding
@@ -41,28 +58,20 @@ def ball_monte_carlo(fn, radius: float, n: int, samples: int = DEFAULT_SAMPLES,
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
-    cube_volume = (2.0 * radius) ** n
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
+
+    def draw(m: int) -> np.ndarray:
         pts = rng.uniform(-radius, radius, size=(m, n))
         inside = np.einsum("ij,ij->i", pts, pts) <= radius * radius
         vals = np.zeros(m)
         if inside.any():
             vals[inside] = fn(pts[inside])
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-        done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    sigma = cube_volume * np.sqrt(var / samples)
-    return MCEstimate(cube_volume * mean, float(sigma), samples)
+        return vals
+
+    return _estimate(draw, samples, (2.0 * radius) ** n)
 
 
 def sphere_monte_carlo(fn, radius: float, n: int, samples: int = DEFAULT_SAMPLES,
-                       seed: int = 0, batch: int = 1_000_000) -> MCEstimate:
+                       seed: int = 0) -> MCEstimate:
     """Estimate integral of fn over the sphere of radius R in R^n.
 
     Directions are Gaussians normalized to unit length (uniform on S^{n-1});
@@ -72,19 +81,10 @@ def sphere_monte_carlo(fn, radius: float, n: int, samples: int = DEFAULT_SAMPLES
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
-    area = unit_sphere_area(n) * radius ** (n - 1)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
+
+    def draw(m: int) -> np.ndarray:
         g = rng.standard_normal(size=(m, n))
         g /= np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
-        vals = np.asarray(fn(radius * g), dtype=np.float64)
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-        done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    sigma = area * np.sqrt(var / samples)
-    return MCEstimate(area * mean, float(sigma), samples)
+        return np.asarray(fn(radius * g), dtype=np.float64)
+
+    return _estimate(draw, samples, unit_sphere_area(n) * radius ** (n - 1))

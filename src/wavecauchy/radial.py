@@ -44,8 +44,8 @@ class RadialDerivativeSpec:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not self.h > 0:
+            raise StencilError(f"h must be positive, got {self.h:g}")
         if self.degree < self.iterations + 2:
             raise ValueError("degree must be at least iterations + 2")
 
@@ -76,6 +76,8 @@ def default_spec(iterations: int, t: float, oscillation: float = 0.0) -> RadialD
     h = t / (2 * iterations + 10)
     if oscillation > 0:
         h = min(h, 0.05 / oscillation)
+    if not h > 0:
+        raise StencilError(f"h must be positive: t = {t:g} leaves h = {h:g}")
     return RadialDerivativeSpec(iterations, h, 2 * iterations + 4)
 
 

@@ -54,7 +54,6 @@ from .errors import DomainSizeError, EvaluationError
 from .fields import ScalarField
 from .geometry import (
     _CHUNK_BYTES,
-    MAX_DIMENSION,
     Dimension,
     SphereQuadrature,
     _leggauss,
@@ -99,17 +98,6 @@ class SolutionSample:
 # ---------------------------------------------------------------------------
 # Means
 # ---------------------------------------------------------------------------
-
-
-def spherical_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | None = None) -> float:
-    """Average of psi over the sphere of radius t centered at x."""
-    x = np.asarray(x, dtype=np.float64)
-    if t <= 0:
-        raise ValueError("radius must be positive")
-    rule = rule or sphere_quadrature(psi.dim)
-    if rule.n != psi.dim or x.shape != (psi.dim,):
-        raise ValueError("dimension mismatch between field, point and rule")
-    return float(sphere_sums(psi, x, np.array([t]), rule)[0] / _omega(rule.n))
 
 
 def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | None = None) -> float:
@@ -335,31 +323,6 @@ def solve_point(problem: CauchyProblem, x, t: float, **kwargs) -> SolutionSample
     return solve_points(problem, x[None, :], t, **kwargs)[0]
 
 
-def solve_odd_point(problem: CauchyProblem, x, t: float,
-                    spec: RadialDerivativeSpec | None = None,
-                    rule: SphereQuadrature | None = None,
-                    with_error: bool = True) -> SolutionSample:
-    """Spherical-means solution at one point; odd dimensions >= 3."""
-    if not problem.dim.is_odd or problem.dim.n < 3:
-        raise ValueError("spherical-means solver needs an odd dimension >= 3")
-    return solve_point(problem, x, t, spec=spec, rule=rule, with_error=with_error)
-
-
-def solve_even_point(problem: CauchyProblem, x, t: float,
-                     spec: RadialDerivativeSpec | None = None,
-                     rule: SphereQuadrature | None = None,
-                     with_error: bool = True) -> SolutionSample:
-    """Weighted-means solution at one point; even dimensions 2 <= n <= 10.
-
-    By Hadamard descent: the odd spherical-means solver in n + 1 dimensions
-    at (x, 0), on data that ignore x_(n+1), with the rule from `descent_rule`.
-    `weighted_ball_mean` is the direct formula, kept as its test oracle.
-    """
-    if problem.dim.is_odd:
-        raise ValueError("weighted-means solver needs an even dimension")
-    return solve_point(problem, x, t, spec=spec, rule=rule, with_error=with_error)
-
-
 def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> SolutionSample:
     """The 1-D traveling-wave solution with adaptive quadrature for the velocity term."""
     if problem.dim.n != 1:
@@ -470,37 +433,6 @@ class SolutionGrid:
             fh.write(struct.pack(f"<{self.grid.dim}I", *([self.grid.points] * self.grid.dim)))
             fh.write(struct.pack("<dd", self.grid.half_width, self.t))
             fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-
-def _read_exact(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"truncated file: {len(data)} of {size} header bytes")
-    return data
-
-
-def solution_grid_from_binary(path) -> SolutionGrid:
-    """A grid written by `SolutionGrid.to_binary`; ValueError for any file
-    that is not one."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        version, dim = struct.unpack("<II", _read_exact(fh, 8))
-        if version != BINARY_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        if not 1 <= dim <= MAX_DIMENSION:
-            raise ValueError(f"dimension {dim} outside 1..{MAX_DIMENSION}")
-        counts = struct.unpack(f"<{dim}I", _read_exact(fh, 4 * dim))
-        if len(set(counts)) != 1:
-            raise ValueError("only uniform per-axis point counts are written")
-        half_width, t = struct.unpack("<dd", _read_exact(fh, 16))
-        data = fh.read()
-    if len(data) != 8 * math.prod(counts):
-        raise ValueError(f"{len(data)} value bytes for a grid of {math.prod(counts)} points")
-    values = np.frombuffer(data, dtype="<f8").reshape(counts)
-    return SolutionGrid(values.copy(), GridSpec(half_width, counts[0], dim), t,
-                        "binary", math.nan)
 
 
 def _half_spectrum(field: ScalarField, grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:

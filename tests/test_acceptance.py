@@ -39,8 +39,6 @@ from wavecauchy.solvers import (
     hermitian_defect,
     means_series,
     solve_dalembert_point,
-    solve_even_point,
-    solve_odd_point,
     solve_point,
     spectral_energy,
     spectral_solve,
@@ -208,7 +206,7 @@ def test_07_oracle_agreement():
         for _ in range(50):
             idx = tuple(rng.choice(near2) for _ in range(2))
             x = np.array([grid2.axis()[i] for i in idx])
-            u = solve_even_point(problem2, x, t, with_error=False).u
+            u = solve_point(problem2, x, t, with_error=False).u
             diffs.append(abs(u - sol2.values[idx]))
             scale = max(scale, abs(u))
         assert max(diffs) <= 1e-3 * scale
@@ -223,7 +221,7 @@ def test_07_oracle_agreement():
         for _ in range(50):
             idx = tuple(rng.choice(near3) for _ in range(3))
             x = np.array([grid3.axis()[i] for i in idx])
-            u = solve_odd_point(problem3, x, t, with_error=False).u
+            u = solve_point(problem3, x, t, with_error=False).u
             diffs.append(abs(u - sol3.values[idx]))
             scale = max(scale, abs(u))
         assert max(diffs) <= 1e-3 * scale
@@ -235,13 +233,13 @@ def test_08_huygens_and_wake():
         problem3 = CauchyProblem(fields.zero(3), psi3, Dimension(3))
         probe = np.array([3.0, 0.0, 0.0])
         for t in (1.0, 2.0, 4.0, 5.0):
-            assert abs(solve_odd_point(problem3, probe, t, with_error=False).u) <= 1e-6
-        assert abs(solve_odd_point(problem3, probe, 3.0, with_error=False).u) > 1e-3
+            assert abs(solve_point(problem3, probe, t, with_error=False).u) <= 1e-6
+        assert abs(solve_point(problem3, probe, 3.0, with_error=False).u) > 1e-3
 
         psi2 = fields.bump(2, radius=0.5)
         problem2 = CauchyProblem(fields.zero(2), psi2, Dimension(2))
         for t in (2.0, 4.0, 8.0):
-            assert solve_even_point(problem2, np.zeros(2), t, with_error=False).u > 1e-4
+            assert solve_point(problem2, np.zeros(2), t, with_error=False).u > 1e-4
 
 
 def test_09_pde_residual_order():

@@ -589,12 +589,14 @@ probes = 0 0 x
         ("verify-reduction", "[reduction]\ndims = 3\nmc_sigmas = -1", "reduction.mc_sigmas"),
         ("verify-identities", "[identities]\ncount = 0", "identities.count"),
         ("solve", "dim = 3\n[data]\npsi = gaussian\npsi_sigam = 0.1", "data.psi_sigam"),
+        ("solve", "dim = 3\n[data]\npsi = constant\n[solve]\nmethod = dalembert",
+         "solve.method"),
     ], ids=["infinite_amplitude", "negative_radius", "nan_max_product", "infinite_probe",
             "t0_below_h0", "two_points", "odd_identity_dim_1", "negative_h0", "zero_h0",
             "negative_constants_radius", "zero_constants_radius", "negative_seed",
             "zero_quad_nodes", "negative_quad_nodes", "zero_probe_count",
             "negative_mc_samples", "negative_mc_sigmas", "zero_identity_count",
-            "misspelt_data_key"])
+            "misspelt_data_key", "dalembert_method"])
     def test_non_finite_or_nonpositive_float(self, tmp_path, capsys, command, settings, key):
         cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{settings}\n")
         assert main([command, "--config", cfg]) == 2
@@ -752,8 +754,10 @@ class TestErrorExits:
                   "probes = 0 0 0 0 0 0 0"),
         ("verify-identities", "[identities]\ndims = 3\nmax_product = 1e300"),
         ("converge", "[converge]\ntarget = odd-identity\nradius = 1e300"),
+        ("solve", "dim = 3\n[data]\npsi = gaussian\n[solve]\ntimes = 5e-324\nprobes = 0 0 0"),
     ], ids=["chain_underflow", "chain_overflow", "odd_rule_beyond_cap", "even_rule_beyond_cap",
-            "tiny_time", "oscillatory_rule_beyond_cap", "identity_radius_beyond_cap"])
+            "tiny_time", "oscillatory_rule_beyond_cap", "identity_radius_beyond_cap",
+            "subnormal_time"])
     def test_solver_error_exits_one(self, tmp_path, capsys, command, settings):
         cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{settings}\n")
         assert main([command, "--config", cfg]) == 1
