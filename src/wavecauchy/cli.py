@@ -33,6 +33,7 @@ from .fields import make_field
 from .geometry import (
     MAX_DESCENT_DIMENSION,
     MAX_DIMENSION,
+    MAX_OSC_NODES,
     Dimension,
     solution_constant,
     sphere_quadrature,
@@ -41,8 +42,7 @@ from .geometry import (
     reduce_ball_integral,
     reduce_sphere_integral,
 )
-from .kernels import (MAX_OSC_NODES, KernelQuery, identity_record, identity_sweep,
-                      normalization_constant)
+from .kernels import KernelQuery, identity_record, identity_sweep, normalization_constant
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
 from .radial import RadialDerivativeSpec
 from .solvers import (

@@ -138,6 +138,25 @@ def _leggauss(count: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+DEFAULT_OSC_NODES = 64
+#: most nodes of an oscillatory 1-D rule, reached at R|xi| ~ 1275: numpy builds
+#: a Gauss rule from a dense count x count eigenproblem, which at 4096 nodes
+#: already takes 128 MB and seconds
+MAX_OSC_NODES = 4096
+
+
+def _osc_nodes(kappa: float, base: int = DEFAULT_OSC_NODES) -> int:
+    """Node count for the oscillatory 1-D rules; grows linearly past R|xi| ~ 30
+    to keep at least ~10 nodes per oscillation period. EvaluationError past
+    MAX_OSC_NODES, and for an infinite or NaN R|xi|."""
+    if kappa <= 30.0:
+        return base
+    if not 3.2 * kappa + 16 <= MAX_OSC_NODES:
+        raise EvaluationError(f"R|xi| = {kappa:.3g} needs more than {MAX_OSC_NODES} "
+                              "oscillatory quadrature nodes")
+    return max(base, int(math.ceil(3.2 * kappa)) + 16)
+
+
 @lru_cache(maxsize=512)
 def _unit_gegenbauer(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on [-1, 1] for the weight (1 - x^2)^{(n-3)/2}.
@@ -328,10 +347,11 @@ def descent_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadratu
 def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndarray:
     """S(r_j) = sum_i w_i g(center + r_j node_i), chunked over nodes: omega_n
     times the mean of g over the sphere of radius r_j. g takes points shaped
-    (..., n) and may be complex-valued. The only place a field is evaluated
-    on spheres: the product rules and the reduced rules of radial data
-    (`_radial_rule`) both come through here. The sums are checked, not each
-    value: the weights are positive, so a non-finite value leaves its sum
+    (..., n) and may be complex-valued, or stack k values per point before the
+    radius and node axes for sums (k, R) or (P, k, R). The only place a field
+    is evaluated on spheres: the product rules and the reduced rules of radial
+    data (`_radial_rule`) both come through here. The sums are checked, not
+    each value: the weights are positive, so a non-finite value leaves its sum
     non-finite.
 
     center is one point, shape (n,) or a scalar, and gives sums of shape
@@ -360,8 +380,8 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
             else:
                 points += part
             out = out + np.asarray(g(points)) @ rule.weights[start:start + chunk]
-        sums.append(out)
-    out = sums[0] if centers.ndim < 2 else np.vstack(sums or [np.zeros((0, len(radii)))])
+        sums.append(out if group > 1 or centers.ndim < 2 else out[None])
+    out = sums[0] if centers.ndim < 2 else np.concatenate(sums or [np.zeros((0, len(radii)))])
     if not np.isfinite(out).all():
         raise EvaluationError("g returned non-finite values on a sphere")
     return out

@@ -22,9 +22,11 @@ from . import _kernels
 from .errors import ConfigError, EvaluationError
 from .fields import constant
 from .geometry import (
+    DEFAULT_OSC_NODES,
     Dimension,
     _leggauss,
     _omega,
+    _osc_nodes,
     _radial_rule,
     solution_constant,
     sphere_quadrature_for_order,
@@ -33,25 +35,8 @@ from .geometry import (
 from .radial import RadialDerivativeSpec, chain_apply, default_spec, resolve_spec
 from .solvers import means_rule, means_series
 
-DEFAULT_OSC_NODES = 64
-#: most nodes of an oscillatory 1-D rule, reached at R|xi| ~ 1275: numpy builds
-#: a Gauss rule from a dense count x count eigenproblem, which at 4096 nodes
-#: already takes 128 MB and seconds
-MAX_OSC_NODES = 4096
 #: complex elements (16 bytes each) in the Fourier evaluator's largest per-chunk array
 FOURIER_CHUNK_ELEMENTS = 4_000_000
-
-
-def _osc_nodes(kappa: float, base: int = DEFAULT_OSC_NODES) -> int:
-    """Node count for the oscillatory 1-D rules; grows linearly past R|xi| ~ 30
-    to keep at least ~10 nodes per oscillation period. EvaluationError past
-    MAX_OSC_NODES, and for an infinite or NaN R|xi|."""
-    if kappa <= 30.0:
-        return base
-    if not 3.2 * kappa + 16 <= MAX_OSC_NODES:
-        raise EvaluationError(f"R|xi| = {kappa:.3g} needs more than {MAX_OSC_NODES} "
-                              "oscillatory quadrature nodes")
-    return max(base, int(math.ceil(3.2 * kappa)) + 16)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ from .geometry import (
     SphereQuadrature,
     _leggauss,
     _omega,
+    _osc_nodes,
     _radial_rule,
     check_descent,
     default_sphere_order,
@@ -105,10 +106,9 @@ def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | N
 
     The weight is (t^2 - |x - y|^2)^(-1/2) with normalization 1/(v_n t^n);
     the boundary singularity is removed by the r = t sin(theta) substitution
-    and 64 Gauss nodes in theta. Even dimensions only. This is the paper's
-    direct formula and the package's only direct one; the solvers and the
-    kernel identities reach the same value by descent, and it stays as
-    their independent test oracle.
+    and `_osc_nodes(t / length_scale)` Gauss nodes in theta. Even n only. The
+    paper's direct formula and the package's only direct one; the solvers and
+    the kernel identities reach it by descent, and it stays their test oracle.
     """
     x = np.asarray(x, dtype=np.float64)
     if t <= 0:
@@ -119,7 +119,7 @@ def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | N
     if rule.n != psi.dim or x.shape != (psi.dim,):
         raise ValueError("dimension mismatch between field, point and rule")
     # integral_0^{pi/2} sin^(n-1)(theta) S(t sin theta) d(theta)
-    u, wu = _leggauss(64)
+    u, wu = _leggauss(_osc_nodes(t / psi.length_scale))
     theta = (math.pi / 4.0) * (u + 1.0)
     sin_theta = np.sin(theta)
     sums = sphere_sums(psi, x, t * sin_theta, rule)
@@ -135,13 +135,11 @@ def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | N
 #: fewest nodes per coordinate of the reduced rule for radial data
 MIN_RADIAL_NODES = 64
 
-#: most nodes per coordinate of the reduced rule. The error estimate builds
-#: the rule with twice the count L: 2L nodes at odd n, 2L * L after descent,
-#: each a unit vector in R^(n+1). At L = 2048 and even n = 10 that is 2^23
-#: nodes and 0.74 GB, below the 0.8 GB of the largest product rule the
-#: package builds (n = 12, also 2^23 nodes). Odd n keeps the same L: numpy
-#: builds a Gauss rule from a dense eigenproblem, which at 2L = 4096 nodes
-#: already takes 128 MB and seconds.
+#: most nodes per coordinate L of the reduced rule. The largest rule built is
+#: the solution's own, as the error estimate checks it at L / 2: L nodes at
+#: odd n, L * L / 2 after descent. At even n = 10 that is 2^21 unit vectors in
+#: R^11, 0.18 GB; numpy builds a Gauss rule from a dense L x L eigenproblem,
+#: 32 MB at L = 2048 and 128 MB and seconds at the next power of two.
 MAX_RADIAL_NODES = 2048
 
 
@@ -162,24 +160,34 @@ def radial_node_count(field: ScalarField, t: float) -> int:
     return count
 
 
-#: factor of the rounding bound of polynomial data: over 1260 seeded harmonic
-#: draws at n = 2..11 their error reached 29 eps sum_j |a_j| M_j, rounding of
-#: the sums and of the fit that is the same at h and h / 2 and so hides from
-#: their difference
+#: factor of the error estimate's rounding bound ROUNDING_FACTOR eps sum_j
+#: |a_j| M_j, a_j the chain's weight on sample j and M_j its sum of |field|
+#: (|sample| for data that are not polynomial). Over 1260 seeded harmonic
+#: draws at n = 2..11 the error reached 29 eps sum_j |a_j| M_j, rounding that
+#: is the same at h and h / 2 and so hides from their difference
 ROUNDING_FACTOR = 128
 
 
 def means_series(g, center, rule: SphereQuadrature, t: float, degree: int,
-                 h: float) -> MeanSeries:
+                 h: float, coarse: MeanSeries | None = None) -> MeanSeries:
     """g's r^(N-2)-scaled sphere sums over omega_N, N = rule.n, at the degree + 1
     stencil radii of spacing h around t: the samples (1/t d/dt)^m acts on, and
     the only place sphere sums become them. One centre (shape (N,) or a
     scalar) gives samples of shape (R,), P centres (shape (P, N)) give (R, P).
+    With coarse, the series at spacing 2 h (degree even), only the odd offsets
+    are summed: offset 2k is coarse's offset k, the same radius to the bit.
     StencilError when the stencil reaches a radius <= 0."""
-    radii = stencil_radii(t, degree, h)
-    n = rule.n
-    sums = sphere_sums(g, center, radii, rule)
-    return MeanSeries(radii, (radii ** (n - 2) * sums / _omega(n)).T)
+    radii = summed = stencil_radii(t, degree, h)
+    if coarse is not None:
+        offsets = np.arange(degree + 1) - degree // 2
+        odd = offsets % 2 == 1
+        summed = radii[odd]
+    values = (summed ** (rule.n - 2) * sphere_sums(g, center, summed, rule) / _omega(rule.n)).T
+    if coarse is not None:
+        full = np.empty_like(coarse.values)  # its layout, as chain_apply rounds by layout
+        full[odd], full[~odd] = values, coarse.values[degree // 2 + offsets[~odd] // 2]
+        values = full
+    return MeanSeries(radii, values)
 
 
 def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature:
@@ -188,32 +196,12 @@ def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature
     return (rule or sphere_quadrature(n)) if n % 2 else descent_rule(n, rule)
 
 
-def _means_term(means: CauchyProblem, role: str, centers: np.ndarray, rule: SphereQuadrature,
-                t: float, spec: RadialDerivativeSpec, h: float,
-                magnitude: bool = False) -> np.ndarray:
-    """One field's part of the solution sum at each of the P centres, from
-    stencil-sampled sphere means at spacing h, odd n: (1/t d/dt)^m of psi's
-    r^(n-2)-scaled mean, or the d/dt of phi's. With magnitude, a bound on that
-    part's rounding instead: ROUNDING_FACTOR eps sum_j |a_j| M_j, with a_j the
-    chain's weight on sample j and M_j the sample's scaled sum of |field|."""
-    m = means.dim.derivative_order
-    field, degree = (means.psi, spec.degree) if role == "psi" else (means.phi, spec.degree + 2)
-    if magnitude:
-        series = means_series(lambda points: np.abs(field(points)), centers, rule, t, degree, h)
-        # one column per sample, so that the chain gives a_j M_j in column j
-        diagonal = np.eye(len(series.radii))[:, :, None] * series.values[:, None, :]
-        series = MeanSeries(series.radii, diagonal)
-    else:
-        series = means_series(field, centers, rule, t, degree, h)
-    if role == "psi":
-        value = chain_apply(series, m, t, h)
-    else:
-        value = chain_apply(series, m, t, h, time_derivative=True)[1]
-    if magnitude:
-        # each centre's columns summed as one contiguous row, as for one centre
-        rows = np.ascontiguousarray(np.abs(value).T)
-        return ROUNDING_FACTOR * np.finfo(np.float64).eps * rows.sum(axis=1)
-    return value
+def _means_term(role: str, series: MeanSeries, m: int, t: float, h: float) -> np.ndarray:
+    """One field's part of the solution sum at each of the P centres, from its
+    stencil samples at spacing h, odd n: (1/t d/dt)^m of psi's r^(n-2)-scaled
+    mean, or the d/dt of phi's."""
+    return (chain_apply(series, m, t, h) if role == "psi"
+            else chain_apply(series, m, t, h, time_derivative=True)[1])
 
 
 def _lift(field: ScalarField) -> ScalarField:
@@ -258,39 +246,62 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: float,
     count = max((radial_node_count(fields[role], t) for role in radial),
                 default=MIN_RADIAL_NODES)
 
-    def placement(field: ScalarField, count: int) -> tuple[np.ndarray, SphereQuadrature]:
+    # each radial field's probes moved onto its ray, once for every pass
+    moved = {role: radial_sum_center(centers, fields[role].radial_center) for role in radial}
+
+    def placement(role: str, count: int) -> tuple[np.ndarray, SphereQuadrature]:
         # product rules are built (memoized) only when a field asks for one; a
         # degree's rule is never larger than the default one it replaces
+        field = fields[role]
         if (field.degree is not None and rule is None
                 and field.degree <= default_sphere_order(means.dim.n)):
             return centers, sphere_quadrature_for_order(means.dim.n, field.degree)
         if field.radial_center is None or field.degree is not None:
             return centers, means_rule(n, rule)
-        k = len(field.radial_center)
-        return radial_sum_center(centers, field.radial_center), _radial_rule(k, means.dim.n, count)
+        return moved[role], _radial_rule(len(field.radial_center), means.dim.n, count)
 
-    def terms(roles, h: float, count: int, magnitude: bool = False) -> dict[str, np.ndarray]:
-        return {role: _means_term(means, role, *placement(fields[role], count), t, spec, h,
-                                  magnitude)
-                for role in roles}
+    m, h = means.dim.derivative_order, spec.h
+    # polynomial data stack |field| on their h pass for the rounding bound
+    exact = [role for role, f in fields.items() if f.degree is not None and with_error]
 
-    scale = solution_constant(means.dim.n)
-    u_terms = terms(fields, spec.h, count)
-    u = scale * sum(u_terms.values(), np.zeros(len(xs)))
+    def sample(role: str, h: float, count: int, coarse=None, magnitude=False) -> MeanSeries:
+        field = fields[role]
+        g = (lambda points: np.stack([v := field(points), np.abs(v)], axis=-3)
+             ) if magnitude else field
+        degree = spec.degree if role == "psi" else spec.degree + 2
+        return means_series(g, *placement(role, count), t, degree, h, coarse)
+
+    def total(terms) -> np.ndarray:
+        return solution_constant(means.dim.n) * sum(terms, np.zeros(len(xs)))
+
+    stacked = {role: sample(role, h, count, magnitude=role in exact) for role in fields}
+    # samples stacked (R, 2, P) with |field|'s, laid out as chain_apply expects
+    series = {role: MeanSeries(s.radii, s.values[:, 0].copy("F")) if role in exact else s
+              for role, s in stacked.items()}
+    u_terms, weights = {}, {}
+    for role, s in series.items():
+        if with_error:  # unit samples too, whose parts are the chain's weights a_j
+            s = MeanSeries(s.radii, np.asfortranarray(np.hstack([s.values, np.eye(len(s.radii))])))
+        parts = _means_term(role, s, m, t, h)  # each profile rounds as it does alone
+        u_terms[role], weights[role] = parts[:len(xs)], parts[len(xs):]
+    u = total(u_terms.values())
     err = np.full(len(xs), math.nan)
     if with_error:
-        # stencil truncation (h against h / 2) plus the reduced rule's
-        # quadrature error (count against 2 count nodes). Each difference is
-        # doubled: where refining at least halves the error, the error of the
-        # coarser value is at most twice its distance to the finer one.
-        err = 2.0 * abs(u - scale * sum(terms(fields, spec.h / 2.0, count).values()))
+        # stencil truncation: where halving h at least halves the error, the
+        # error at h is at most 2 |u_h - u_(h/2)|; h / 2 sums its odd offsets only
+        err = 2.0 * abs(u - total(_means_term(role, sample(role, h / 2.0, count, series[role]),
+                                              m, t, h / 2.0) for role in fields))
+        # the reduced rule's quadrature error: where doubling L at least halves
+        # it, it is at most |u_L - u_(L/2)| at L nodes; doubled for margin
         if radial:
-            u_radial = scale * sum(u_terms[role] for role in radial)
-            err += 2.0 * abs(u_radial - scale * sum(terms(radial, spec.h, 2 * count).values()))
-        # polynomial data are summed exactly; what is left is rounding, which
-        # the h against h / 2 difference does not see
-        exact = [role for role, f in fields.items() if f.degree is not None]
-        err += scale * sum(terms(exact, spec.h, count, magnitude=True).values())
+            short = (_means_term(role, sample(role, h, count // 2), m, t, h) for role in radial)
+            err += 2.0 * abs(total(u_terms[role] for role in radial) - total(short))
+        # rounding, which both differences can miss (ROUNDING_FACTOR), each
+        # centre's terms summed as one contiguous row, as for one centre
+        for role, s in series.items():
+            magnitudes = stacked[role].values[:, 1] if role in exact else np.abs(s.values)
+            rows = np.ascontiguousarray(np.abs(weights[role]) * magnitudes.T)
+            err += total([ROUNDING_FACTOR * np.finfo(np.float64).eps * rows.sum(axis=-1)])
     return [SolutionSample(x, t, float(ux), method, float(ex)) for x, ux, ex in zip(xs, u, err)]
 
 

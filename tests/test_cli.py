@@ -10,8 +10,7 @@ import wavecauchy.cli as cli
 from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
 from wavecauchy import fields
 from wavecauchy.errors import ConfigError
-from wavecauchy.geometry import Dimension
-from wavecauchy.kernels import MAX_OSC_NODES
+from wavecauchy.geometry import MAX_OSC_NODES, Dimension
 from wavecauchy.solvers import CauchyProblem, solve_point
 
 

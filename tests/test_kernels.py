@@ -52,11 +52,12 @@ def ball_by_descent(q):
     return _omega(n + 1) / (2.0 * unit_ball_volume(n)) * sphere_average(q, n + 1)
 
 
-def direct_ball_wave(q, radius, nodes):
+def direct_ball_wave(q, radius, nodes, length_scale=math.inf):
     """R^n times the direct weighted ball mean of the real part of the plane
     wave, cos(|xi| y_1), at radius R on the reduced rule of `nodes` nodes."""
     n = q.dim.n
-    wave = fields.ScalarField(lambda points: np.cos(q.knorm * points[..., 0]), n)
+    wave = fields.ScalarField(lambda points: np.cos(q.knorm * points[..., 0]), n,
+                              length_scale=length_scale)
     return radius**n * weighted_ball_mean(wave, np.zeros(n), radius, _radial_rule(n, n, nodes))
 
 
@@ -130,6 +131,13 @@ class TestExponentialAverages:
             a = ball_by_descent(q)
             b = direct_ball_wave(q, q.radius, _osc_nodes(q.knorm * q.radius))
             assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)
+
+    def test_direct_theta_rule_follows_the_length_scale(self):
+        # R|xi| = 160: 64 theta nodes leave 1.8e-6 here; the rule sized from
+        # R / length_scale, as the oscillatory rules are, leaves rounding
+        q = KernelQuery(np.array([160.0, 0.0]), 1.0, Dimension(2))
+        b = direct_ball_wave(q, q.radius, _osc_nodes(q.knorm * q.radius), 1.0 / q.knorm)
+        assert abs(ball_by_descent(q) - b) <= 1e-12 * max(abs(b), 1.0)
 
 
 class TestIdentities:
