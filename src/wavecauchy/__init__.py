@@ -42,6 +42,7 @@ from .solvers import (
     solve_point,
     solve_points,
     spectral_energy,
+    spectral_probes,
     spectral_solve,
     spectral_state,
     wave_residual,

@@ -51,6 +51,7 @@ from .solvers import (
     GridSpec,
     SolutionSample,
     solve_points,
+    spectral_probes,
     spectral_solve,
     spectral_state,
     wave_residual,
@@ -349,19 +350,17 @@ def _run_solve(config: RunConfig, report: Report) -> None:
         half_width, points = keys["grid_half_width"], keys["grid_points"]
         grid = GridSpec(half_width, points, dim)
         state = spectral_state(problem, grid)
-        for t in keys["times"]:
-            sol = None  # release the previous grid before the next is built
-            try:
-                sol = spectral_solve(problem, grid, t, state=state)
-            except DomainSizeError as exc:
-                raise ConfigError(str(exc), keys=["solve.grid_half_width"]) from exc
-            for probe in probes:
-                idx = tuple(int(round((c + half_width) / grid.spacing)) % points for c in probe)
-                samples.append(SolutionSample(-half_width + grid.spacing * np.array(idx), t,
-                                              sol.value_at_index(idx), "spectral",
-                                              sol.error_estimate))
-        if keys["binary_out"]:
-            sol.to_binary(keys["binary_out"])
+        index = np.rint((np.array(probes) + half_width) / grid.spacing).astype(int) % points
+        try:
+            for t in keys["times"]:
+                values, estimate = spectral_probes(problem, grid, t, index, state)
+                samples += [SolutionSample(-half_width + grid.spacing * idx, t, float(u),
+                                           "spectral", estimate)
+                            for idx, u in zip(index, values)]
+        except DomainSizeError as exc:
+            raise ConfigError(str(exc), keys=["solve.grid_half_width"]) from exc
+        if keys["binary_out"]:  # the one full inverse, for the last time's grid
+            spectral_solve(problem, grid, t, state=state).to_binary(keys["binary_out"])
     else:
         samples = [s for t in keys["times"] for s in solve_points(problem, np.array(probes), t)]
 

@@ -192,8 +192,8 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
     tensor-product Gauss-Legendre rule over phi's support box, and coeffs are
     the rule's weights times phi at the nodes, so phi is sampled once. On a tensor
     grid the sum over nodes factors axis by axis: the last axis is one
-    complex matmul against a (points, nodes_per_axis) exponential table, and
-    each other axis is an einsum against its own table.
+    complex matmul against a (nodes_per_axis, points) exponential table, and
+    the others follow in `_kernels.contract_axes`, as the spectral probes' do.
     """
     n = phi.dim
     box = phi.support_radius
@@ -202,10 +202,8 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
     _check_support_box(phi, box)
     x, w = _leggauss(nodes_per_axis)
     axis_nodes = box * x
-    axis_weights = box * w
-    grids = np.meshgrid(*([axis_nodes] * n), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.prod(np.meshgrid(*([axis_weights] * n), indexing="ij"), axis=0).ravel()
+    nodes = np.stack(np.meshgrid(*([axis_nodes] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    weights = np.prod(np.meshgrid(*([box * w] * n), indexing="ij"), axis=0).ravel()
     coeffs = weights * phi(nodes)
     table_coeffs = coeffs.astype(np.complex128).reshape(-1, nodes_per_axis)
     # the (nodes_per_axis^(n-1), chunk) partial sum stays near FOURIER_CHUNK_ELEMENTS
@@ -217,11 +215,9 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
         out = np.empty(flat.shape[0], dtype=np.complex128)
         for start in range(0, flat.shape[0], chunk):
             block = flat[start:start + chunk]
-            tables = [np.exp(-1j * np.outer(block[:, d], axis_nodes)) for d in range(n)]
-            acc = table_coeffs @ tables[-1].T
-            for table in reversed(tables[:-1]):
-                acc = np.einsum("ikp,pk->ip", acc.reshape(-1, nodes_per_axis, len(block)), table)
-            out[start:start + len(block)] = acc[0]
+            tables = [np.exp(-1j * np.outer(axis_nodes, block[:, d])) for d in range(n)]
+            out[start:start + len(block)] = _kernels.contract_axes(table_coeffs @ tables[-1],
+                                                                   tables[:-1])
         return out.reshape(points.shape[:-1])
 
     return evaluator, nodes, coeffs
@@ -229,18 +225,9 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
 
 def _check_support_box(phi, box: float) -> None:
     """Reject a support box whose boundary carries field mass above 1e-12."""
-    n = phi.dim
-    coarse = np.linspace(-box, box, 7)
-    grids = np.meshgrid(*([coarse] * max(n - 1, 1)), indexing="ij")
-    face = np.stack([g.ravel() for g in grids], axis=1)[:, : max(n - 1, 0)]
-    worst = 0.0
-    for axis in range(n):
-        for sign in (-box, box):
-            pts = np.zeros((face.shape[0] if n > 1 else 1, n))
-            if n > 1:
-                pts[:, [d for d in range(n) if d != axis]] = face
-            pts[:, axis] = sign
-            worst = max(worst, float(np.max(np.abs(phi(pts)))))
+    coarse = np.linspace(-box, box, 7)  # its ends are -box and box exactly
+    grid = np.stack(np.meshgrid(*[coarse] * phi.dim, indexing="ij"), axis=-1)
+    worst = float(np.max(np.abs(phi(grid[np.any(np.abs(grid) == box, axis=-1)]))))
     if worst > 1e-12:
         raise ConfigError(
             f"support box half-width {box:g} too small: |phi| = {worst:.2e} on its boundary"

@@ -38,7 +38,8 @@ and sin(|k| t) / |k|, computed once per |k|^2 shell (`GridSpec.shells`). The
 data are real, so their spectra are Hermitian and the half lattice of `rfftn`
 carries every mode. The grid is sampled one slab at a time (`GridSpec.sample`)
 and the spectra are transformed, evolved and inverted in place, so a solve
-holds no coordinate mesh and no spare full-lattice temporary.
+holds no coordinate mesh and no spare full-lattice temporary; `spectral_probes`
+sums the evolved half spectrum at lattice points, slab by slab, with no inverse.
 """
 
 from __future__ import annotations
@@ -429,11 +430,7 @@ class SolutionGrid:
     values: np.ndarray
     grid: GridSpec
     t: float
-    method: str
     error_estimate: float
-
-    def value_at_index(self, index) -> float:
-        return float(self.values[tuple(index)])
 
     def to_binary(self, path) -> None:
         """Little-endian layout: magic 'WAVE', version u32, n u32, N per axis
@@ -463,7 +460,11 @@ def spectral_state(problem: CauchyProblem, grid: GridSpec) -> SpectralState:
                          _half_spectrum(problem.psi, grid, shell.shape), shell, radii)
 
 
-def _check_wraparound(problem: CauchyProblem, grid: GridSpec, t: float) -> None:
+def _evolution_state(problem: CauchyProblem, grid: GridSpec, t: float,
+                     state: SpectralState | None) -> SpectralState:
+    """state, or the problem's on the grid; DomainSizeError if periodic images reach it."""
+    if t < 0:
+        raise ValueError("time must be non-negative")
     for field in (problem.phi, problem.psi):
         if field.is_zero or field.periodic:
             continue  # wrap-safe: nothing to alias
@@ -471,38 +472,68 @@ def _check_wraparound(problem: CauchyProblem, grid: GridSpec, t: float) -> None:
             raise DomainSizeError("spectral solver needs compactly supported data "
                                   "(finite support_radius)")
         if grid.half_width <= field.support_radius + t:
-            raise DomainSizeError(
-                f"grid half-width {grid.half_width:g} <= support "
-                f"{field.support_radius:g} + t {t:g}: the periodic images would "
-                "contaminate the solution"
-            )
+            raise DomainSizeError(f"grid half-width {grid.half_width:g} <= support "
+                                  f"{field.support_radius:g} + t {t:g}: the periodic images "
+                                  "would contaminate the solution")
+    state = state or spectral_state(problem, grid)
+    if state.grid != grid:
+        raise ValueError("spectral state was built on a different grid")
+    return state
+
+
+def _rounding(grid: GridSpec) -> float:
+    """The inverse transform's rounding relative to its scale, eps * log2(N^n)."""
+    return np.finfo(np.float64).eps * grid.dim * math.log2(grid.points)
+
+
+def _half_weights(grid: GridSpec) -> np.ndarray:
+    """Last-axis column counts in the full lattice: 1 if self-conjugate (2k = 0 mod N), else 2."""
+    return np.where(2 * np.arange(grid.points // 2 + 1) % grid.points == 0, 1.0, 2.0)
 
 
 def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
                    state: SpectralState | None = None) -> SolutionGrid:
     """Evolve the half spectrum by the exact per-mode oscillator factors and
     invert it: complex inverse FFTs in place over the leading axes, then one
-    real inverse FFT over the last, the steps of irfftn without its
-    per-axis copies.
+    real inverse FFT over the last, the steps of irfftn without its per-axis copies.
 
     The error estimate is the transform's rounding scale,
     eps * log2(N^n) * max|u|; like any rounding-only figure it says nothing
     about aliasing or resolution.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    _check_wraparound(problem, grid, t)
-    state = state or spectral_state(problem, grid)
-    if state.grid != grid:
-        raise ValueError("spectral state was built on a different grid")
+    state = _evolution_state(problem, grid, t, state)
     u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell, state.radii, t)
     for axis in range(grid.dim - 1):
         np.fft.ifft(u_hat, axis=axis, out=u_hat)
     # n= fixes the length of the last axis, which the half spectrum leaves
     # ambiguous for odd N
     u = np.fft.irfft(u_hat, n=grid.points, axis=-1)
-    rounding = np.finfo(np.float64).eps * grid.dim * math.log2(grid.points)
-    return SolutionGrid(u, grid, float(t), "spectral", rounding * float(max(u.max(), -u.min())))
+    return SolutionGrid(u, grid, float(t), _rounding(grid) * float(max(u.max(), -u.min())))
+
+
+def spectral_probes(problem: CauchyProblem, grid: GridSpec, t: float, index,
+                    state: SpectralState | None = None) -> tuple[np.ndarray, float]:
+    """u at the P lattice indices index, shape (P, n), with no u_hat or u over the
+    lattice: each slab of the evolved half spectrum (`_kernels.evolved_slabs`) is
+    summed over its last axis against the columns' weights times e^(2 pi i k j / N),
+    k j reduced mod N in integers so each twiddle is exact, then over the other axes
+    (`_kernels.contract_axes`). The error estimate is `spectral_solve`'s with
+    max|u| replaced by its bound S = (sum w |phi_hat| + t sum w |psi_hat|) / N^n."""
+    state = _evolution_state(problem, grid, t, state)
+    index = np.asarray(index, dtype=np.int64).reshape(-1, grid.dim)
+    tables = [np.exp(2j * math.pi / grid.points * (np.outer(np.arange(size), j) % grid.points))
+              for size, j in zip(state.shell.shape, index.T)]
+    weights = _half_weights(grid)
+    last = weights[:, None] * tables.pop()
+    # n = 1 as one row, so the slabs run along axis 0 in every dimension
+    phi_hat, psi_hat, shell = np.atleast_2d(state.phi_hat, state.psi_hat, state.shell)
+    acc = np.empty(shell.shape[:-1] + (len(index),), dtype=np.complex128)
+    magnitude = 0.0
+    for slab, part in _kernels.evolved_slabs(phi_hat, psi_hat, shell, state.radii, t):
+        np.dot(part.reshape(-1, len(weights)), last, out=acc[slab].reshape(-1, len(index)))
+        magnitude += np.sum((np.abs(phi_hat[slab]) + t * np.abs(psi_hat[slab])) @ weights)
+    values = _kernels.contract_axes(acc, tables).real / grid.points ** grid.dim
+    return values, _rounding(grid) * magnitude / grid.points ** grid.dim
 
 
 def hermitian_defect(problem: CauchyProblem, grid: GridSpec) -> float:
@@ -517,9 +548,7 @@ def hermitian_defect(problem: CauchyProblem, grid: GridSpec) -> float:
         if field.is_zero:
             continue
         arr = np.fft.fftn(grid.sample(field))
-        mirrored = arr
-        for axis in range(arr.ndim):
-            mirrored = np.roll(np.flip(mirrored, axis=axis), 1, axis=axis)
+        mirrored = np.roll(np.flip(arr), 1, axis=tuple(range(arr.ndim)))  # arr at -k
         worst = max(worst, float(np.max(np.abs(arr - np.conj(mirrored)))))
     return worst
 
@@ -528,19 +557,14 @@ def spectral_energy(state: SpectralState, t: float) -> float:
     """Discrete energy sum |u_hat_t|^2 + |k|^2 |u_hat|^2 over the full lattice;
     conserved in t.
 
-    The half spectrum drops the conjugate of every last-axis column except
-    column 0 and, for even N, the Nyquist column N/2, so the other columns
-    count twice.
+    Each last-axis column counts as often as in the full lattice (`_half_weights`).
     """
     knorm = state.radii[state.shell]
     zt = knorm * t
     u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell, state.radii, t)
     ut_hat = -state.phi_hat * knorm * np.sin(zt) + state.psi_hat * np.cos(zt)
-    weights = np.full(knorm.shape[-1], 2.0)
-    weights[0] = 1.0
-    if state.grid.points % 2 == 0:
-        weights[-1] = 1.0
-    return float(np.sum(weights * (np.abs(ut_hat) ** 2 + (knorm * np.abs(u_hat)) ** 2)))
+    return float(np.sum(_half_weights(state.grid)
+                        * (np.abs(ut_hat) ** 2 + (knorm * np.abs(u_hat)) ** 2)))
 
 
 # ---------------------------------------------------------------------------

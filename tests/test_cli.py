@@ -2,6 +2,7 @@ import collections
 import csv
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -178,6 +179,46 @@ binary_out = {binary}
 """)
         assert main(["solve", "--config", cfg]) == 0
         assert binary.read_bytes()[:4] == b"WAVE"
+
+    def test_spectral_probes_match_the_binary_grid(self, tmp_path):
+        # the rows come from the probe sums, the binary from the full inverse
+        # at the last time: each last-time row is its snapped lattice value
+        out = tmp_path / "solve.csv"
+        binary = tmp_path / "grid.wave"
+        cfg = write_config(tmp_path, f"""
+[run]
+command = solve
+dim = 2
+output = {out}
+
+[data]
+phi = gaussian
+phi_sigma = 0.9
+phi_center = 0.3, -0.2
+psi = gaussian
+psi_sigma = 0.8
+
+[solve]
+method = spectral
+times = 0.4, 1.2
+grid_half_width = 12.0
+grid_points = 32
+probes = 0.1 0.2, -1.3 0.7, 2.9 -2.2
+binary_out = {binary}
+""")
+        assert main(["solve", "--config", cfg]) == 0
+        raw = binary.read_bytes()
+        version, n, points, points2 = struct.unpack_from("<IIII", raw, 4)
+        half_width, t = struct.unpack_from("<dd", raw, 20)
+        assert (version, n, points, points2, half_width, t) == (1, 2, 32, 32, 12.0, 1.2)
+        values = np.frombuffer(raw, dtype="<f8", offset=36).reshape(points, points)
+        _, _, body = read_report(out)
+        last = [row for row in body if float(row["t"]) == t]
+        assert len(body) == 6 and len(last) == 3
+        spacing = 2.0 * half_width / points
+        for row in last:
+            index = tuple(round((float(row[f"x{k}"]) + half_width) / spacing) for k in (1, 2))
+            assert abs(float(row["u"]) - values[index]) <= 1e-13 * 2.0  # A_phi + A_psi
 
 
 class TestBatchedMeans:

@@ -31,6 +31,7 @@ from wavecauchy.solvers import (
     solve_point,
     solve_points,
     spectral_energy,
+    spectral_probes,
     spectral_solve,
     spectral_state,
     wave_residual,
@@ -756,7 +757,7 @@ class TestAgainstSpectralOracle:
         scale = float(np.max(np.abs(sol.values)))
         for x, idx in _lattice_probes(grid, n, (points // 2, points // 2 + 1)):
             u = solve_point(p, x, t, with_error=False).u
-            assert abs(u - sol.value_at_index(idx)) <= 1e-5 * scale
+            assert abs(u - sol.values[idx]) <= 1e-5 * scale
 
     @pytest.mark.parametrize("n, points", [(2, 256), (3, 128)])
     def test_bump(self, n, points):
@@ -769,7 +770,7 @@ class TestAgainstSpectralOracle:
         scale = float(np.max(np.abs(sol.values)))
         fine = RadialDerivativeSpec(0, t / 40.0, 4)  # the default h = t / 10 leaves 1e-3
         for x, idx in _lattice_probes(grid, n, (points // 2, points // 2 + points // 16)):
-            oracle = sol.value_at_index(idx)
+            oracle = sol.values[idx]
             s = solve_point(p, x, t)
             assert abs(s.u - oracle) <= s.error_estimate
             assert abs(solve_point(p, x, t, spec=fine).u - oracle) <= 1e-5 * scale
@@ -861,7 +862,7 @@ class TestSpectral:
         grid = GridSpec(4.0, 64, 2)
         p = problem(2, psi=fields.constant(2, 1.0))
         sol = spectral_solve(p, grid, 0.5)
-        assert sol.value_at_index((10, 20)) == pytest.approx(0.5, rel=1e-12)
+        assert sol.values[10, 20] == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_field_not_evaluated(self):
         def refuse(points):
@@ -1037,6 +1038,54 @@ class TestLeanSpectral:
         live = (state.phi_hat.nbytes + state.psi_hat.nbytes + state.shell.nbytes
                 + state.radii.nbytes)
         assert peak - live < 3 * state.phi_hat.nbytes
+
+    def test_probes_hold_no_lattice_array(self, monkeypatch):
+        # one-row slabs: the probe path's slab temporaries and its
+        # (N,) * (n - 1) + (P,) partial sums stay far below one half spectrum,
+        # so a full-lattice u_hat or u on the probe path shows
+        monkeypatch.setattr(solvers, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", 1)
+        p = CauchyProblem(fields.gaussian(3, sigma=1.0), fields.gaussian(3, sigma=0.8),
+                          Dimension(3))
+        grid = GridSpec(12.0, 64, 3)
+        state = spectral_state(p, grid)
+        index = [[32, 32, 32], [40, 20, 33], [0, 63, 5], [17, 17, 60]]
+        tracemalloc.start()  # after the state, so the peak leaves the live state out
+        try:
+            spectral_probes(p, grid, 1.0, index, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.phi_hat.nbytes / 4
+
+
+class TestSpectralProbes:
+    @pytest.mark.parametrize("t", [0.0, 1.3])
+    @pytest.mark.parametrize("n, points", [(1, 64), (1, 63), (2, 32), (2, 31),
+                                           (3, 16), (3, 15)])
+    def test_matches_the_full_inverse(self, monkeypatch, n, points, t):
+        # slabs of 2 or 3 rows, so the last one is partial at n >= 2 (at n = 1
+        # the half spectrum is one row)
+        rows = 3 if points % 3 else 2
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES",
+                            rows * 16 * points ** max(n - 2, 0) * (points // 2 + 1))
+        p, grid = _full_lattice(n, points, t)[:2]
+        state = spectral_state(p, grid)
+        # near the data, where u is far above the tolerance
+        index = points // 2 + np.random.default_rng(10 * points + n).integers(-2, 3, size=(7, n))
+        values, estimate = spectral_probes(p, grid, t, index, state)
+        sol = spectral_solve(p, grid, t, state=state)
+        scale = 2.0  # A_phi + A_psi, unit amplitudes
+        np.testing.assert_allclose(values, sol.values[tuple(index.T)], rtol=0,
+                                   atol=1e-13 * scale)
+        assert sol.error_estimate <= estimate <= 1e-12 * scale
+
+    def test_guards(self):
+        p = problem(1, phi=fields.gaussian(1, sigma=1.0))
+        with pytest.raises(DomainSizeError):
+            spectral_probes(p, GridSpec(4.0, 128, 1), 1.0, [[3]])
+        with pytest.raises(ValueError):
+            spectral_probes(p, GridSpec(8.0, 128, 1), -1.0, [[3]])
 
 
 class TestPropagation:
