@@ -25,9 +25,9 @@ from .kernels import (
     KernelQuery,
     distribution_fourier_check,
     identity_record,
+    identity_records,
     identity_sweep,
     normalization_constant,
-    sinc_kernel,
 )
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
 from .radial import MeanSeries, RadialDerivativeSpec, default_spec

@@ -42,7 +42,7 @@ from .geometry import (
     reduce_ball_integral,
     reduce_sphere_integral,
 )
-from .kernels import KernelQuery, identity_record, identity_sweep, normalization_constant
+from .kernels import KernelQuery, identity_records, identity_sweep, normalization_constant
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
 from .radial import RadialDerivativeSpec
 from .solvers import (
@@ -419,7 +419,8 @@ def _identity_ladder(keys: dict) -> tuple[list[float], list[float], list[float]]
     m = d.derivative_order
     h0 = min(keys["h0"], 0.9 * radius / (2 * m + 6))
     hs = [h0 / 2**level for level in range(keys["levels"])]
-    res = [identity_record(query, RadialDerivativeSpec(m, h, 2 * m + 4)).residual for h in hs]
+    specs = [RadialDerivativeSpec(m, h, 2 * m + 4) for h in hs]
+    res = [rec.residual for rec in identity_records([query] * len(hs), specs)]
     return hs, res, [1e-12] * len(hs)
 
 

@@ -4,11 +4,12 @@ radial-derivative identities.
 T_R is the solver's velocity term: c_N (1/R d/dR)^m of the r^(N-2)-scaled
 sphere means over S^(N-1) (`solvers.means_series`), with N = n for odd n and
 N = n + 1 by descent for even n. `DistributionFunctional.action` applies it to
-a test function, `identity_record` to the plane wave e^{-i x.xi} and
-`normalization_constant` to the constant 1; the last two sum on the reduced
-rule of radial data (`geometry._radial_rule`). `means_series` is the only
-code here that turns sphere sums into samples; the direct weighted ball mean
-(`solvers.weighted_ball_mean`) stays as the test oracle of the descent.
+a test function, `identity_records` to the plane wave e^{-i x.xi}, one block of
+draws per sphere sum and chain, and `normalization_constant` to the constant 1;
+the last two sum on the reduced rule of radial data (`geometry._radial_rule`).
+`means_series` is the only code here that turns sphere sums into samples; the
+direct weighted ball mean (`solvers.weighted_ball_mean`) stays as the test
+oracle of the descent.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import _kernels
 from .errors import ConfigError, EvaluationError
 from .fields import constant
 from .geometry import (
+    _CHUNK_BYTES,
     DEFAULT_OSC_NODES,
     Dimension,
     _leggauss,
@@ -61,14 +63,6 @@ class KernelQuery:
         return float(np.linalg.norm(self.xi))
 
 
-def sinc_kernel(xi, radius: float) -> float:
-    """sin(R |xi|) / |xi| with the removable singularity evaluated as R."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    knorm = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=np.float64))))
-    return radius * float(_kernels.sinc_ratio(np.array([radius * knorm]))[0])
-
-
 # ---------------------------------------------------------------------------
 # Identity residuals
 # ---------------------------------------------------------------------------
@@ -85,39 +79,59 @@ class IdentityRecord:
     nodes: int
 
 
+def identity_records(queries, specs=None,
+                     base_nodes: int = DEFAULT_OSC_NODES) -> list[IdentityRecord]:
+    """The identity's residual at each (xi, R) query, with its spec or the default:
+    sin(R|xi|)/|xi| against the solver's psi term at the origin for the plane wave
+    e^{-i |xi| y_1} on the reduced rule of S^(N-1), N = n + 1 - n % 2. All specs and
+    node counts come first, so an oversized rule fails before any sum; then each block
+    of one n, fit degree and node count that keeps the rule in one `sphere_sums` chunk
+    takes one sum, chain and sinc ratio, giving each query the record it gets alone."""
+    groups = {}
+    for i, (query, spec) in enumerate(zip(queries, specs or [None] * len(queries), strict=True)):
+        knorm, radius = query.knorm, query.radius
+        _osc_nodes(knorm * radius, base_nodes)  # refuse an oversized rule before resolve_spec
+        spec = resolve_spec(query.dim.derivative_order, radius, spec, oscillation=knorm)
+        nodes = _osc_nodes(knorm * (radius + spec.h * spec.degree / 2.0), base_nodes)
+        groups.setdefault((query.dim, spec.degree, nodes), []).append((i, radius, knorm, spec.h))
+    records = [None] * len(queries)
+    for (dim, degree, nodes), members in groups.items():
+        n_means, m = dim.n + 1 - dim.n % 2, dim.derivative_order
+        block = max(1, _CHUNK_BYTES // ((degree + 1) * n_means * 8 * nodes))
+        for first in range(0, len(members), block):
+            index, radius, knorm, h = zip(*members[first:first + block])
+            t, k, step = np.array(radius), np.array(knorm), np.array(h)
+            wave = np.repeat(k, degree + 1)[:, None]  # the frequency at each stencil radius
+            series = means_series(lambda points: np.exp(-1j * wave * points[..., 0]), 0.0,
+                                  _radial_rule(n_means, n_means, nodes), t, degree, step)
+            value = solution_constant(n_means) * chain_apply(series, m, t, step)
+            residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
+            for row in zip(index, radius, knorm, residual, abs(value.imag), h):
+                records[row[0]] = IdentityRecord(dim.n, *row[1:], nodes)
+    return records
+
+
 def identity_record(query: KernelQuery, spec: RadialDerivativeSpec | None = None,
                     base_nodes: int = DEFAULT_OSC_NODES) -> IdentityRecord:
-    """Residual of the identity at one (xi, R) point: sin(R|xi|)/|xi| against
-    the solver's psi term at the origin (`solvers.means_series`) for the plane
-    wave e^{-i |xi| y_1}, summed on the reduced rule of S^(N-1), with N = n for
-    odd n and N = n + 1 (descent) for even n."""
-    n, knorm, radius = query.dim.n, query.knorm, query.radius
-    _osc_nodes(knorm * radius, base_nodes)  # refuse an oversized rule before resolve_spec
-    spec = resolve_spec(query.dim.derivative_order, radius, spec, oscillation=knorm)
-    nodes = _osc_nodes(knorm * (radius + spec.h * spec.degree / 2.0), base_nodes)
-    n_means = n + 1 - n % 2
-    series = means_series(lambda points: np.exp(-1j * knorm * points[..., 0]), 0.0,
-                          _radial_rule(n_means, n_means, nodes), radius, spec.degree, spec.h)
-    value = solution_constant(n_means) * chain_apply(series, spec.iterations, radius, spec.h)
-    return IdentityRecord(n, radius, knorm, abs(sinc_kernel(query.xi, radius) - value.real),
-                          abs(value.imag), spec.h, nodes)
+    """The identity's residual at one (xi, R) query: `identity_records` of it alone."""
+    return identity_records([query], [spec], base_nodes)[0]
 
 
 def identity_sweep(n: int, count: int, seed: int, max_product: float = 20.0,
                    base_nodes: int = DEFAULT_OSC_NODES) -> list[IdentityRecord]:
     """Residuals at `count` random (xi, R) draws, R in [0.5, 2) and
-    R|xi| <= max_product."""
+    R|xi| <= max_product, all in one `identity_records` call."""
     rng = np.random.default_rng(seed)
     dim = Dimension(n)
-    records = []
+    queries = []
     for _ in range(count):
         radius = rng.uniform(0.5, 2.0)
         knorm = rng.uniform(0.0, max_product / radius)
         direction = rng.standard_normal(n)
         norm = np.linalg.norm(direction)
         xi = direction * (knorm / norm) if norm > 0 else np.zeros(n)
-        records.append(identity_record(KernelQuery(xi, radius, dim), base_nodes=base_nodes))
-    return records
+        queries.append(KernelQuery(xi, radius, dim))
+    return identity_records(queries, base_nodes=base_nodes)
 
 
 def normalization_constant(n: int, radius: float = 1.0,

@@ -113,13 +113,15 @@ def stencil_offsets(degree: int) -> np.ndarray:
     return np.arange(npts, dtype=np.float64) - (npts - 1) / 2.0
 
 
-def stencil_radii(t: float, degree: int, h: float) -> np.ndarray:
-    """The degree + 1 stencil radii at spacing h around t; StencilError when
-    the stencil reaches a radius <= 0."""
-    radii = t + stencil_offsets(degree) * h
-    if radii[0] <= 0:
-        raise StencilError(f"stencil of degree {degree} with h = {h:g} reaches radius "
-                           f"{radii[0]:g} <= 0 at t = {t:g}")
+def stencil_radii(t, degree: int, h) -> np.ndarray:
+    """The degree + 1 stencil radii at spacing h around t, or one row of them per
+    pair of t and h of shape (D,); StencilError when one reaches a radius <= 0."""
+    radii = np.asarray(t)[..., None] + stencil_offsets(degree) * np.asarray(h)[..., None]
+    if min(radii[..., :1].flat) <= 0:
+        t, h, first = (np.ravel(a) for a in np.broadcast_arrays(t, h, radii[..., 0]))
+        i = first.argmin()
+        raise StencilError(f"stencil of degree {degree} with h = {h[i]:g} reaches radius "
+                           f"{first[i]:g} <= 0 at t = {t[i]:g}")
     return radii
 
 
@@ -144,50 +146,51 @@ def _fit_matrix(degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeanSeries:
-    """Samples of a radial profile on a symmetric stencil around some t:
-    values of shape (R,), or (R, ...) for one profile per trailing index."""
+    """Samples of a radial profile on a symmetric stencil around some t: values
+    (R,) or (R, ...), one profile per trailing index, at radii (R,) or (R, D)."""
 
     radii: np.ndarray
     values: np.ndarray
 
 
-def _fit_derivatives(series: MeanSeries, h: float, max_order: int) -> np.ndarray:
+def _power(x, p: int):
+    """x ** p, by element for an array: numpy's array power rounds unlike a float's."""
+    return np.array([v ** p for v in x.tolist()]) if getattr(x, "ndim", 0) else x ** p
+
+
+def _fit_derivatives(series: MeanSeries, h, max_order: int) -> np.ndarray:
     """F^(0..max_order) at the stencil center from the polynomial interpolant,
-    shaped (max_order + 1,) + the trailing shape of the samples."""
+    shaped (max_order + 1,) + the trailing shape of the samples (h: one or D)."""
     degree = len(series.radii) - 1
     if max_order > degree:
         raise StencilError(f"need derivative order {max_order} but fit degree is {degree}")
     scale = stencil_offsets(degree)[-1] * h
-    fit, values = _fit_matrix(degree), series.values
-    if values.ndim == 1:
-        coeffs = fit @ values
-    else:
-        # one matrix-vector product per profile, which rounds as it does for
-        # that profile alone; one matrix product over all of them would not
-        profiles = values.reshape(degree + 1, -1).T
-        coeffs = np.matmul(fit, profiles[..., None])[..., 0].T.reshape(values.shape)
+    # one matrix-vector product per profile, which rounds as it does for that
+    # profile alone; one matrix product over all of them would not
+    values = series.values
+    profiles = values.reshape(degree + 1, -1).T
+    coeffs = np.matmul(_fit_matrix(degree), profiles[..., None])[..., 0].T.reshape(values.shape)
     return np.array(
-        [math.factorial(j) * coeffs[j] / scale**j for j in range(max_order + 1)]
+        [math.factorial(j) * coeffs[j] / _power(scale, j) for j in range(max_order + 1)]
     )
 
 
-def chain_apply(series: MeanSeries, m: int, t: float, h: float,
-                time_derivative: bool = False):
-    """Evaluate (1/t d/dt)^m at t from samples; optionally also its d/dt.
-
-    Returns val, or (val, dval) when time_derivative is set.
-    """
+def chain_apply(series: MeanSeries, m: int, t, h, time_derivative: bool = False):
+    """(1/t d/dt)^m at t from samples, or (val, dval) with its d/dt when
+    time_derivative is set. t and h are scalars, or one per profile of
+    samples (R, D), each profile's value the one it gets alone."""
     chain = radial_chain_coefficients(m)
     max_order = m + (1 if time_derivative else 0)
-    derivs = _fit_derivatives(series, h, max_order)
     try:
-        val = sum(a * t ** (j - 2 * m) * derivs[j] for j, a in chain)
+        derivs = _fit_derivatives(series, h, max_order)
+        val = sum(a * _power(t, j - 2 * m) * derivs[j] for j, a in chain)
         if not time_derivative:
             return val
         dval = sum(
-            a * ((j - 2 * m) * t ** (j - 2 * m - 1) * derivs[j] + t ** (j - 2 * m) * derivs[j + 1])
+            a * ((j - 2 * m) * _power(t, j - 2 * m - 1) * derivs[j]
+                 + _power(t, j - 2 * m) * derivs[j + 1])
             for j, a in chain
         )
     except OverflowError as exc:  # a float t ** (j - 2m) beyond the float range
-        raise EvaluationError(f"(1/t d/dt)^{m} at t = {t:g} overflows") from exc
+        raise EvaluationError(f"(1/t d/dt)^{m} at t = {np.min(t):g} overflows") from exc
     return val, dval

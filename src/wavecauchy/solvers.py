@@ -169,12 +169,13 @@ def radial_node_count(field: ScalarField, t: float) -> int:
 ROUNDING_FACTOR = 128
 
 
-def means_series(g, center, rule: SphereQuadrature, t: float, degree: int,
-                 h: float, coarse: MeanSeries | None = None) -> MeanSeries:
+def means_series(g, center, rule: SphereQuadrature, t, degree: int,
+                 h, coarse: MeanSeries | None = None) -> MeanSeries:
     """g's r^(N-2)-scaled sphere sums over omega_N, N = rule.n, at the degree + 1
     stencil radii of spacing h around t: the samples (1/t d/dt)^m acts on, and
     the only place sphere sums become them. One centre (shape (N,) or a
     scalar) gives samples of shape (R,), P centres (shape (P, N)) give (R, P).
+    One centre with t and h of shape (D,) gives (R, D), g seeing the D R radii flat.
     With coarse, the series at spacing 2 h (degree even), only the odd offsets
     are summed: offset 2k is coarse's offset k, the same radius to the bit.
     StencilError when the stencil reaches a radius <= 0."""
@@ -182,13 +183,15 @@ def means_series(g, center, rule: SphereQuadrature, t: float, degree: int,
     if coarse is not None:
         offsets = np.arange(degree + 1) - degree // 2
         odd = offsets % 2 == 1
-        summed = radii[odd]
-    values = (summed ** (rule.n - 2) * sphere_sums(g, center, summed, rule) / _omega(rule.n)).T
+        summed = radii[..., odd]
+    sums = sphere_sums(g, center, summed.ravel(), rule)
+    values = (summed ** (rule.n - 2) * sums.reshape(sums.shape[:-1] + summed.shape)
+              / _omega(rule.n)).T
     if coarse is not None:
         full = np.empty_like(coarse.values)  # its layout, as chain_apply rounds by layout
         full[odd], full[~odd] = values, coarse.values[degree // 2 + offsets[~odd] // 2]
         values = full
-    return MeanSeries(radii, values)
+    return MeanSeries(radii.T, values)
 
 
 def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature:
@@ -423,6 +426,8 @@ class SpectralState:
     psi_hat: np.ndarray
     shell: np.ndarray
     radii: np.ndarray
+    #: (sum w |phi_hat|, sum w |psi_hat|), w the column counts of `_half_weights`
+    magnitudes: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -456,8 +461,9 @@ def spectral_state(problem: CauchyProblem, grid: GridSpec) -> SpectralState:
     if grid.dim != problem.dim.n:
         raise ValueError("grid dimension does not match the problem")
     shell, radii = grid.shells()
-    return SpectralState(grid, _half_spectrum(problem.phi, grid, shell.shape),
-                         _half_spectrum(problem.psi, grid, shell.shape), shell, radii)
+    spectra = [_half_spectrum(field, grid, shell.shape) for field in (problem.phi, problem.psi)]
+    magnitudes = tuple(float(np.sum(np.abs(a) @ _half_weights(grid))) for a in spectra)
+    return SpectralState(grid, *spectra, shell, radii, magnitudes)
 
 
 def _evolution_state(problem: CauchyProblem, grid: GridSpec, t: float,
@@ -517,8 +523,9 @@ def spectral_probes(problem: CauchyProblem, grid: GridSpec, t: float, index,
     lattice: each slab of the evolved half spectrum (`_kernels.evolved_slabs`) is
     summed over its last axis against the columns' weights times e^(2 pi i k j / N),
     k j reduced mod N in integers so each twiddle is exact, then over the other axes
-    (`_kernels.contract_axes`). The error estimate is `spectral_solve`'s with
-    max|u| replaced by its bound S = (sum w |phi_hat| + t sum w |psi_hat|) / N^n."""
+    (`_kernels.contract_axes`). The error estimate is `spectral_solve`'s with max|u|
+    replaced by its bound S = (sum w |phi_hat| + t sum w |psi_hat|) / N^n, whose
+    two sums the state holds (`SpectralState.magnitudes`)."""
     state = _evolution_state(problem, grid, t, state)
     index = np.asarray(index, dtype=np.int64).reshape(-1, grid.dim)
     tables = [np.exp(2j * math.pi / grid.points * (np.outer(np.arange(size), j) % grid.points))
@@ -528,12 +535,11 @@ def spectral_probes(problem: CauchyProblem, grid: GridSpec, t: float, index,
     # n = 1 as one row, so the slabs run along axis 0 in every dimension
     phi_hat, psi_hat, shell = np.atleast_2d(state.phi_hat, state.psi_hat, state.shell)
     acc = np.empty(shell.shape[:-1] + (len(index),), dtype=np.complex128)
-    magnitude = 0.0
     for slab, part in _kernels.evolved_slabs(phi_hat, psi_hat, shell, state.radii, t):
         np.dot(part.reshape(-1, len(weights)), last, out=acc[slab].reshape(-1, len(index)))
-        magnitude += np.sum((np.abs(phi_hat[slab]) + t * np.abs(psi_hat[slab])) @ weights)
     values = _kernels.contract_axes(acc, tables).real / grid.points ** grid.dim
-    return values, _rounding(grid) * magnitude / grid.points ** grid.dim
+    a_phi, a_psi = state.magnitudes
+    return values, _rounding(grid) * (a_phi + t * a_psi) / grid.points ** grid.dim
 
 
 def hermitian_defect(problem: CauchyProblem, grid: GridSpec) -> float:

@@ -12,6 +12,8 @@ from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
 from wavecauchy import fields
 from wavecauchy.errors import ConfigError
 from wavecauchy.geometry import MAX_OSC_NODES, Dimension
+from wavecauchy.kernels import KernelQuery, identity_record
+from wavecauchy.radial import RadialDerivativeSpec
 from wavecauchy.solvers import CauchyProblem, solve_point
 
 
@@ -476,6 +478,33 @@ h0 = 0.1
         _, _, body = read_report(out)
         residuals = [float(r["residual"]) for r in body]
         assert residuals[0] > residuals[1] > residuals[2]
+
+    @pytest.mark.parametrize("target, dim", [("odd-identity", 5), ("even-identity", 4)])
+    def test_identity_ladder_is_the_per_level_records(self, tmp_path, target, dim):
+        out = tmp_path / "conv.csv"
+        cfg = write_config(tmp_path, f"""
+[run]
+command = converge
+output = {out}
+
+[converge]
+target = {target}
+dim = {dim}
+xi_norm = 2.5
+radius = 1.2
+levels = 4
+h0 = 0.1
+""")
+        main(["converge", "--config", cfg])
+        _, _, body = read_report(out)
+        xi = np.zeros(dim)
+        xi[0] = 2.5
+        query = KernelQuery(xi, 1.2, Dimension(dim))
+        for row in body:
+            h = 0.1 / 2 ** int(row["level"])
+            alone = identity_record(query, RadialDerivativeSpec(1, h, 6)).residual
+            assert float(row["h"]) == h
+            assert abs(float(row["residual"]) - alone) <= 1e-15
 
     def test_saturated_ladder(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
+import wavecauchy._kernels as _kernels
 import wavecauchy.fields as fields
 import wavecauchy.kernels as kernels
+import wavecauchy.solvers as solvers
 from wavecauchy.errors import ConfigError, EvaluationError
 from wavecauchy.geometry import (
     Dimension,
@@ -23,7 +25,6 @@ from wavecauchy.kernels import (
     identity_record,
     identity_sweep,
     normalization_constant,
-    sinc_kernel,
 )
 from wavecauchy.radial import MeanSeries, RadialDerivativeSpec, chain_apply, stencil_radii
 from wavecauchy.solvers import CauchyProblem, means_series, solve_point, weighted_ball_mean
@@ -62,21 +63,20 @@ def direct_ball_wave(q, radius, nodes, length_scale=math.inf):
 
 
 class TestSincKernel:
+    """The kernel sin(R|xi|)/|xi| as the identities take it: R sinc(R|xi|)."""
+
     def test_examples(self):
-        assert sinc_kernel(np.zeros(3), 2.0) == 2.0
-        xi = np.array([math.pi, 0.0, 0.0])
-        assert sinc_kernel(xi, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert sinc_kernel(np.array([1.0]), math.pi / 2.0) == pytest.approx(1.0, rel=1e-15)
+        assert 2.0 * _kernels.sinc_ratio(np.zeros(3))[0] == 2.0
+        assert _kernels.sinc_ratio(np.array([math.pi]))[0] == pytest.approx(0.0, abs=1e-15)
+        half_pi = math.pi / 2.0
+        assert half_pi * _kernels.sinc_ratio(np.array([half_pi]))[0] == \
+            pytest.approx(1.0, rel=1e-15)
 
     def test_series_branch_accuracy(self):
         # both sides of the series cutoff must match sin(z)/z to rounding
         for z in (1e-6, 5e-5, 9.9e-5, 1.01e-4, 1e-3):
-            got = sinc_kernel(np.array([z, 0.0]), 1.0)
+            got = _kernels.sinc_ratio(np.array([z]))[0]
             assert got == pytest.approx(math.sin(z) / z, rel=1e-14)
-
-    def test_radius_guard(self):
-        with pytest.raises(ValueError):
-            sinc_kernel(np.zeros(2), 0.0)
 
 
 class TestExponentialAverages:
@@ -92,7 +92,7 @@ class TestExponentialAverages:
         for _ in range(20):
             q = random_query(rng, 3)
             got = sphere_average(q, 3)
-            assert got.real == pytest.approx(sinc_kernel(q.xi, q.radius), abs=1e-12)
+            assert got.real == pytest.approx(math.sin(q.radius * q.knorm) / q.knorm, abs=1e-12)
         qpi = KernelQuery(np.array([math.pi, 0.0, 0.0]), 1.0, Dimension(3))
         assert abs(sphere_average(qpi, 3)) < 1e-14
 
@@ -178,7 +178,7 @@ class TestIdentities:
         radii = stencil_radii(q.radius, spec.degree, spec.h)
         series = MeanSeries(radii, np.array([direct_ball_wave(q, r, 128) for r in radii]))
         value = solution_constant(4) * chain_apply(series, 1, q.radius, spec.h)
-        assert abs(sinc_kernel(q.xi, q.radius) - value) <= 1e-8
+        assert abs(math.sin(3.0) / 3.0 - value) <= 1e-8
 
     def test_residual_refinement_order(self):
         # residual drops at (at least) order degree - m when h halves
@@ -208,6 +208,100 @@ class TestIdentities:
         with pytest.raises(ValueError):
             identity_record(KernelQuery(np.zeros(5), 1.0, Dimension(5)),
                             spec=RadialDerivativeSpec(2, 0.01, 8))
+
+
+def assert_same_record(batched, alone):
+    """Everything but the residuals equal, the residuals within 1e-15 absolute.
+    The batched sums, fit and chain take each query's own operations, so they
+    agree to the bit where a matrix-vector product rounds each row alike
+    whatever the number of rows; the bound allows for a BLAS that does not."""
+    assert (batched.n, batched.radius, batched.knorm, batched.h, batched.nodes) == \
+        (alone.n, alone.radius, alone.knorm, alone.h, alone.nodes)
+    assert abs(batched.residual - alone.residual) <= 1e-15
+    assert abs(batched.imag_residual - alone.imag_residual) <= 1e-15
+
+
+def count_sphere_sums(monkeypatch):
+    """A list that grows by one entry per `sphere_sums` call of the means path."""
+    calls = []
+    original = solvers.sphere_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "sphere_sums", counted)
+    return calls
+
+
+class TestBatchedIdentities:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_a_shorter_sweep_is_a_prefix(self, n):
+        full = identity_sweep(n, 200, seed=20 + n)
+        for count in (1, 37):
+            for batched, short in zip(full, identity_sweep(n, count, seed=20 + n)):
+                assert_same_record(batched, short)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_each_record_is_its_query_alone(self, n, monkeypatch):
+        calls = count_sphere_sums(monkeypatch)
+        records = identity_sweep(n, 200, seed=30 + n)
+        assert len(calls) == 1  # 200 draws at 64 nodes: one block
+        rng = np.random.default_rng(30 + n)
+        for rec in records:
+            assert_same_record(rec, identity_record(random_query(rng, n)))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_node_groups_out_of_draw_order(self, n):
+        records = identity_sweep(n, 40, seed=5, max_product=100.0)
+        nodes = [rec.nodes for rec in records]
+        # several node counts, interleaved in draw order
+        assert len(set(nodes)) > 3
+        assert any(a > b for a, b in zip(nodes, nodes[1:]))
+        rng = np.random.default_rng(5)
+        for rec in records:
+            assert_same_record(rec, identity_record(random_query(rng, n, 100.0)))
+
+    def test_a_sweep_over_two_blocks(self, monkeypatch):
+        # 9 stencil radii of 7 coordinates at 64 nodes: 260 draws fill a block
+        calls = count_sphere_sums(monkeypatch)
+        records = identity_sweep(7, 261, seed=4)
+        assert calls == [(260 * 9,), (9,)]
+        rng = np.random.default_rng(4)
+        queries = [random_query(rng, 7) for _ in range(261)]
+        for index in (0, 259, 260):
+            assert_same_record(records[index], identity_record(queries[index]))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_zero_frequency_in_a_batch(self, n):
+        rng = np.random.default_rng(11)
+        queries = [random_query(rng, n) for _ in range(3)]
+        queries.insert(1, KernelQuery(np.zeros(n), 1.3, Dimension(n)))
+        records = kernels.identity_records(queries)
+        assert records[1].knorm == 0.0
+        # the sinc side is its limit R, which the chain meets to the tolerance
+        assert records[1].residual <= (1e-10 if n % 2 else 1e-8)
+        for rec, q in zip(records, queries):
+            assert_same_record(rec, identity_record(q))
+
+    def test_an_oversized_draw_fails_before_any_sum(self, monkeypatch):
+        calls = count_sphere_sums(monkeypatch)
+        rng = np.random.default_rng(12)
+        queries = [random_query(rng, 3) for _ in range(4)]
+        queries.append(KernelQuery(np.array([2000.0, 0.0, 0.0]), 1.0, Dimension(3)))
+        with pytest.raises(EvaluationError, match="oscillatory quadrature nodes"):
+            kernels.identity_records(queries)
+        assert calls == []
+
+    def test_specs_per_query(self):
+        q = KernelQuery(np.array([3.0, 0, 0, 0, 0]), 1.0, Dimension(5))
+        specs = [RadialDerivativeSpec(1, h, 6) for h in (0.1, 0.05, 0.025)]
+        records = kernels.identity_records([q] * 3, specs)
+        assert [rec.h for rec in records] == [0.1, 0.05, 0.025]
+        for rec, spec in zip(records, specs):
+            assert_same_record(rec, identity_record(q, spec))
+        with pytest.raises(ValueError):  # one spec short
+            kernels.identity_records([q] * 3, specs[:2])
 
 
 class TestConstantsTwoWays:
