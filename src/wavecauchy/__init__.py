@@ -24,13 +24,12 @@ from .kernels import (
     DistributionFunctional,
     KernelQuery,
     distribution_fourier_check,
-    identity_record,
     identity_records,
     identity_sweep,
     normalization_constant,
 )
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
-from .radial import MeanSeries, RadialDerivativeSpec, default_spec
+from .radial import RadialDerivativeSpec, default_spec
 from .solvers import (
     CauchyProblem,
     GridSpec,
@@ -39,7 +38,6 @@ from .solvers import (
     SpectralState,
     hermitian_defect,
     solve_dalembert_point,
-    solve_point,
     solve_points,
     spectral_energy,
     spectral_probes,

@@ -406,7 +406,8 @@ def _means_slab(problem: CauchyProblem, points: int, t0: float, h: float) -> np.
     return slab
 
 
-def _identity_ladder(keys: dict) -> tuple[list[float], list[float], list[float]]:
+def _identity_ladder(config: RunConfig) -> tuple[list[float], list[float], list[float]]:
+    keys = config["converge"]
     target, dim, radius = keys["target"], keys["dim"], keys["radius"]
     d = Dimension(dim)
     if (target == "odd-identity") != d.is_odd or dim < 2:
@@ -420,7 +421,8 @@ def _identity_ladder(keys: dict) -> tuple[list[float], list[float], list[float]]
     h0 = min(keys["h0"], 0.9 * radius / (2 * m + 6))
     hs = [h0 / 2**level for level in range(keys["levels"])]
     specs = [RadialDerivativeSpec(m, h, 2 * m + 4) for h in hs]
-    res = [rec.residual for rec in identity_records([query] * len(hs), specs)]
+    records = identity_records([query] * len(hs), specs, base_nodes=config["run"]["quad_nodes"])
+    res = [rec.residual for rec in records]
     return hs, res, [1e-12] * len(hs)
 
 
@@ -429,7 +431,7 @@ def _converge_residuals(config: RunConfig) -> tuple[list[float], list[float], li
     keys = config["converge"]
     target, h0, points = keys["target"], keys["h0"], keys["points"]
     if target.endswith("identity"):
-        return _identity_ladder(keys)
+        return _identity_ladder(config)
     hs = [h0 / 2**level for level in range(keys["levels"])]
     if target == "wave-residual":
         slabs = [(_analytic_slab(keys["profile"], h, points), h / 2.0) for h in hs]

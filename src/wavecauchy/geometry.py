@@ -248,6 +248,7 @@ class SphereQuadrature:
                 writer.writerow([i] + [repr(float(c)) for c in node] + [repr(float(w))])
 
 
+@lru_cache(maxsize=128)
 def _build_sphere_rule(n: int, polar: int, azimuth: int) -> SphereQuadrature:
     if n == 1:
         nodes = np.array([[1.0], [-1.0]])
@@ -297,11 +298,6 @@ def _build_sphere_rule(n: int, polar: int, azimuth: int) -> SphereQuadrature:
     return SphereQuadrature(Dimension(n), nodes, weights, order)
 
 
-@lru_cache(maxsize=128)
-def _sphere_rule_cached(n: int, polar: int, azimuth: int) -> SphereQuadrature:
-    return _build_sphere_rule(n, polar, azimuth)
-
-
 def default_sphere_order(n: int) -> int:
     """Polynomial order of the default product rule on S^{n-1}."""
     return _DEFAULT_SPHERE_ORDERS.get(n, 7)
@@ -318,7 +314,7 @@ def sphere_quadrature_for_order(n: int, order: int) -> SphereQuadrature:
     n = _check_dimension(n)
     polar = max(2, (order + 2) // 2)
     azimuth = max(4, order + 1 + (order + 1) % 2)
-    return _sphere_rule_cached(n, polar, azimuth)
+    return _build_sphere_rule(n, polar, azimuth)
 
 
 #: Largest even dimension whose descent rule on S^n stays within MAX_DIMENSION.

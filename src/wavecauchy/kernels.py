@@ -5,8 +5,9 @@ T_R is the solver's velocity term: c_N (1/R d/dR)^m of the r^(N-2)-scaled
 sphere means over S^(N-1) (`solvers.means_series`), with N = n for odd n and
 N = n + 1 by descent for even n. `DistributionFunctional.action` applies it to
 a test function, `identity_records` to the plane wave e^{-i x.xi}, one block of
-draws per sphere sum and chain, and `normalization_constant` to the constant 1;
-the last two sum on the reduced rule of radial data (`geometry._radial_rule`).
+draws per sphere sum and chain (one query is a batch of one), and
+`normalization_constant` to the constant 1; the last two sum on the reduced
+rule of radial data (`geometry._radial_rule`).
 `means_series` is the only code here that turns sphere sums into samples; the
 direct weighted ball mean (`solvers.weighted_ball_mean`) stays as the test
 oracle of the descent.
@@ -34,7 +35,7 @@ from .geometry import (
     sphere_quadrature_for_order,
     unit_ball_volume,
 )
-from .radial import RadialDerivativeSpec, chain_apply, default_spec, resolve_spec
+from .radial import chain_apply, default_spec, resolve_spec
 from .solvers import means_rule, means_series
 
 #: complex elements (16 bytes each) in the Fourier evaluator's largest per-chunk array
@@ -102,19 +103,13 @@ def identity_records(queries, specs=None,
             index, radius, knorm, h = zip(*members[first:first + block])
             t, k, step = np.array(radius), np.array(knorm), np.array(h)
             wave = np.repeat(k, degree + 1)[:, None]  # the frequency at each stencil radius
-            series = means_series(lambda points: np.exp(-1j * wave * points[..., 0]), 0.0,
-                                  _radial_rule(n_means, n_means, nodes), t, degree, step)
-            value = solution_constant(n_means) * chain_apply(series, m, t, step)
+            samples = means_series(lambda points: np.exp(-1j * wave * points[..., 0]), 0.0,
+                                   _radial_rule(n_means, n_means, nodes), t, degree, step)
+            value = solution_constant(n_means) * chain_apply(samples, m, t, step)
             residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
             for row in zip(index, radius, knorm, residual, abs(value.imag), h):
                 records[row[0]] = IdentityRecord(dim.n, *row[1:], nodes)
     return records
-
-
-def identity_record(query: KernelQuery, spec: RadialDerivativeSpec | None = None,
-                    base_nodes: int = DEFAULT_OSC_NODES) -> IdentityRecord:
-    """The identity's residual at one (xi, R) query: `identity_records` of it alone."""
-    return identity_records([query], [spec], base_nodes)[0]
 
 
 def identity_sweep(n: int, count: int, seed: int, max_product: float = 20.0,
@@ -147,9 +142,9 @@ def normalization_constant(n: int, radius: float = 1.0,
     m = Dimension(n).derivative_order
     spec = default_spec(m, radius)
     n_means = n + 1 - n % 2
-    series = means_series(constant(n_means), 0.0, _radial_rule(n_means, n_means, base_nodes),
-                          radius, spec.degree, spec.h)
-    denominator = float(chain_apply(series, m, radius, spec.h))
+    samples = means_series(constant(n_means), 0.0, _radial_rule(n_means, n_means, base_nodes),
+                           radius, spec.degree, spec.h)
+    denominator = float(chain_apply(samples, m, radius, spec.h))
     if denominator == 0.0 or not math.isfinite(denominator):
         raise EvaluationError(f"the derivative chain at R = {radius:g} gave {denominator!r}")
     if n % 2:
@@ -192,9 +187,9 @@ class DistributionFunctional:
         n = self.dim.n
         rule = means_rule(n, rule)
         spec = resolve_spec(self.dim.derivative_order, self.radius)
-        series = means_series(lambda points: test_fn(points[..., :n]), 0.0, rule, self.radius,
-                              spec.degree, spec.h)
-        return solution_constant(rule.n) * chain_apply(series, spec.iterations, self.radius,
+        samples = means_series(lambda points: test_fn(points[..., :n]), 0.0, rule, self.radius,
+                               spec.degree, spec.h)
+        return solution_constant(rule.n) * chain_apply(samples, spec.iterations, self.radius,
                                                        spec.h)
 
 

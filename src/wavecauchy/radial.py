@@ -144,30 +144,21 @@ def _fit_matrix(degree: int) -> np.ndarray:
     return inv
 
 
-@dataclass(frozen=True)
-class MeanSeries:
-    """Samples of a radial profile on a symmetric stencil around some t: values
-    (R,) or (R, ...), one profile per trailing index, at radii (R,) or (R, D)."""
-
-    radii: np.ndarray
-    values: np.ndarray
-
-
 def _power(x, p: int):
     """x ** p, by element for an array: numpy's array power rounds unlike a float's."""
     return np.array([v ** p for v in x.tolist()]) if getattr(x, "ndim", 0) else x ** p
 
 
-def _fit_derivatives(series: MeanSeries, h, max_order: int) -> np.ndarray:
-    """F^(0..max_order) at the stencil center from the polynomial interpolant,
-    shaped (max_order + 1,) + the trailing shape of the samples (h: one or D)."""
-    degree = len(series.radii) - 1
+def _fit_derivatives(values: np.ndarray, h, max_order: int) -> np.ndarray:
+    """F^(0..max_order) at the stencil center from the polynomial interpolant
+    through the samples values, (R,) or (R, ...) with one profile per trailing
+    index, shaped (max_order + 1,) + that trailing shape (h: one or D)."""
+    degree = len(values) - 1
     if max_order > degree:
         raise StencilError(f"need derivative order {max_order} but fit degree is {degree}")
     scale = stencil_offsets(degree)[-1] * h
     # one matrix-vector product per profile, which rounds as it does for that
     # profile alone; one matrix product over all of them would not
-    values = series.values
     profiles = values.reshape(degree + 1, -1).T
     coeffs = np.matmul(_fit_matrix(degree), profiles[..., None])[..., 0].T.reshape(values.shape)
     return np.array(
@@ -175,14 +166,15 @@ def _fit_derivatives(series: MeanSeries, h, max_order: int) -> np.ndarray:
     )
 
 
-def chain_apply(series: MeanSeries, m: int, t, h, time_derivative: bool = False):
-    """(1/t d/dt)^m at t from samples, or (val, dval) with its d/dt when
-    time_derivative is set. t and h are scalars, or one per profile of
-    samples (R, D), each profile's value the one it gets alone."""
+def chain_apply(values: np.ndarray, m: int, t, h, time_derivative: bool = False):
+    """(1/t d/dt)^m at t from the samples values on the stencil of spacing h
+    around t, or (val, dval) with its d/dt when time_derivative is set. t and
+    h are scalars, or one per profile of samples (R, D), each profile's value
+    the one it gets alone."""
     chain = radial_chain_coefficients(m)
     max_order = m + (1 if time_derivative else 0)
     try:
-        derivs = _fit_derivatives(series, h, max_order)
+        derivs = _fit_derivatives(values, h, max_order)
         val = sum(a * _power(t, j - 2 * m) * derivs[j] for j, a in chain)
         if not time_derivative:
             return val

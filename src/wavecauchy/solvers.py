@@ -29,8 +29,9 @@ Any other field takes the default product rule at the probe. A caller's
 `solve_points` solves at P points of one time together: the stencil, the
 node count and the rules are resolved once, each field's sphere sums are
 taken once per stencil radius set for all P centres, and the radial chain
-acts on samples of shape (R, P). Each point's value and error estimate are
-the ones it gets alone, to the bit; `solve_point` is the P = 1 case.
+acts on the samples array, shape (R, P). Each point's value and error
+estimate are the ones it gets alone, to the bit, so one point is a batch of
+one: `solve_points(problem, [x], t)[0]`.
 
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
@@ -71,7 +72,7 @@ from .geometry import (
     sphere_sums,
     unit_ball_volume,
 )
-from .radial import MeanSeries, RadialDerivativeSpec, chain_apply, resolve_spec, stencil_radii
+from .radial import RadialDerivativeSpec, chain_apply, resolve_spec, stencil_radii
 
 BINARY_MAGIC = b"WAVE"
 BINARY_VERSION = 1
@@ -170,28 +171,28 @@ ROUNDING_FACTOR = 128
 
 
 def means_series(g, center, rule: SphereQuadrature, t, degree: int,
-                 h, coarse: MeanSeries | None = None) -> MeanSeries:
+                 h, coarse: np.ndarray | None = None) -> np.ndarray:
     """g's r^(N-2)-scaled sphere sums over omega_N, N = rule.n, at the degree + 1
     stencil radii of spacing h around t: the samples (1/t d/dt)^m acts on, and
     the only place sphere sums become them. One centre (shape (N,) or a
     scalar) gives samples of shape (R,), P centres (shape (P, N)) give (R, P).
     One centre with t and h of shape (D,) gives (R, D), g seeing the D R radii flat.
-    With coarse, the series at spacing 2 h (degree even), only the odd offsets
+    With coarse, the samples at spacing 2 h (degree even), only the odd offsets
     are summed: offset 2k is coarse's offset k, the same radius to the bit.
     StencilError when the stencil reaches a radius <= 0."""
-    radii = summed = stencil_radii(t, degree, h)
+    summed = stencil_radii(t, degree, h)
     if coarse is not None:
         offsets = np.arange(degree + 1) - degree // 2
         odd = offsets % 2 == 1
-        summed = radii[..., odd]
+        summed = summed[..., odd]
     sums = sphere_sums(g, center, summed.ravel(), rule)
     values = (summed ** (rule.n - 2) * sums.reshape(sums.shape[:-1] + summed.shape)
               / _omega(rule.n)).T
-    if coarse is not None:
-        full = np.empty_like(coarse.values)  # its layout, as chain_apply rounds by layout
-        full[odd], full[~odd] = values, coarse.values[degree // 2 + offsets[~odd] // 2]
-        values = full
-    return MeanSeries(radii.T, values)
+    if coarse is None:
+        return values
+    full = np.empty_like(coarse)  # its layout, as chain_apply rounds by layout
+    full[odd], full[~odd] = values, coarse[degree // 2 + offsets[~odd] // 2]
+    return full
 
 
 def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature:
@@ -200,12 +201,12 @@ def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature
     return (rule or sphere_quadrature(n)) if n % 2 else descent_rule(n, rule)
 
 
-def _means_term(role: str, series: MeanSeries, m: int, t: float, h: float) -> np.ndarray:
+def _means_term(role: str, samples: np.ndarray, m: int, t: float, h: float) -> np.ndarray:
     """One field's part of the solution sum at each of the P centres, from its
     stencil samples at spacing h, odd n: (1/t d/dt)^m of psi's r^(n-2)-scaled
     mean, or the d/dt of phi's."""
-    return (chain_apply(series, m, t, h) if role == "psi"
-            else chain_apply(series, m, t, h, time_derivative=True)[1])
+    return (chain_apply(samples, m, t, h) if role == "psi"
+            else chain_apply(samples, m, t, h, time_derivative=True)[1])
 
 
 def _lift(field: ScalarField) -> ScalarField:
@@ -268,7 +269,7 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: float,
     # polynomial data stack |field| on their h pass for the rounding bound
     exact = [role for role, f in fields.items() if f.degree is not None and with_error]
 
-    def sample(role: str, h: float, count: int, coarse=None, magnitude=False) -> MeanSeries:
+    def sample(role: str, h: float, count: int, coarse=None, magnitude=False) -> np.ndarray:
         field = fields[role]
         g = (lambda points: np.stack([v := field(points), np.abs(v)], axis=-3)
              ) if magnitude else field
@@ -280,12 +281,11 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: float,
 
     stacked = {role: sample(role, h, count, magnitude=role in exact) for role in fields}
     # samples stacked (R, 2, P) with |field|'s, laid out as chain_apply expects
-    series = {role: MeanSeries(s.radii, s.values[:, 0].copy("F")) if role in exact else s
-              for role, s in stacked.items()}
+    series = {role: s[:, 0].copy("F") if role in exact else s for role, s in stacked.items()}
     u_terms, weights = {}, {}
     for role, s in series.items():
         if with_error:  # unit samples too, whose parts are the chain's weights a_j
-            s = MeanSeries(s.radii, np.asfortranarray(np.hstack([s.values, np.eye(len(s.radii))])))
+            s = np.asfortranarray(np.hstack([s, np.eye(len(s))]))
         parts = _means_term(role, s, m, t, h)  # each profile rounds as it does alone
         u_terms[role], weights[role] = parts[:len(xs)], parts[len(xs):]
     u = total(u_terms.values())
@@ -303,7 +303,7 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: float,
         # rounding, which both differences can miss (ROUNDING_FACTOR), each
         # centre's terms summed as one contiguous row, as for one centre
         for role, s in series.items():
-            magnitudes = stacked[role].values[:, 1] if role in exact else np.abs(s.values)
+            magnitudes = stacked[role][:, 1] if role in exact else np.abs(s)
             rows = np.ascontiguousarray(np.abs(weights[role]) * magnitudes.T)
             err += total([ROUNDING_FACTOR * np.finfo(np.float64).eps * rows.sum(axis=-1)])
     return [SolutionSample(x, t, float(ux), method, float(ex)) for x, ux, ex in zip(xs, u, err)]
@@ -324,18 +324,6 @@ def solve_points(problem: CauchyProblem, xs, t: float,
     if n == 1:
         return [solve_dalembert_point(problem, x, t) for x in xs]
     return _solve_means_points(problem, xs, t, spec, rule, with_error)
-
-
-def solve_point(problem: CauchyProblem, x, t: float, **kwargs) -> SolutionSample:
-    """The solution at one point x: `solve_points` with P = 1 (d'Alembert for
-    n = 1 takes a scalar x too)."""
-    n = problem.dim.n
-    x = np.asarray(x, dtype=np.float64)
-    if n == 1:
-        x = x.reshape(1)
-    if x.shape != (n,):
-        raise ValueError(f"point must have {n} components")
-    return solve_points(problem, x[None, :], t, **kwargs)[0]
 
 
 def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> SolutionSample:

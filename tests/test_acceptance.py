@@ -39,7 +39,7 @@ from wavecauchy.solvers import (
     hermitian_defect,
     means_series,
     solve_dalembert_point,
-    solve_point,
+    solve_points,
     spectral_energy,
     spectral_solve,
     spectral_state,
@@ -144,7 +144,7 @@ def test_04_even_identity_sweeps():
                 nodes = _osc_nodes(q.knorm * radius)
                 means = means_series(lambda points: np.exp(-1j * q.knorm * points[..., 0]), 0.0,
                                      _radial_rule(n + 1, n + 1, nodes), radius, 0, radius)
-                a = _omega(n + 1) / (2.0 * unit_ball_volume(n)) * complex(means.values[0])
+                a = _omega(n + 1) / (2.0 * unit_ball_volume(n)) * complex(means[0])
                 wave = fields.ScalarField(lambda points: np.cos(q.knorm * points[..., 0]), n)
                 b = radius**n * weighted_ball_mean(wave, np.zeros(n), radius,
                                                    _radial_rule(n, n, nodes))
@@ -178,7 +178,7 @@ def test_06_harmonic_data_exactness():
             for t in (0.5, 1.0, 2.0):
                 for x in probes:
                     exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
-                    sample = solve_point(problem, x, t, rule=rule, with_error=False)
+                    sample = solve_points(problem, [x], t, rule=rule, with_error=False)[0]
                     assert abs(sample.u - exact) <= 1e-8 * abs(exact)
 
 
@@ -206,7 +206,7 @@ def test_07_oracle_agreement():
         for _ in range(50):
             idx = tuple(rng.choice(near2) for _ in range(2))
             x = np.array([grid2.axis()[i] for i in idx])
-            u = solve_point(problem2, x, t, with_error=False).u
+            u = solve_points(problem2, [x], t, with_error=False)[0].u
             diffs.append(abs(u - sol2.values[idx]))
             scale = max(scale, abs(u))
         assert max(diffs) <= 1e-3 * scale
@@ -221,7 +221,7 @@ def test_07_oracle_agreement():
         for _ in range(50):
             idx = tuple(rng.choice(near3) for _ in range(3))
             x = np.array([grid3.axis()[i] for i in idx])
-            u = solve_point(problem3, x, t, with_error=False).u
+            u = solve_points(problem3, [x], t, with_error=False)[0].u
             diffs.append(abs(u - sol3.values[idx]))
             scale = max(scale, abs(u))
         assert max(diffs) <= 1e-3 * scale
@@ -233,13 +233,13 @@ def test_08_huygens_and_wake():
         problem3 = CauchyProblem(fields.zero(3), psi3, Dimension(3))
         probe = np.array([3.0, 0.0, 0.0])
         for t in (1.0, 2.0, 4.0, 5.0):
-            assert abs(solve_point(problem3, probe, t, with_error=False).u) <= 1e-6
-        assert abs(solve_point(problem3, probe, 3.0, with_error=False).u) > 1e-3
+            assert abs(solve_points(problem3, [probe], t, with_error=False)[0].u) <= 1e-6
+        assert abs(solve_points(problem3, [probe], 3.0, with_error=False)[0].u) > 1e-3
 
         psi2 = fields.bump(2, radius=0.5)
         problem2 = CauchyProblem(fields.zero(2), psi2, Dimension(2))
         for t in (2.0, 4.0, 8.0):
-            assert solve_point(problem2, np.zeros(2), t, with_error=False).u > 1e-4
+            assert solve_points(problem2, [np.zeros(2)], t, with_error=False)[0].u > 1e-4
 
 
 def test_09_pde_residual_order():
@@ -256,8 +256,8 @@ def test_09_pde_residual_order():
                 for it, tv in enumerate(tvals):
                     for idx in np.ndindex(*(pts,) * n):
                         x = np.array([axis[i] for i in idx])
-                        slab[(it,) + idx] = solve_point(problem, x, tv,
-                                                        with_error=False).u
+                        slab[(it,) + idx] = solve_points(problem, [x], tv,
+                                                         with_error=False)[0].u
                 residuals.append(wave_residual(slab, h, h))
             orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
             fitted = sum(orders) / len(orders)

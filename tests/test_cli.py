@@ -12,9 +12,9 @@ from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
 from wavecauchy import fields
 from wavecauchy.errors import ConfigError
 from wavecauchy.geometry import MAX_OSC_NODES, Dimension
-from wavecauchy.kernels import KernelQuery, identity_record
+from wavecauchy.kernels import KernelQuery, identity_records
 from wavecauchy.radial import RadialDerivativeSpec
-from wavecauchy.solvers import CauchyProblem, solve_point
+from wavecauchy.solvers import CauchyProblem, solve_points
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -225,7 +225,7 @@ binary_out = {binary}
 
 class TestBatchedMeans:
     """solve makes one solve_points call per time and converge one per slab
-    time; the rows are those of one solve_point call per point, to the bit."""
+    time; the rows are those of one solve_points call per point, to the bit."""
 
     @pytest.mark.parametrize("dim, data", [
         (2, "phi = gaussian\nphi_sigma = 0.9\npsi = harmonic\npsi_poly = saddle"),
@@ -256,7 +256,7 @@ probe_count = 4
         rng = np.random.default_rng(5)
         probes = [rng.uniform(-1.0, 1.0, size=dim) for _ in range(4)]
         # times outer, probes inner
-        expected = [solve_point(problem, x, t) for t in (0.7, 1.3) for x in probes]
+        expected = [solve_points(problem, [x], t)[0] for t in (0.7, 1.3) for x in probes]
         assert len(body) == len(expected)
         for row, s in zip(body, expected):
             assert [row[f"x{k + 1}"] for k in range(dim)] == [repr(float(c)) for c in s.x]
@@ -273,7 +273,7 @@ probe_count = 4
         for it, t in enumerate(t0 + h * np.array([-1.0, 0.0, 1.0])):
             for idx in np.ndindex(*slab.shape[1:]):
                 x = axis[list(idx)]
-                assert slab[(it,) + idx] == solve_point(problem, x, t, with_error=False).u
+                assert slab[(it,) + idx] == solve_points(problem, [x], t, with_error=False)[0].u
 
     @pytest.mark.parametrize("dim, data, times", [
         # the second time needs 4000 nodes per coordinate, above the cap
@@ -502,9 +502,28 @@ h0 = 0.1
         query = KernelQuery(xi, 1.2, Dimension(dim))
         for row in body:
             h = 0.1 / 2 ** int(row["level"])
-            alone = identity_record(query, RadialDerivativeSpec(1, h, 6)).residual
+            alone = identity_records([query], [RadialDerivativeSpec(1, h, 6)])[0].residual
             assert float(row["h"]) == h
             assert abs(float(row["residual"]) - alone) <= 1e-15
+
+    def test_identity_ladder_takes_quad_nodes(self, tmp_path):
+        cfg = write_config(tmp_path, """
+[run]
+command = converge
+
+[converge]
+target = odd-identity
+dim = 3
+xi_norm = 12
+levels = 3
+""")
+        residuals = []
+        for flags in ([], ["--quad-nodes", "16"]):
+            out = tmp_path / f"conv{len(flags)}.csv"
+            assert main(["converge", "--config", cfg, "--out", str(out)] + flags) in (0, 1)
+            residuals.append([float(row["residual"]) for row in read_report(out)[2]])
+        assert len(residuals[1]) == 3
+        assert residuals[0] != residuals[1]
 
     def test_saturated_ladder(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -22,12 +22,12 @@ from wavecauchy.kernels import (
     KernelQuery,
     _osc_nodes,
     distribution_fourier_check,
-    identity_record,
+    identity_records,
     identity_sweep,
     normalization_constant,
 )
-from wavecauchy.radial import MeanSeries, RadialDerivativeSpec, chain_apply, stencil_radii
-from wavecauchy.solvers import CauchyProblem, means_series, solve_point, weighted_ball_mean
+from wavecauchy.radial import RadialDerivativeSpec, chain_apply, stencil_radii
+from wavecauchy.solvers import CauchyProblem, means_series, solve_points, weighted_ball_mean
 
 
 def random_query(rng, n, max_product=20.0):
@@ -43,7 +43,7 @@ def sphere_average(q, n):
     R^n: the means path at a degree-0 stencil, whose one radius is R."""
     rule = _radial_rule(n, n, _osc_nodes(q.knorm * q.radius))
     wave = lambda points: np.exp(-1j * q.knorm * points[..., 0])
-    return complex(means_series(wave, 0.0, rule, q.radius, 0, q.radius).values[0])
+    return complex(means_series(wave, 0.0, rule, q.radius, 0, q.radius)[0])
 
 
 def ball_by_descent(q):
@@ -143,48 +143,48 @@ class TestExponentialAverages:
 class TestIdentities:
     def test_odd_zero_frequency(self):
         q = KernelQuery(np.zeros(5), 1.0, Dimension(5))
-        assert identity_record(q).residual <= 1e-10
+        assert identity_records([q])[0].residual <= 1e-10
 
     def test_odd_n3_sweep(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             q = random_query(rng, 3)
-            assert identity_record(q).residual <= 1e-10
+            assert identity_records([q])[0].residual <= 1e-10
 
     def test_odd_n5_against_refined_oracle(self):
         q = KernelQuery(np.array([2.0, 0, 0, 0, 0]), 1.0, Dimension(5))
-        assert identity_record(q).residual <= 1e-8
+        assert identity_records([q])[0].residual <= 1e-8
         # doubled-resolution oracle: twice the nodes, half the spacing, two
         # extra fit degrees; the residual target must hold there too
         spec = RadialDerivativeSpec(1, 0.0125, 8)
-        assert identity_record(q, spec, 128).residual <= 1e-10
+        assert identity_records([q], [spec], 128)[0].residual <= 1e-10
 
     def test_even_zero_frequency(self):
         q = KernelQuery(np.zeros(4), 1.0, Dimension(4))
-        assert identity_record(q).residual <= 1e-8
+        assert identity_records([q])[0].residual <= 1e-8
 
     def test_even_n2_sweep(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             q = random_query(rng, 2)
-            assert identity_record(q).residual <= 1e-8
+            assert identity_records([q])[0].residual <= 1e-8
 
     def test_even_n4_against_refined_oracle(self):
         q = KernelQuery(np.array([3.0, 0, 0, 0]), 1.0, Dimension(4))
-        assert identity_record(q).residual <= 1e-6
+        assert identity_records([q])[0].residual <= 1e-6
         # the refined residual on the direct weighted ball mean, not the descent
         spec = RadialDerivativeSpec(1, 0.008, 8)
         spec.validate_radius(q.radius)
         radii = stencil_radii(q.radius, spec.degree, spec.h)
-        series = MeanSeries(radii, np.array([direct_ball_wave(q, r, 128) for r in radii]))
-        value = solution_constant(4) * chain_apply(series, 1, q.radius, spec.h)
+        samples = np.array([direct_ball_wave(q, r, 128) for r in radii])
+        value = solution_constant(4) * chain_apply(samples, 1, q.radius, spec.h)
         assert abs(math.sin(3.0) / 3.0 - value) <= 1e-8
 
     def test_residual_refinement_order(self):
         # residual drops at (at least) order degree - m when h halves
         q = KernelQuery(np.array([3.0, 0, 0, 0, 0]), 1.0, Dimension(5))
         m, degree = 1, 6
-        residuals = [identity_record(q, RadialDerivativeSpec(m, h, degree)).residual
+        residuals = [identity_records([q], [RadialDerivativeSpec(m, h, degree)])[0].residual
                      for h in (0.1, 0.05, 0.025)]
         orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
         assert min(orders) >= degree - m
@@ -193,7 +193,7 @@ class TestIdentities:
         # past R|xi| = 30 the 1-D rules grow linearly with the phase range;
         # the n = 3 identity stays at quadrature accuracy
         q = KernelQuery(np.array([25.0, 0.0, 0.0]), 2.0, Dimension(3))
-        rec = identity_record(q)
+        rec = identity_records([q])[0]
         assert rec.nodes > 64
         assert rec.residual <= 1e-10
 
@@ -206,8 +206,8 @@ class TestIdentities:
 
     def test_parity_dispatch_errors(self):
         with pytest.raises(ValueError):
-            identity_record(KernelQuery(np.zeros(5), 1.0, Dimension(5)),
-                            spec=RadialDerivativeSpec(2, 0.01, 8))
+            identity_records([KernelQuery(np.zeros(5), 1.0, Dimension(5))],
+                             [RadialDerivativeSpec(2, 0.01, 8)])
 
 
 def assert_same_record(batched, alone):
@@ -249,7 +249,7 @@ class TestBatchedIdentities:
         assert len(calls) == 1  # 200 draws at 64 nodes: one block
         rng = np.random.default_rng(30 + n)
         for rec in records:
-            assert_same_record(rec, identity_record(random_query(rng, n)))
+            assert_same_record(rec, identity_records([random_query(rng, n)])[0])
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_node_groups_out_of_draw_order(self, n):
@@ -260,7 +260,7 @@ class TestBatchedIdentities:
         assert any(a > b for a, b in zip(nodes, nodes[1:]))
         rng = np.random.default_rng(5)
         for rec in records:
-            assert_same_record(rec, identity_record(random_query(rng, n, 100.0)))
+            assert_same_record(rec, identity_records([random_query(rng, n, 100.0)])[0])
 
     def test_a_sweep_over_two_blocks(self, monkeypatch):
         # 9 stencil radii of 7 coordinates at 64 nodes: 260 draws fill a block
@@ -270,7 +270,7 @@ class TestBatchedIdentities:
         rng = np.random.default_rng(4)
         queries = [random_query(rng, 7) for _ in range(261)]
         for index in (0, 259, 260):
-            assert_same_record(records[index], identity_record(queries[index]))
+            assert_same_record(records[index], identity_records([queries[index]])[0])
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_zero_frequency_in_a_batch(self, n):
@@ -282,7 +282,7 @@ class TestBatchedIdentities:
         # the sinc side is its limit R, which the chain meets to the tolerance
         assert records[1].residual <= (1e-10 if n % 2 else 1e-8)
         for rec, q in zip(records, queries):
-            assert_same_record(rec, identity_record(q))
+            assert_same_record(rec, identity_records([q])[0])
 
     def test_an_oversized_draw_fails_before_any_sum(self, monkeypatch):
         calls = count_sphere_sums(monkeypatch)
@@ -299,7 +299,7 @@ class TestBatchedIdentities:
         records = kernels.identity_records([q] * 3, specs)
         assert [rec.h for rec in records] == [0.1, 0.05, 0.025]
         for rec, spec in zip(records, specs):
-            assert_same_record(rec, identity_record(q, spec))
+            assert_same_record(rec, identity_records([q], [spec])[0])
         with pytest.raises(ValueError):  # one spec short
             kernels.identity_records([q] * 3, specs[:2])
 
@@ -353,8 +353,8 @@ class TestDistributionFunctional:
         # in both, so T_R(f) is the solution of u(0) = 0, u_t(0) = f at x = 0
         gauss = fields.gaussian(n, sigma=0.9, center=np.linspace(0.4, -0.3, n))
         f = fields.ScalarField(gauss.evaluator, n)
-        u = solve_point(CauchyProblem(fields.zero(n), f, Dimension(n)), np.zeros(n), radius,
-                        with_error=False).u
+        u = solve_points(CauchyProblem(fields.zero(n), f, Dimension(n)), [np.zeros(n)], radius,
+                         with_error=False)[0].u
         action = DistributionFunctional(radius, Dimension(n)).action(f)
         assert abs(action - u) <= 1e-12 * abs(u)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import struct
 import tracemalloc
 
@@ -28,7 +29,6 @@ from wavecauchy.solvers import (
     GridSpec,
     hermitian_defect,
     solve_dalembert_point,
-    solve_point,
     solve_points,
     spectral_energy,
     spectral_probes,
@@ -90,14 +90,14 @@ class TestWeightedBallMean:
 class TestMeansSolvers:
     def test_kirchhoff_constant(self):
         p = problem(3, psi=fields.constant(3, 1.0))
-        s = solve_point(p, np.zeros(3), 2.0)
+        s = solve_points(p, [np.zeros(3)], 2.0)[0]
         assert s.method == "spherical_means"
         assert s.u == pytest.approx(2.0, rel=1e-12)
         assert s.error_estimate < 1e-10
 
     def test_poisson_constant(self):
         p = problem(2, psi=fields.constant(2, 1.0))
-        s = solve_point(p, np.zeros(2), 2.0)
+        s = solve_points(p, [np.zeros(2)], 2.0)[0]
         assert s.method == "weighted_means"
         assert s.u == pytest.approx(2.0, rel=1e-12)
 
@@ -111,7 +111,7 @@ class TestMeansSolvers:
         for t in (0.5, 1.0, 2.0):
             x = rng.uniform(-1.0, 1.0, n)
             exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
-            s = solve_point(p, x, t, rule=rule, with_error=False)
+            s = solve_points(p, [x], t, rule=rule, with_error=False)[0]
             assert abs(s.u - exact) <= 1e-8 * abs(exact)
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -124,7 +124,7 @@ class TestMeansSolvers:
         for t in (0.5, 1.0, 2.0):
             x = rng.uniform(-1.0, 1.0, n)
             exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
-            s = solve_point(p, x, t, rule=rule, with_error=False)
+            s = solve_points(p, [x], t, rule=rule, with_error=False)[0]
             assert abs(s.u - exact) <= 1e-8 * abs(exact)
 
     def test_linearity(self):
@@ -143,9 +143,9 @@ class TestMeansSolvers:
         p2 = CauchyProblem(phi2, psi2, Dimension(n))
         x = np.array([0.2, -0.3, 0.4])
         t = 1.2
-        u_combo = solve_point(p_combo, x, t, with_error=False).u
-        u_split = (a * solve_point(p1, x, t, with_error=False).u
-                   + b * solve_point(p2, x, t, with_error=False).u)
+        u_combo = solve_points(p_combo, [x], t, with_error=False)[0].u
+        u_split = (a * solve_points(p1, [x], t, with_error=False)[0].u
+                   + b * solve_points(p2, [x], t, with_error=False)[0].u)
         assert u_combo == pytest.approx(u_split, rel=1e-10)
 
     def test_linearity_even(self):
@@ -158,16 +158,16 @@ class TestMeansSolvers:
                                                       psi2.support_radius))
         x = np.array([0.4, -0.1])
         t = 0.9
-        u_combo = solve_point(problem(n, psi=combo), x, t, with_error=False).u
-        u_split = (a * solve_point(problem(n, psi=psi1), x, t, with_error=False).u
-                   + b * solve_point(problem(n, psi=psi2), x, t, with_error=False).u)
+        u_combo = solve_points(problem(n, psi=combo), [x], t, with_error=False)[0].u
+        u_split = (a * solve_points(problem(n, psi=psi1), [x], t, with_error=False)[0].u
+                   + b * solve_points(problem(n, psi=psi2), [x], t, with_error=False)[0].u)
         assert u_combo == pytest.approx(u_split, rel=1e-10)
 
     def test_time_zero_returns_phi(self):
         phi = fields.gaussian(3, sigma=1.0)
         p = problem(3, phi=phi)
         x = np.array([0.1, 0.2, 0.3])
-        assert solve_point(p, x, 0.0).u == pytest.approx(float(phi(x[None, :])[0]))
+        assert solve_points(p, [x], 0.0)[0].u == pytest.approx(float(phi(x[None, :])[0]))
 
     def test_initial_condition_recovery(self):
         # u(x, t) - phi(x) = O(t^2): the quadratic-coefficient estimates from
@@ -178,7 +178,7 @@ class TestMeansSolvers:
         phix = float(phi(x[None, :])[0])
         cs = []
         for t in (0.01, 0.02, 0.04):
-            s = solve_point(p, x, t, with_error=False)
+            s = solve_points(p, [x], t, with_error=False)[0]
             cs.append(abs(s.u - phix) / t**2)
         mid = sorted(cs)[1]
         assert max(abs(c - mid) for c in cs) <= 0.1 * mid
@@ -186,9 +186,9 @@ class TestMeansSolvers:
     def test_bad_stencil_spec(self):
         p = problem(3, psi=fields.constant(3, 1.0))
         with pytest.raises(StencilError):
-            solve_point(p, np.zeros(3), 1.0, spec=RadialDerivativeSpec(0, 0.5, 4))
+            solve_points(p, [np.zeros(3)], 1.0, spec=RadialDerivativeSpec(0, 0.5, 4))
         with pytest.raises(ValueError):
-            solve_point(p, np.zeros(3), 1.0, spec=RadialDerivativeSpec(2, 0.01, 8))
+            solve_points(p, [np.zeros(3)], 1.0, spec=RadialDerivativeSpec(2, 0.01, 8))
 
     @pytest.mark.parametrize("psi", [fields.gaussian(3, sigma=1.0),
                                      fields.harmonic(3, "saddle"),
@@ -198,13 +198,13 @@ class TestMeansSolvers:
         # h = 0.1 passes validate_radius at t = 1 (m = 0), but the degree-30
         # stencil reaches 1 - 15 h = -0.5: no sphere of negative radius is summed
         with pytest.raises(StencilError, match="reaches radius -0.5"):
-            solve_point(problem(3, psi=psi), np.zeros(3), 1.0,
-                        spec=RadialDerivativeSpec(0, 0.1, 30))
+            solve_points(problem(3, psi=psi), [np.zeros(3)], 1.0,
+                         spec=RadialDerivativeSpec(0, 0.1, 30))
 
     def test_error_estimate_tracks_truth(self):
         psi = fields.gaussian(2, sigma=1.0)
         p = problem(2, psi=psi)
-        s = solve_point(p, np.array([0.2, 0.1]), 1.0)
+        s = solve_points(p, [np.array([0.2, 0.1])], 1.0)[0]
         assert math.isfinite(s.error_estimate)
         assert s.error_estimate < 1e-8
 
@@ -240,7 +240,7 @@ class TestDescent:
         psi = fields.gaussian(2, sigma=0.8, center=[0.3, -0.2])
         x = np.array([0.4, 0.1])
         for t in (0.5, 1.0, 2.0):
-            u = solve_point(problem(2, psi=psi), x, t, with_error=False).u
+            u = solve_points(problem(2, psi=psi), [x], t, with_error=False)[0].u
             oracle = 0.5 * t * t * weighted_ball_mean(psi, x, t)
             assert u == pytest.approx(oracle, rel=1e-10)
 
@@ -252,13 +252,13 @@ class TestDescent:
         for x, t in ((np.array([0.3, -0.2, 0.1, 0.4]), 0.9),
                      (np.array([0.5, 0.0, 0.2, -0.1]), 1.5)):
             spec = RadialDerivativeSpec(1, t / 24.0, 8)
-            u = solve_point(p, x, t, spec=spec, with_error=False).u
+            u = solve_points(p, [x], t, spec=spec, with_error=False)[0].u
             assert u == pytest.approx(gaussian_wave_hankel(4, 1.0, x, t), rel=1e-8)
 
     def test_n4_field_points(self):
         psi, calls = counting(fields.gaussian(4, sigma=1.0))
         t = 1.2
-        solve_point(problem(4, psi=psi), np.full(4, 0.1), t, with_error=False)
+        solve_points(problem(4, psi=psi), [np.full(4, 0.1)], t, with_error=False)
         radii = default_spec(1, t).degree + 1  # psi's stencil
         expected = radii * sphere_quadrature(5).nodes.shape[0]
         assert sum(math.prod(shape) for shape in calls) == expected
@@ -270,9 +270,9 @@ class TestDescent:
         psi, calls = counting(fields.gaussian(2, sigma=1.0))
         p = problem(2, psi=psi)
         x = np.array([0.2, 0.3])
-        a = solve_point(p, x, 1.0, rule=low, with_error=False).u
-        b = solve_point(p, x, 1.0, rule=sphere_quadrature_for_order(3, 7),
-                        with_error=False).u
+        a = solve_points(p, [x], 1.0, rule=low, with_error=False)[0].u
+        b = solve_points(p, [x], 1.0, rule=sphere_quadrature_for_order(3, 7),
+                         with_error=False)[0].u
         assert a == b
         assert calls[0][-1] == sphere_quadrature_for_order(3, 7).nodes.shape[0]
         with pytest.raises(ValueError):
@@ -280,7 +280,7 @@ class TestDescent:
 
     def test_n12_rejected(self):
         with pytest.raises(ValueError, match="n <= 10"):
-            solve_point(problem(12, psi=fields.constant(12, 1.0)), np.zeros(12), 1.0)
+            solve_points(problem(12, psi=fields.constant(12, 1.0)), [np.zeros(12)], 1.0)
         with pytest.raises(ValueError, match="n <= 10"):
             DistributionFunctional(1.0, Dimension(12)).action(lambda pts: pts[..., 0])
 
@@ -295,10 +295,10 @@ class TestSphereSums:
         assert cubic.degree == 3
         p = problem(7, psi=fields.ScalarField(cubic.evaluator, 7))
         x = np.full(7, 0.1)
-        solve_point(p, x, 1.0)  # builds the memoized product rule
+        solve_points(p, [x], 1.0)  # builds the memoized product rule
         tracemalloc.start()
         try:
-            solve_point(p, x, 1.0)
+            solve_points(p, [x], 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,7 +306,8 @@ class TestSphereSums:
 
 
 def batch_cases(n):
-    """(label, phi, psi) initial data for comparing solve_points with solve_point."""
+    """(label, phi, psi) initial data for comparing solve_points over many points
+    with solve_points at each point alone."""
     plain = fields.harmonic(n, "bilinear")
     cases = [
         ("gaussians", fields.gaussian(n, 0.9, amplitude=1.3), fields.gaussian(n, 1.1)),
@@ -327,7 +328,7 @@ def batch_cases(n):
 
 class TestSolvePoints:
     """solve_points sums each field once for all points and gives each point
-    the solve_point value, to the bit."""
+    the value it gets alone, to the bit."""
 
     @staticmethod
     def assert_same(batch, single):
@@ -351,16 +352,16 @@ class TestSolvePoints:
             for t in (0.0, 0.9):
                 for kw in kwargs:
                     self.assert_same(solve_points(p, xs, t, **kw),
-                                     [solve_point(p, x, t, **kw) for x in xs])
+                                     [solve_points(p, [x], t, **kw)[0] for x in xs])
             spec = RadialDerivativeSpec(Dimension(n).derivative_order, 0.05,
                                         default_spec(Dimension(n).derivative_order, 1.4).degree)
             self.assert_same(solve_points(p, xs, 1.4, spec=spec, rule=small),
-                             [solve_point(p, x, 1.4, spec=spec, rule=small) for x in xs])
+                             [solve_points(p, [x], 1.4, spec=spec, rule=small)[0] for x in xs])
 
     def test_dalembert_points(self):
         p = problem(1, phi=fields.gaussian(1, 0.7), psi=fields.bump(1, 1.2))
         xs = np.array([[-0.3], [0.0], [0.8]])
-        self.assert_same(solve_points(p, xs, 0.6), [solve_point(p, x, 0.6) for x in xs])
+        self.assert_same(solve_points(p, xs, 0.6), [solve_points(p, [x], 0.6)[0] for x in xs])
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_no_points_evaluate_no_field(self, n):
@@ -373,8 +374,8 @@ class TestSolvePoints:
         p = problem(3, psi=fields.gaussian(3, 1.0))
         with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
             solve_points(p, np.zeros(3), 1.0)
-        with pytest.raises(ValueError, match="3 components"):
-            solve_point(p, np.zeros((1, 3)), 1.0)
+        with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
+            solve_points(p, np.zeros((1, 2)), 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             solve_points(p, np.zeros((2, 3)), -1.0)
         with pytest.raises(StencilError):
@@ -415,7 +416,7 @@ class TestPolynomialData:
             p = CauchyProblem(phi, psi, Dimension(n))
             x, t = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0)
             exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
-            s = solve_point(p, x, t)
+            s = solve_points(p, [x], t)[0]
             assert abs(s.u - exact) <= 1e-8 * abs(exact), (name, s.u, exact)
             assert abs(s.u - exact) <= s.error_estimate, (name, s.u, exact)
 
@@ -430,7 +431,7 @@ class TestPolynomialData:
             phi, psi = (fields.harmonic(n, str(rng.choice(pool)), amplitude=rng.uniform(-2, 2),
                                         offset=rng.uniform(-2, 2)) for _ in range(2))
             x, t = rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 3.0)
-            s = solve_point(CauchyProblem(phi, psi, Dimension(n)), x, t)
+            s = solve_points(CauchyProblem(phi, psi, Dimension(n)), [x], t)[0]
             exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
             assert abs(s.u - exact) <= s.error_estimate, (n, phi.label, psi.label, x, t)
 
@@ -440,8 +441,8 @@ class TestPolynomialData:
         for _ in range(3):
             a, b = rng.uniform(0.5, 3.0, 2)
             x, t = rng.uniform(-2.0, 2.0, n), rng.uniform(0.2, 4.0)
-            s = solve_point(CauchyProblem(fields.constant(n, a), fields.constant(n, b),
-                                          Dimension(n)), x, t)
+            s = solve_points(CauchyProblem(fields.constant(n, a), fields.constant(n, b),
+                                           Dimension(n)), [x], t)[0]
             assert abs(s.u - (a + t * b)) <= 1e-12 * (a + t * b)
             assert abs(s.u - (a + t * b)) <= s.error_estimate
 
@@ -450,7 +451,7 @@ class TestPolynomialData:
     def test_field_points_of_the_order_d_rule(self, n, name):
         f, calls = counted(fields.harmonic(n, name))
         t = 1.2
-        solve_point(problem(n, psi=f), np.full(n, 0.1), t, with_error=False)
+        solve_points(problem(n, psi=f), [np.full(n, 0.1)], t, with_error=False)
         radii = default_spec(Dimension(n).derivative_order, t).degree + 1
         means_n = n + 1 - n % 2
         rule = sphere_quadrature_for_order(means_n, f.degree)
@@ -460,7 +461,7 @@ class TestPolynomialData:
     def test_constant_takes_the_order_0_rule(self):
         # a constant is radial too; its degree wins
         c, calls = counted(fields.constant(3, 2.0))
-        solve_point(problem(3, psi=c), np.full(3, 0.1), 1.0, with_error=False)
+        solve_points(problem(3, psi=c), [np.full(3, 0.1)], 1.0, with_error=False)
         radii = default_spec(0, 1.0).degree + 1
         assert sum(calls) == radii * sphere_quadrature_for_order(3, 0).nodes.shape[0]
 
@@ -481,7 +482,7 @@ class TestPolynomialData:
         cubic = fields.harmonic(n, "cubic")
         f, calls = counted(fields.ScalarField(cubic.evaluator, n, degree=degree))
         t = 1.2
-        solve_point(problem(n, psi=f), np.full(n, 0.1), t, with_error=False)
+        solve_points(problem(n, psi=f), [np.full(n, 0.1)], t, with_error=False)
         radii = default_spec(Dimension(n).derivative_order, t).degree + 1
         assert default.n == means_n
         assert sum(calls) == radii * default.nodes.shape[0]
@@ -495,7 +496,7 @@ class TestPolynomialData:
         f, calls = counted(fields.harmonic(n, "saddle", offset=1.0))
         rule = sphere_quadrature_for_order(n, 7)
         x, t = np.full(n, 0.1), 1.2
-        s = solve_point(problem(n, psi=f), x, t, rule=rule, with_error=False)
+        s = solve_points(problem(n, psi=f), [x], t, rule=rule, with_error=False)[0]
         radii = default_spec(Dimension(n).derivative_order, t).degree + 1
         means_rule = rule if n % 2 else descent_rule(n, rule)
         assert sum(calls) == radii * means_rule.nodes.shape[0]
@@ -508,8 +509,8 @@ class TestPolynomialData:
         plain = fields.ScalarField(cubic.evaluator, n)
         x, t = np.full(n, 0.2), 0.9
         default = sphere_quadrature(n) if n % 2 else descent_rule(n)
-        assert (solve_point(problem(n, psi=plain), x, t).u
-                == solve_point(problem(n, psi=plain), x, t, rule=default).u)
+        assert (solve_points(problem(n, psi=plain), [x], t)[0].u
+                == solve_points(problem(n, psi=plain), [x], t, rule=default)[0].u)
 
 
 def kirchhoff_offset_gaussian(sigma, offset, t):
@@ -544,7 +545,7 @@ class TestRadialReduction:
     @pytest.mark.parametrize("n, sigma, t, offset", HANKEL_CASES)
     def test_matches_hankel_integral(self, n, sigma, t, offset):
         x = probe(n, offset)
-        s = solve_point(problem(n, psi=fields.gaussian(n, sigma=sigma)), x, t)
+        s = solve_points(problem(n, psi=fields.gaussian(n, sigma=sigma)), [x], t)[0]
         ref = gaussian_wave_hankel(n, sigma, x, t)
         assert abs(s.u - ref) <= 1e-3 * abs(ref)
         assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL
@@ -559,7 +560,7 @@ class TestRadialReduction:
             x *= rng.uniform(0.0, 1.5) / np.linalg.norm(x)
             p = CauchyProblem(fields.gaussian(n, sigma=s_phi), fields.gaussian(n, sigma=s_psi),
                               Dimension(n))
-            s = solve_point(p, x, t)
+            s = solve_points(p, [x], t)[0]
             ref = (gaussian_wave_hankel(n, s_phi, x, t, velocity=False)
                    + gaussian_wave_hankel(n, s_psi, x, t))
             assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL, (n, s_phi, s_psi, t, x)
@@ -572,7 +573,7 @@ class TestRadialReduction:
         for _ in range(100):
             sigma, t = rng.uniform(0.4, 1.2), rng.uniform(0.2, 3.0)
             x, c = rng.uniform(-1.0, 1.0, (2, 3))
-            s = solve_point(problem(3, psi=fields.gaussian(3, sigma=sigma, center=c)), x, t)
+            s = solve_points(problem(3, psi=fields.gaussian(3, sigma=sigma, center=c)), [x], t)[0]
             with mpmath.workdps(40):
                 d, sig, tt = (mpmath.mpf(float(v)) for v in (np.linalg.norm(x - c), sigma, t))
                 exact = sig**2 / (2 * d) * (mpmath.exp(-(tt - d) ** 2 / (2 * sig**2))
@@ -583,7 +584,7 @@ class TestRadialReduction:
     def test_near_front_matches_kirchhoff(self):
         # a narrow Gaussian six units off, sampled as its front reaches the probe
         psi = fields.gaussian(3, sigma=0.15, center=[6.0, 0.0, 0.0])
-        s = solve_point(problem(3, psi=psi), np.zeros(3), 6.0)
+        s = solve_points(problem(3, psi=psi), [np.zeros(3)], 6.0)[0]
         ref = kirchhoff_offset_gaussian(0.15, 6.0, 6.0)
         assert abs(s.u - ref) <= 1e-8 * ref
         assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL
@@ -594,7 +595,7 @@ class TestRadialReduction:
         psi = dataclasses.replace(fields.gaussian(3, sigma=0.15, center=[6.0, 0.0, 0.0]),
                                   length_scale=6.0 * 4.0 / 64.0)
         assert solvers.radial_node_count(psi, 6.0) == 64
-        s = solve_point(problem(3, psi=psi), np.zeros(3), 6.0)
+        s = solve_points(problem(3, psi=psi), [np.zeros(3)], 6.0)[0]
         error = abs(s.u - kirchhoff_offset_gaussian(0.15, 6.0, 6.0))
         assert error > 1e-2 * s.u
         assert s.error_estimate >= error
@@ -618,7 +619,7 @@ class TestRadialReduction:
             velocity = bool(rng.integers(2))
             p = problem(n, psi=g) if velocity else problem(n, phi=g)
             spec = RadialDerivativeSpec(m, sigma / 8.0, default_spec(m, t).degree)
-            s = solve_point(p, np.zeros(n), t, spec=spec)
+            s = solve_points(p, [np.zeros(n)], t, spec=spec)[0]
             ref = gaussian_wave_hankel(n, sigma, -center, t, velocity=velocity)
             assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL, (sigma, offset, t, velocity)
 
@@ -633,7 +634,7 @@ class TestRadialReduction:
         psi = dataclasses.replace(fields.gaussian(n, sigma=sigma, center=center),
                                   length_scale=t / 16.0)
         spec = RadialDerivativeSpec(1, sigma / 8.0, default_spec(1, t).degree)
-        s = solve_point(problem(n, psi=psi), np.zeros(n), t, spec=spec)
+        s = solve_points(problem(n, psi=psi), [np.zeros(n)], t, spec=spec)[0]
         ref = gaussian_wave_hankel(n, sigma, -center, t)
         assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL
 
@@ -648,7 +649,7 @@ class TestRadialReduction:
         # 4 t / sigma = 4e150 nodes: refused before any rule is built
         psi = fields.gaussian(n, sigma=1e-150)
         with pytest.raises(EvaluationError):
-            solve_point(problem(n, psi=psi), np.zeros(n), 1.0)
+            solve_points(problem(n, psi=psi), [np.zeros(n)], 1.0)
         assert solvers.radial_node_count(fields.gaussian(n, sigma=1.0), 512.0) == 2048
         with pytest.raises(EvaluationError):
             solvers.radial_node_count(fields.gaussian(n, sigma=1.0), 513.0)
@@ -665,7 +666,7 @@ class TestRadialReduction:
 
         counted = dataclasses.replace(psi, evaluator=evaluate)
         t = 1.2
-        solve_point(problem(n, psi=counted), np.full(n, 0.1), t, with_error=False)
+        solve_points(problem(n, psi=counted), [np.full(n, 0.1)], t, with_error=False)
         radii = default_spec(Dimension(n).derivative_order, t).degree + 1
         count = solvers.radial_node_count(psi, t)
         per_radius = count if n % 2 else count * (count // 2)  # zeta folded onto zeta > 0
@@ -680,7 +681,7 @@ class TestRadialReduction:
         monkeypatch.setattr(solvers, "descent_rule", refuse)
         p = CauchyProblem(fields.gaussian(n, sigma=0.8),
                           fields.bump(n, radius=1.5, center=[0.2] * n), Dimension(n))
-        assert math.isfinite(solve_point(p, np.full(n, 0.1), 1.0).u)
+        assert math.isfinite(solve_points(p, [np.full(n, 0.1)], 1.0)[0].u)
 
     def test_lift_keeps_the_centre(self):
         lifted = solvers._lift(fields.gaussian(4, sigma=0.6, center=[0.1, 0.2, 0.3, 0.4]))
@@ -698,8 +699,8 @@ class TestRadialReduction:
                                 length_scale=g3.length_scale)
         assert solvers._lift(g4).radial_center is None
         x, t = np.array(x), 1.1
-        s4 = solve_point(problem(4, psi=g4, phi=g4), x, t)
-        s3 = solve_point(problem(3, psi=g3, phi=g3), x[:3], t)
+        s4 = solve_points(problem(4, psi=g4, phi=g4), [x], t)[0]
+        s3 = solve_points(problem(3, psi=g3, phi=g3), [x[:3]], t)[0]
         assert abs(s4.u - s3.u) <= s4.error_estimate + s3.error_estimate
 
 
@@ -710,10 +711,10 @@ def _lattice_probes(grid, n, indices):
 
 
 def field_points(p, x, t, calls, **kwargs):
-    """Points the fields in calls were given by one solve_point."""
+    """Points the fields in calls were given by one solve at x."""
     for record in calls:
         record.clear()
-    solve_point(p, x, t, **kwargs)
+    solve_points(p, [x], t, **kwargs)
     return sum(sum(record) for record in calls)
 
 
@@ -756,7 +757,7 @@ class TestAgainstSpectralOracle:
         sol = spectral_solve(p, grid, t)
         scale = float(np.max(np.abs(sol.values)))
         for x, idx in _lattice_probes(grid, n, (points // 2, points // 2 + 1)):
-            u = solve_point(p, x, t, with_error=False).u
+            u = solve_points(p, [x], t, with_error=False)[0].u
             assert abs(u - sol.values[idx]) <= 1e-5 * scale
 
     @pytest.mark.parametrize("n, points", [(2, 256), (3, 128)])
@@ -771,9 +772,9 @@ class TestAgainstSpectralOracle:
         fine = RadialDerivativeSpec(0, t / 40.0, 4)  # the default h = t / 10 leaves 1e-3
         for x, idx in _lattice_probes(grid, n, (points // 2, points // 2 + points // 16)):
             oracle = sol.values[idx]
-            s = solve_point(p, x, t)
+            s = solve_points(p, [x], t)[0]
             assert abs(s.u - oracle) <= s.error_estimate
-            assert abs(solve_point(p, x, t, spec=fine).u - oracle) <= 1e-5 * scale
+            assert abs(solve_points(p, [x], t, spec=fine)[0].u - oracle) <= 1e-5 * scale
 
 
 class TestDalembert:
@@ -801,11 +802,11 @@ class TestDalembert:
 
     def test_dispatch(self):
         p = problem(1, psi=fields.constant(1, 1.0))
-        assert solve_point(p, 0.0, 1.0).method == "dalembert"
+        assert solve_points(p, [[0.0]], 1.0)[0].method == "dalembert"
         p3 = problem(3, psi=fields.constant(3, 1.0))
-        assert solve_point(p3, np.zeros(3), 1.0).method == "spherical_means"
+        assert solve_points(p3, [np.zeros(3)], 1.0)[0].method == "spherical_means"
         p2 = problem(2, psi=fields.constant(2, 1.0))
-        assert solve_point(p2, np.zeros(2), 1.0).method == "weighted_means"
+        assert solve_points(p2, [np.zeros(2)], 1.0)[0].method == "weighted_means"
 
 
 class TestSpectral:
@@ -1100,7 +1101,7 @@ class TestPropagation:
         if n == 1:
             s = solve_dalembert_point(p, 3.0, t)
         else:
-            s = solve_point(p, x, t, with_error=False)
+            s = solve_points(p, [x], t, with_error=False)[0]
         assert abs(s.u) <= 1e-6
 
     def test_huygens_sharp_rear_front(self):
@@ -1108,8 +1109,8 @@ class TestPropagation:
         p = problem(3, psi=psi)
         x = np.array([3.0, 0.0, 0.0])
         for t in (1.0, 2.0, 4.0, 5.0):
-            assert abs(solve_point(p, x, t, with_error=False).u) <= 1e-6
-        assert abs(solve_point(p, x, 3.0, with_error=False).u) > 1e-3
+            assert abs(solve_points(p, [x], t, with_error=False)[0].u) <= 1e-6
+        assert abs(solve_points(p, [x], 3.0, with_error=False)[0].u) > 1e-3
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_huygens_inner_cone_quiet(self, n):
@@ -1119,13 +1120,13 @@ class TestPropagation:
         p = problem(n, psi=psi)
         x = np.zeros(n)
         for t in (2.0, 4.0):
-            assert abs(solve_point(p, x, t, with_error=False).u) <= 1e-6
+            assert abs(solve_points(p, [x], t, with_error=False)[0].u) <= 1e-6
 
     def test_even_wake_persists(self):
         psi = fields.bump(2, radius=0.5)
         p = problem(2, psi=psi)
         for t in (2.0, 4.0, 8.0):
-            assert solve_point(p, np.zeros(2), t, with_error=False).u > 1e-4
+            assert solve_points(p, [np.zeros(2)], t, with_error=False)[0].u > 1e-4
 
 
 class TestWaveResidual:
@@ -1166,8 +1167,8 @@ class TestWaveResidual:
             for it, t in enumerate(tvals):
                 for idx in np.ndindex(*(pts,) * n):
                     x = np.array([axis[i] for i in idx])
-                    slab[(it,) + idx] = solve_point(p, x, t, rule=rule,
-                                                    with_error=False).u
+                    slab[(it,) + idx] = solve_points(p, [x], t, rule=rule,
+                                                     with_error=False)[0].u
             res.append(wave_residual(slab, h, h))
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.25)
 
@@ -1187,3 +1188,13 @@ class TestSerialization:
         assert struct.unpack_from("<dd", raw, 20) == (grid.half_width, sol.t)
         back = np.frombuffer(raw, dtype="<f8", offset=36).reshape(16, 16)
         np.testing.assert_array_equal(back, sol.values)
+
+
+def test_readme_library_example(capsys):
+    # the python block of README's Library section runs as written, so the
+    # docs name no function the package no longer has
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
