@@ -9,7 +9,7 @@ import pytest
 
 import wavecauchy.cli as cli
 from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
-from wavecauchy import fields
+from wavecauchy import fields, geometry
 from wavecauchy.errors import ConfigError
 from wavecauchy.geometry import MAX_OSC_NODES, Dimension
 from wavecauchy.kernels import KernelQuery, identity_records
@@ -805,12 +805,12 @@ count = 3
         ("", ["--quad-nodes", "10000000"], "--quad-nodes"),
     ], ids=["config_key", "override"])
     def test_quad_nodes_above_cap(self, tmp_path, capsys, monkeypatch, setting, flags, key):
-        # a Gauss rule solves a dense count x count eigenproblem: the cap is a
-        # config error, raised before any rule is built
-        def refuse(count):
+        # a Gauss rule costs O(count^2) work: the cap is a config error,
+        # raised before any rule is built
+        def refuse(count, lam):
             raise AssertionError(f"a {count}-node Gauss rule was built")
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        monkeypatch.setattr(geometry, "_gauss_gegenbauer", refuse)
         cfg = write_config(tmp_path, f"[run]\ncommand = verify-reduction\n{setting}"
                                      "[reduction]\ndims = 3\n")
         assert main(["verify-reduction", "--config", cfg, *flags]) == 2

@@ -5,15 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import jv
+from scipy.special import jv, roots_gegenbauer
 
 import wavecauchy
 from wavecauchy import geometry
 from wavecauchy.errors import EvaluationError
 from wavecauchy.geometry import (
+    MAX_DIMENSION,
+    MAX_OSC_NODES,
     Dimension,
+    _gauss_gegenbauer,
     _omega,
     _unit_gegenbauer,
     double_factorial,
@@ -84,6 +88,99 @@ class TestConstants:
             Dimension(0)
         with pytest.raises(ValueError):
             Dimension(1).derivative_order
+
+
+def legendre_reference(count, guesses):
+    """40-digit Gauss-Legendre nodes and weights: mpmath Newton on the
+    recurrence from each guess, weights 2 / ((1 - x^2) P'(x)^2)."""
+    def evaluate(x):
+        prev, value = mpmath.mpf(1), x
+        for j in range(1, count):
+            prev, value = value, ((2 * j + 1) * x * value - j * prev) / (j + 1)
+        return value, count * (prev - x * value) / (1 - x * x)
+
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for guess in guesses:
+            x = mpmath.mpf(float(guess))
+            for _ in range(2):  # quadratic from a double: 1e-32, then 1e-64
+                value, slope = evaluate(x)
+                x -= value / slope
+            _, slope = evaluate(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * slope * slope))
+    return nodes, weights
+
+
+def assert_well_formed(x, w, count):
+    assert x.shape == w.shape == (count,)
+    assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
+    assert np.all(w > 0)
+
+
+class TestGaussRules:
+    """`_gauss_gegenbauer`, the one source of every Gauss rule: Legendre
+    (lam = 1/2) for the 1-D rules and lam = p/2 for the product rules' polar
+    nodes."""
+
+    @pytest.mark.parametrize("count, picks", [
+        (64, range(32)),
+        (256, range(128)),
+        (2048, list(range(16)) + list(range(64, 1024, 128))),
+    ], ids=["64", "256", "2048"])
+    def test_legendre_against_mpmath(self, count, picks):
+        # the lower half and the end nodes, where the weights are worst
+        # conditioned; the upper half is the mirror image
+        x, w = _gauss_gegenbauer(count, 0.5)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        picks = list(picks)
+        nodes, weights = legendre_reference(count, x[picks])
+        for i, node, weight in zip(picks, nodes, weights):
+            assert abs(float(x[i] - node)) <= 2.3e-16
+            # a node rounded by eps moves its weight by up to ~count^2 eps
+            # relative, near the ends where 1 - x^2 ~ count^-2
+            assert abs(float(w[i] / weight - 1)) <= 1e-16 * count * count
+
+    @pytest.mark.parametrize("p", range(1, MAX_DIMENSION - 1))
+    def test_gegenbauer_against_scipy(self, p):
+        # scipy's roots_gegenbauer as an oracle, for every polar rule a
+        # product rule can ask for: sin-power p up to MAX_DIMENSION - 2, and
+        # at most 64 polar nodes
+        for count in range(1, 65):
+            x, w = _gauss_gegenbauer(count, p / 2.0)
+            x_ref, w_ref = roots_gegenbauer(count, p / 2.0)
+            assert_well_formed(x, w, count)
+            np.testing.assert_allclose(x, x_ref, rtol=0, atol=4.5e-16)
+            np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("p", range(1, MAX_DIMENSION - 1))
+    def test_even_moments(self, p):
+        # exact for degree <= 2 count - 1: sum w x^(2j) against
+        # integral x^(2j) (1 - x^2)^(lam - 1/2) = B(j + 1/2, lam + 1/2)
+        lam = p / 2.0
+        for count in range(1, 65):
+            x, w = _gauss_gegenbauer(count, lam)
+            j = np.arange(count)
+            moments = [math.exp(math.lgamma(k + 0.5) + math.lgamma(lam + 0.5)
+                                - math.lgamma(k + lam + 1.0)) for k in j]
+            np.testing.assert_allclose(w @ x[:, None] ** (2 * j), moments, rtol=1e-13)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 127, 2048, MAX_OSC_NODES])
+    def test_legendre_well_formed(self, count):
+        assert_well_formed(*_gauss_gegenbauer(count, 0.5), count)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_GAUSS_STEPS", 1)
+        with pytest.raises(EvaluationError, match="did not converge"):
+            _gauss_gegenbauer(64, 0.5)
+
+    @pytest.mark.parametrize("count, match", [(16, "did not converge"), (32, "out of order")])
+    def test_plain_newton_is_refused(self, monkeypatch, count, match):
+        # without the Aberth correction, Newton at lam = 5 wanders (16 nodes)
+        # or lets two nodes fall onto one zero (32): no rule either way
+        monkeypatch.setattr(geometry, "_aberth_sums", np.zeros_like)
+        with pytest.raises(EvaluationError, match=match):
+            _gauss_gegenbauer(count, 5.0)
 
 
 class TestGegenbauerRule:
@@ -277,11 +374,42 @@ class TestSphereQuadrature:
 
 
 def test_import_loads_no_scipy():
-    # scipy.special is most of the package's import time, so it is imported
-    # only where a product rule is built
     env = dict(os.environ, PYTHONPATH=str(Path(wavecauchy.__file__).resolve().parent.parent))
     code = ("import sys, wavecauchy; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_rules_load_no_scipy_special(tmp_path):
+    # the sphere and Gauss rules are the package's own: identities over
+    # n = 2..7, a duality check and a solve on a product rule with polar
+    # nodes leave scipy.special unimported
+    env = dict(os.environ, PYTHONPATH=str(Path(wavecauchy.__file__).resolve().parent.parent))
+    code = f"""
+import sys
+from pathlib import Path
+from wavecauchy import cli, fields, kernels
+from wavecauchy.geometry import Dimension
+
+tmp = Path({str(tmp_path)!r})
+configs = {{
+    "verify-identities": "[run]\\ncommand = verify-identities\\n\\n"
+                         "[identities]\\ndims = 2, 3, 4, 5, 6, 7\\ncount = 5\\n",
+    "solve": "[run]\\ncommand = solve\\ndim = 5\\n\\n"
+             "[data]\\nphi = harmonic\\nphi_poly = triple\\npsi = harmonic\\npsi_poly = saddle\\n\\n"
+             "[solve]\\ntimes = 0.6\\nprobes = 0.1 0.2 0.3 0 0\\n",
+}}
+for name, text in configs.items():
+    config = tmp / (name + ".ini")
+    config.write_text(text)
+    assert cli.main([name, "--config", str(config), "--out", str(tmp / (name + ".csv"))]) == 0
+lhs, rhs = kernels.distribution_fourier_check(
+    kernels.DistributionFunctional(0.8, Dimension(3)), fields.gaussian(3, 0.7), nodes_per_axis=24)
+assert abs(lhs - rhs) <= 1e-8 * abs(rhs), (lhs, rhs)
+print("scipy.special" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip().splitlines()[-1] == "False"
