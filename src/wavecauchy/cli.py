@@ -50,10 +50,10 @@ from .solvers import (
     CauchyProblem,
     GridSpec,
     SolutionSample,
+    evolution_state,
     solve_points,
     spectral_probes,
     spectral_solve,
-    spectral_state,
     wave_residual,
 )
 
@@ -349,16 +349,16 @@ def _run_solve(config: RunConfig, report: Report) -> None:
     if method == "spectral":
         half_width, points = keys["grid_half_width"], keys["grid_points"]
         grid = GridSpec(half_width, points, dim)
-        state = spectral_state(problem, grid)
-        index = np.rint((np.array(probes) + half_width) / grid.spacing).astype(int) % points
-        try:
-            for t in keys["times"]:
-                values, estimate = spectral_probes(problem, grid, t, index, state)
-                samples += [SolutionSample(-half_width + grid.spacing * idx, t, float(u),
-                                           "spectral", estimate)
-                            for idx, u in zip(index, values)]
+        try:  # the largest time's guard, before the lattice is sampled
+            state = evolution_state(problem, grid, max(keys["times"]))
         except DomainSizeError as exc:
             raise ConfigError(str(exc), keys=["solve.grid_half_width"]) from exc
+        index = np.rint((np.array(probes) + half_width) / grid.spacing).astype(int) % points
+        for t in keys["times"]:
+            values, estimate = spectral_probes(problem, grid, t, index, state)
+            samples += [SolutionSample(-half_width + grid.spacing * idx, t, float(u),
+                                       "spectral", estimate)
+                        for idx, u in zip(index, values)]
         if keys["binary_out"]:  # the one full inverse, for the last time's grid
             spectral_solve(problem, grid, t, state=state).to_binary(keys["binary_out"])
     else:

@@ -1,11 +1,4 @@
-"""Initial-data fields on R^n and the built-in library the CLI exposes.
-
-A ScalarField wraps a vectorized evaluator over points shaped (..., n)
-together with the support, symmetry and degree metadata the solvers rely
-on (the spectral solver refuses data whose numeric support does not fit its
-box, the means solvers reduce the sphere sums of radial data to one
-coordinate and sum polynomial data with a rule of their degree).
-"""
+"""Initial-data fields on R^n and the built-in library the CLI exposes."""
 
 from __future__ import annotations
 
@@ -21,6 +14,17 @@ TAIL_CUTOFF = 1e-15
 
 @dataclass(frozen=True)
 class ScalarField:
+    """A vectorized evaluator with the support, symmetry and degree metadata
+    the solvers rely on (the spectral solver refuses data whose numeric support
+    does not fit its box, the means solvers reduce the sphere sums of radial
+    data to one coordinate and sum polynomial data with a rule of their degree).
+
+    The evaluator gets float64 points shaped (..., n), from the solvers a
+    strided view of a coordinate-major buffer whose planes points[..., i] are
+    contiguous. It reads each coordinate as points[..., i], writes nothing into
+    points, and does not count on points.reshape(-1, n) being free (a copy).
+    """
+
     evaluator: Callable[[np.ndarray], np.ndarray]
     dim: int
     support_radius: float = math.inf

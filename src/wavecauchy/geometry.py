@@ -302,7 +302,7 @@ class SphereQuadrature:
     """Nodes (unit vectors) and weights summing to the sphere area omega_n."""
 
     dim: Dimension
-    nodes: np.ndarray  # (K, n)
+    nodes: np.ndarray  # (K, n), the transpose of the built rule's contiguous (n, K)
     weights: np.ndarray  # (K,)
     order: int  # polynomial exactness
 
@@ -322,12 +322,12 @@ class SphereQuadrature:
 @lru_cache(maxsize=128)
 def _build_sphere_rule(n: int, polar: int, azimuth: int) -> SphereQuadrature:
     if n == 1:
-        nodes = np.array([[1.0], [-1.0]])
+        nodes = np.array([[1.0, -1.0]])
         weights = np.array([1.0, 1.0])
         order = 10**6  # the two-point rule is exact for every polynomial
     elif n == 2:
         theta = 2.0 * math.pi * (np.arange(azimuth) + 0.5) / azimuth
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+        nodes = np.stack([np.cos(theta), np.sin(theta)])
         weights = np.full(azimuth, 2.0 * math.pi / azimuth)
         order = azimuth - 1
     else:
@@ -355,7 +355,7 @@ def _build_sphere_rule(n: int, polar: int, azimuth: int) -> SphereQuadrature:
         coords[1] = prefix * np.cos(theta_grid)
         coords[0] = prefix * np.sin(theta_grid)
 
-        nodes = np.stack([c.ravel() for c in coords], axis=1)
+        nodes = np.stack([c.ravel() for c in coords])
         weights = np.ones_like(theta_grid)
         for w in wgrids:
             weights = weights * w
@@ -363,7 +363,7 @@ def _build_sphere_rule(n: int, polar: int, azimuth: int) -> SphereQuadrature:
         order = min(2 * polar - 1, azimuth - 1)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return SphereQuadrature(Dimension(n), nodes, weights, order)
+    return SphereQuadrature(Dimension(n), nodes.T, weights, order)
 
 
 def default_sphere_order(n: int) -> int:
@@ -411,11 +411,13 @@ def descent_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadratu
 def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndarray:
     """S(r_j) = sum_i w_i g(center + r_j node_i), chunked over nodes: omega_n
     times the mean of g over the sphere of radius r_j. g takes points shaped
-    (..., n) and may be complex-valued, or stack k values per point before the
-    radius and node axes for sums (k, R) or (P, k, R). The only place a field
-    is evaluated on spheres: the product rules and the reduced rules of radial
-    data (`_radial_rule`) both come through here. The sums are checked, not
-    each value: the weights are positive, so a non-finite value leaves its sum
+    (..., n), a view of one coordinate-major (n, [P,] R, chunk) buffer whose
+    planes points[..., d] are contiguous, and must not write into them. It may
+    be complex-valued, or stack k values per point before the radius and node
+    axes for sums (k, R) or (P, k, R). The only place a field is evaluated on
+    spheres: the product rules and the reduced rules of radial data
+    (`_radial_rule`) both come through here. The sums are checked, not each
+    value: the weights are positive, so a non-finite value leaves its sum
     non-finite.
 
     center is one point, shape (n,) or a scalar, and gives sums of shape
@@ -424,27 +426,26 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
     _GROUP_BYTES, or one at a time when one centre's chunk is larger, so each
     centre's sums are the ones it gets alone, to the bit."""
     centers = np.asarray(center, dtype=np.float64)
-    nodes, n_radii = rule.nodes, max(len(radii), 1)
-    chunk = max(1, _CHUNK_BYTES // (n_radii * rule.n * 8))
-    group = 1
+    n, n_radii, nodes = rule.n, max(len(radii), 1), rule.nodes.T
+    chunk = min(max(1, _CHUNK_BYTES // (n_radii * n * 8)), nodes.shape[1])
     if centers.ndim < 2:
-        parts = [center]
+        parts = [centers[..., None, None]]
     else:
-        block = n_radii * min(chunk, len(nodes)) * rule.n * 8
-        group = max(_GROUP_BYTES, block) // block
-        parts = [centers[first:first + group, None, None, :] if group > 1 else centers[first]
+        group = max(1, _GROUP_BYTES // (n_radii * chunk * n * 8))
+        parts = [centers[first:first + group].T[..., None, None]
                  for first in range(0, len(centers), group)]
     sums = []
-    for part in parts:
+    for part in parts:  # (n, [G,] 1, 1), or a scalar's (1, 1)
         out = 0.0
-        for start in range(0, len(nodes), chunk):
-            points = radii[:, None, None] * nodes[None, start:start + chunk, :]
-            if group > 1:  # one centre's chunk is at most _GROUP_BYTES / 2
-                points = points + part
+        for i in range(0, nodes.shape[1], chunk):  # einsum outruns a broadcast r * node
+            points = np.einsum("r,dk->drk", radii, nodes[:, i:i + chunk], order="C")
+            if part.ndim > 3:  # a group: one copy per centre, in place for one
+                points = np.add(points[:, None], part, order="C",
+                                out=points[:, None] if len(part[0]) == 1 else None)
             else:
                 points += part
-            out = out + np.asarray(g(points)) @ rule.weights[start:start + chunk]
-        sums.append(out if group > 1 or centers.ndim < 2 else out[None])
+            out = out + np.asarray(g(np.moveaxis(points, 0, -1))) @ rule.weights[i:i + chunk]
+        sums.append(out)
     out = sums[0] if centers.ndim < 2 else np.concatenate(sums or [np.zeros((0, len(radii)))])
     if not np.isfinite(out).all():
         raise EvaluationError("g returned non-finite values on a sphere")
@@ -468,20 +469,20 @@ def _radial_rule(k: int, n: int, count: int) -> SphereQuadrature:
     """
     s, v = _unit_gegenbauer(k, count)
     weights = _omega(k - 1) * v
-    nodes = np.zeros((count, n))
-    nodes[:, 0], nodes[:, 1] = s, np.sqrt(1.0 - s * s)
+    nodes = np.zeros((n, count))
+    nodes[0], nodes[1] = s, np.sqrt(1.0 - s * s)
     if k != n:
         zeta, vz = _unit_gegenbauer(n, count)
         zeta, vz = zeta[count // 2:], 2.0 * vz[count // 2:]
         if count % 2:
             vz[0] /= 2.0  # the middle node zeta = 0 is its own mirror image
-        nodes = np.sqrt(1.0 - zeta * zeta)[:, None, None] * nodes
-        nodes[..., -1] = zeta[:, None]
-        nodes = nodes.reshape(-1, n)
+        nodes = np.sqrt(1.0 - zeta * zeta)[:, None] * nodes[:, None, :]
+        nodes[-1] = zeta[:, None]
+        nodes = nodes.reshape(n, -1)
         weights = np.outer(vz, weights).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return SphereQuadrature(Dimension(n), nodes, weights, 0)
+    return SphereQuadrature(Dimension(n), nodes.T, weights, 0)
 
 
 def radial_sum_center(x, radial_center) -> np.ndarray:

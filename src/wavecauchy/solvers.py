@@ -375,16 +375,19 @@ class GridSpec:
         return -self.half_width + self.spacing * np.arange(self.points)
 
     def sample(self, field: ScalarField) -> np.ndarray:
-        """field on the (N,) * n grid, evaluated at stacked (..., n)
-        coordinates one slab along axis 0 at a time, each slab's coordinates
-        at most _CHUNK_BYTES; the full coordinate mesh is never built."""
-        axis = self.axis()
-        out = np.empty((self.points,) * self.dim)
-        rows = max(1, _CHUNK_BYTES // (self.points ** (self.dim - 1) * self.dim * 8))
+        """field on the (N,) * n grid, one slab along axis 0 at a time: the axis
+        broadcast into each contiguous plane of one (n, rows, N, ...) buffer of at most
+        _CHUNK_BYTES, which the field gets as a (..., n) view. No full mesh is built."""
+        axis, n = self.axis(), self.dim
+        out = np.empty((self.points,) * n)
+        rows = min(self.points, max(1, _CHUNK_BYTES // (self.points ** (n - 1) * n * 8)))
+        slab = np.empty((n, rows) + (self.points,) * (n - 1))
+        for d in range(1, n):
+            slab[d] = axis.reshape((-1,) + (1,) * (n - 1 - d))
         for start in range(0, self.points, rows):
-            slab = np.meshgrid(axis[start:start + rows], *[axis] * (self.dim - 1),
-                               indexing="ij", copy=False)
-            out[start:start + rows] = field(np.stack(slab, axis=-1))
+            part = slab[:, :min(rows, self.points - start)]
+            part[0] = axis[start:start + rows].reshape((-1,) + (1,) * (n - 1))
+            out[start:start + rows] = field(np.moveaxis(part, 0, -1))
         return out
 
     def shells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -454,9 +457,10 @@ def spectral_state(problem: CauchyProblem, grid: GridSpec) -> SpectralState:
     return SpectralState(grid, *spectra, shell, radii, magnitudes)
 
 
-def _evolution_state(problem: CauchyProblem, grid: GridSpec, t: float,
-                     state: SpectralState | None) -> SpectralState:
-    """state, or the problem's on the grid; DomainSizeError if periodic images reach it."""
+def evolution_state(problem: CauchyProblem, grid: GridSpec, t: float,
+                    state: SpectralState | None = None) -> SpectralState:
+    """state, or the problem's on the grid, built only once the periodic images
+    are shown not to reach it by time t (DomainSizeError if they do)."""
     if t < 0:
         raise ValueError("time must be non-negative")
     for field in (problem.phi, problem.psi):
@@ -495,7 +499,7 @@ def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
     eps * log2(N^n) * max|u|; like any rounding-only figure it says nothing
     about aliasing or resolution.
     """
-    state = _evolution_state(problem, grid, t, state)
+    state = evolution_state(problem, grid, t, state)
     u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell, state.radii, t)
     for axis in range(grid.dim - 1):
         np.fft.ifft(u_hat, axis=axis, out=u_hat)
@@ -514,7 +518,7 @@ def spectral_probes(problem: CauchyProblem, grid: GridSpec, t: float, index,
     (`_kernels.contract_axes`). The error estimate is `spectral_solve`'s with max|u|
     replaced by its bound S = (sum w |phi_hat| + t sum w |psi_hat|) / N^n, whose
     two sums the state holds (`SpectralState.magnitudes`)."""
-    state = _evolution_state(problem, grid, t, state)
+    state = evolution_state(problem, grid, t, state)
     index = np.asarray(index, dtype=np.int64).reshape(-1, grid.dim)
     tables = [np.exp(2j * math.pi / grid.points * (np.outer(np.arange(size), j) % grid.points))
               for size, j in zip(state.shell.shape, index.T)]

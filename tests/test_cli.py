@@ -9,7 +9,7 @@ import pytest
 
 import wavecauchy.cli as cli
 from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
-from wavecauchy import fields, geometry
+from wavecauchy import fields, geometry, solvers
 from wavecauchy.errors import ConfigError
 from wavecauchy.geometry import MAX_OSC_NODES, Dimension
 from wavecauchy.kernels import KernelQuery, identity_records
@@ -711,7 +711,7 @@ probes = 0 0 x
         def refuse(*args, **kwargs):
             raise AssertionError("nothing may be built for an oversized grid")
 
-        for name in ("GridSpec", "spectral_state", "_problem"):
+        for name in ("GridSpec", "evolution_state", "_problem"):
             monkeypatch.setattr(cli, name, refuse)
         cfg = write_config(tmp_path, "[run]\ncommand = solve\ndim = 3\n[data]\npsi = gaussian\n"
                            "[solve]\nmethod = spectral\ngrid_points = 100000\n")
@@ -719,6 +719,26 @@ probes = 0 0 x
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "solve.grid_points" in err
+
+    @pytest.mark.parametrize("sigma, settings", [
+        (1.0, "grid_points = 256\ngrid_half_width = 3\ntimes = 1.0"),
+        (0.8, "grid_points = 32\ngrid_half_width = 12\ntimes = 0.5, 6.0"),
+    ], ids=["every_time", "last_time_only"])
+    def test_spectral_wrap_refused_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                   sigma, settings):
+        # the wrap-around guard runs for the largest time before the lattice
+        # is sampled, so a refused config never samples or transforms it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice may not be sampled for a refused config")
+
+        monkeypatch.setattr(solvers.GridSpec, "sample", refuse)
+        cfg = write_config(tmp_path, "[run]\ncommand = solve\ndim = 3\n[data]\npsi = gaussian\n"
+                           f"psi_sigma = {sigma}\n[solve]\nmethod = spectral\nprobes = 0 0 0\n"
+                           f"{settings}\n")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "solve.grid_half_width" in err
 
     @pytest.mark.parametrize("command, settings, key", [
         ("solve", "dim = 20\n[data]\npsi = constant", None),

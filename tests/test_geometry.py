@@ -11,7 +11,7 @@ import pytest
 from scipy.special import jv, roots_gegenbauer
 
 import wavecauchy
-from wavecauchy import geometry
+from wavecauchy import fields, geometry
 from wavecauchy.errors import EvaluationError
 from wavecauchy.geometry import (
     MAX_DIMENSION,
@@ -350,6 +350,48 @@ class TestSphereQuadrature:
         single = np.array([sphere_sums(g, x, radii, rule) for x in xs])
         assert batched.shape == (centers, len(radii))
         assert np.array_equal(batched, single)
+
+    @pytest.mark.parametrize("rule, radii, centers, kind", [
+        # 40 radii on the 27,648 nodes of the n = 4 default rule: five chunks
+        (sphere_quadrature(4), np.linspace(0.5, 2.0, 40), None, "real"),
+        # 5 radii on a 128-node rule: groups of 68 centres within 1 MB
+        (sphere_quadrature_for_order(3, 15), np.linspace(0.8, 1.2, 5), 150, "real"),
+        (geometry._radial_rule(5, 5, 64), np.linspace(0.3, 1.1, 9), 4, "real"),
+        # the descent rule of radial data at n = 2, a tensor rule in R^3
+        (geometry._radial_rule(2, 3, 64), np.linspace(0.3, 1.1, 7), 6, "real"),
+        (sphere_quadrature(3), np.array([0.7, 1.3]), None, "complex"),
+        # |field| stacked on axis -3, as the means solver's rounding pass does
+        (sphere_quadrature_for_order(3, 15), np.linspace(0.8, 1.2, 5), 150, "magnitude"),
+        (geometry._radial_rule(2, 3, 64), np.linspace(0.3, 1.1, 7), None, "magnitude"),
+    ], ids=["chunked", "grouped", "radial-n5", "descent-n2", "complex", "magnitude-grouped",
+            "magnitude-descent"])
+    def test_coordinate_planes_and_row_major_sums(self, rule, radii, centers, kind):
+        # g gets contiguous coordinate planes, and the sums are, to the bit,
+        # those of row-major points r node + c over the same node chunks
+        n = rule.n
+        field = fields.gaussian(n, sigma=0.9, center=np.linspace(-0.3, 0.3, n))
+        g = {"real": field,
+             "complex": lambda points: field(points) * np.exp(1j * points[..., 0]),
+             "magnitude": lambda points: np.stack([v := field(points) - 0.5, np.abs(v)],
+                                                  axis=-3)}[kind]
+        center = np.random.default_rng(n).uniform(-1.0, 1.0, n if centers is None
+                                                  else (centers, n))
+        seen = []
+
+        def spy(points):
+            seen.append((points.dtype.name, points.shape[-1],
+                         all(points[..., i].flags.c_contiguous for i in range(n))))
+            return g(points)
+
+        got = sphere_sums(spy, center, radii, rule)
+        assert rule.nodes.T.flags.c_contiguous and set(seen) == {("float64", n, True)}
+        chunk = max(1, geometry._CHUNK_BYTES // (len(radii) * n * 8))
+        lead = center if centers is None else center[:, None, None, :]
+        want = 0.0
+        for first in range(0, len(rule.weights), chunk):
+            points = radii[:, None, None] * rule.nodes[first:first + chunk] + lead
+            want = want + g(points) @ rule.weights[first:first + chunk]
+        assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_memoized(self):
         assert sphere_quadrature(3) is sphere_quadrature(3)

@@ -1004,6 +1004,26 @@ class TestLeanSpectral:
         field = fields.gaussian(n, sigma=0.7, center=[0.3, -0.2, 0.1][:n])
         np.testing.assert_array_equal(grid.sample(field), field(_stacked_mesh(grid)))
 
+    @pytest.mark.parametrize("n, points, chunk", [
+        (1, 63, 8 * 10), (2, 31, 2 * 31 * 8 * 4), (3, 15, 3 * 15 * 15 * 8 * 4), (3, 15, None),
+    ], ids=["n1-partial", "n2-partial", "n3-partial", "n3"])
+    def test_sample_hands_contiguous_planes(self, monkeypatch, n, points, chunk):
+        # each slab, the last partial one too, is a (..., n) view of one
+        # coordinate-major buffer within _CHUNK_BYTES
+        if chunk is not None:
+            monkeypatch.setattr(solvers, "_CHUNK_BYTES", chunk)
+        seen = []
+
+        def spy(slab):
+            seen.append((slab.dtype.name, slab.nbytes <= solvers._CHUNK_BYTES,
+                         all(slab[..., i].flags.c_contiguous for i in range(n))))
+            return np.zeros(slab.shape[:-1])
+
+        GridSpec(5.0, points, n).sample(fields.ScalarField(spy, n))
+        rows = points if chunk is None else chunk // (8 * n * points ** (n - 1))
+        assert len(seen) == math.ceil(points / rows)
+        assert set(seen) == {("float64", True, True)}
+
     @pytest.mark.parametrize("n, points", [(1, 64), (1, 63), (2, 32), (2, 31),
                                            (3, 16), (3, 15)])
     def test_solve_matches_irfftn(self, monkeypatch, n, points):
