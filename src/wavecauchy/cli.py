@@ -410,8 +410,10 @@ def _identity_ladder(config: RunConfig) -> tuple[list[float], list[float], list[
     keys = config["converge"]
     target, dim, radius = keys["target"], keys["dim"], keys["radius"]
     d = Dimension(dim)
-    if (target == "odd-identity") != d.is_odd or dim < 2:
-        parity = "an odd dimension >= 3" if target == "odd-identity" else "an even dimension"
+    # at n = 2 and 3 the derivative order is 0: the chain is the centre sample,
+    # so no level's residual depends on h
+    if (target == "odd-identity") != d.is_odd or dim < 4:
+        parity = "an odd dimension >= 5" if target == "odd-identity" else "an even dimension >= 4"
         raise ConfigError(f"{target} needs {parity}", keys=["converge.dim"])
     _check_means_dims([dim], "converge.dim")
     xi = np.zeros(dim)

@@ -23,6 +23,8 @@ class ScalarField:
     strided view of a coordinate-major buffer whose planes points[..., i] are
     contiguous. It reads each coordinate as points[..., i], writes nothing into
     points, and does not count on points.reshape(-1, n) being free (a copy).
+    phi's and psi's evaluators may run at the same time on two threads (the
+    spectral state), so neither may mutate shared state without a lock.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]

@@ -506,6 +506,17 @@ h0 = 0.1
             assert float(row["h"]) == h
             assert abs(float(row["residual"]) - alone) <= 1e-15
 
+    @pytest.mark.parametrize("target, dim", [("odd-identity", 3), ("even-identity", 2)])
+    def test_identity_ladder_without_derivative_is_config_error(self, tmp_path, capsys,
+                                                                target, dim):
+        # m = 0 at n = 2 and 3: the chain is the centre sample, so every level
+        # would read the same residual and the ladder could show no order
+        cfg = write_config(tmp_path, f"[run]\ncommand = converge\n\n[converge]\n"
+                                     f"target = {target}\ndim = {dim}\n")
+        assert main(["converge", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "converge.dim" in err
+
     def test_identity_ladder_takes_quad_nodes(self, tmp_path):
         cfg = write_config(tmp_path, """
 [run]
@@ -513,7 +524,7 @@ command = converge
 
 [converge]
 target = odd-identity
-dim = 3
+dim = 5
 xi_norm = 12
 levels = 3
 """)
@@ -894,7 +905,7 @@ FUZZ_BASES = {
     "pde-residual": {"data": {"psi": "gaussian", "psi_sigma": "1.0"},
                      "converge": {"target": "pde-residual", "dim": "1", "points": "3",
                                   "levels": "3", "h0": "0.2", "t0": "1.0"}},
-    "odd-identity": {"converge": {"target": "odd-identity", "dim": "3", "xi_norm": "3.0",
+    "odd-identity": {"converge": {"target": "odd-identity", "dim": "5", "xi_norm": "3.0",
                                   "levels": "3", "h0": "0.1", "radius": "1.0"}},
 }
 

@@ -1041,9 +1041,8 @@ class TestLeanSpectral:
 
     def test_memory_within_three_half_spectra(self, monkeypatch):
         # caps of one row, so the slabs' temporaries are small against the
-        # lattice and the peak shows the full-lattice arrays alone: the real
-        # samples, the evolved spectrum and the solution, never together
-        # with a copy per axis
+        # lattice and the peak shows the full-lattice arrays alone: the evolved
+        # spectrum and the solution, never together with a copy per axis
         monkeypatch.setattr(solvers, "_CHUNK_BYTES", 1)
         monkeypatch.setattr(_kernels, "_SLAB_BYTES", 1)
         p = CauchyProblem(fields.gaussian(3, sigma=1.0), fields.gaussian(3, sigma=0.8),
@@ -1078,6 +1077,44 @@ class TestLeanSpectral:
         finally:
             tracemalloc.stop()
         assert peak < state.phi_hat.nbytes / 4
+
+    @pytest.mark.parametrize("phi", ["own", "zero", "psi"])
+    @pytest.mark.parametrize("three_rows", [False, True], ids=["whole", "partial"])
+    @pytest.mark.parametrize("n, points", [(1, 64), (1, 65), (2, 32), (2, 31), (3, 16),
+                                           (3, 17), (4, 8), (4, 7)])
+    def test_state_matches_rfftn(self, monkeypatch, n, points, three_rows, phi):
+        # three-row slabs end in a partial one, as no N here is a multiple of
+        # 3; phi is its own field, zero, or the very field psi is
+        if three_rows:
+            monkeypatch.setattr(solvers, "_CHUNK_BYTES", 3 * n * points ** (n - 1) * 8)
+        centre = [0.5, -0.3, 0.2, 0.1][:n]
+        psi = fields.gaussian(n, sigma=0.8, center=centre[::-1])
+        phi = {"own": fields.gaussian(n, sigma=0.6, center=centre), "zero": fields.zero(n),
+               "psi": psi}[phi]
+        p, grid = CauchyProblem(phi, psi, Dimension(n)), GridSpec(10.0, points, n)
+        state = spectral_state(p, grid)
+        spectra = [np.fft.rfftn(grid.sample(f)) for f in (phi, psi)]
+        np.testing.assert_array_equal(state.phi_hat, spectra[0])
+        np.testing.assert_array_equal(state.psi_hat, spectra[1])
+        assert state.magnitudes == tuple(float(np.sum(np.abs(a) @ solvers._half_weights(grid)))
+                                         for a in spectra)
+
+    def test_state_holds_no_real_lattice(self):
+        # the transforms run slab by slab, so above the state the traced peak
+        # is slab temporaries (about 8 MB at 128^3 with both fields at once),
+        # below the 16 MB real lattice that rfftn of whole samples took
+        p = CauchyProblem(fields.gaussian(3, sigma=1.0), fields.gaussian(3, sigma=0.8),
+                          Dimension(3))
+        grid = GridSpec(12.0, 128, 3)
+        tracemalloc.start()
+        try:
+            state = spectral_state(p, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        live = (state.phi_hat.nbytes + state.psi_hat.nbytes + state.shell.nbytes
+                + state.radii.nbytes)
+        assert peak - live < grid.points ** grid.dim * 8
 
 
 class TestSpectralProbes:
