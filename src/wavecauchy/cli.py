@@ -362,7 +362,10 @@ def _run_solve(config: RunConfig, report: Report) -> None:
         if keys["binary_out"]:  # the one full inverse, for the last time's grid
             spectral_solve(problem, grid, t, state=state).to_binary(keys["binary_out"])
     else:
-        samples = [s for t in keys["times"] for s in solve_points(problem, np.array(probes), t)]
+        # one batch of every (probe, time) pair, time-major as the report's rows
+        times = keys["times"]
+        samples = solve_points(problem, np.tile(probes, (len(times), 1)),
+                               np.repeat(times, len(probes)))
 
     expect, expect_tol = keys["expect_value"], keys["expect_tol"]
     for s in samples:
@@ -395,15 +398,13 @@ def _analytic_slab(profile: str, h: float, points: int):
 
 def _means_slab(problem: CauchyProblem, points: int, t0: float, h: float) -> np.ndarray:
     """Means solutions on the slab of times t0 - h, t0, t0 + h and points^n
-    sites spaced h around the origin."""
+    sites spaced h around the origin, all 3 points^n pairs in one batch."""
     n = problem.dim.n
     axis = h * (np.arange(points) - points // 2)
     sites = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
-    slab = np.empty((3,) + (points,) * n)
-    for it, t in enumerate(t0 + h * np.array([-1.0, 0.0, 1.0])):
-        slab[it] = np.reshape([s.u for s in solve_points(problem, sites, t, with_error=False)],
-                              slab.shape[1:])
-    return slab
+    times = np.repeat(t0 + h * np.array([-1.0, 0.0, 1.0]), len(sites))
+    samples = solve_points(problem, np.tile(sites, (3, 1)), times, with_error=False)
+    return np.reshape([s.u for s in samples], (3,) + (points,) * n)
 
 
 def _identity_ladder(config: RunConfig) -> tuple[list[float], list[float], list[float]]:
@@ -478,6 +479,10 @@ def _run_converge(config: RunConfig, report: Report) -> None:
             row[report.columns.index("violated")] = "converge.expected_order"
 
 
+#: most random probes a solve may draw: every (probe, time) pair goes into one
+#: solve_points batch, whose per-pair arrays stay within tens of MB at this count
+MAX_PROBES = 1 << 20
+
 _RUN = {
     "command": (str, None, None),
     "seed": (int, "0", _between(0)),
@@ -501,7 +506,7 @@ COMMANDS = {
             "method": (str, "auto", ("auto", "spectral")),
             "times": (_floats, "1.0", _positive),
             "probes": (_points, "random", None),
-            "probe_count": (int, "5", _positive),
+            "probe_count": (int, "5", _between(1, MAX_PROBES)),
             "probe_radius": (float, "1.0", _positive),
             "expect_value": (float, None, None),
             "expect_tol": (float, "1e-6", _positive),

@@ -145,8 +145,13 @@ def _fit_matrix(degree: int) -> np.ndarray:
 
 
 def _power(x, p: int):
-    """x ** p, by element for an array: numpy's array power rounds unlike a float's."""
-    return np.array([v ** p for v in x.tolist()]) if getattr(x, "ndim", 0) else x ** p
+    """x ** p, by element for an array: numpy's array power rounds unlike a float's.
+    A float's x ** 0 is 1 and x ** 1 is x, so an array takes no loop for those."""
+    if not getattr(x, "ndim", 0):
+        return x ** p
+    if p in (0, 1):
+        return np.ones(x.shape) if p == 0 else np.array(x, dtype=np.float64)
+    return np.array([v ** p for v in x.tolist()])
 
 
 def _fit_derivatives(values: np.ndarray, h, max_order: int) -> np.ndarray:

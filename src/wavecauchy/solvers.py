@@ -26,12 +26,15 @@ centre at the probe's distance (`geometry.radial_sum_center`).
 Any other field takes the default product rule at the probe. A caller's
 `rule` replaces both product rules; each is built only when a field needs it.
 
-`solve_points` solves at P points of one time together: the stencil, the
-node count and the rules are resolved once, each field's sphere sums are
-taken once per stencil radius set for all P centres, and the radial chain
-acts on the samples array, shape (R, P). Each point's value and error
-estimate are the ones it gets alone, to the bit, so one point is a batch of
-one: `solve_points(problem, [x], t)[0]`.
+`solve_points` solves a batch of P (point, time) pairs together: each
+distinct time's stencil and node count are resolved once, the pairs go in
+groups of one node count, each field's sphere sums are taken once per
+stencil radius set for a whole group, and the radial chain acts on the
+samples array, shape (R, P), with one t and h per pair. Pairs with the same
+summing centre (the probe, or for radial data the probe moved onto the ray
+from the data's centre) and the same time share one sphere, summed once.
+Each pair's value and error estimate are the ones it gets alone, to the bit,
+so one point is a batch of one: `solve_points(problem, [x], t)[0]`.
 
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
@@ -179,8 +182,9 @@ def means_series(g, center, rule: SphereQuadrature, t, degree: int,
     """g's r^(N-2)-scaled sphere sums over omega_N, N = rule.n, at the degree + 1
     stencil radii of spacing h around t: the samples (1/t d/dt)^m acts on, and
     the only place sphere sums become them. One centre (shape (N,) or a
-    scalar) gives samples of shape (R,), P centres (shape (P, N)) give (R, P).
-    One centre with t and h of shape (D,) gives (R, D), g seeing the D R radii flat.
+    scalar) gives samples of shape (R,), or (R, D) for t and h of shape (D,),
+    g seeing the D R radii flat; P centres (shape (P, N)) give (R, P), at one
+    t and h or each at its own (shape (P,)).
     With coarse, the samples at spacing 2 h (degree even), only the odd offsets
     are summed: offset 2k is coarse's offset k, the same radius to the bit.
     StencilError when the stencil reaches a radius <= 0."""
@@ -189,9 +193,13 @@ def means_series(g, center, rule: SphereQuadrature, t, degree: int,
         offsets = np.arange(degree + 1) - degree // 2
         odd = offsets % 2 == 1
         summed = summed[..., odd]
-    sums = sphere_sums(g, center, summed.ravel(), rule)
-    values = (summed ** (rule.n - 2) * sums.reshape(sums.shape[:-1] + summed.shape)
-              / _omega(rule.n)).T
+    if summed.ndim == 2 and np.ndim(center) == 2:  # a row of radii per centre: (P, [k,] R)
+        sums = sphere_sums(g, center, summed, rule)
+        summed = summed.reshape(len(summed), *[1] * (sums.ndim - 2), -1)
+    else:
+        sums = sphere_sums(g, center, summed.ravel(), rule)
+        sums = sums.reshape(sums.shape[:-1] + summed.shape)
+    values = (summed ** (rule.n - 2) * sums / _omega(rule.n)).T
     if coarse is None:
         return values
     full = np.empty_like(coarse)  # its layout, as chain_apply rounds by layout
@@ -227,19 +235,28 @@ def _lift(field: ScalarField) -> ScalarField:
                        degree=field.degree, label=field.label)
 
 
-def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: float,
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each distinct row's first index and each row's place among them, rows
+    compared as exact bytes; None when no two rows are equal."""
+    data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+    slot = {}
+    inverse = [slot.setdefault(data[i:i + width], len(slot)) for i in range(0, len(data), width)]
+    if len(slot) == len(inverse):
+        return None
+    return np.unique(inverse, return_index=True)[1], np.array(inverse)
+
+
+def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
                         spec: RadialDerivativeSpec | None, rule: SphereQuadrature | None,
                         with_error: bool) -> list[SolutionSample]:
     method = "spherical_means" if problem.dim.is_odd else "weighted_means"
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    if not len(xs):
-        return []
-    if t == 0.0:
-        return [SolutionSample(x, 0.0, float(u), method, 0.0)
-                for x, u in zip(xs, problem.phi(xs))]
+    samples = [None] * len(xs)
+    zero = [i for i, ti in enumerate(t) if ti == 0.0]
+    for i, u in zip(zero, problem.phi(xs[zero]) if zero else []):
+        samples[i] = SolutionSample(xs[i], 0.0, float(u), method, 0.0)
+    if len(zero) == len(xs):
+        return samples
     n = problem.dim.n
-    spec = resolve_spec(problem.dim.derivative_order, t, spec)
     centers, means = xs, problem
     if not problem.dim.is_odd:
         # descent: the (n+1)-dimensional solution at (x, 0), with the same
@@ -252,82 +269,133 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: float,
     # the fields on the reduced rule, the only ones with its quadrature error
     radial = [role for role, f in fields.items()
               if f.radial_center is not None and f.degree is None]
-    count = max((radial_node_count(fields[role], t) for role in radial),
-                default=MIN_RADIAL_NODES)
+    m, constant = means.dim.derivative_order, solution_constant(means.dim.n)
+    # each distinct time's h and node count, checked in input order so that the
+    # first offending time raises; the pairs grouped by node count
+    steps, groups = {}, {}
+    for i, ti in enumerate(t):
+        if ti == 0.0:
+            continue
+        if ti not in steps:
+            resolved = resolve_spec(m, ti, spec)
+            nodes = max((radial_node_count(fields[role], ti) for role in radial),
+                        default=MIN_RADIAL_NODES)
+            # the same at every time: the caller's degree, or the default 2 m + 4
+            degrees = {"psi": resolved.degree, "phi": resolved.degree + 2}
+            if ti <= (resolved.degree + 2) * resolved.h:  # a stencil may reach radius 0
+                for role in fields:
+                    stencil_radii(ti, degrees[role], resolved.h)
+            steps[ti] = resolved.h, nodes
+        groups.setdefault(steps[ti][1], []).append(i)
 
-    # each radial field's probes moved onto its ray, once for every pass
-    moved = {role: radial_sum_center(centers, fields[role].radial_center) for role in radial}
+    for count, members in groups.items():
+        c = centers if len(members) == len(xs) else centers[members]
+        tp = [t[i] for i in members]
+        # each radial field's probes moved onto its ray, once for every pass
+        moved = {role: radial_sum_center(c, fields[role].radial_center) for role in radial}
 
-    def placement(role: str, count: int) -> tuple[np.ndarray, SphereQuadrature]:
-        # product rules are built (memoized) only when a field asks for one; a
-        # degree's rule is never larger than the default one it replaces
-        field = fields[role]
-        if (field.degree is not None and rule is None
-                and field.degree <= default_sphere_order(means.dim.n)):
-            return centers, sphere_quadrature_for_order(means.dim.n, field.degree)
-        if field.radial_center is None or field.degree is not None:
-            return centers, means_rule(n, rule)
-        return moved[role], _radial_rule(len(field.radial_center), means.dim.n, count)
+        def placement(role: str, count: int) -> tuple[np.ndarray, SphereQuadrature]:
+            # product rules are built (memoized) only when a field asks for one; a
+            # degree's rule is never larger than the default one it replaces
+            field = fields[role]
+            if (field.degree is not None and rule is None
+                    and field.degree <= default_sphere_order(means.dim.n)):
+                return c, sphere_quadrature_for_order(means.dim.n, field.degree)
+            if field.radial_center is None or field.degree is not None:
+                return c, means_rule(n, rule)
+            return moved[role], _radial_rule(len(field.radial_center), means.dim.n, count)
 
-    m, h = means.dim.derivative_order, spec.h
-    # polynomial data stack |field| on their h pass for the rounding bound
-    exact = [role for role, f in fields.items() if f.degree is not None and with_error]
+        # pairs with one summing centre and one time share each pass's sphere sums
+        distinct = {role: _distinct(np.column_stack([placement(role, count)[0], tp]))
+                    if len(members) > 1 else None for role in fields}
+        times = {}  # the group's distinct times, and each pair's among them
+        at = [times.setdefault(ti, len(times)) for ti in tp]
+        hs = [steps[ti][0] for ti in times]
+        # one time: scalars, whose powers the chain takes once and whose radii are shared
+        tg, h, at = ((tp[0], hs[0], slice(None)) if len(times) == 1
+                     else (np.array(tp), np.take(hs, at), at))
+        # polynomial data stack |field| on their h pass for the rounding bound
+        exact = [role for role, f in fields.items() if f.degree is not None and with_error]
 
-    def sample(role: str, h: float, count: int, coarse=None, magnitude=False) -> np.ndarray:
-        field = fields[role]
-        g = (lambda points: np.stack([v := field(points), np.abs(v)], axis=-3)
-             ) if magnitude else field
-        degree = spec.degree if role == "psi" else spec.degree + 2
-        return means_series(g, *placement(role, count), t, degree, h, coarse)
+        def sample(role: str, h, count: int, coarse=None, magnitude=False) -> np.ndarray:
+            field = fields[role]
+            g = (lambda points: np.stack([v := field(points), np.abs(v)], axis=-3)
+                 ) if magnitude else field
+            centre, on = placement(role, count)
+            if distinct[role] is None:
+                return means_series(g, centre, on, tg, degrees[role], h, coarse)
+            # the distinct spheres summed, their samples scattered back in the
+            # layout chain_apply rounds by
+            first, inverse = distinct[role]
+            pick = (lambda a: a[first] if np.ndim(a) else a)
+            values = means_series(g, centre[first], on, pick(tg), degrees[role], pick(h),
+                                  None if coarse is None else coarse.T[first].T)
+            return values.T[inverse].T
 
-    def total(terms) -> np.ndarray:
-        return solution_constant(means.dim.n) * sum(terms, np.zeros(len(xs)))
+        def total(terms) -> np.ndarray:
+            return constant * sum(terms, np.zeros(len(members)))
 
-    stacked = {role: sample(role, h, count, magnitude=role in exact) for role in fields}
-    # samples stacked (R, 2, P) with |field|'s, laid out as chain_apply expects
-    series = {role: s[:, 0].copy("F") if role in exact else s for role, s in stacked.items()}
-    u_terms, weights = {}, {}
-    for role, s in series.items():
-        if with_error:  # unit samples too, whose parts are the chain's weights a_j
-            s = np.asfortranarray(np.hstack([s, np.eye(len(s))]))
-        parts = _means_term(role, s, m, t, h)  # each profile rounds as it does alone
-        u_terms[role], weights[role] = parts[:len(xs)], parts[len(xs):]
-    u = total(u_terms.values())
-    err = np.full(len(xs), math.nan)
-    if with_error:
-        # stencil truncation: where halving h at least halves the error, the
-        # error at h is at most 2 |u_h - u_(h/2)|; h / 2 sums its odd offsets only
-        err = 2.0 * abs(u - total(_means_term(role, sample(role, h / 2.0, count, series[role]),
-                                              m, t, h / 2.0) for role in fields))
-        # the reduced rule's quadrature error: where doubling L at least halves
-        # it, it is at most |u_L - u_(L/2)| at L nodes; doubled for margin
-        if radial:
-            short = (_means_term(role, sample(role, h, count // 2), m, t, h) for role in radial)
-            err += 2.0 * abs(total(u_terms[role] for role in radial) - total(short))
-        # rounding, which both differences can miss (ROUNDING_FACTOR), each
-        # centre's terms summed as one contiguous row, as for one centre
+        stacked = {role: sample(role, h, count, magnitude=role in exact) for role in fields}
+        # samples stacked (R, 2, P) with |field|'s, laid out as chain_apply expects
+        series = {role: s[:, 0].copy("F") if role in exact else s for role, s in stacked.items()}
+        u_terms, weights = {}, {}
         for role, s in series.items():
-            magnitudes = stacked[role][:, 1] if role in exact else np.abs(s)
-            rows = np.ascontiguousarray(np.abs(weights[role]) * magnitudes.T)
-            err += total([ROUNDING_FACTOR * np.finfo(np.float64).eps * rows.sum(axis=-1)])
-    return [SolutionSample(x, t, float(ux), method, float(ex)) for x, ux, ex in zip(xs, u, err)]
+            size, ts, hh = len(s), tg, h
+            if with_error:  # unit samples per distinct time, whose parts are the weights a_j
+                s = np.asfortranarray(np.hstack([s] + [np.eye(size)] * len(times)))
+                if len(times) > 1:
+                    ts = np.concatenate([tg, np.repeat(list(times), size)])
+                    hh = np.concatenate([h, np.repeat(hs, size)])
+            parts = _means_term(role, s, m, ts, hh)  # each profile rounds as it does alone
+            u_terms[role], weights[role] = parts[:len(members)], parts[len(members):]
+        u = total(u_terms.values())
+        err = np.full(len(members), math.nan)
+        if with_error:
+            # stencil truncation: where halving h at least halves the error, the
+            # error at h is at most 2 |u_h - u_(h/2)|; h / 2 sums its odd offsets only
+            err = 2.0 * abs(u - total(_means_term(role, sample(role, h / 2.0, count, series[role]),
+                                                  m, tg, h / 2.0) for role in fields))
+            # the reduced rule's quadrature error: where doubling L at least halves
+            # it, it is at most |u_L - u_(L/2)| at L nodes; doubled for margin
+            if radial:
+                short = (_means_term(role, sample(role, h, count // 2), m, tg, h)
+                         for role in radial)
+                err += 2.0 * abs(total(u_terms[role] for role in radial) - total(short))
+            # rounding, which both differences can miss (ROUNDING_FACTOR), each
+            # pair's terms summed as one contiguous row, as for one pair
+            for role, s in series.items():
+                magnitudes = stacked[role][:, 1] if role in exact else np.abs(s)
+                a = weights[role].reshape(-1, len(s))[at]  # each pair's a_j
+                rows = np.ascontiguousarray(np.abs(a) * magnitudes.T)
+                err += total([ROUNDING_FACTOR * np.finfo(np.float64).eps * rows.sum(axis=-1)])
+        for i, ux, ex in zip(members, u, err):
+            samples[i] = SolutionSample(xs[i], t[i], float(ux), method, float(ex))
+    return samples
 
 
-def solve_points(problem: CauchyProblem, xs, t: float,
+def solve_points(problem: CauchyProblem, xs, t,
                  spec: RadialDerivativeSpec | None = None,
                  rule: SphereQuadrature | None = None,
                  with_error: bool = True) -> list[SolutionSample]:
-    """The solution at the P points xs, shape (P, n), at time t: one sample
-    per point, in their order. d'Alembert for n = 1; otherwise the means
-    solver, which takes each field's sphere sums once per stencil for all P
-    points and gives each point the value it gets alone, to the bit."""
+    """The solution at P (point, time) pairs: the points xs, shape (P, n), at
+    the time t, or each at its own time, t of shape (P,). One sample per pair,
+    in their order. d'Alembert for n = 1; otherwise the means solver, which
+    groups the pairs by node count, sums each distinct sphere (summing centre
+    and time) once per stencil radius set, and gives each pair the value it
+    gets alone, to the bit."""
     n = problem.dim.n
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != n:
         raise ValueError(f"points must have shape (P, {n})")
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim > 1 or t.ndim == 1 and len(t) != len(xs):
+        raise ValueError(f"times must be a scalar or have shape ({len(xs)},)")
+    t = t.tolist() if t.ndim else [float(t)] * len(xs)
+    if any(ti < 0 for ti in t):
+        raise ValueError("time must be non-negative")
     if n == 1:
-        return [solve_dalembert_point(problem, x, t) for x in xs]
-    return _solve_means_points(problem, xs, t, spec, rule, with_error)
+        return [solve_dalembert_point(problem, x, tx) for x, tx in zip(xs, t)]
+    return _solve_means_points(problem, xs, t, spec, rule, with_error) if len(xs) else []
 
 
 def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> SolutionSample:

@@ -224,8 +224,9 @@ binary_out = {binary}
 
 
 class TestBatchedMeans:
-    """solve makes one solve_points call per time and converge one per slab
-    time; the rows are those of one solve_points call per point, to the bit."""
+    """solve makes one solve_points call over every (probe, time) pair and
+    converge one per ladder level; the rows are those of one solve_points call
+    per point, to the bit."""
 
     @pytest.mark.parametrize("dim, data", [
         (2, "phi = gaussian\nphi_sigma = 0.9\npsi = harmonic\npsi_poly = saddle"),
@@ -270,10 +271,50 @@ probe_count = 4
         points, t0, h = 3, 1.0, 0.1
         slab = cli._means_slab(problem, points, t0, h)
         axis = h * (np.arange(points) - points // 2)
+        sites = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
         for it, t in enumerate(t0 + h * np.array([-1.0, 0.0, 1.0])):
             for idx in np.ndindex(*slab.shape[1:]):
                 x = axis[list(idx)]
                 assert slab[(it,) + idx] == solve_points(problem, [x], t, with_error=False)[0].u
+            # and the slab of one solve_points call per time, the batch before pairs
+            per_time = [s.u for s in solve_points(problem, sites, t, with_error=False)]
+            assert np.array_equal(slab[it].ravel(), per_time)
+
+    @pytest.mark.parametrize("dim, data", [
+        (2, "phi = gaussian\nphi_sigma = 0.9\npsi = harmonic\npsi_poly = saddle"),
+        (3, "psi = gaussian\npsi_sigma = 0.1\npsi_center = 0.3, 0, -0.2"),
+    ], ids=["n2", "n3-node-counts"])
+    def test_two_time_solve_equals_one_time_solves(self, tmp_path, dim, data):
+        # at n = 3 the two times need 64 and 128 nodes per coordinate
+        def data_rows(times):
+            out = tmp_path / f"solve-{times}.csv"
+            cfg = write_config(tmp_path, f"[run]\ncommand = solve\ndim = {dim}\nseed = 9\n"
+                               f"output = {out}\n[data]\n{data}\n[solve]\ntimes = {times}\n"
+                               "probe_count = 3\n", name=f"{times}.ini")
+            assert main(["solve", "--config", cfg]) == 0
+            return [line for line in out.read_text().splitlines()
+                    if not line.startswith("#")][1:]
+
+        rows = data_rows("0.8, 2.5")
+        assert len(rows) == 6 and rows == data_rows("0.8") + data_rows("2.5")
+
+    def test_one_solve_points_call_per_command_and_level(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(problem, xs, t, **kwargs):
+            calls.append(len(xs))
+            return solve_points(problem, xs, t, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_points", spy)
+        cfg = write_config(tmp_path, "[run]\ncommand = solve\ndim = 3\n[data]\npsi = gaussian\n"
+                           "[solve]\ntimes = 0.5, 1.0, 1.5\nprobe_count = 4\n")
+        assert main(["solve", "--config", cfg]) == 0
+        assert calls == [12]
+        calls.clear()
+        cfg = write_config(tmp_path, "[run]\ncommand = converge\n[data]\npsi = gaussian\n"
+                           "[converge]\ntarget = pde-residual\ndim = 2\npoints = 3\n")
+        main(["converge", "--config", cfg])
+        assert calls == [3 * 9] * 3
 
     @pytest.mark.parametrize("dim, data, times", [
         # the second time needs 4000 nodes per coordinate, above the cap
@@ -715,6 +756,21 @@ probes = 0 0 x
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert key in err
+
+    def test_probe_count_above_the_cap(self, tmp_path, capsys, monkeypatch):
+        # every pair goes into one batch, so the count is capped; refused before
+        # any probe is drawn or any data built
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may be built for too many probes")
+
+        monkeypatch.setattr(cli, "_run_solve", refuse)
+        text = "[run]\ncommand = solve\ndim = 3\n[data]\npsi = gaussian\n[solve]\nprobe_count = "
+        cfg = write_config(tmp_path, text + f"{cli.MAX_PROBES + 1}\n")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "solve.probe_count" in err
+        cfg = write_config(tmp_path, text + f"{cli.MAX_PROBES}\n", name="at-cap.ini")
+        assert load_config(cfg, "solve", {})["solve"]["probe_count"] == 2**20
 
     def test_spectral_grid_above_the_point_cap(self, tmp_path, capsys, monkeypatch):
         # 10^15 points would end in an allocation error; refused before any

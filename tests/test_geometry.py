@@ -351,6 +351,25 @@ class TestSphereQuadrature:
         assert batched.shape == (centers, len(radii))
         assert np.array_equal(batched, single)
 
+    def test_radius_row_per_centre_equals_single_centres(self):
+        # a radius row per centre: runs of 3, 70 and 77 adjacent centres with one
+        # row each, in groups of at most 68 (5 radii on a 128-node rule), so
+        # five point arrays: 3, then 68 + 2, then 68 + 9
+        rule = sphere_quadrature_for_order(3, 15)
+        xs = np.random.default_rng(5).uniform(-1.0, 1.0, (150, 3))
+        rows = np.linspace(0.8, 1.2, 5), np.linspace(1.1, 1.9, 5)
+        radii = np.array([rows[0]] * 3 + [rows[1]] * 70 + [rows[0]] * 77)
+        sizes = []
+
+        def g(points):
+            sizes.append(points.shape[0])
+            return np.exp(-np.einsum("...i,...i->...", points, points))
+
+        batched = sphere_sums(g, xs, radii, rule)
+        assert sizes == [3, 68, 2, 68, 9]
+        single = np.array([sphere_sums(g, x, r, rule) for x, r in zip(xs, radii)])
+        assert batched.shape == (150, 5) and np.array_equal(batched, single)
+
     @pytest.mark.parametrize("rule, radii, centers, kind", [
         # 40 radii on the 27,648 nodes of the n = 4 default rule: five chunks
         (sphere_quadrature(4), np.linspace(0.5, 2.0, 40), None, "real"),

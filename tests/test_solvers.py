@@ -327,8 +327,8 @@ def batch_cases(n):
 
 
 class TestSolvePoints:
-    """solve_points sums each field once for all points and gives each point
-    the value it gets alone, to the bit."""
+    """solve_points sums each distinct sphere once for all (point, time) pairs
+    and gives each pair the value it gets alone, to the bit."""
 
     @staticmethod
     def assert_same(batch, single):
@@ -358,10 +358,81 @@ class TestSolvePoints:
             self.assert_same(solve_points(p, xs, 1.4, spec=spec, rule=small),
                              [solve_points(p, [x], 1.4, spec=spec, rule=small)[0] for x in xs])
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pairs_bitwise_equal_to_each_pair_alone(self, n):
+        # three probes at three times, t = 0 mixed in and one pair repeated
+        rng = np.random.default_rng(60 + n)
+        xs = rng.uniform(-1.0, 1.0, size=(3, n))
+        pairs = np.vstack([xs, xs, xs[:2]])
+        ts = np.array([0.9, 0.0, 1.3, 1.3, 0.9, 0.0, 0.9, 1.3])
+        small = sphere_quadrature_for_order(n, 5)
+        m = Dimension(n).derivative_order
+        spec = RadialDerivativeSpec(m, 0.05, default_spec(m, 1.4).degree)
+        for label, phi, psi in batch_cases(n):
+            p = CauchyProblem(phi, psi, Dimension(n))
+            kwargs = [{"with_error": False}, {"rule": small}, {"spec": spec, "rule": small},
+                      {"spec": spec, "with_error": False}]
+            if label != "plain":  # its estimate on the default rule takes seconds at n >= 5
+                kwargs.append({})
+            for kw in kwargs:
+                self.assert_same(solve_points(p, pairs, ts, **kw),
+                                 [solve_points(p, [x], t, **kw)[0] for x, t in zip(pairs, ts)])
+
+    def test_times_with_different_node_counts(self):
+        # sigma = 0.1 needs 64, 256 and 128 nodes per coordinate at t = 1, 5 and 2:
+        # one sphere sum per node count, in order of first appearance
+        psi, calls = counted(fields.gaussian(3, 0.1, center=[0.2, -0.1, 0.0]))
+        p = problem(3, psi=psi)
+        xs = np.random.default_rng(8).uniform(-0.5, 0.5, (5, 3))
+        ts = np.array([1.0, 5.0, 2.0, 1.0, 0.0])
+        solve_points(p, xs, ts, with_error=False)
+        assert calls == [2 * 5 * 64, 5 * 256, 5 * 128]
+        for kw in ({}, {"with_error": False}):
+            self.assert_same(solve_points(p, xs, ts, **kw),
+                             [solve_points(p, [x], t, **kw)[0] for x, t in zip(xs, ts)])
+
+    @pytest.mark.parametrize("n, distances, nodes", [(2, 3, 64 * 32), (3, 4, 64)])
+    def test_symmetric_slab_sums_each_distinct_sphere_once(self, n, distances, nodes):
+        # the 3^n sites of a slab around a centred Gaussian lie at `distances`
+        # distances, each summed once per time on psi's 5 stencil radii; about
+        # an off-centre one every site is its own sphere
+        axis = 0.1 * np.arange(-1, 2)
+        sites = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+        pairs, ts = np.tile(sites, (3, 1)), np.repeat([0.9, 1.0, 1.1], len(sites))
+        for center, spheres in ((None, distances), ([0.3137, -0.1693, 0.0721][:n], len(sites))):
+            psi, calls = counted(fields.gaussian(n, 1.0, center=center))
+            batch = solve_points(problem(n, psi=psi), pairs, ts, with_error=False)
+            assert sum(calls) == 3 * spheres * 5 * nodes
+            self.assert_same(batch, [solve_points(problem(n, psi=psi), [x], t,
+                                                  with_error=False)[0]
+                                     for x, t in zip(pairs, ts)])
+
+    def test_first_offending_time_raises(self):
+        # each time is checked in input order, with the message it raises alone
+        p = problem(3, psi=fields.gaussian(3, 0.005))
+        xs = np.zeros((3, 3))
+        for times in ([0.1, 5.0, 0.0], [5.0, 0.1, 9.0]):
+            with pytest.raises(EvaluationError) as batch:
+                solve_points(p, xs, times)
+            bad = next(t for t in times if t > 1.0)
+            with pytest.raises(EvaluationError) as alone:
+                solve_points(p, xs[:1], bad)
+            assert str(batch.value) == str(alone.value)
+        # a user stencil of degree 30 reaches radius 0 below t = 15 h
+        spec = RadialDerivativeSpec(0, 0.04, 30)
+        with pytest.raises(StencilError) as batch:
+            solve_points(p, xs, [0.9, 0.5, 0.3], spec=spec)
+        with pytest.raises(StencilError) as alone:
+            solve_points(p, xs[:1], 0.5, spec=spec)
+        assert str(batch.value) == str(alone.value)
+
     def test_dalembert_points(self):
         p = problem(1, phi=fields.gaussian(1, 0.7), psi=fields.bump(1, 1.2))
         xs = np.array([[-0.3], [0.0], [0.8]])
         self.assert_same(solve_points(p, xs, 0.6), [solve_points(p, [x], 0.6)[0] for x in xs])
+        ts = np.array([0.6, 0.0, 1.1])
+        self.assert_same(solve_points(p, xs, ts),
+                         [solve_points(p, [x], t)[0] for x, t in zip(xs, ts)])
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_no_points_evaluate_no_field(self, n):
@@ -378,6 +449,10 @@ class TestSolvePoints:
             solve_points(p, np.zeros((1, 2)), 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             solve_points(p, np.zeros((2, 3)), -1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_points(p, np.zeros((2, 3)), [1.0, -1.0])
+        with pytest.raises(ValueError, match=r"times must .* shape \(2,\)"):
+            solve_points(p, np.zeros((2, 3)), [1.0, 1.0, 1.0])
         with pytest.raises(StencilError):
             solve_points(p, np.zeros((2, 3)), 1.0, spec=RadialDerivativeSpec(0, 0.5, 4))
 
