@@ -154,6 +154,13 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
         for keys in values.values():
             if key in keys:
                 keys[key] = value
+    solve = values.get("solve", {})
+    if None not in (solve.get("probes"), solve.get("probe_count"), solve.get("times")):
+        # each (probe, time) pair is a sample, and the means pairs are one batch
+        random = solve["probes"] == "random"
+        probes = solve["probe_count"] if random else len(solve["probes"])
+        if probes * len(solve["times"]) > MAX_PAIRS:
+            errors += ["solve.probe_count" if random else "solve.probes", "solve.times"]
     if errors:
         raise ConfigError(f"invalid {command} config", keys=errors)
     return RunConfig(command, values, hashlib.sha256(text.encode()).hexdigest())
@@ -479,9 +486,10 @@ def _run_converge(config: RunConfig, report: Report) -> None:
             row[report.columns.index("violated")] = "converge.expected_order"
 
 
-#: most random probes a solve may draw: every (probe, time) pair goes into one
-#: solve_points batch, whose per-pair arrays stay within tens of MB at this count
-MAX_PROBES = 1 << 20
+#: most (probe, time) pairs a solve may take: the means pairs go into one
+#: solve_points batch, which peaks at about 0.8 KB a pair at n = 3 and 1.1 KB
+#: at n = 7 (tracemalloc, samples included), about 1 GB at this count
+MAX_PAIRS = 1 << 20
 
 _RUN = {
     "command": (str, None, None),
@@ -506,7 +514,7 @@ COMMANDS = {
             "method": (str, "auto", ("auto", "spectral")),
             "times": (_floats, "1.0", _positive),
             "probes": (_points, "random", None),
-            "probe_count": (int, "5", _between(1, MAX_PROBES)),
+            "probe_count": (int, "5", _between(1, MAX_PAIRS)),
             "probe_radius": (float, "1.0", _positive),
             "expect_value": (float, None, None),
             "expect_tol": (float, "1e-6", _positive),

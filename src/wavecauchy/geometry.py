@@ -432,12 +432,11 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
     group = max(1, _GROUP_BYTES // (n_radii * chunk * n * 8))
     if centers.ndim < 2:
         parts = [(centers[..., None, None], radii)]
-    elif radii.ndim < 2:
-        parts = [(centers[first:first + group].T[..., None, None], radii)
-                 for first in range(0, len(centers), group)]
     else:  # each run of adjacent centres with one radius row, in groups
-        runs = [0, *np.flatnonzero((radii[1:] != radii[:-1]).any(axis=1)) + 1, len(radii)]
-        parts = [(centers[first:min(first + group, stop)].T[..., None, None], radii[first])
+        rows = radii if radii.ndim > 1 else radii[None]  # the shared row, or one per centre
+        changes = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1 if len(rows) > 1 else []
+        runs = [0, *changes, len(centers)]
+        parts = [(centers[first:min(first + group, stop)].T[..., None, None], rows[start])
                  for start, stop in zip(runs, runs[1:]) for first in range(start, stop, group)]
     sums = []
     for part, r in parts:  # centres (n, [G,] 1, 1), or a scalar's (1, 1), and their radii

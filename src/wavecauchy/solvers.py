@@ -26,15 +26,16 @@ centre at the probe's distance (`geometry.radial_sum_center`).
 Any other field takes the default product rule at the probe. A caller's
 `rule` replaces both product rules; each is built only when a field needs it.
 
-`solve_points` solves a batch of P (point, time) pairs together: each
-distinct time's stencil and node count are resolved once, the pairs go in
-groups of one node count, each field's sphere sums are taken once per
-stencil radius set for a whole group, and the radial chain acts on the
-samples array, shape (R, P), with one t and h per pair. Pairs with the same
-summing centre (the probe, or for radial data the probe moved onto the ray
-from the data's centre) and the same time share one sphere, summed once.
-Each pair's value and error estimate are the ones it gets alone, to the bit,
-so one point is a batch of one: `solve_points(problem, [x], t)[0]`.
+`solve_points` solves a batch of P (point, time) pairs, in any order,
+together: each distinct time's stencil and node count are resolved once,
+the pairs go in groups of one node count, taken time by time, each field's
+sphere sums are taken once per stencil radius set for a whole group, and
+the radial chain acts on the samples array, shape (R, P), with one t and h
+per pair. Pairs with the same summing centre (the probe, or for radial
+data the probe moved onto the ray from the data's centre) and the same
+time share one sphere, summed once. Each pair's value and error estimate
+are the ones it gets alone, to the bit, so one point is a batch of one:
+`solve_points(problem, [x], t)[0]`.
 
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
@@ -193,9 +194,9 @@ def means_series(g, center, rule: SphereQuadrature, t, degree: int,
         offsets = np.arange(degree + 1) - degree // 2
         odd = offsets % 2 == 1
         summed = summed[..., odd]
-    if summed.ndim == 2 and np.ndim(center) == 2:  # a row of radii per centre: (P, [k,] R)
+    if np.ndim(center) == 2:  # sums (P, [k,] R), the radii shared or one row per centre
         sums = sphere_sums(g, center, summed, rule)
-        summed = summed.reshape(len(summed), *[1] * (sums.ndim - 2), -1)
+        summed = summed.reshape(-1, *[1] * (sums.ndim - 2), summed.shape[-1])
     else:
         sums = sphere_sums(g, center, summed.ravel(), rule)
         sums = sums.reshape(sums.shape[:-1] + summed.shape)
@@ -235,12 +236,13 @@ def _lift(field: ScalarField) -> ScalarField:
                        degree=field.degree, label=field.label)
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each distinct row's first index and each row's place among them, rows
-    compared as exact bytes; None when no two rows are equal."""
-    data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+def _distinct(centres: np.ndarray, t: list[float]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each distinct (centre, time) pair's first index and each pair's place
+    among them, centres compared as exact bytes; None when no two are equal."""
+    data, width = centres.tobytes(), centres.shape[1] * centres.itemsize
     slot = {}
-    inverse = [slot.setdefault(data[i:i + width], len(slot)) for i in range(0, len(data), width)]
+    inverse = [slot.setdefault((data[i * width:(i + 1) * width], ti), len(slot))
+               for i, ti in enumerate(t)]
     if len(slot) == len(inverse):
         return None
     return np.unique(inverse, return_index=True)[1], np.array(inverse)
@@ -289,7 +291,8 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
         groups.setdefault(steps[ti][1], []).append(i)
 
     for count, members in groups.items():
-        c = centers if len(members) == len(xs) else centers[members]
+        members.sort(key=t.__getitem__)  # each time's pairs one run of radius rows
+        c = centers[members]
         tp = [t[i] for i in members]
         # each radial field's probes moved onto its ray, once for every pass
         moved = {role: radial_sum_center(c, fields[role].radial_center) for role in radial}
@@ -305,9 +308,12 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
                 return c, means_rule(n, rule)
             return moved[role], _radial_rule(len(field.radial_center), means.dim.n, count)
 
-        # pairs with one summing centre and one time share each pass's sphere sums
-        distinct = {role: _distinct(np.column_stack([placement(role, count)[0], tp]))
-                    if len(members) > 1 else None for role in fields}
+        # pairs with one summing centre and one time share each pass's sphere
+        # sums; the centre is the probe but for radial data on the reduced rule
+        pairs = len(members) > 1
+        probe = _distinct(c, tp) if pairs and len(radial) < len(fields) else None
+        distinct = {role: _distinct(moved[role], tp) if pairs and role in radial else probe
+                    for role in fields}
         times = {}  # the group's distinct times, and each pair's among them
         at = [times.setdefault(ti, len(times)) for ti in tp]
         hs = [steps[ti][0] for ti in times]
@@ -378,11 +384,12 @@ def solve_points(problem: CauchyProblem, xs, t,
                  rule: SphereQuadrature | None = None,
                  with_error: bool = True) -> list[SolutionSample]:
     """The solution at P (point, time) pairs: the points xs, shape (P, n), at
-    the time t, or each at its own time, t of shape (P,). One sample per pair,
-    in their order. d'Alembert for n = 1; otherwise the means solver, which
-    groups the pairs by node count, sums each distinct sphere (summing centre
-    and time) once per stencil radius set, and gives each pair the value it
-    gets alone, to the bit."""
+    the time t, or each at its own time, t of shape (P,), in any order. One
+    sample per pair, in their order. d'Alembert for n = 1; otherwise the
+    means solver, which groups the pairs by node count, takes each group's
+    time by time, sums each distinct sphere (summing centre and time) once
+    per stencil radius set, and gives each pair the value it gets alone, to
+    the bit."""
     n = problem.dim.n
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != n:
@@ -390,9 +397,10 @@ def solve_points(problem: CauchyProblem, xs, t,
     t = np.asarray(t, dtype=np.float64)
     if t.ndim > 1 or t.ndim == 1 and len(t) != len(xs):
         raise ValueError(f"times must be a scalar or have shape ({len(xs)},)")
-    t = t.tolist() if t.ndim else [float(t)] * len(xs)
-    if any(ti < 0 for ti in t):
+    times = t.tolist() if t.ndim else [float(t)]
+    if any(ti < 0 for ti in times):  # checked before a scalar is repeated, for no points too
         raise ValueError("time must be non-negative")
+    t = times if t.ndim else times * len(xs)
     if n == 1:
         return [solve_dalembert_point(problem, x, tx) for x, tx in zip(xs, t)]
     return _solve_means_points(problem, xs, t, spec, rule, with_error) if len(xs) else []

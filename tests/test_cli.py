@@ -765,12 +765,35 @@ probes = 0 0 x
 
         monkeypatch.setattr(cli, "_run_solve", refuse)
         text = "[run]\ncommand = solve\ndim = 3\n[data]\npsi = gaussian\n[solve]\nprobe_count = "
-        cfg = write_config(tmp_path, text + f"{cli.MAX_PROBES + 1}\n")
+        cfg = write_config(tmp_path, text + f"{cli.MAX_PAIRS + 1}\n")
         assert main(["solve", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "solve.probe_count" in err
-        cfg = write_config(tmp_path, text + f"{cli.MAX_PROBES}\n", name="at-cap.ini")
+        cfg = write_config(tmp_path, text + f"{cli.MAX_PAIRS}\n", name="at-cap.ini")
         assert load_config(cfg, "solve", {})["solve"]["probe_count"] == 2**20
+
+    @pytest.mark.parametrize("probes, key", [
+        ("probe_count = 524289\ntimes = 1.0, 2.0", "solve.probe_count"),
+        ("probes = 0 0 0, 1 0 0, 0 1 0\ntimes = 1.0, 2.0", "solve.probes"),
+    ], ids=["random", "explicit"])
+    def test_pairs_above_the_cap(self, tmp_path, capsys, monkeypatch, probes, key):
+        # the cap bounds probes x times, the pairs of the one batch: 2^19 + 1
+        # random probes at two times, or three explicit ones at two times under
+        # a cap of 4, are refused before anything is built; the cap itself loads
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may be built for too many pairs")
+
+        monkeypatch.setattr(cli, "_run_solve", refuse)
+        if key == "solve.probes":
+            monkeypatch.setattr(cli, "MAX_PAIRS", 4)
+        text = "[run]\ncommand = solve\ndim = 3\n[data]\npsi = gaussian\n[solve]\n"
+        cfg = write_config(tmp_path, text + probes + "\n")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "solve.times" in err
+        at_cap = probes.replace("524289", "524288").replace(", 0 1 0", "")
+        cfg = write_config(tmp_path, text + at_cap + "\n", name="at-cap.ini")
+        assert len(load_config(cfg, "solve", {})["solve"]["times"]) == 2
 
     def test_spectral_grid_above_the_point_cap(self, tmp_path, capsys, monkeypatch):
         # 10^15 points would end in an allocation error; refused before any

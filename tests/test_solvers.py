@@ -407,6 +407,20 @@ class TestSolvePoints:
                                                   with_error=False)[0]
                                      for x, t in zip(pairs, ts)])
 
+    def test_probe_major_pairs_sum_as_time_major(self):
+        # pairs in any order are summed time by time: 4 probes at 3 times make
+        # one sphere sum per time, probe-major as time-major
+        xs = np.random.default_rng(9).uniform(-1.0, 1.0, (4, 3))
+        times = [1.9, 0.8, 1.3]
+        for pairs, ts in ((np.tile(xs, (3, 1)), np.repeat(times, 4)),
+                          (np.repeat(xs, 3, axis=0), np.tile(times, 4))):
+            psi, calls = counted(fields.gaussian(3, 1.0, center=[0.2, -0.1, 0.0]))
+            p = problem(3, psi=psi)
+            batch = solve_points(p, pairs, ts, with_error=False)
+            assert calls == [4 * 5 * 64] * 3
+            self.assert_same(batch, [solve_points(p, [x], t, with_error=False)[0]
+                                     for x, t in zip(pairs, ts)])
+
     def test_first_offending_time_raises(self):
         # each time is checked in input order, with the message it raises alone
         p = problem(3, psi=fields.gaussian(3, 0.005))
@@ -453,6 +467,10 @@ class TestSolvePoints:
             solve_points(p, np.zeros((2, 3)), [1.0, -1.0])
         with pytest.raises(ValueError, match=r"times must .* shape \(2,\)"):
             solve_points(p, np.zeros((2, 3)), [1.0, 1.0, 1.0])
+        for n in (2, 3):  # a negative time is refused with no points too
+            with pytest.raises(ValueError, match="non-negative"):
+                solve_points(problem(n), np.empty((0, n)), -1.0)
+            assert solve_points(problem(n), np.empty((0, n)), 1.0) == []
         with pytest.raises(StencilError):
             solve_points(p, np.zeros((2, 3)), 1.0, spec=RadialDerivativeSpec(0, 0.5, 4))
 
