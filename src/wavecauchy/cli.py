@@ -614,7 +614,9 @@ def run(config: RunConfig) -> Report:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="wavecauchy",
         description=__doc__,

@@ -407,7 +407,8 @@ def descent_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadratu
     return rule
 
 
-def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndarray:
+def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature,
+                null: np.ndarray | None = None):
     """S(r_j) = sum_i w_i g(center + r_j node_i), chunked over nodes: omega_n
     times the mean of g over the sphere of radius r_j. g takes points shaped
     (..., n), a view of one coordinate-major (n, [P,] R, chunk) buffer whose
@@ -425,7 +426,11 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
     on R and n only. Each run of adjacent centres with one radius row goes in
     groups whose point array stays within _GROUP_BYTES, or one at a time when
     one centre's chunk is larger, so each centre's sums are the ones it gets
-    alone, to the bit."""
+    alone, to the bit.
+
+    With null, weights shaped (nodes, Q) (`_null_weights`), also the Q null
+    sums of each sum from the same values, shaped (..., R, Q): (sums, nulls).
+    They are a separate product, so the sums keep their bits."""
     centers, radii = np.asarray(center, dtype=np.float64), np.asarray(radii)
     n, n_radii, nodes = rule.n, max(radii.shape[-1], 1), rule.nodes.T
     chunk = min(max(1, _CHUNK_BYTES // (n_radii * n * 8)), nodes.shape[1])
@@ -438,9 +443,9 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
         runs = [0, *changes, len(centers)]
         parts = [(centers[first:min(first + group, stop)].T[..., None, None], rows[start])
                  for start, stop in zip(runs, runs[1:]) for first in range(start, stop, group)]
-    sums = []
+    sums, nulls = [], []
     for part, r in parts:  # centres (n, [G,] 1, 1), or a scalar's (1, 1), and their radii
-        out = 0.0
+        out = tail = 0.0
         for i in range(0, nodes.shape[1], chunk):  # einsum outruns a broadcast r * node
             points = np.einsum("r,dk->drk", r, nodes[:, i:i + chunk], order="C")
             if part.ndim > 3:  # a group: one copy per centre, in place for one
@@ -448,13 +453,31 @@ def sphere_sums(g, center, radii: np.ndarray, rule: SphereQuadrature) -> np.ndar
                                 out=points[:, None] if len(part[0]) == 1 else None)
             else:
                 points += part
-            out = out + np.asarray(g(np.moveaxis(points, 0, -1))) @ rule.weights[i:i + chunk]
+            values = np.asarray(g(np.moveaxis(points, 0, -1)))
+            out = out + values @ rule.weights[i:i + chunk]
+            if null is not None:
+                tail = tail + values @ null[i:i + chunk]
         sums.append(out)
-    out = (sums[0] if centers.ndim < 2
-           else np.concatenate(sums or [np.zeros((0, radii.shape[-1]))]))
+        nulls.append(tail)
+    if centers.ndim < 2:
+        out, tail = sums[0], nulls[0]
+    else:
+        out = np.concatenate(sums or [np.zeros((0, radii.shape[-1]))])
+        tail = None if null is None else np.concatenate(
+            nulls or [np.zeros((0, radii.shape[-1], null.shape[1]))])
     if not np.isfinite(out).all():
         raise EvaluationError("g returned non-finite values on a sphere")
-    return out
+    return out if null is None else (out, tail)
+
+
+def _folded_zeta(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeta rule of `_unit_gegenbauer(n, count)` folded onto its upper
+    ceil(count / 2) nodes, for integrands even in zeta."""
+    zeta, vz = _unit_gegenbauer(n, count)
+    zeta, vz = zeta[count // 2:], 2.0 * vz[count // 2:]
+    if count % 2:
+        vz[0] /= 2.0  # the middle node zeta = 0 is its own mirror image
+    return zeta, vz
 
 
 @lru_cache(maxsize=64)
@@ -477,10 +500,7 @@ def _radial_rule(k: int, n: int, count: int) -> SphereQuadrature:
     nodes = np.zeros((n, count))
     nodes[0], nodes[1] = s, np.sqrt(1.0 - s * s)
     if k != n:
-        zeta, vz = _unit_gegenbauer(n, count)
-        zeta, vz = zeta[count // 2:], 2.0 * vz[count // 2:]
-        if count % 2:
-            vz[0] /= 2.0  # the middle node zeta = 0 is its own mirror image
+        zeta, vz = _folded_zeta(n, count)
         nodes = np.sqrt(1.0 - zeta * zeta)[:, None] * nodes[:, None, :]
         nodes[-1] = zeta[:, None]
         nodes = nodes.reshape(n, -1)
@@ -488,6 +508,58 @@ def _radial_rule(k: int, n: int, count: int) -> SphereQuadrature:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return SphereQuadrature(Dimension(n), nodes.T, weights, 0)
+
+
+#: degrees per coordinate that the null rules of a reduced rule cover: its last
+#: NULL_DEGREES in s, and after descent in zeta^2 too
+NULL_DEGREES = 4
+
+
+def _null_columns(k: int, count: int, weights: np.ndarray, fold: bool = False) -> np.ndarray:
+    """weights p_j sqrt(h_0) for the last NULL_DEGREES degrees j that the 1-D rule
+    of `_unit_gegenbauer(k, count)` sums exactly against each other: the columns
+    of its null rules. The rule is Gauss-Legendre in x; for odd k its weights
+    carry (1 - x^2)^m, m = (k - 3) / 2, and p_j are the polynomials orthonormal
+    for that weight (Gegenbauer, lam = m + 1/2, total h_0), to degree count - 1 - m;
+    for even k (s = sin(pi x / 2)) the Legendre ones, to degree count - 1. They
+    come from the recurrence x p_j = b_(j+1) p_(j+1) + b_j p_(j-1) with
+    b_j^2 = j (j + 2 lam - 1) / (4 (j + lam) (j + lam - 1)). With fold, the
+    rule's upper half (nodes x >= 0, weights given) and the even degrees."""
+    x, m = _leggauss(count)[0], (k - 3) // 2 if k % 2 else 0
+    top, step, lam = count - 1 - m, 2 if fold else 1, m + 0.5
+    top -= top % step
+    degrees = range(max(0, top - step * (NULL_DEGREES - 1)), top + 1, step)
+    x = x[count // 2:] if fold else x
+    prev, p, b, out = np.zeros_like(x), np.ones_like(x), 0.0, []
+    for j in range(top + 1):
+        if j in degrees:
+            out.append(p)
+        b_next = math.sqrt((j + 1) * (j + 2 * lam) / (4 * (j + 1 + lam) * (j + lam)))
+        prev, p, b = p, (x * p - b * prev) / b_next, b_next
+    return weights[:, None] * np.stack(out, axis=1)
+
+
+@lru_cache(maxsize=64)
+def _null_weights(k: int, n: int, count: int) -> np.ndarray:
+    """The null rules of `_radial_rule(k, n, count)`, shape (nodes, Q): each
+    column, applied to the values the rule sums, gives the integrand's
+    coefficient of one orthonormal polynomial (`_null_columns`) in the units of
+    the sum, and sums every polynomial of a lower degree to zero. The columns are
+    the last NULL_DEGREES degrees in s; after descent they are tensored with the
+    whole zeta rule, and the whole s rule with the last NULL_DEGREES degrees in
+    zeta^2 on the folded zeta rule, so odd zeta degrees never appear."""
+    v = _omega(k - 1) * _unit_gegenbauer(k, count)[1]
+    null = _null_columns(k, count, v)
+    if k != n:  # zeta major, as the rule's nodes
+        vz = _folded_zeta(n, count)[1]
+        z_null = _null_columns(n, count, vz, fold=True)
+        s_null, q = null, null.shape[1]
+        null = np.empty((len(vz), count, q + z_null.shape[1]))
+        np.multiply(vz[:, None, None], s_null, out=null[..., :q])
+        np.multiply(z_null[:, None, :], v[:, None], out=null[..., q:])
+        null = null.reshape(-1, null.shape[-1])
+    null.setflags(write=False)
+    return null
 
 
 def radial_sum_center(x, radial_center) -> np.ndarray:

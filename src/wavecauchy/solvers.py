@@ -63,6 +63,7 @@ from .geometry import (
     Dimension,
     SphereQuadrature,
     _leggauss,
+    _null_weights,
     _omega,
     _osc_nodes,
     _radial_rule,
@@ -145,11 +146,11 @@ def weighted_ball_mean(psi: ScalarField, x, t: float, rule: SphereQuadrature | N
 #: fewest nodes per coordinate of the reduced rule for radial data
 MIN_RADIAL_NODES = 64
 
-#: most nodes per coordinate L of the reduced rule. The largest rule built is
-#: the solution's own, as the error estimate checks it at L / 2: L nodes at
-#: odd n, L * L / 2 after descent. At even n = 10 that is 2^21 unit vectors in
-#: R^11, 0.18 GB. The 1-D Gauss rule of L = 2048 nodes takes 0.1 s and a
-#: 4.4 MB peak to build (see `geometry.MAX_OSC_NODES`).
+#: most nodes per coordinate L of the reduced rule: L nodes at odd n, L * L / 2
+#: after descent. At even n = 10 that is 2^21 unit vectors in R^11, 0.18 GB,
+#: and its null weights (`geometry._null_weights`, 2 NULL_DEGREES columns)
+#: 0.13 GB more, built in 0.2 s. The 1-D Gauss rule of L = 2048 nodes takes
+#: 0.1 s and a 4.4 MB peak to build (see `geometry.MAX_OSC_NODES`).
 MAX_RADIAL_NODES = 2048
 
 
@@ -170,6 +171,10 @@ def radial_node_count(field: ScalarField, t: float) -> int:
     return count
 
 
+#: factor on the largest null rule's value in the error estimate's quadrature
+#: term (`geometry._null_weights`)
+QUADRATURE_MARGIN = 2.0
+
 #: factor of the error estimate's rounding bound ROUNDING_FACTOR eps sum_j
 #: |a_j| M_j, a_j the chain's weight on sample j and M_j its sum of |field|
 #: (|sample| for data that are not polynomial). Over 1260 seeded harmonic
@@ -179,7 +184,7 @@ ROUNDING_FACTOR = 128
 
 
 def means_series(g, center, rule: SphereQuadrature, t, degree: int,
-                 h, coarse: np.ndarray | None = None) -> np.ndarray:
+                 h, coarse: np.ndarray | None = None, null: np.ndarray | None = None):
     """g's r^(N-2)-scaled sphere sums over omega_N, N = rule.n, at the degree + 1
     stencil radii of spacing h around t: the samples (1/t d/dt)^m acts on, and
     the only place sphere sums become them. One centre (shape (N,) or a
@@ -188,6 +193,8 @@ def means_series(g, center, rule: SphereQuadrature, t, degree: int,
     t and h or each at its own (shape (P,)).
     With coarse, the samples at spacing 2 h (degree even), only the odd offsets
     are summed: offset 2k is coarse's offset k, the same radius to the bit.
+    With null weights (`geometry._null_weights`) and P centres, also the null
+    sums scaled as the samples are, shaped (R, Q, P): (samples, nulls).
     StencilError when the stencil reaches a radius <= 0."""
     summed = stencil_radii(t, degree, h)
     if coarse is not None:
@@ -195,12 +202,16 @@ def means_series(g, center, rule: SphereQuadrature, t, degree: int,
         odd = offsets % 2 == 1
         summed = summed[..., odd]
     if np.ndim(center) == 2:  # sums (P, [k,] R), the radii shared or one row per centre
-        sums = sphere_sums(g, center, summed, rule)
+        sums = sphere_sums(g, center, summed, rule, null)
+        sums, tails = sums if null is not None else (sums, None)
         summed = summed.reshape(-1, *[1] * (sums.ndim - 2), summed.shape[-1])
     else:
         sums = sphere_sums(g, center, summed.ravel(), rule)
         sums = sums.reshape(sums.shape[:-1] + summed.shape)
     values = (summed ** (rule.n - 2) * sums / _omega(rule.n)).T
+    if null is not None:
+        return values, np.moveaxis(summed[..., None] ** (rule.n - 2) * tails / _omega(rule.n),
+                                   0, -1)
     if coarse is None:
         return values
     full = np.empty_like(coarse)  # its layout, as chain_apply rounds by layout
@@ -297,7 +308,7 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
         # each radial field's probes moved onto its ray, once for every pass
         moved = {role: radial_sum_center(c, fields[role].radial_center) for role in radial}
 
-        def placement(role: str, count: int) -> tuple[np.ndarray, SphereQuadrature]:
+        def placement(role: str) -> tuple[np.ndarray, SphereQuadrature]:
             # product rules are built (memoized) only when a field asks for one; a
             # degree's rule is never larger than the default one it replaces
             field = fields[role]
@@ -323,25 +334,31 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
         # polynomial data stack |field| on their h pass for the rounding bound
         exact = [role for role, f in fields.items() if f.degree is not None and with_error]
 
-        def sample(role: str, h, count: int, coarse=None, magnitude=False) -> np.ndarray:
+        def sample(role: str, h, coarse=None, magnitude=False, null=None):
             field = fields[role]
             g = (lambda points: np.stack([v := field(points), np.abs(v)], axis=-3)
                  ) if magnitude else field
-            centre, on = placement(role, count)
+            centre, on = placement(role)
             if distinct[role] is None:
-                return means_series(g, centre, on, tg, degrees[role], h, coarse)
-            # the distinct spheres summed, their samples scattered back in the
-            # layout chain_apply rounds by
+                return means_series(g, centre, on, tg, degrees[role], h, coarse, null)
+            # the distinct spheres summed, their samples (and null sums)
+            # scattered back in the layout chain_apply rounds by
             first, inverse = distinct[role]
             pick = (lambda a: a[first] if np.ndim(a) else a)
-            values = means_series(g, centre[first], on, pick(tg), degrees[role], pick(h),
-                                  None if coarse is None else coarse.T[first].T)
-            return values.T[inverse].T
+            out = means_series(g, centre[first], on, pick(tg), degrees[role], pick(h),
+                               None if coarse is None else coarse.T[first].T, null)
+            return out.T[inverse].T if null is None else tuple(a.T[inverse].T for a in out)
 
         def total(terms) -> np.ndarray:
             return constant * sum(terms, np.zeros(len(members)))
 
-        stacked = {role: sample(role, h, count, magnitude=role in exact) for role in fields}
+        stacked, nulls = {}, {}
+        for role in fields:
+            if role in radial and with_error:  # the null sums too, for the quadrature bound
+                null = _null_weights(len(fields[role].radial_center), means.dim.n, count)
+                stacked[role], nulls[role] = sample(role, h, null=null)
+            else:
+                stacked[role] = sample(role, h, magnitude=role in exact)
         # samples stacked (R, 2, P) with |field|'s, laid out as chain_apply expects
         series = {role: s[:, 0].copy("F") if role in exact else s for role, s in stacked.items()}
         u_terms, weights = {}, {}
@@ -359,14 +376,17 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
         if with_error:
             # stencil truncation: where halving h at least halves the error, the
             # error at h is at most 2 |u_h - u_(h/2)|; h / 2 sums its odd offsets only
-            err = 2.0 * abs(u - total(_means_term(role, sample(role, h / 2.0, count, series[role]),
+            err = 2.0 * abs(u - total(_means_term(role, sample(role, h / 2.0, series[role]),
                                                   m, tg, h / 2.0) for role in fields))
-            # the reduced rule's quadrature error: where doubling L at least halves
-            # it, it is at most |u_L - u_(L/2)| at L nodes; doubled for margin
-            if radial:
-                short = (_means_term(role, sample(role, h, count // 2), m, tg, h)
-                         for role in radial)
-                err += 2.0 * abs(total(u_terms[role] for role in radial) - total(short))
+            # the reduced rule's quadrature error: the largest of the integrand's
+            # last coefficients (its null sums) taken through the chain, with a
+            # margin; each pair's Q null sums are one contiguous profile, as alone
+            for role, tail in nulls.items():
+                q = tail.shape[1]
+                tail = np.asfortranarray(tail.reshape(len(tail), -1, order="F"))
+                ts, hh = (tg, h) if len(times) == 1 else (np.repeat(tg, q), np.repeat(h, q))
+                chained = constant * _means_term(role, tail, m, ts, hh).reshape(-1, q)
+                err += QUADRATURE_MARGIN * abs(chained).max(axis=1)
             # rounding, which both differences can miss (ROUNDING_FACTOR), each
             # pair's terms summed as one contiguous row, as for one pair
             for role, s in series.items():
@@ -543,7 +563,8 @@ def spectral_state(problem: CauchyProblem, grid: GridSpec) -> SpectralState:
     """The problem's half spectra on the grid, the non-zero fields' transformed at
     once on min(their count, usable CPUs) threads, each as it is alone (numpy's
     ufuncs and FFTs release the GIL). The spectra's allocation and the magnitudes'
-    BLAS products stay on the calling thread."""
+    BLAS products stay on the calling thread; a zero field's magnitude is 0.0, with
+    no pass over its zero spectrum."""
     # imported here, as it brings logging (about 6 ms) that the means paths never use
     from concurrent.futures import ThreadPoolExecutor
     if grid.dim != problem.dim.n:
@@ -554,7 +575,8 @@ def spectral_state(problem: CauchyProblem, grid: GridSpec) -> SpectralState:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(min(max(1, sum(not f.is_zero for f in fields)), cpus or 1)) as pool:
         list(pool.map(lambda f, out: _half_spectrum(f, grid, out), fields, spectra))
-    magnitudes = tuple(float(np.sum(np.abs(a) @ _half_weights(grid))) for a in spectra)
+    magnitudes = tuple(0.0 if f.is_zero else float(np.sum(np.abs(a) @ _half_weights(grid)))
+                       for f, a in zip(fields, spectra))
     return SpectralState(grid, *spectra, shell, radii, magnitudes)
 
 

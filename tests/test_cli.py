@@ -900,6 +900,20 @@ count = 3
         assert args.tol == 1e-8
         assert "verify-identities" in build_parser().format_help()
 
+    def test_parser_built_once_keeps_no_override(self, tmp_path):
+        # main's parser is built once per process; a second call in the same
+        # process without --seed reports the config's seed, not the first call's
+        assert build_parser() is build_parser()
+        out = tmp_path / "constants.csv"
+        cfg = write_config(tmp_path, f"[run]\ncommand = constants\nseed = 3\noutput = {out}\n"
+                                     "[constants]\ndims = 3\n")
+        seeds = []
+        for flags in (["--seed", "7"], []):
+            assert main(["constants", "--config", cfg, *flags]) == 0
+            comments, _, _ = read_report(out)
+            seeds += [line for line in comments if line.startswith("# seed=")]
+        assert seeds == ["# seed=7", "# seed=3"]
+
     @pytest.mark.parametrize("flag, value", [
         ("--quad-nodes", "0"), ("--quad-nodes", "-3"), ("--seed", "-1"), ("--tol", "nan"),
     ])

@@ -412,6 +412,20 @@ class TestSphereQuadrature:
             want = want + g(points) @ rule.weights[first:first + chunk]
         assert got.shape == want.shape and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("k, n, count", [(5, 5, 64), (2, 3, 64)])
+    def test_null_sums_leave_the_sums_alone(self, k, n, count):
+        # the null sums are a separate product on each chunk's values, so the
+        # sums keep their bits, chunked or not
+        rule, null = geometry._radial_rule(k, n, count), geometry._null_weights(k, n, count)
+        field = fields.gaussian(n, sigma=0.4, center=np.linspace(-0.3, 0.3, n))
+        centers = np.random.default_rng(k).uniform(-1.0, 1.0, (3, n))
+        radii = np.linspace(0.3, 1.1, 7)
+        sums, nulls = sphere_sums(field, centers, radii, rule, null)
+        assert np.array_equal(sums, sphere_sums(field, centers, radii, rule))
+        values = field(radii[:, None, None] * rule.nodes + centers[:, None, None, :])
+        assert nulls.shape == (3, 7, null.shape[1])
+        np.testing.assert_allclose(nulls, values @ null, rtol=1e-12, atol=1e-15)
+
     def test_memoized(self):
         assert sphere_quadrature(3) is sphere_quadrature(3)
         # 8 polar and 16 azimuth nodes
@@ -474,3 +488,53 @@ print("scipy.special" in sys.modules)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip().splitlines()[-1] == "False"
+
+
+class TestNullRules:
+    """The null rules of a reduced rule (`geometry._null_weights`) sum every
+    low-degree polynomial to zero, to rounding: in s on the rules of odd and
+    even k, and after descent in s and in zeta^2."""
+
+    @staticmethod
+    def coordinates(rule):
+        """Each node's s and zeta^2 (zeta the last coordinate)."""
+        y = rule.nodes
+        return y[:, 0] / np.hypot(y[:, 0], y[:, 1]), y[:, -1] ** 2
+
+    @pytest.mark.parametrize("k, n, count", [
+        (3, 3, 64), (5, 5, 64), (7, 7, 128), (11, 11, 256), (4, 4, 64), (10, 10, 128),
+        (3, 3, 2048), (2, 3, 64), (4, 5, 64), (6, 7, 65), (10, 11, 256)])
+    def test_low_degrees_vanish(self, k, n, count):
+        rule, null = geometry._radial_rule(k, n, count), geometry._null_weights(k, n, count)
+        s, zeta2 = self.coordinates(rule)
+        assert null.shape == (len(rule.weights), 4 if k == n else 8)
+        # rounding in sums of count terms, each up to about sqrt(count) times |value|
+        tol = 64 * np.finfo(np.float64).eps * math.sqrt(count)
+        for a in range(7):
+            for b in range(7) if k != n else [0]:
+                values = s ** a * zeta2 ** b
+                scale = np.abs(values) @ rule.weights
+                assert np.abs(values @ null).max() <= tol * scale, (a, b)
+        # not every function: |s| and |zeta| have slowly falling tails
+        for values, columns in ((np.abs(s), slice(0, 4)), (np.sqrt(zeta2), slice(4, 8))):
+            if k != n or columns.start == 0:
+                scale = np.abs(values) @ rule.weights
+                assert np.abs(values @ null[:, columns]).max() >= 1e-9 * scale
+
+    def test_sums_of_the_top_degree_read_its_coefficient(self):
+        # on the n = 3 rule (Gauss-Legendre in s) the null rule of degree j sums
+        # the orthonormal Legendre polynomial of degree j to sqrt(2) omega_2
+        count = 64
+        rule, null = geometry._radial_rule(3, 3, count), geometry._null_weights(3, 3, count)
+        s, _ = self.coordinates(rule)
+        for column, j in enumerate(range(count - 4, count)):
+            p = math.sqrt(j + 0.5) * np.polynomial.legendre.Legendre.basis(j)(s)
+            got = p @ null
+            assert got[column] == pytest.approx(math.sqrt(2.0) * _omega(2), rel=1e-12)
+            assert np.abs(np.delete(got, column)).max() <= 1e-12
+
+    def test_memoized_and_read_only(self):
+        null = geometry._null_weights(4, 5, 64)
+        assert geometry._null_weights(4, 5, 64) is null
+        with pytest.raises(ValueError):
+            null[0, 0] = 1.0

@@ -378,6 +378,22 @@ class TestSolvePoints:
                 self.assert_same(solve_points(p, pairs, ts, **kw),
                                  [solve_points(p, [x], t, **kw)[0] for x, t in zip(pairs, ts)])
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_estimate_leaves_u_alone(self, n):
+        # the estimate's passes, null sums included, are separate products: each
+        # pair's u is the same to the bit with and without them
+        rng = np.random.default_rng(80 + n)
+        pairs = rng.uniform(-1.0, 1.0, size=(6, n))
+        ts = np.array([0.9, 1.3, 0.9, 0.0, 2.1, 1.3])
+        small = sphere_quadrature_for_order(n, 5)
+        for label, phi, psi in batch_cases(n):
+            p = CauchyProblem(phi, psi, Dimension(n))
+            # the estimate of "plain" on the default product rule takes seconds at n >= 5
+            for kw in [{"rule": small}] + ([{}] if label != "plain" else []):
+                fast = solve_points(p, pairs, ts, with_error=False, **kw)
+                full = solve_points(p, pairs, ts, **kw)
+                assert [s.u for s in full] == [s.u for s in fast]
+
     def test_times_with_different_node_counts(self):
         # sigma = 0.1 needs 64, 256 and 128 nodes per coordinate at t = 1, 5 and 2:
         # one sphere sum per node count, in order of first appearance
@@ -693,33 +709,45 @@ class TestRadialReduction:
         assert error > 1e-2 * s.u
         assert s.error_estimate >= error
 
+    @staticmethod
+    def short_rule_draw(rng, n):
+        """|u - ref| and the estimate for one draw of narrow off-centre Gaussian
+        data whose forced length scale t / 16 holds the rule at 64 nodes, short
+        of the 4 t / sigma = 60 to 240 they need, at a stencil spacing of
+        sigma / 8 that leaves the quadrature error the larger part."""
+        m = Dimension(n).derivative_order
+        sigma, offset = rng.uniform(0.1, 0.2), rng.uniform(3.0, 6.0)
+        t = offset + rng.uniform(-1.5, 1.5) * sigma
+        direction = rng.standard_normal(n)
+        center = offset * direction / np.linalg.norm(direction)
+        g = dataclasses.replace(fields.gaussian(n, sigma=sigma, center=center),
+                                length_scale=t / 16.0)
+        assert solvers.radial_node_count(g, t) == 64
+        velocity = bool(rng.integers(2))
+        p = problem(n, psi=g) if velocity else problem(n, phi=g)
+        spec = RadialDerivativeSpec(m, sigma / 8.0, default_spec(m, t).degree)
+        s = solve_points(p, [np.zeros(n)], t, spec=spec)[0]
+        ref = gaussian_wave_hankel(n, sigma, -center, t, velocity=velocity)
+        return abs(s.u - ref), s.error_estimate, (n, sigma, offset, t, velocity)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_quadrature_estimate_bounds_short_rules(self, n):
-        # narrow off-centre Gaussians whose forced length scale t / 16 holds
-        # the rule at 64 nodes, short of the 4 t / sigma = 60 to 240 they
-        # need, at a stencil spacing of sigma / 8 that leaves the quadrature
-        # error the larger part
         rng = np.random.default_rng(300 + n)
-        m = Dimension(n).derivative_order
         for _ in range(4):
-            sigma, offset = rng.uniform(0.1, 0.2), rng.uniform(3.0, 6.0)
-            t = offset + rng.uniform(-1.5, 1.5) * sigma
-            direction = rng.standard_normal(n)
-            center = offset * direction / np.linalg.norm(direction)
-            g = dataclasses.replace(fields.gaussian(n, sigma=sigma, center=center),
-                                    length_scale=t / 16.0)
-            assert solvers.radial_node_count(g, t) == 64
-            velocity = bool(rng.integers(2))
-            p = problem(n, psi=g) if velocity else problem(n, phi=g)
-            spec = RadialDerivativeSpec(m, sigma / 8.0, default_spec(m, t).degree)
-            s = solve_points(p, [np.zeros(n)], t, spec=spec)[0]
-            ref = gaussian_wave_hankel(n, sigma, -center, t, velocity=velocity)
-            assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL, (sigma, offset, t, velocity)
+            error, estimate, draw = self.short_rule_draw(rng, n)
+            assert error <= estimate + REFERENCE_TOL, draw
 
-    @pytest.mark.xfail(strict=True, reason="the L / 2 check misses a rule short by 2x when "
-                       "u_(L/2) lands near u_L: here the estimate is 5x below the error")
+    def test_quadrature_estimate_sweep_of_short_rules(self):
+        # the regime of the test above, seeded and wider: n = 2..7 at random,
+        # 240 draws, every one held to its estimate
+        rng = np.random.default_rng(20261020)
+        draws = [self.short_rule_draw(rng, int(rng.integers(2, 8))) for _ in range(240)]
+        assert [draw for error, estimate, draw in draws
+                if error > estimate + REFERENCE_TOL] == []
+
     def test_quadrature_estimate_bounds_a_rule_short_by_half(self):
-        # found by a wider seeded sweep of the test above (1 draw of 120); its
+        # found by a wider seeded sweep of the test above (1 draw of 120), where
+        # the L / 2 check this estimate replaced was 5x below the error; its
         # sizing asks 4 t / sigma = 134 nodes, the forced length scale gives 64
         n, sigma, t = 5, 0.106, 3.557
         center = np.zeros(n)
@@ -812,18 +840,19 @@ def field_points(p, x, t, calls, **kwargs):
 
 
 class TestEstimateCost:
-    """The error estimate's passes cost at most the solution's, in field
+    """The error estimate's passes cost at most half the solution's, in field
     points: the h / 2 stencil sums its odd offsets only, the reduced rule is
-    checked at half the nodes per coordinate, and polynomial data take
-    |field| from the values the h pass evaluates."""
+    checked by null rules on the values the h pass evaluates, and polynomial
+    data take |field| from those values too."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_gaussian_data(self, n):
+        # the h / 2 pass alone: its odd offsets, half the h pass's radii here
         phi, phi_calls = counted(fields.gaussian(n, sigma=0.7))
         psi, psi_calls = counted(fields.gaussian(n, sigma=0.9, amplitude=0.5))
         p, x, t = CauchyProblem(phi, psi, Dimension(n)), np.full(n, 0.1), 1.2
         solution = field_points(p, x, t, [phi_calls, psi_calls], with_error=False)
-        assert field_points(p, x, t, [phi_calls, psi_calls]) <= 2 * solution
+        assert 2 * field_points(p, x, t, [phi_calls, psi_calls]) <= 3 * solution
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_harmonic_data(self, n):
