@@ -161,6 +161,10 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
         probes = solve["probe_count"] if random else len(solve["probes"])
         if probes * len(solve["times"]) > MAX_PAIRS:
             errors += ["solve.probe_count" if random else "solve.probes", "solve.times"]
+    ident = values.get("identities", {})  # each dimension's draws are one array batch
+    if None not in (ident.get("dims"), ident.get("count")) and \
+            ident["count"] * len(ident["dims"]) > MAX_PAIRS:
+        errors.append("identities.count")
     if errors:
         raise ConfigError(f"invalid {command} config", keys=errors)
     return RunConfig(command, values, hashlib.sha256(text.encode()).hexdigest())
@@ -172,6 +176,8 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells; np.float64, a float subclass, goes below
+        return float.__repr__(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -486,9 +492,11 @@ def _run_converge(config: RunConfig, report: Report) -> None:
             row[report.columns.index("violated")] = "converge.expected_order"
 
 
-#: most (probe, time) pairs a solve may take: the means pairs go into one
-#: solve_points batch, which peaks at about 0.8 KB a pair at n = 3 and 1.1 KB
-#: at n = 7 (tracemalloc, samples included), about 1 GB at this count
+#: most (probe, time) pairs a solve may take, and (dimension, draw) pairs a
+#: verify-identities sweep: the means pairs go into one solve_points batch, which
+#: peaks at about 0.8 KB a pair at n = 3 and 1.1 KB at n = 7 (tracemalloc,
+#: samples included), about 1 GB at this count; the draws at about 0.6 KB each
+#: (peak RSS of 5e4 draws at n = 7, report included)
 MAX_PAIRS = 1 << 20
 
 _RUN = {

@@ -215,16 +215,18 @@ DEFAULT_OSC_NODES = 64
 MAX_OSC_NODES = 4096
 
 
-def _osc_nodes(kappa: float, base: int = DEFAULT_OSC_NODES) -> int:
-    """Node count for the oscillatory 1-D rules; grows linearly past R|xi| ~ 30
-    to keep at least ~10 nodes per oscillation period. EvaluationError past
-    MAX_OSC_NODES, and for an infinite or NaN R|xi|."""
-    if kappa <= 30.0:
-        return base
-    if not 3.2 * kappa + 16 <= MAX_OSC_NODES:
-        raise EvaluationError(f"R|xi| = {kappa:.3g} needs more than {MAX_OSC_NODES} "
-                              "oscillatory quadrature nodes")
-    return max(base, int(math.ceil(3.2 * kappa)) + 16)
+def _osc_nodes(kappa, base: int = DEFAULT_OSC_NODES):
+    """Node count for the oscillatory 1-D rules, or an int array of them for an
+    array of R|xi|; grows linearly past R|xi| ~ 30 to keep at least ~10 nodes
+    per oscillation period. EvaluationError past MAX_OSC_NODES, and for an
+    infinite or NaN R|xi|, naming the first such value."""
+    kappa = np.asarray(kappa, dtype=np.float64)
+    over = ~(kappa <= 30.0) & ~(3.2 * kappa + 16 <= MAX_OSC_NODES)
+    if over.any():
+        raise EvaluationError(f"R|xi| = {kappa[over].flat[0]:.3g} needs more than "
+                              f"{MAX_OSC_NODES} oscillatory quadrature nodes")
+    counts = np.where(kappa <= 30.0, base, np.maximum(base, np.ceil(3.2 * kappa) + 16)).astype(int)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 @lru_cache(maxsize=512)

@@ -4,10 +4,13 @@ radial-derivative identities.
 T_R is the solver's velocity term: c_N (1/R d/dR)^m of the r^(N-2)-scaled
 sphere means over S^(N-1) (`solvers.means_series`), with N = n for odd n and
 N = n + 1 by descent for even n. `DistributionFunctional.action` applies it to
-a test function, `identity_records` to the plane wave e^{-i x.xi}, one block of
-draws per sphere sum and chain (one query is a batch of one), and
+a test function, `_identity_core` (under `identity_records` and
+`identity_sweep`) to the plane wave e^{-i x.xi}, one array computation per
+dimension with one sphere sum and chain per block of draws, and
 `normalization_constant` to the constant 1; the last two sum on the reduced
-rule of radial data (`geometry._radial_rule`).
+rule of radial data (`geometry._radial_rule`). Plane waves and the Fourier
+evaluator's tables are cos/sin of real phases (`_cis`), the bits of the complex
+exp: its argument's real part is +-0.
 `means_series` is the only code here that turns sphere sums into samples; the
 direct weighted ball mean (`solvers.weighted_ball_mean`) stays as the test
 oracle of the descent.
@@ -35,7 +38,7 @@ from .geometry import (
     sphere_quadrature_for_order,
     unit_ball_volume,
 )
-from .radial import chain_apply, default_spec, resolve_spec
+from .radial import chain_apply, check_radius, default_spec, resolve_spec
 from .solvers import means_rule, means_series
 
 #: complex elements (16 bytes each) in the Fourier evaluator's largest per-chunk array
@@ -82,51 +85,77 @@ class IdentityRecord:
 
 def identity_records(queries, specs=None,
                      base_nodes: int = DEFAULT_OSC_NODES) -> list[IdentityRecord]:
-    """The identity's residual at each (xi, R) query, with its spec or the default:
-    sin(R|xi|)/|xi| against the solver's psi term at the origin for the plane wave
-    e^{-i |xi| y_1} on the reduced rule of S^(N-1), N = n + 1 - n % 2. All specs and
-    node counts come first, so an oversized rule fails before any sum; then each block
-    of one n, fit degree and node count that keeps the rule in one `sphere_sums` chunk
-    takes one sum, chain and sinc ratio, giving each query the record it gets alone."""
-    groups = {}
-    for i, (query, spec) in enumerate(zip(queries, specs or [None] * len(queries), strict=True)):
-        knorm, radius = query.knorm, query.radius
-        _osc_nodes(knorm * radius, base_nodes)  # refuse an oversized rule before resolve_spec
-        spec = resolve_spec(query.dim.derivative_order, radius, spec, oscillation=knorm)
-        nodes = _osc_nodes(knorm * (radius + spec.h * spec.degree / 2.0), base_nodes)
-        groups.setdefault((query.dim, spec.degree, nodes), []).append((i, radius, knorm, spec.h))
-    records = [None] * len(queries)
-    for (dim, degree, nodes), members in groups.items():
-        n_means, m = dim.n + 1 - dim.n % 2, dim.derivative_order
-        block = max(1, _CHUNK_BYTES // ((degree + 1) * n_means * 8 * nodes))
-        for first in range(0, len(members), block):
-            index, radius, knorm, h = zip(*members[first:first + block])
-            t, k, step = np.array(radius), np.array(knorm), np.array(h)
-            wave = np.repeat(k, degree + 1)[:, None]  # the frequency at each stencil radius
-            samples = means_series(lambda points: np.exp(-1j * wave * points[..., 0]), 0.0,
-                                   _radial_rule(n_means, n_means, nodes), t, degree, step)
+    """The identity's residual at each (xi, R) query of one dimension, with its spec
+    (one per query) or the default, in one `_identity_core` call."""
+    dims = {query.dim.n for query in queries}
+    if len(dims) > 1 or len(specs or queries) != len(queries):
+        raise ValueError("identity_records takes queries of one dimension, one spec each")
+    return _identity_core(dims.pop() if dims else 2, np.array([q.radius for q in queries]),
+                          np.array([q.knorm for q in queries]), specs, base_nodes)
+
+
+def _identity_core(n: int, radius: np.ndarray, knorm: np.ndarray, specs,
+                   base_nodes: int) -> list[IdentityRecord]:
+    """sin(R|xi|)/|xi| against the solver's psi term at the origin for the plane wave
+    e^{-i |xi| y_1} on the reduced rule of S^(N-1), N = n + 1 - n % 2, at draws (R,
+    |xi|). Every check `resolve_spec` and `_osc_nodes` make comes first, on the arrays
+    (the node cap before any spec). Then each block of one degree and node count within
+    one `sphere_sums` chunk takes one sum, chain and sinc ratio, each draw's operations
+    its own, so each record is the one its draw gets alone."""
+    m, n_means = Dimension(n).derivative_order, n + 1 - n % 2
+    _osc_nodes(knorm * radius, base_nodes)  # refuse an oversized rule before any spec
+    if specs is None:  # default_spec at oscillation |xi|: t/(2m + 10), at most 0.05/|xi|
+        cap = np.divide(0.05, knorm, out=np.full(knorm.shape, np.inf), where=knorm > 0)
+        h, degree = np.minimum(radius / (2 * m + 10), cap), 2 * m + 4
+    elif any(spec.iterations != m for spec in specs):
+        raise ValueError(f"every spec needs {m} iterations at dimension {n}")
+    else:
+        h, degree = np.array([s.h for s in specs]), np.array([s.degree for s in specs])
+    check_radius(m, radius, h)
+    nodes = _osc_nodes(knorm * (radius + h * degree / 2.0), base_nodes)
+    keys, group = np.unique(np.stack(np.broadcast_arrays(degree, nodes)), axis=1,
+                            return_inverse=True)
+    records = [None] * len(radius)
+    for g, (deg, count) in enumerate(keys.T.tolist()):
+        members = np.flatnonzero(group.ravel() == g)
+        block = max(1, _CHUNK_BYTES // ((deg + 1) * n_means * 8 * count))
+        for index in np.split(members, range(block, len(members), block)):
+            t, k, step = radius[index], knorm[index], h[index]
+            wave = np.repeat(-k, deg + 1)[:, None]  # minus the frequency at each stencil radius
+            samples = means_series(lambda points: _cis(wave * points[..., 0]), 0.0,
+                                   _radial_rule(n_means, n_means, count), t, deg, step)
             value = solution_constant(n_means) * chain_apply(samples, m, t, step)
             residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
-            for row in zip(index, radius, knorm, residual, abs(value.imag), h):
-                records[row[0]] = IdentityRecord(dim.n, *row[1:], nodes)
+            for row in zip(index.tolist(), t.tolist(), k.tolist(), residual.tolist(),
+                           abs(value.imag).tolist(), step.tolist()):
+                records[row[0]] = IdentityRecord(n, *row[1:], count)
     return records
+
+
+def _cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cos(phase) + i sin(phase), the bits of np.exp(1j * phase): an argument of real
+    part +-0 takes exp(0) = 1 times the same cos and sin, here with no complex exp."""
+    out = np.empty(phase.shape, dtype=np.complex128) if out is None else out
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def identity_sweep(n: int, count: int, seed: int, max_product: float = 20.0,
                    base_nodes: int = DEFAULT_OSC_NODES) -> list[IdentityRecord]:
-    """Residuals at `count` random (xi, R) draws, R in [0.5, 2) and
-    R|xi| <= max_product, all in one `identity_records` call."""
+    """Residuals at `count` random (xi, R) draws, R in [0.5, 2) and R|xi| <=
+    max_product, in one `_identity_core` call. Each draw takes three RNG calls and
+    a `KernelQuery`'s |xi| of its xi, as math.sqrt(v.dot(v)) is np.linalg.norm(v)."""
     rng = np.random.default_rng(seed)
-    dim = Dimension(n)
-    queries = []
-    for _ in range(count):
-        radius = rng.uniform(0.5, 2.0)
-        knorm = rng.uniform(0.0, max_product / radius)
+    radius, knorm = np.empty(count), np.empty(count)
+    for i in range(count):
+        radius[i] = rng.uniform(0.5, 2.0)
+        target = rng.uniform(0.0, max_product / radius[i])
         direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
-        xi = direction * (knorm / norm) if norm > 0 else np.zeros(n)
-        queries.append(KernelQuery(xi, radius, dim))
-    return identity_records(queries, base_nodes=base_nodes)
+        norm = math.sqrt(direction.dot(direction))
+        xi = direction * (target / norm) if norm > 0 else np.zeros(n)
+        knorm[i] = math.sqrt(xi.dot(xi))
+    return _identity_core(n, radius, knorm, None, base_nodes)
 
 
 def normalization_constant(n: int, radius: float = 1.0,
@@ -203,6 +232,8 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
     grid the sum over nodes factors axis by axis: the last axis is one
     complex matmul against a (nodes_per_axis, points) exponential table, and
     the others follow in `_kernels.contract_axes`, as the spectral probes' do.
+    Each table takes cos/sin on the upper half of the mirrored nodes only
+    (`_axis_table`), the bits of the complex exp on every row.
     """
     n = phi.dim
     box = phi.support_radius
@@ -224,12 +255,22 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
         out = np.empty(flat.shape[0], dtype=np.complex128)
         for start in range(0, flat.shape[0], chunk):
             block = flat[start:start + chunk]
-            tables = [np.exp(-1j * np.outer(axis_nodes, block[:, d])) for d in range(n)]
+            tables = [_axis_table(axis_nodes, block[:, d]) for d in range(n)]
             out[start:start + len(block)] = _kernels.contract_axes(table_coeffs @ tables[-1],
                                                                    tables[:-1])
         return out.reshape(points.shape[:-1])
 
     return evaluator, nodes, coeffs
+
+
+def _axis_table(axis_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(-1j * outer(axis_nodes, x)) for nodes mirrored to the bit: `_cis` on the
+    upper half, each lower row its mirror row's conjugate (cos is even, sin odd)."""
+    half = len(axis_nodes) // 2
+    table = np.empty((len(axis_nodes), len(x)), dtype=np.complex128)
+    _cis(np.outer(-axis_nodes[half:], x), out=table[half:])
+    np.conjugate(table[::-1][:half], out=table[:half])
+    return table
 
 
 def _check_support_box(phi, box: float) -> None:

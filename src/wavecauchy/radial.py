@@ -50,20 +50,26 @@ class RadialDerivativeSpec:
             raise ValueError("degree must be at least iterations + 2")
 
     def validate_radius(self, t: float) -> None:
-        if t <= 0:
-            raise StencilError("evaluation radius must be positive")
-        if self.h >= t / (2 * self.iterations + 6):
-            raise StencilError(
-                f"h = {self.h:g} too large for t = {t:g}: need h < t/(2m+6) = "
-                f"{t / (2 * self.iterations + 6):g}"
-            )
-        if self.h < CONDITIONING_FLAG * t:
-            warnings.warn(
-                f"stencil spacing h = {self.h:g} below {CONDITIONING_FLAG:g}*t; "
-                "divided differences may be rounding-limited",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        if not 0 < CONDITIONING_FLAG * t <= self.h < t / (2 * self.iterations + 6):
+            check_radius(self.iterations, t, self.h)  # numpy only on a raise or warning
+
+
+def check_radius(m: int, t, h) -> None:
+    """`RadialDerivativeSpec.validate_radius` at radii t with spacings h for m
+    iterations, scalars or arrays alike, naming the first offender."""
+    t, h = np.broadcast_arrays(t, h)
+    if (t <= 0).any():
+        raise StencilError("evaluation radius must be positive")
+    wide = (h >= t / (2 * m + 6)).ravel()
+    if wide.any():
+        t, h = t.flat[wide.argmax()], h.flat[wide.argmax()]
+        raise StencilError(f"h = {h:g} too large for t = {t:g}: need h < t/(2m+6) = "
+                           f"{t / (2 * m + 6):g}")
+    small = (h < CONDITIONING_FLAG * t).ravel()
+    if small.any():
+        warnings.warn(f"stencil spacing h = {h.flat[small.argmax()]:g} below "
+                      f"{CONDITIONING_FLAG:g}*t; divided differences may be rounding-limited",
+                      RuntimeWarning, stacklevel=4)
 
 
 def default_spec(iterations: int, t: float, oscillation: float = 0.0) -> RadialDerivativeSpec:
@@ -81,11 +87,11 @@ def default_spec(iterations: int, t: float, oscillation: float = 0.0) -> RadialD
     return RadialDerivativeSpec(iterations, h, 2 * iterations + 4)
 
 
-def resolve_spec(m: int, t: float, spec: RadialDerivativeSpec | None = None,
-                 oscillation: float = 0.0) -> RadialDerivativeSpec:
+def resolve_spec(m: int, t: float,
+                 spec: RadialDerivativeSpec | None = None) -> RadialDerivativeSpec:
     """spec, or the default one for m iterations at t, checked against m and t."""
     if spec is None:
-        spec = default_spec(m, t, oscillation)
+        spec = default_spec(m, t)
     elif spec.iterations != m:
         raise ValueError(f"spec.iterations = {spec.iterations}, dimension needs {m}")
     spec.validate_radius(t)

@@ -51,6 +51,21 @@ class TestNumpyPath:
 
 
 class TestFourierEvaluator:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("nodes_per_axis", [16, 27, 40])
+    def test_mirrored_tables_keep_the_bits(self, n, nodes_per_axis):
+        # the tables are cos/sin on the upper half of the nodes and conjugates
+        # below: the same bits as the complex exp of every row, zeros' signs too
+        phi = fields.gaussian(n, sigma=0.6, center=[0.5, -0.3, 0.2][:n])
+        evaluator, nodes, coeffs = kernels.make_fourier_evaluator(phi, nodes_per_axis)
+        axis_nodes = nodes[:nodes_per_axis, -1]
+        points = np.random.default_rng(n).uniform(-3.0, 3.0, size=(40, n))
+        points[0] = 0.0
+        tables = [np.exp(-1j * np.outer(axis_nodes, points[:, d])) for d in range(n)]
+        table_coeffs = coeffs.astype(np.complex128).reshape(-1, nodes_per_axis)
+        expected = _kernels.contract_axes(table_coeffs @ tables[-1], tables[:-1])
+        assert np.array_equal(evaluator(points).view(np.uint64), expected.view(np.uint64))
+
     @pytest.mark.parametrize("n, nodes_per_axis", [(1, 24), (2, 16), (3, 10)],
                              ids=["n1", "n2", "n3"])
     def test_matches_brute_force(self, monkeypatch, n, nodes_per_axis):

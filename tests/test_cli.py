@@ -421,6 +421,13 @@ count = 5
         _, _, body = read_report(out)
         assert any(row["violated"] == "identities.tolerance" for row in body)
 
+    @pytest.mark.parametrize("value", [0.1, -0.0, 5e-324, 1e22, 2.0 ** 0.5, math.inf])
+    def test_cells_format_floats_as_numpy_floats(self, value):
+        # a plain float takes its own branch; np.float64 the isinstance chain
+        assert cli._fmt(value) == cli._fmt(np.float64(value)) == repr(value)
+        assert [cli._fmt(v) for v in (True, np.bool_(False), 64, np.int64(7), None, "x")] == \
+            ["yes", "no", "64", "7", "", "x"]
+
 
 class TestConvergeCommand:
     def test_wave_residual_order(self, tmp_path):
@@ -771,6 +778,21 @@ probes = 0 0 x
         assert err.startswith("config error:") and "solve.probe_count" in err
         cfg = write_config(tmp_path, text + f"{cli.MAX_PAIRS}\n", name="at-cap.ini")
         assert load_config(cfg, "solve", {})["solve"]["probe_count"] == 2**20
+
+    def test_identity_count_above_the_cap(self, tmp_path, capsys, monkeypatch):
+        # each dimension's draws are one array batch, so count x dims is capped
+        # as solve's pairs are, and refused before any draw
+        def refuse(*args, **kwargs):
+            raise AssertionError("no draw may be made for too many rows")
+
+        monkeypatch.setattr(cli, "identity_sweep", refuse)
+        text = "[run]\ncommand = verify-identities\n[identities]\ndims = 3, 5\ncount = "
+        cfg = write_config(tmp_path, text + f"{cli.MAX_PAIRS // 2 + 1}\n")
+        assert main(["verify-identities", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "identities.count" in err
+        cfg = write_config(tmp_path, text + f"{cli.MAX_PAIRS // 2}\n", name="at-cap.ini")
+        assert load_config(cfg, "verify-identities", {})["identities"]["count"] == 2**19
 
     @pytest.mark.parametrize("probes, key", [
         ("probe_count = 524289\ntimes = 1.0, 2.0", "solve.probe_count"),

@@ -18,6 +18,7 @@ from wavecauchy.geometry import (
     MAX_OSC_NODES,
     Dimension,
     _gauss_gegenbauer,
+    _leggauss,
     _omega,
     _unit_gegenbauer,
     double_factorial,
@@ -202,6 +203,15 @@ class TestGegenbauerRule:
         np.testing.assert_allclose(weights, weights[::-1], rtol=1e-14)
         assert np.all(weights > 0)
         assert np.all(np.abs(nodes) < 1.0)
+
+    @pytest.mark.parametrize("count", [1, 2, 27, 64, 65, 116, 117, 977])
+    def test_mirrored_to_the_bit(self, count):
+        # the folded zeta rule and the Fourier evaluator's tables take each lower
+        # node as its mirror's negative; 116 and more are oscillatory counts
+        for nodes, weights in [_leggauss(count)] + [_unit_gegenbauer(n, count)
+                                                    for n in range(2, 9)]:
+            assert np.array_equal(nodes, -nodes[::-1])
+            assert np.array_equal(weights, weights[::-1])
 
 
 class TestReductionFormulas:

@@ -8,8 +8,9 @@ import wavecauchy._kernels as _kernels
 import wavecauchy.fields as fields
 import wavecauchy.kernels as kernels
 import wavecauchy.solvers as solvers
-from wavecauchy.errors import ConfigError, EvaluationError
+from wavecauchy.errors import ConfigError, EvaluationError, StencilError
 from wavecauchy.geometry import (
+    _CHUNK_BYTES,
     Dimension,
     _omega,
     _radial_rule,
@@ -19,6 +20,7 @@ from wavecauchy.geometry import (
 )
 from wavecauchy.kernels import (
     DistributionFunctional,
+    IdentityRecord,
     KernelQuery,
     _osc_nodes,
     distribution_fourier_check,
@@ -26,7 +28,7 @@ from wavecauchy.kernels import (
     identity_sweep,
     normalization_constant,
 )
-from wavecauchy.radial import RadialDerivativeSpec, chain_apply, stencil_radii
+from wavecauchy.radial import RadialDerivativeSpec, chain_apply, default_spec, stencil_radii
 from wavecauchy.solvers import CauchyProblem, means_series, solve_points, weighted_ball_mean
 
 
@@ -302,6 +304,72 @@ class TestBatchedIdentities:
             assert_same_record(rec, identity_records([q], [spec])[0])
         with pytest.raises(ValueError):  # one spec short
             kernels.identity_records([q] * 3, specs[:2])
+
+
+def exp_sweep(n, count, seed, max_product=20.0):
+    """identity_sweep as a KernelQuery per draw, a spec per draw and the plane wave by
+    complex exp, with the draws grouped and blocked as the array core groups them."""
+    rng = np.random.default_rng(seed)
+    m, n_means = Dimension(n).derivative_order, n + 1 - n % 2
+    groups = {}
+    for i in range(count):
+        q = random_query(rng, n, max_product)
+        spec = default_spec(m, q.radius, oscillation=q.knorm)
+        spec.validate_radius(q.radius)
+        nodes = _osc_nodes(q.knorm * (q.radius + spec.h * spec.degree / 2.0))
+        groups.setdefault((spec.degree, nodes), []).append((i, q.radius, q.knorm, spec.h))
+    records = [None] * count
+    for (degree, nodes), members in sorted(groups.items()):
+        block = max(1, _CHUNK_BYTES // ((degree + 1) * n_means * 8 * nodes))
+        for first in range(0, len(members), block):
+            index, t, k, h = (np.array(column) for column in zip(*members[first:first + block]))
+            wave = np.repeat(k, degree + 1)[:, None]
+            samples = means_series(lambda points: np.exp(-1j * wave * points[..., 0]), 0.0,
+                                   _radial_rule(n_means, n_means, nodes), t, degree, h)
+            value = solution_constant(n_means) * chain_apply(samples, m, t, h)
+            residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
+            for row in zip(index, t, k, residual, abs(value.imag), h):
+                records[row[0]] = IdentityRecord(n, *row[1:], nodes)
+    return records
+
+
+def record_bits(records):
+    return [(r.n, r.nodes) + tuple(float.hex(float(v)) for v in
+                                   (r.radius, r.knorm, r.residual, r.imag_residual, r.h))
+            for r in records]
+
+
+class TestIdentityBits:
+    """The array sweep against a per-draw reference on the complex exp: the same bits,
+    as cos/sin of the real phase are what exp takes at real part +-0, and
+    math.sqrt(v.dot(v)) is np.linalg.norm(v)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("count, max_product", [(50, 20.0), (40, 100.0)],
+                             ids=["default", "node-groups"])
+    def test_sweep_equals_the_exp_reference(self, n, count, max_product):
+        records = identity_sweep(n, count, seed=40 + n, max_product=max_product)
+        assert record_bits(records) == record_bits(exp_sweep(n, count, 40 + n, max_product))
+
+    def test_two_blocks_equal_the_exp_reference(self):
+        records = identity_sweep(7, 261, seed=4)
+        assert record_bits(records) == record_bits(exp_sweep(7, 261, 4))
+
+    def test_a_bad_spec_fails_before_any_sum(self, monkeypatch):
+        calls = count_sphere_sums(monkeypatch)
+        q = KernelQuery(np.array([3.0, 0, 0, 0, 0]), 1.0, Dimension(5))
+        specs = [RadialDerivativeSpec(1, h, 6) for h in (0.05, 0.2, 0.3)]
+        with pytest.raises(StencilError, match="h = 0.2 too large"):
+            identity_records([q] * 3, specs)
+        with pytest.warns(RuntimeWarning, match="h = 1e-07 below"):
+            identity_records([q] * 2, [RadialDerivativeSpec(1, h, 6) for h in (0.05, 1e-7)])
+        assert len(calls) == 1  # only the warned batch reached its sum
+
+    def test_one_dimension_per_call(self):
+        queries = [KernelQuery(np.zeros(3), 1.0, Dimension(3)),
+                   KernelQuery(np.zeros(5), 1.0, Dimension(5))]
+        with pytest.raises(ValueError, match="one dimension"):
+            identity_records(queries)
 
 
 class TestConstantsTwoWays:
