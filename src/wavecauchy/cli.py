@@ -113,7 +113,8 @@ def _checked(value, valid):
 def load_config(path: str, command: str, overrides: dict) -> RunConfig:
     """Parse and validate every key of the config file against the command's
     schema. The overrides out, seed and quad_nodes replace run.output,
-    run.seed and run.quad_nodes, and tol replaces the command's tolerance."""
+    run.seed and run.quad_nodes, and tol replaces the command's tolerance; an
+    override of a key the command does not read is an error, as that key is."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.optionxform = str
     try:
@@ -149,11 +150,12 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
                              ("--tol", "tolerance", overrides.get("tol"))):
         if value is None:
             continue
-        if not (value < math.inf and (_RUN[key][2] if key in _RUN else _positive)(value)):
+        taken = [keys for keys in values.values() if key in keys]
+        if not (taken and value < math.inf
+                and (_RUN[key][2] if key in _RUN else _positive)(value)):
             errors.append(flag)
-        for keys in values.values():
-            if key in keys:
-                keys[key] = value
+        for keys in taken:
+            keys[key] = value
     solve = values.get("solve", {})
     if None not in (solve.get("probes"), solve.get("probe_count"), solve.get("times")):
         # each (probe, time) pair is a sample, and the means pairs are one batch
@@ -516,7 +518,8 @@ _DATA.update({f"{role}_{key}": ({"center": _floats, "poly": str}.get(key, float)
 #: an optional key, or a dict keyed by the section's target.
 COMMANDS = {
     "solve": (_run_solve, "x1..xn t u method error_estimate pass violated", {
-        "run": {**_RUN, "dim": (int, "3", _between(1, MAX_DIMENSION))},
+        "run": {**{key: _RUN[key] for key in ("command", "seed", "output")},
+                "dim": (int, "3", _between(1, MAX_DIMENSION))},
         "data": _DATA,
         "solve": {
             "method": (str, "auto", ("auto", "spectral")),

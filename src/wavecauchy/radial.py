@@ -177,23 +177,13 @@ def _fit_derivatives(values: np.ndarray, h, max_order: int) -> np.ndarray:
     )
 
 
-def chain_apply(values: np.ndarray, m: int, t, h, time_derivative: bool = False):
+def chain_apply(values: np.ndarray, m: int, t, h):
     """(1/t d/dt)^m at t from the samples values on the stencil of spacing h
-    around t, or (val, dval) with its d/dt when time_derivative is set. t and
-    h are scalars, or one per profile of samples (R, D), each profile's value
-    the one it gets alone."""
-    chain = radial_chain_coefficients(m)
-    max_order = m + (1 if time_derivative else 0)
+    around t. t and h are scalars, or one per profile of samples (R, D), each
+    profile's value the one it gets alone. The d/dt of (1/t d/dt)^m is t times
+    the chain one order higher, t (1/t d/dt)^(m+1)."""
     try:
-        derivs = _fit_derivatives(values, h, max_order)
-        val = sum(a * _power(t, j - 2 * m) * derivs[j] for j, a in chain)
-        if not time_derivative:
-            return val
-        dval = sum(
-            a * ((j - 2 * m) * _power(t, j - 2 * m - 1) * derivs[j]
-                 + _power(t, j - 2 * m) * derivs[j + 1])
-            for j, a in chain
-        )
+        derivs = _fit_derivatives(values, h, m)
+        return sum(a * _power(t, j - 2 * m) * derivs[j] for j, a in radial_chain_coefficients(m))
     except OverflowError as exc:  # a float t ** (j - 2m) beyond the float range
         raise EvaluationError(f"(1/t d/dt)^{m} at t = {np.min(t):g} overflows") from exc
-    return val, dval

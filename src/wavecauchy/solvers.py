@@ -3,7 +3,8 @@
 Two independent routes:
 
 * odd dimensions >= 3: iterated radial derivatives of r^(n-2)-scaled sphere
-  averages of the data (Kirchhoff's formula when n = 3);
+  averages of the data (Kirchhoff's formula when n = 3), (1/t d/dt)^m for
+  psi and its d/dt, t (1/t d/dt)^(m+1), for phi: one chain for both;
 * n = 1: the two traveling waves plus the integrated velocity.
 
 Even dimensions 2 <= n <= 10 use the odd route by Hadamard descent: data
@@ -225,12 +226,11 @@ def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature
     return (rule or sphere_quadrature(n)) if n % 2 else descent_rule(n, rule)
 
 
-def _means_term(role: str, samples: np.ndarray, m: int, t: float, h: float) -> np.ndarray:
+def _means_term(role: str, samples: np.ndarray, m: int, t, h) -> np.ndarray:
     """One field's part of the solution sum at each of the P centres, from its
     stencil samples at spacing h, odd n: (1/t d/dt)^m of psi's r^(n-2)-scaled
-    mean, or the d/dt of phi's."""
-    return (chain_apply(samples, m, t, h) if role == "psi"
-            else chain_apply(samples, m, t, h, time_derivative=True)[1])
+    mean, or the d/dt of phi's, which is t (1/t d/dt)^(m+1) of it."""
+    return chain_apply(samples, m, t, h) if role == "psi" else t * chain_apply(samples, m + 1, t, h)
 
 
 def _lift(field: ScalarField) -> ScalarField:

@@ -946,6 +946,25 @@ count = 3
         assert err.startswith("config error:")
         assert flag in err
 
+    @pytest.mark.parametrize("command, setting, flags, key", [
+        ("solve", "", ["--tol", "10"], "--tol"),
+        ("solve", "", ["--quad-nodes", "32"], "--quad-nodes"),
+        ("solve", "quad_nodes = 32\n", [], "run.quad_nodes"),
+        ("converge", "", ["--tol", "100"], "--tol"),
+    ], ids=["solve_tol", "solve_quad_nodes", "solve_quad_nodes_key", "converge_tol"])
+    def test_unread_override_or_key(self, tmp_path, capsys, command, setting, flags, key):
+        # neither command has a tolerance key, and solve reads no quad_nodes:
+        # an override that would do nothing (here on a failing check it might
+        # seem to loosen) is refused as an unread key is
+        body = ("dim = 3\n[data]\npsi = constant\n[solve]\nprobes = 0 0 0\n"
+                "expect_value = 2.0\nexpect_tol = 1e-9\n" if command == "solve"
+                else "[converge]\nexpected_order = 5\n")
+        cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{setting}{body}")
+        assert main([command, "--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+
     @pytest.mark.parametrize("setting, flags, key", [
         (f"quad_nodes = {MAX_OSC_NODES + 1}\n", [], "run.quad_nodes"),
         ("", ["--quad-nodes", "10000000"], "--quad-nodes"),

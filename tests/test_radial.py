@@ -124,14 +124,35 @@ class TestIteratedDerivative:
         assert isinstance(got, complex)
         assert got == pytest.approx(complex(exact), rel=1e-9)
 
-    def test_time_derivative_branch(self):
-        # d/dt of (1/t d/dt) t^4 = d/dt (4 t^2) = 8 t
-        t0 = 1.3
-        spec = RadialDerivativeSpec(1, 0.05, 6)
-        radii = stencil_radii(t0, spec.degree, spec.h)
-        val, dval = chain_apply(radii**4, 1, t0, spec.h, time_derivative=True)
-        assert val == pytest.approx(4.0 * t0**2, rel=1e-13)
-        assert dval == pytest.approx(8.0 * t0, rel=1e-12)
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_time_derivative_is_the_next_order_times_t(self, m):
+        # d/dt (1/t d/dt)^m = t (1/t d/dt)^(m+1), phi's term in the solver: on
+        # r^k, k(k-2)..(k-2m) t^(k-2m-1), exact for every k up to the fit degree
+        # of phi's stencil. The error is relative to the sum's magnitude
+        # sum_i |w_i F_i|, as the value vanishes at k = 0, 2, .., 2m.
+        times = (1.3, 0.7)
+        specs = [default_spec(m, t0) for t0 in times]
+        degree = specs[0].degree + 2
+        both = []
+        for t0, spec in zip(times, specs):
+            radii = stencil_radii(t0, degree, spec.h)
+            weights = t0 * chain_apply(np.eye(degree + 1), m + 1, t0, spec.h)
+            samples = np.stack([radii**k for k in range(degree + 1)], axis=1)
+            got = t0 * chain_apply(samples, m + 1, t0, spec.h)
+            alone = [t0 * chain_apply(samples[:, k], m + 1, t0, spec.h)
+                     for k in range(degree + 1)]
+            np.testing.assert_array_equal(got, alone)
+            for k, value in enumerate(alone):
+                exact = math.prod(k - 2 * i for i in range(m + 1)) * t0 ** (k - 2 * m - 1)
+                magnitude = np.abs(weights) @ np.abs(samples[:, k])
+                assert abs(value - exact) <= 1e-12 * magnitude, (k, value, exact)
+            both.append((samples, got))
+        # two profiles at different t in one call: each one its scalar call's bits
+        t, h = np.array(times), np.array([spec.h for spec in specs])
+        for k in range(degree + 1):
+            pair = np.stack([samples[:, k] for samples, _ in both], axis=1)
+            got = t * chain_apply(pair, m + 1, t, h)
+            np.testing.assert_array_equal(got, [scalar[k] for _, scalar in both])
 
     def test_overflowing_chain_is_an_evaluation_error(self):
         # t ** (j - 2m) at t = 1e-150 and m = 2 is beyond the float range
