@@ -8,9 +8,11 @@ import numpy as np
 
 SINC_SERIES_CUTOFF = 1e-4
 
-#: bytes of u_hat the wave multiplier fills per slab along axis 0, which
-#: bounds its temporaries to a few slabs instead of a few full lattices
-_SLAB_BYTES = 1 << 21
+#: bytes of u_hat per time that `evolved_slabs` fills per slab along axis 0: a slab of
+#: phi_hat, psi_hat and shell stays in a 2 MB L2 cache while it is evolved to every time,
+#: and a probe product, (rows N^(n-2), N // 2 + 1) @ (N // 2 + 1, P), stays under
+#: OpenBLAS's gemm threading cut (m n k <= 65536 * 4), so it runs on the calling thread
+_SLAB_BYTES = 1 << 17
 
 
 def sinc_ratio(z: np.ndarray) -> np.ndarray:
@@ -23,30 +25,43 @@ def sinc_ratio(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, np.sin(safe) / safe)
 
 
-def evolved_slabs(phi_hat: np.ndarray, psi_hat: np.ndarray, shell: np.ndarray,
-                  radii: np.ndarray, t: float, out: np.ndarray | None = None):
-    """(slab, u_hat[slab]) along axis 0, each in out[slab] or a new array of at most
-    _SLAB_BYTES: u_hat = phi_hat cos(|k| t) + psi_hat sin(|k| t)/|k| with |k| =
-    radii[shell] (limit t at |k| = 0), factors computed once per shell and gathered."""
-    zt = radii * t
-    cos_zt = np.cos(zt)
-    psi_factor = np.full(radii.shape, float(t))
-    np.divide(np.sin(zt), radii, out=psi_factor, where=radii != 0)
+def evolved_slabs(phi_hat: np.ndarray | None, psi_hat: np.ndarray | None,
+                  shell: np.ndarray, radii: np.ndarray, times, out=None):
+    """(slab, parts) along axis 0, parts[i] = u_hat[slab] at times[i] (a scalar is one
+    time) in out[i][slab] or a buffer of at most _SLAB_BYTES the next slab reuses:
+    u_hat = phi_hat cos(|k| t) + psi_hat sin(|k| t)/|k|, |k| = radii[shell] (limit t at
+    |k| = 0). Every time's two factors are computed once per shell into one (shells,
+    T, 2) table, whose rows each slab gathers once; each slab is read once for every
+    time. A None spectrum is a zero field's; its term is skipped."""
+    times = [float(t) for t in np.atleast_1d(times)]
+    table = np.empty((len(radii), len(times), 2))
+    for i, t in enumerate(times):
+        zt = radii * t
+        table[:, i, 0] = np.cos(zt)
+        table[:, i, 1] = t
+        np.divide(np.sin(zt), radii, out=table[:, i, 1], where=radii != 0)
     rows = max(1, _SLAB_BYTES // (16 * shell[:1].size))
+    buffers = None if out else np.empty((len(times), min(rows, len(shell))) + shell.shape[1:],
+                                        complex)
     for start in range(0, len(shell), rows):
         slab = slice(start, start + rows)
-        index = shell[slab]
-        part = np.multiply(phi_hat[slab], cos_zt.take(index),
-                           out=None if out is None else out[slab])
-        part += psi_hat[slab] * psi_factor.take(index)
-        yield slab, part
+        factors = table.take(shell[slab], axis=0)
+        parts = [target[slab] for target in out] if out else buffers[:, :len(factors)]
+        for i, part in enumerate(parts):
+            terms = [(hat[slab], factors[..., i, j])
+                     for j, hat in enumerate((phi_hat, psi_hat)) if hat is not None]
+            (hat, f), *rest = terms or [(0.0, 0.0)]  # both zero: u_hat = 0
+            np.multiply(hat, f, out=part)
+            for hat, f in rest:
+                part += hat * f
+        yield slab, parts
 
 
-def wave_multiplier(phi_hat: np.ndarray, psi_hat: np.ndarray, shell: np.ndarray,
-                    radii: np.ndarray, t: float) -> np.ndarray:
-    """The evolved half spectrum u_hat of `evolved_slabs` as one array."""
+def wave_multiplier(phi_hat: np.ndarray | None, psi_hat: np.ndarray | None,
+                    shell: np.ndarray, radii: np.ndarray, t: float) -> np.ndarray:
+    """The evolved half spectrum u_hat of `evolved_slabs` at one time, filled in place."""
     u_hat = np.empty(shell.shape, dtype=np.complex128)
-    for _ in evolved_slabs(phi_hat, psi_hat, shell, radii, t, out=u_hat):
+    for _ in evolved_slabs(phi_hat, psi_hat, shell, radii, t, out=[u_hat]):
         pass
     return u_hat
 

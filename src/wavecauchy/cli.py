@@ -102,10 +102,10 @@ def _checked(value, valid):
     """value, if each entry of it (a list: at least one) is finite and passes
     valid, a predicate or a tuple of choices; ValueError otherwise."""
     accepts = valid.__contains__ if isinstance(valid, tuple) else valid or (lambda item: True)
-    items = value if isinstance(value, list) else [value]
-    numbers = [item for item in items if isinstance(item, (float, np.ndarray))]
-    if not items or not all(map(accepts, items)) \
-            or not all(np.all(np.isfinite(x)) for x in numbers):
+    items = value if isinstance(value, list) else (value,)
+    if not items or not all(map(accepts, items)) or not all(
+            math.isfinite(x) if type(x) is float else np.all(np.isfinite(x))
+            for x in items if isinstance(x, (float, np.ndarray))):
         raise ValueError(value)
     return value
 
@@ -134,8 +134,9 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
     values = {}
     for section, keys in schema.items():
         got = values[section] = {}
+        given = dict(parser.items(section, raw=True)) if parser.has_section(section) else {}
         for key, (parse, default, valid) in keys.items():
-            raw = parser.get(section, key, fallback=default)
+            raw = given.get(key, default)
             if isinstance(raw, dict):
                 raw = raw.get(got.get("target"))
             try:
@@ -145,6 +146,10 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
                 errors.append(f"{section}.{key}")
 
     values["run"]["output"] = overrides.get("out") or values["run"]["output"]
+    if values.get("converge", {}).get("target") in ("wave-residual", "pde-residual"):
+        del values["run"]["quad_nodes"]  # only the identity ladders build a quadrature rule
+        if parser.has_option("run", "quad_nodes") and "run.quad_nodes" not in errors:
+            errors.append("run.quad_nodes")
     for flag, key, value in (("--seed", "seed", overrides.get("seed")),
                              ("--quad-nodes", "quad_nodes", overrides.get("quad_nodes")),
                              ("--tol", "tolerance", overrides.get("tol"))):
@@ -360,25 +365,24 @@ def _run_solve(config: RunConfig, report: Report) -> None:
     elif any(len(probe) != dim for probe in probes):
         raise ConfigError(f"each probe needs {dim} coordinates", keys=["solve.probes"])
 
-    samples: list[SolutionSample] = []
+    times = keys["times"]
     if method == "spectral":
         half_width, points = keys["grid_half_width"], keys["grid_points"]
         grid = GridSpec(half_width, points, dim)
         try:  # the largest time's guard, before the lattice is sampled
-            state = evolution_state(problem, grid, max(keys["times"]))
+            state = evolution_state(problem, grid, max(times))
         except DomainSizeError as exc:
             raise ConfigError(str(exc), keys=["solve.grid_half_width"]) from exc
         index = np.rint((np.array(probes) + half_width) / grid.spacing).astype(int) % points
-        for t in keys["times"]:
-            values, estimate = spectral_probes(problem, grid, t, index, state)
-            samples += [SolutionSample(-half_width + grid.spacing * idx, t, float(u),
-                                       "spectral", estimate)
-                        for idx, u in zip(index, values)]
+        # one pass over the half spectrum for every time, time-major as the report's rows
+        values, estimates = spectral_probes(problem, grid, times, index, state)
+        samples = [SolutionSample(-half_width + grid.spacing * idx, t, float(u), "spectral", e)
+                   for t, row, e in zip(times, values, estimates.tolist())
+                   for idx, u in zip(index, row)]
         if keys["binary_out"]:  # the one full inverse, for the last time's grid
-            spectral_solve(problem, grid, t, state=state).to_binary(keys["binary_out"])
+            spectral_solve(problem, grid, times[-1], state=state).to_binary(keys["binary_out"])
     else:
         # one batch of every (probe, time) pair, time-major as the report's rows
-        times = keys["times"]
         samples = solve_points(problem, np.tile(probes, (len(times), 1)),
                                np.repeat(times, len(probes)))
 
@@ -411,15 +415,17 @@ def _analytic_slab(profile: str, h: float, points: int):
     return tt * xx
 
 
-def _means_slab(problem: CauchyProblem, points: int, t0: float, h: float) -> np.ndarray:
-    """Means solutions on the slab of times t0 - h, t0, t0 + h and points^n
-    sites spaced h around the origin, all 3 points^n pairs in one batch."""
-    n = problem.dim.n
-    axis = h * (np.arange(points) - points // 2)
-    sites = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
-    times = np.repeat(t0 + h * np.array([-1.0, 0.0, 1.0]), len(sites))
-    samples = solve_points(problem, np.tile(sites, (3, 1)), times, with_error=False)
-    return np.reshape([s.u for s in samples], (3,) + (points,) * n)
+def _means_slabs(problem: CauchyProblem, points: int, t0: float, hs: list[float]) -> np.ndarray:
+    """Means solutions on each h's slab of times t0 - h, t0, t0 + h and points^n sites
+    spaced h around the origin, shape (len(hs), 3) + (points,) * n: every slab's
+    3 points^n pairs in one batch, which sums the (origin, t0) sphere they share once."""
+    n, offsets = problem.dim.n, np.arange(points) - points // 2
+    sites = [np.stack(np.meshgrid(*[h * offsets] * n, indexing="ij"), axis=-1).reshape(-1, n)
+             for h in hs]
+    times = np.repeat(t0 + np.outer(hs, [-1.0, 0.0, 1.0]).ravel(), points ** n)
+    samples = solve_points(problem, np.concatenate([np.tile(x, (3, 1)) for x in sites]), times,
+                           with_error=False)
+    return np.reshape([s.u for s in samples], (len(hs), 3) + (points,) * n)
 
 
 def _identity_ladder(config: RunConfig) -> tuple[list[float], list[float], list[float]]:
@@ -458,7 +464,7 @@ def _converge_residuals(config: RunConfig) -> tuple[list[float], list[float], li
             raise ConfigError("the first slab reaches back to t0 - h0, so t0 must be at "
                               "least h0", keys=["converge.t0", "converge.h0"])
         problem = _problem(config, keys["dim"], "converge.dim")
-        slabs = [(_means_slab(problem, points, keys["t0"], h), h) for h in hs]
+        slabs = list(zip(_means_slabs(problem, points, keys["t0"], hs), hs))
     # second differences amplify rounding by ~eps |u| / h^2
     return (hs, [wave_residual(slab, h, h_t) for h, (slab, h_t) in zip(hs, slabs)],
             [64.0 * np.finfo(float).eps * float(np.max(np.abs(slab))) / (h_t * h_t)

@@ -82,11 +82,13 @@ def _center(dim: int, center) -> np.ndarray:
 
 def _squared_distance(points: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|points - c|^2, summed over the trailing axis one coordinate at a time."""
-    out = np.zeros(points.shape[:-1])
+    out = np.empty(points.shape[:-1])  # the first square, as 0 + x = x for x >= +0
     part = np.empty_like(out)
     for i, ci in enumerate(c):
-        np.subtract(points[..., i], ci, out=part)
-        out += np.square(part, out=part)
+        target = part if i else out
+        np.square(np.subtract(points[..., i], ci, out=target), out=target)
+        if i:
+            out += part
     return out
 
 

@@ -45,7 +45,10 @@ data are real, so their spectra are Hermitian and the half lattice of `rfftn`
 carries every mode. Each slab of samples is rfft'd as it is made, on two
 threads for phi and psi, and transformed, evolved and inverted in place: no
 mesh, sampled lattice or spare full-lattice array; `spectral_probes` sums the
-evolved half spectrum at lattice points, slab by slab, with no inverse.
+evolved half spectrum at lattice points, slab by slab, with no inverse, in one
+pass for all its times: each 128 KB slab (`_kernels._SLAB_BYTES`) is evolved
+to every time while it sits in L2, and each slab's product with the probes'
+twiddles is small enough for OpenBLAS to keep on the calling thread.
 """
 
 from __future__ import annotations
@@ -623,7 +626,7 @@ def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
     about aliasing or resolution.
     """
     state = evolution_state(problem, grid, t, state)
-    u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell, state.radii, t)
+    u_hat = _kernels.wave_multiplier(*_spectra(state), state.shell, state.radii, t)
     for axis in range(grid.dim - 1):
         np.fft.ifft(u_hat, axis=axis, out=u_hat)
     # n= fixes the length of the last axis, which the half spectrum leaves
@@ -632,29 +635,58 @@ def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
     return SolutionGrid(u, grid, float(t), _rounding(grid) * float(max(u.max(), -u.min())))
 
 
-def spectral_probes(problem: CauchyProblem, grid: GridSpec, t: float, index,
-                    state: SpectralState | None = None) -> tuple[np.ndarray, float]:
-    """u at the P lattice indices index, shape (P, n), with no u_hat or u over the
-    lattice: each slab of the evolved half spectrum (`_kernels.evolved_slabs`) is
-    summed over its last axis against the columns' weights times e^(2 pi i k j / N),
-    k j reduced mod N in integers so each twiddle is exact, then over the other axes
-    (`_kernels.contract_axes`). The error estimate is `spectral_solve`'s with max|u|
-    replaced by its bound S = (sum w |phi_hat| + t sum w |psi_hat|) / N^n, whose
-    two sums the state holds (`SpectralState.magnitudes`)."""
-    state = evolution_state(problem, grid, t, state)
+#: bytes of per-time partial sums, factor tables and slab buffers one probe pass
+#: holds; further times go in further passes, so memory does not grow with their count
+_PASS_BYTES = 1 << 25
+
+
+def _spectra(state: SpectralState) -> list[np.ndarray | None]:
+    """phi_hat and psi_hat, None for a zero one (magnitude 0.0), which is then not read."""
+    return [None if a == 0.0 else hat
+            for a, hat in zip(state.magnitudes, (state.phi_hat, state.psi_hat))]
+
+
+def spectral_probes(problem: CauchyProblem, grid: GridSpec, t, index,
+                    state: SpectralState | None = None) -> tuple[np.ndarray, np.ndarray | float]:
+    """u at the P lattice indices index, shape (P, n), at the time t, values (P,) and
+    one estimate, or at each of the times t, (T, P) and (T,), each time's as it gets
+    alone, to the bit; with no u_hat or u over the lattice. One pass over the half
+    spectrum per group of times whose temporaries fit in _PASS_BYTES evolves each slab
+    to every time (`_kernels.evolved_slabs`) and sums it over its last axis against the
+    columns' weights times e^(2 pi i k j / N), k j reduced mod N in integers so each
+    twiddle is exact, then each time's sums over the other axes (`_kernels.contract_axes`).
+    The error estimate is `spectral_solve`'s with max|u| replaced by its bound S = (sum
+    w |phi_hat| + t sum w |psi_hat|) / N^n, whose two sums the state holds
+    (`SpectralState.magnitudes`)."""
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim > 1 or np.any(times < 0):  # each time, as the guard takes the largest
+        raise ValueError("times must be non-negative, a scalar or of shape (T,)")
+    state = evolution_state(problem, grid, times.max(initial=0.0), state)
     index = np.asarray(index, dtype=np.int64).reshape(-1, grid.dim)
     tables = [np.exp(2j * math.pi / grid.points * (np.outer(np.arange(size), j) % grid.points))
               for size, j in zip(state.shell.shape, index.T)]
     weights = _half_weights(grid)
     last = weights[:, None] * tables.pop()
     # n = 1 as one row, so the slabs run along axis 0 in every dimension
-    phi_hat, psi_hat, shell = np.atleast_2d(state.phi_hat, state.psi_hat, state.shell)
-    acc = np.empty(shell.shape[:-1] + (len(index),), dtype=np.complex128)
-    for slab, part in _kernels.evolved_slabs(phi_hat, psi_hat, shell, state.radii, t):
-        np.dot(part.reshape(-1, len(weights)), last, out=acc[slab].reshape(-1, len(index)))
-    values = _kernels.contract_axes(acc, tables).real / grid.points ** grid.dim
+    shell = np.atleast_2d(state.shell)
+    spectra = [hat if hat is None else hat.reshape(shell.shape) for hat in _spectra(state)]
+    # times per pass: their partial sums, factor tables and slab buffers within _PASS_BYTES
+    group = max(1, _PASS_BYTES // (16 * (shell.size // len(weights) * len(index)
+                                         + len(state.radii)) + 2 * _kernels._SLAB_BYTES))
+    flat, values = times.reshape(-1), []
+    acc = [np.empty(shell.shape[:-1] + (len(index),), dtype=np.complex128)
+           for _ in range(min(group, flat.size))]  # each pass's partial sums, overwritten
+    for first in range(0, flat.size, group):
+        pass_times = flat[first:first + group]
+        for slab, parts in _kernels.evolved_slabs(*spectra, shell, state.radii, pass_times):
+            for part, sums in zip(parts, acc):
+                np.dot(part.reshape(-1, len(weights)), last,
+                       out=sums[slab].reshape(-1, len(index)))
+        values += [_kernels.contract_axes(sums, tables).real for sums in acc[:len(pass_times)]]
+    values = np.reshape(values, times.shape + (len(index),)) / grid.points ** grid.dim
     a_phi, a_psi = state.magnitudes
-    return values, _rounding(grid) * (a_phi + t * a_psi) / grid.points ** grid.dim
+    estimates = _rounding(grid) * (a_phi + times * a_psi) / grid.points ** grid.dim
+    return values, estimates if times.ndim else float(estimates)
 
 
 def hermitian_defect(problem: CauchyProblem, grid: GridSpec) -> float:

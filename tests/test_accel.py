@@ -49,6 +49,48 @@ class TestNumpyPath:
         np.testing.assert_array_equal(
             _kernels.wave_multiplier(phi_hat, psi_hat, shell, radii, t), expected)
 
+    @staticmethod
+    def _spectra(seed, shape=(10, 4, 3)):
+        rng = np.random.default_rng(seed)
+        phi_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        radii = np.sort(np.abs(rng.standard_normal(30))) * 3.0
+        radii[0] = 0.0
+        shell = rng.integers(1, 30, shape, dtype=np.int32)
+        shell[0, 0, 0] = 0
+        return phi_hat, psi_hat, shell, radii
+
+    @pytest.mark.parametrize("zero", ["phi", "psi", "both"])
+    def test_zero_spectrum_is_not_read(self, monkeypatch, zero):
+        # None stands for a zero field's spectrum: its term is left out and
+        # the other keeps its bits; with both None u_hat is zero
+        phi_hat, psi_hat, shell, radii = self._spectra(3)
+        t, knorm = 0.7, radii[shell]
+        psi_factor = np.full(shell.shape, t)
+        np.divide(np.sin(knorm * t), knorm, out=psi_factor, where=knorm != 0)
+        expected = {"phi": psi_hat * psi_factor, "psi": phi_hat * np.cos(knorm * t),
+                    "both": np.zeros(shell.shape, dtype=complex)}[zero]
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", 3 * 4 * 3 * 16)
+        got = _kernels.wave_multiplier(None if zero != "psi" else phi_hat,
+                                       None if zero != "phi" else psi_hat, shell, radii, t)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("slab_bytes", [1, 3 * 4 * 3 * 16, 1 << 17])
+    def test_slabs_at_several_times(self, monkeypatch, slab_bytes):
+        # one pass over the spectra yields each slab at every time, in
+        # buffers reused from slab to slab: gathered, each time's u_hat is the
+        # wave multiplier's at that time alone, to the bit
+        phi_hat, psi_hat, shell, radii = self._spectra(4)
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_bytes)
+        times = [0.7, 0.0, 1.9]
+        gathered = np.empty((len(times),) + shell.shape, dtype=complex)
+        for slab, parts in _kernels.evolved_slabs(phi_hat, psi_hat, shell, radii, times):
+            assert len(parts) == len(times)
+            gathered[:, slab] = parts
+        for t, u_hat in zip(times, gathered):
+            np.testing.assert_array_equal(
+                u_hat, _kernels.wave_multiplier(phi_hat, psi_hat, shell, radii, t))
+
 
 class TestFourierEvaluator:
     @pytest.mark.parametrize("n", [2, 3])

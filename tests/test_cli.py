@@ -225,8 +225,8 @@ binary_out = {binary}
 
 class TestBatchedMeans:
     """solve makes one solve_points call over every (probe, time) pair and
-    converge one per ladder level; the rows are those of one solve_points call
-    per point, to the bit."""
+    converge one over every ladder level's; the rows are those of one
+    solve_points call per point, to the bit."""
 
     @pytest.mark.parametrize("dim, data", [
         (2, "phi = gaussian\nphi_sigma = 0.9\npsi = harmonic\npsi_poly = saddle"),
@@ -268,17 +268,25 @@ probe_count = 4
     def test_means_slab_matches_point_loop(self, dim):
         problem = CauchyProblem(fields.gaussian(dim, 1.2, amplitude=0.6),
                                 fields.gaussian(dim, 1.0, amplitude=0.8), Dimension(dim))
-        points, t0, h = 3, 1.0, 0.1
-        slab = cli._means_slab(problem, points, t0, h)
-        axis = h * (np.arange(points) - points // 2)
-        sites = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-        for it, t in enumerate(t0 + h * np.array([-1.0, 0.0, 1.0])):
-            for idx in np.ndindex(*slab.shape[1:]):
-                x = axis[list(idx)]
-                assert slab[(it,) + idx] == solve_points(problem, [x], t, with_error=False)[0].u
-            # and the slab of one solve_points call per time, the batch before pairs
-            per_time = [s.u for s in solve_points(problem, sites, t, with_error=False)]
-            assert np.array_equal(slab[it].ravel(), per_time)
+        points, t0, hs = 3, 1.0, [0.1, 0.05, 0.025]
+        slabs = cli._means_slabs(problem, points, t0, hs)
+        assert slabs.shape == (3, 3) + (points,) * dim
+        for slab, h in zip(slabs, hs):
+            axis = h * (np.arange(points) - points // 2)
+            sites = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+            times = t0 + h * np.array([-1.0, 0.0, 1.0])
+            # the level's own batch, one call per level as before the ladder batch
+            level = solve_points(problem, np.tile(sites, (3, 1)), np.repeat(times, len(sites)),
+                                 with_error=False)
+            assert np.array_equal(slab.ravel(), [s.u for s in level])
+            for it, t in enumerate(times):
+                for idx in np.ndindex(*slab.shape[1:]):
+                    x = axis[list(idx)]
+                    assert slab[(it,) + idx] == solve_points(problem, [x], t,
+                                                             with_error=False)[0].u
+                # and the slab of one solve_points call per time, the batch before pairs
+                per_time = [s.u for s in solve_points(problem, sites, t, with_error=False)]
+                assert np.array_equal(slab[it].ravel(), per_time)
 
     @pytest.mark.parametrize("dim, data", [
         (2, "phi = gaussian\nphi_sigma = 0.9\npsi = harmonic\npsi_poly = saddle"),
@@ -314,7 +322,7 @@ probe_count = 4
         cfg = write_config(tmp_path, "[run]\ncommand = converge\n[data]\npsi = gaussian\n"
                            "[converge]\ntarget = pde-residual\ndim = 2\npoints = 3\n")
         main(["converge", "--config", cfg])
-        assert calls == [3 * 9] * 3
+        assert calls == [3 * 3 * 9]  # every level of the ladder in one batch
 
     @pytest.mark.parametrize("dim, data, times", [
         # the second time needs 4000 nodes per coordinate, above the cap
@@ -961,6 +969,22 @@ count = 3
                 else "[converge]\nexpected_order = 5\n")
         cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n{setting}{body}")
         assert main([command, "--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+
+    @pytest.mark.parametrize("setting, flags, key", [
+        ("", ["--quad-nodes", "3"], "--quad-nodes"),
+        ("quad_nodes = 5\n", [], "run.quad_nodes"),
+    ], ids=["override", "config_key"])
+    @pytest.mark.parametrize("target", ["wave-residual", "pde-residual"])
+    def test_residual_ladder_refuses_quad_nodes(self, tmp_path, capsys, target, setting,
+                                                flags, key):
+        # only the identity ladders build a quadrature rule; these two
+        # targets would run unchanged, so the node count is an unread key
+        cfg = write_config(tmp_path, f"[run]\ncommand = converge\n{setting}[data]\n"
+                                     f"psi = gaussian\n[converge]\ntarget = {target}\n")
+        assert main(["converge", "--config", cfg, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert key in err

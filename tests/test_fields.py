@@ -5,6 +5,7 @@ import pytest
 
 from wavecauchy.fields import (
     ScalarField,
+    _squared_distance,
     bump,
     constant,
     gaussian,
@@ -84,6 +85,28 @@ def _layouts(n):
 class TestSquaredDistanceEvaluators:
     """gaussian and bump against the einsum expression they replace, to
     1e-15 n relative: the sums differ only in their order."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_first_square_keeps_the_zero_pass_bits(self, n):
+        # the first coordinate's square is written, not added to zeros: the
+        # same bits, as +0.0 + x = x for x >= +0, on contiguous batches, the
+        # lifted view, strided coordinate-major views (the solvers' layout)
+        # and 0-d point sets, which must stay arrays
+        def zero_pass(points, c):
+            out = np.zeros(points.shape[:-1])
+            for i, ci in enumerate(c):
+                out += np.square(points[..., i] - ci)
+            return out
+
+        rng = np.random.default_rng(100 + n)
+        center = rng.uniform(-1.0, 1.0, n)
+        layouts = _layouts(n)
+        layouts["coordinate_major"] = np.moveaxis(rng.uniform(-2.0, 2.0, (n, 3, 7)), 0, -1)
+        layouts["on_centre"] = center.copy()
+        for name, points in layouts.items():
+            got = _squared_distance(points, center)
+            assert isinstance(got, np.ndarray) and got.shape == points.shape[:-1], name
+            np.testing.assert_array_equal(got, zero_pass(points, center), err_msg=name)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_gaussian_matches_einsum(self, n):

@@ -1267,6 +1267,91 @@ class TestSpectralProbes:
         with pytest.raises(ValueError):
             spectral_probes(p, GridSpec(8.0, 128, 1), -1.0, [[3]])
 
+    @pytest.mark.parametrize("slab_bytes", [1, None], ids=["one_row", "default"])
+    @pytest.mark.parametrize("phi", ["own", "zero", "psi"])
+    @pytest.mark.parametrize("n, points", [(1, 63), (2, 32), (3, 15)])
+    def test_several_times_equal_one_call_per_time(self, monkeypatch, n, points, phi,
+                                                   slab_bytes):
+        # one pass evolves each slab to every time: each time's row and
+        # estimate are those of its own call, to the bit, a repeated time and
+        # t = 0 too; phi is its own field, zero (its spectrum is skipped), or
+        # the very field psi is
+        if slab_bytes is not None:
+            monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_bytes)
+        p, grid = _full_lattice(n, points, 0.0)[:2]
+        p = CauchyProblem({"own": p.phi, "zero": fields.zero(n), "psi": p.psi}[phi], p.psi,
+                          Dimension(n))
+        state = spectral_state(p, grid)
+        index = points // 2 + np.random.default_rng(points + n).integers(-3, 4, size=(5, n))
+        times = [1.3, 0.0, 0.45, 1.3]
+        values, estimates = spectral_probes(p, grid, times, index, state)
+        assert values.shape == (4, 5) and estimates.shape == (4,)
+        for t, row, estimate in zip(times, values, estimates):
+            alone, alone_estimate = spectral_probes(p, grid, t, index, state)
+            assert isinstance(alone_estimate, float)
+            np.testing.assert_array_equal(row, alone)
+            assert estimate == alone_estimate
+
+    @pytest.mark.parametrize("per_pass", [1, 2, None], ids=["one", "two", "default"])
+    def test_times_in_passes_within_pass_bytes(self, monkeypatch, per_pass):
+        # times go in passes whose partial sums, factor tables and slab buffers
+        # fit in _PASS_BYTES, at least one time a pass; each row keeps its bits
+        p, grid = _full_lattice(3, 16, 0.0)[:2]
+        state = spectral_state(p, grid)
+        index = [[8, 8, 8], [5, 9, 12]]
+        times = [0.2, 1.3, 0.0, 0.7, 1.1]
+        if per_pass is not None:
+            per_time = (16 * (16 * 16 * len(index) + len(state.radii))
+                        + 2 * _kernels._SLAB_BYTES)
+            monkeypatch.setattr(solvers, "_PASS_BYTES", per_pass * per_time)
+        passes = []
+
+        def spy(*args):
+            passes.append(len(args[-1]))
+            return evolved_slabs(*args)
+
+        evolved_slabs = _kernels.evolved_slabs
+        monkeypatch.setattr(_kernels, "evolved_slabs", spy)
+        values, _ = spectral_probes(p, grid, times, index, state)
+        assert passes == {1: [1] * 5, 2: [2, 2, 1], None: [5]}[per_pass]
+        for t, row in zip(times, values):
+            np.testing.assert_array_equal(row, spectral_probes(p, grid, t, index, state)[0])
+
+    def test_many_times_hold_no_more_than_one(self, monkeypatch):
+        # one time a pass: the peak of 16 times stays within the one-time
+        # bound of test_probes_hold_no_lattice_array, as each pass's partial
+        # sums go once its values are taken
+        monkeypatch.setattr(solvers, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(solvers, "_PASS_BYTES", 1)
+        p = CauchyProblem(fields.gaussian(3, sigma=1.0), fields.gaussian(3, sigma=0.8),
+                          Dimension(3))
+        grid = GridSpec(12.0, 64, 3)
+        state = spectral_state(p, grid)
+        index = [[32, 32, 32], [40, 20, 33], [0, 63, 5], [17, 17, 60]]
+        tracemalloc.start()
+        try:
+            spectral_probes(p, grid, np.linspace(0.1, 1.6, 16), index, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.phi_hat.nbytes / 4
+
+    def test_a_negative_time_anywhere_is_refused(self, monkeypatch):
+        # every time is checked, not only the largest one the wrap guard takes,
+        # and before the state is built
+        def refuse(problem, grid):
+            raise AssertionError("the state was built")
+
+        monkeypatch.setattr(solvers, "spectral_state", refuse)
+        p = problem(2, psi=fields.gaussian(2, sigma=1.0))
+        for times in ([0.5, -0.25, 1.0], [-1.0], [[0.5, 1.0]]):
+            with pytest.raises(ValueError):
+                spectral_probes(p, GridSpec(12.0, 32, 2), times, [[3, 4]])
+        # the guard takes the largest time: support about 8.3, 8.3 + 4 > 12
+        with pytest.raises(DomainSizeError):
+            spectral_probes(p, GridSpec(12.0, 32, 2), [0.5, 4.0, 1.0], [[3, 4]])
+
 
 class TestPropagation:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
