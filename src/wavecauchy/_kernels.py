@@ -1,12 +1,10 @@
-"""Numpy hot kernels: the sinc profile, the wave multiplier, whose
-oscillator factors depend on |k| alone and are computed once per |k|^2 shell,
-and the axis-by-axis sum of tensor-grid coefficients against per-axis tables."""
+"""Numpy hot kernels: the sinc profile, the half spectrum evolved slab by slab,
+whose oscillator factors depend on |k| alone and are computed once per |k|^2
+shell, and the axis-by-axis sum of tensor-grid coefficients against per-axis tables."""
 
 from __future__ import annotations
 
 import numpy as np
-
-SINC_SERIES_CUTOFF = 1e-4
 
 #: bytes of u_hat per time that `evolved_slabs` fills per slab along axis 0: a slab of
 #: phi_hat, psi_hat and shell stays in a 2 MB L2 cache while it is evolved to every time,
@@ -16,19 +14,16 @@ _SLAB_BYTES = 1 << 17
 
 
 def sinc_ratio(z: np.ndarray) -> np.ndarray:
-    """sin(z)/z with a Taylor branch near the removable singularity."""
+    """sin(z)/z, 1 at z = 0; the quotient has no cancellation, so it is accurate at
+    every z != 0, however small."""
     z = np.asarray(z, dtype=np.float64)
-    small = np.abs(z) < SINC_SERIES_CUTOFF
-    safe = np.where(small, 1.0, z)
-    z2 = z * z
-    series = 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0))
-    return np.where(small, series, np.sin(safe) / safe)
+    return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0)
 
 
 def evolved_slabs(phi_hat: np.ndarray | None, psi_hat: np.ndarray | None,
-                  shell: np.ndarray, radii: np.ndarray, times, out=None):
+                  shell: np.ndarray, radii: np.ndarray, times):
     """(slab, parts) along axis 0, parts[i] = u_hat[slab] at times[i] (a scalar is one
-    time) in out[i][slab] or a buffer of at most _SLAB_BYTES the next slab reuses:
+    time) in a buffer of at most _SLAB_BYTES that the next slab reuses:
     u_hat = phi_hat cos(|k| t) + psi_hat sin(|k| t)/|k|, |k| = radii[shell] (limit t at
     |k| = 0). Every time's two factors are computed once per shell into one (shells,
     T, 2) table, whose rows each slab gathers once; each slab is read once for every
@@ -41,12 +36,11 @@ def evolved_slabs(phi_hat: np.ndarray | None, psi_hat: np.ndarray | None,
         table[:, i, 1] = t
         np.divide(np.sin(zt), radii, out=table[:, i, 1], where=radii != 0)
     rows = max(1, _SLAB_BYTES // (16 * shell[:1].size))
-    buffers = None if out else np.empty((len(times), min(rows, len(shell))) + shell.shape[1:],
-                                        complex)
+    buffers = np.empty((len(times), min(rows, len(shell))) + shell.shape[1:], complex)
     for start in range(0, len(shell), rows):
         slab = slice(start, start + rows)
         factors = table.take(shell[slab], axis=0)
-        parts = [target[slab] for target in out] if out else buffers[:, :len(factors)]
+        parts = buffers[:, :len(factors)]
         for i, part in enumerate(parts):
             terms = [(hat[slab], factors[..., i, j])
                      for j, hat in enumerate((phi_hat, psi_hat)) if hat is not None]
@@ -57,15 +51,6 @@ def evolved_slabs(phi_hat: np.ndarray | None, psi_hat: np.ndarray | None,
         yield slab, parts
 
 
-def wave_multiplier(phi_hat: np.ndarray | None, psi_hat: np.ndarray | None,
-                    shell: np.ndarray, radii: np.ndarray, t: float) -> np.ndarray:
-    """The evolved half spectrum u_hat of `evolved_slabs` at one time, filled in place."""
-    u_hat = np.empty(shell.shape, dtype=np.complex128)
-    for _ in evolved_slabs(phi_hat, psi_hat, shell, radii, t, out=[u_hat]):
-        pass
-    return u_hat
-
-
 def contract_axes(acc: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     """sum_k acc[k_1, ..., k_m, p] prod_d tables[d][k_d, p] for acc of shape
     (K_1 ... K_m, P), flattened or not, and (K_d, P) tables, from the last axis."""
@@ -74,4 +59,4 @@ def contract_axes(acc: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     return acc.reshape(-1, acc.shape[-1])[0]
 
 
-__all__ = ["contract_axes", "evolved_slabs", "sinc_ratio", "wave_multiplier"]
+__all__ = ["contract_axes", "evolved_slabs", "sinc_ratio"]

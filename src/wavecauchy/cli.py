@@ -310,6 +310,17 @@ def _reduction_closed_form(name: str, radius: float, n: int, target: str) -> flo
 def _run_reduction(config: RunConfig, report: Report) -> None:
     keys, seed = config["reduction"], config["run"]["seed"]
     tol, mc_samples = keys["tolerance"], keys["mc_samples"]
+    # a closed form or Monte Carlo box beyond the float range is refused before any quadrature
+    for n, radius, name, target in itertools.product(
+            keys["dims"], keys["radii"], keys["functions"], ("ball", "sphere")):
+        try:
+            sizes = (_reduction_closed_form(name, radius, n, target),
+                     (2.0 * radius) ** n if mc_samples else 0.0)
+        except OverflowError:
+            sizes = (math.inf,)
+        if any(map(math.isinf, sizes)):
+            raise ConfigError(f"radius {radius:g} in dimension {n}: the {name} {target} integral "
+                              "or the Monte Carlo box overflows a float", keys=["reduction.radii"])
     targets = (("ball", reduce_ball_integral, ball_monte_carlo),
                ("sphere", reduce_sphere_integral, sphere_monte_carlo))
     for case, (n, radius, name, (target, reduce, sampler)) in enumerate(itertools.product(

@@ -168,9 +168,9 @@ def _fit_derivatives(values: np.ndarray, h, max_order: int) -> np.ndarray:
     if max_order > degree:
         raise StencilError(f"need derivative order {max_order} but fit degree is {degree}")
     scale = stencil_offsets(degree)[-1] * h
-    # one matrix-vector product per profile, which rounds as it does for that
-    # profile alone; one matrix product over all of them would not
-    profiles = values.reshape(degree + 1, -1).T
+    # one matrix-vector product per profile, a contiguous row in any layout of values,
+    # which rounds as that profile alone does; one matrix product would not
+    profiles = np.ascontiguousarray(values.reshape(degree + 1, -1).T)
     coeffs = np.matmul(_fit_matrix(degree), profiles[..., None])[..., 0].T.reshape(values.shape)
     return np.array(
         [math.factorial(j) * coeffs[j] / _power(scale, j) for j in range(max_order + 1)]

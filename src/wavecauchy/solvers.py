@@ -32,8 +32,8 @@ together: each distinct time's stencil and node count are resolved once,
 the pairs go in groups of one node count, taken time by time, each field's
 sphere sums are taken once per stencil radius set for a whole group, and
 the radial chain acts on the samples array, shape (R, P), with one t and h
-per pair. Pairs with the same summing centre (the probe, or for radial
-data the probe moved onto the ray from the data's centre) and the same
+per pair. For radial data on the reduced rule, pairs with the same summing
+centre (the probe moved onto the ray from the data's centre) and the same
 time share one sphere, summed once. Each pair's value and error estimate
 are the ones it gets alone, to the bit, so one point is a batch of one:
 `solve_points(problem, [x], t)[0]`.
@@ -43,12 +43,13 @@ harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
 and sin(|k| t) / |k|, computed once per |k|^2 shell (`GridSpec.shells`). The
 data are real, so their spectra are Hermitian and the half lattice of `rfftn`
 carries every mode. Each slab of samples is rfft'd as it is made, on two
-threads for phi and psi, and transformed, evolved and inverted in place: no
-mesh, sampled lattice or spare full-lattice array; `spectral_probes` sums the
-evolved half spectrum at lattice points, slab by slab, with no inverse, in one
-pass for all its times: each 128 KB slab (`_kernels._SLAB_BYTES`) is evolved
-to every time while it sits in L2, and each slab's product with the probes'
-twiddles is small enough for OpenBLAS to keep on the calling thread.
+threads for phi and psi: no mesh, sampled lattice or spare full-lattice array.
+Each 128 KB slab of the half spectrum (`_kernels._SLAB_BYTES`) is evolved to
+every time while it sits in L2 (`_kernels.evolved_slabs`): `spectral_solve`
+gathers the slabs into u_hat and inverts it in place, and `spectral_probes` sums
+them at lattice points with no inverse, in one pass for all its times, each
+slab's product with the probes' twiddles small enough for OpenBLAS to keep on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def means_series(g, center, rule: SphereQuadrature, t, degree: int,
                                    0, -1)
     if coarse is None:
         return values
-    full = np.empty_like(coarse)  # its layout, as chain_apply rounds by layout
+    full = np.empty_like(coarse)
     full[odd], full[~odd] = values, coarse[degree // 2 + offsets[~odd] // 2]
     return full
 
@@ -322,12 +323,9 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
                 return c, means_rule(n, rule)
             return moved[role], _radial_rule(len(field.radial_center), means.dim.n, count)
 
-        # pairs with one summing centre and one time share each pass's sphere
-        # sums; the centre is the probe but for radial data on the reduced rule
-        pairs = len(members) > 1
-        probe = _distinct(c, tp) if pairs and len(radial) < len(fields) else None
-        distinct = {role: _distinct(moved[role], tp) if pairs and role in radial else probe
-                    for role in fields}
+        # radial data's pairs with one summing centre (the probe moved onto the ray)
+        # and one time share each pass's sphere sums
+        distinct = {role: _distinct(moved[role], tp) for role in radial if len(tp) > 1}
         times = {}  # the group's distinct times, and each pair's among them
         at = [times.setdefault(ti, len(times)) for ti in tp]
         hs = [steps[ti][0] for ti in times]
@@ -342,10 +340,9 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
             g = (lambda points: np.stack([v := field(points), np.abs(v)], axis=-3)
                  ) if magnitude else field
             centre, on = placement(role)
-            if distinct[role] is None:
+            if distinct.get(role) is None:
                 return means_series(g, centre, on, tg, degrees[role], h, coarse, null)
-            # the distinct spheres summed, their samples (and null sums)
-            # scattered back in the layout chain_apply rounds by
+            # the distinct spheres summed, their samples (and null sums) scattered back
             first, inverse = distinct[role]
             pick = (lambda a: a[first] if np.ndim(a) else a)
             out = means_series(g, centre[first], on, pick(tg), degrees[role], pick(h),
@@ -362,13 +359,13 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
                 stacked[role], nulls[role] = sample(role, h, null=null)
             else:
                 stacked[role] = sample(role, h, magnitude=role in exact)
-        # samples stacked (R, 2, P) with |field|'s, laid out as chain_apply expects
-        series = {role: s[:, 0].copy("F") if role in exact else s for role, s in stacked.items()}
+        # samples stacked (R, 2, P) with |field|'s
+        series = {role: s[:, 0] if role in exact else s for role, s in stacked.items()}
         u_terms, weights = {}, {}
         for role, s in series.items():
             size, ts, hh = len(s), tg, h
             if with_error:  # unit samples per distinct time, whose parts are the weights a_j
-                s = np.asfortranarray(np.hstack([s] + [np.eye(size)] * len(times)))
+                s = np.hstack([s] + [np.eye(size)] * len(times))
                 if len(times) > 1:
                     ts = np.concatenate([tg, np.repeat(list(times), size)])
                     hh = np.concatenate([h, np.repeat(hs, size)])
@@ -386,7 +383,7 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
             # margin; each pair's Q null sums are one contiguous profile, as alone
             for role, tail in nulls.items():
                 q = tail.shape[1]
-                tail = np.asfortranarray(tail.reshape(len(tail), -1, order="F"))
+                tail = tail.reshape(len(tail), -1, order="F")
                 ts, hh = (tg, h) if len(times) == 1 else (np.repeat(tg, q), np.repeat(h, q))
                 chained = constant * _means_term(role, tail, m, ts, hh).reshape(-1, q)
                 err += QUADRATURE_MARGIN * abs(chained).max(axis=1)
@@ -410,9 +407,9 @@ def solve_points(problem: CauchyProblem, xs, t,
     the time t, or each at its own time, t of shape (P,), in any order. One
     sample per pair, in their order. d'Alembert for n = 1; otherwise the
     means solver, which groups the pairs by node count, takes each group's
-    time by time, sums each distinct sphere (summing centre and time) once
-    per stencil radius set, and gives each pair the value it gets alone, to
-    the bit."""
+    time by time, sums each field once per stencil radius set (radial data
+    each distinct sphere, summing centre and time, once), and gives each pair
+    the value it gets alone, to the bit."""
     n = problem.dim.n
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != n:
@@ -430,7 +427,9 @@ def solve_points(problem: CauchyProblem, xs, t,
 
 
 def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> SolutionSample:
-    """The 1-D traveling-wave solution with adaptive quadrature for the velocity term."""
+    """The 1-D traveling-wave solution with adaptive quadrature for the velocity term,
+    over [x - t, x + t] cut to psi's support [-S, S], S its support_radius: a long
+    interval's quadrature nodes may all miss narrow data."""
     if problem.dim.n != 1:
         raise ValueError("d'Alembert solver is for dimension 1")
     if t < 0:
@@ -440,10 +439,11 @@ def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> Solutio
     x = float(np.asarray(x, dtype=np.float64).reshape(()))
     phi, psi = problem.phi, problem.psi
     travel = 0.5 * (float(phi(np.array([x - t]))) + float(phi(np.array([x + t]))))
-    if psi.is_zero or t == 0.0:
+    low, high = max(x - t, -psi.support_radius), min(x + t, psi.support_radius)
+    if psi.is_zero or not low < high:
         integral, abserr = 0.0, 0.0
     else:
-        integral, abserr = quad(lambda s: float(psi(np.array([s]))), x - t, x + t,
+        integral, abserr = quad(lambda s: float(psi(np.array([s]))), low, high,
                                 epsabs=1e-12, epsrel=1e-12, limit=200)
     return SolutionSample(np.array([x]), t, travel + 0.5 * integral, "dalembert", 0.5 * abserr)
 
@@ -626,7 +626,7 @@ def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
     about aliasing or resolution.
     """
     state = evolution_state(problem, grid, t, state)
-    u_hat = _kernels.wave_multiplier(*_spectra(state), state.shell, state.radii, t)
+    u_hat = _evolved(*_spectra(state), state, t)
     for axis in range(grid.dim - 1):
         np.fft.ifft(u_hat, axis=axis, out=u_hat)
     # n= fixes the length of the last axis, which the half spectrum leaves
@@ -638,6 +638,15 @@ def spectral_solve(problem: CauchyProblem, grid: GridSpec, t: float,
 #: bytes of per-time partial sums, factor tables and slab buffers one probe pass
 #: holds; further times go in further passes, so memory does not grow with their count
 _PASS_BYTES = 1 << 25
+
+
+def _evolved(phi_hat, psi_hat, state: SpectralState, t: float) -> np.ndarray:
+    """The half spectrum u_hat of the data (phi_hat, psi_hat) on the state's shells at
+    the time t, gathered from `_kernels.evolved_slabs`."""
+    u_hat = np.empty(state.shell.shape, dtype=np.complex128)
+    for slab, (part,) in _kernels.evolved_slabs(phi_hat, psi_hat, state.shell, state.radii, t):
+        u_hat[slab] = part
+    return u_hat
 
 
 def _spectra(state: SpectralState) -> list[np.ndarray | None]:
@@ -708,14 +717,13 @@ def hermitian_defect(problem: CauchyProblem, grid: GridSpec) -> float:
 
 def spectral_energy(state: SpectralState, t: float) -> float:
     """Discrete energy sum |u_hat_t|^2 + |k|^2 |u_hat|^2 over the full lattice;
-    conserved in t.
+    conserved in t. u_hat_t is the evolution of the data (psi_hat, -|k|^2 phi_hat).
 
     Each last-axis column counts as often as in the full lattice (`_half_weights`).
     """
     knorm = state.radii[state.shell]
-    zt = knorm * t
-    u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell, state.radii, t)
-    ut_hat = -state.phi_hat * knorm * np.sin(zt) + state.psi_hat * np.cos(zt)
+    u_hat = _evolved(state.phi_hat, state.psi_hat, state, t)
+    ut_hat = _evolved(state.psi_hat, -knorm * knorm * state.phi_hat, state, t)
     return float(np.sum(_half_weights(state.grid)
                         * (np.abs(ut_hat) ** 2 + (knorm * np.abs(u_hat)) ** 2)))
 

@@ -4,6 +4,14 @@ import pytest
 from wavecauchy import _kernels, fields, kernels
 
 
+def gathered(phi_hat, psi_hat, shell, radii, t):
+    """u_hat at the one time t, gathered from the slabs of `_kernels.evolved_slabs`."""
+    u_hat = np.empty(shell.shape, dtype=complex)
+    for slab, (part,) in _kernels.evolved_slabs(phi_hat, psi_hat, shell, radii, t):
+        u_hat[slab] = part
+    return u_hat
+
+
 class TestNumpyPath:
     def test_sinc_ratio_values(self):
         z = np.array([0.0, 1e-9, 1e-5, 0.5, 3.0, -2.0])
@@ -22,7 +30,7 @@ class TestNumpyPath:
         shell[0] = 0
         knorm = radii[shell]
         t = 0.7
-        got = _kernels.wave_multiplier(phi_hat, psi_hat, shell, radii, t)
+        got = gathered(phi_hat, psi_hat, shell, radii, t)
         assert got[0] == phi_hat[0] + psi_hat[0] * t
         k = knorm[1:]
         expected = phi_hat[1:] * np.cos(k * t) + psi_hat[1:] * np.sin(k * t) / k
@@ -47,7 +55,7 @@ class TestNumpyPath:
         expected = phi_hat * np.cos(zt) + psi_hat * psi_factor
         monkeypatch.setattr(_kernels, "_SLAB_BYTES", 3 * 4 * 3 * 16)
         np.testing.assert_array_equal(
-            _kernels.wave_multiplier(phi_hat, psi_hat, shell, radii, t), expected)
+            gathered(phi_hat, psi_hat, shell, radii, t), expected)
 
     @staticmethod
     def _spectra(seed, shape=(10, 4, 3)):
@@ -71,25 +79,25 @@ class TestNumpyPath:
         expected = {"phi": psi_hat * psi_factor, "psi": phi_hat * np.cos(knorm * t),
                     "both": np.zeros(shell.shape, dtype=complex)}[zero]
         monkeypatch.setattr(_kernels, "_SLAB_BYTES", 3 * 4 * 3 * 16)
-        got = _kernels.wave_multiplier(None if zero != "psi" else phi_hat,
-                                       None if zero != "phi" else psi_hat, shell, radii, t)
+        got = gathered(None if zero != "psi" else phi_hat, None if zero != "phi" else psi_hat,
+                       shell, radii, t)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("slab_bytes", [1, 3 * 4 * 3 * 16, 1 << 17])
     def test_slabs_at_several_times(self, monkeypatch, slab_bytes):
         # one pass over the spectra yields each slab at every time, in
         # buffers reused from slab to slab: gathered, each time's u_hat is the
-        # wave multiplier's at that time alone, to the bit
+        # one the slabs give at that time alone, to the bit
         phi_hat, psi_hat, shell, radii = self._spectra(4)
         monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_bytes)
         times = [0.7, 0.0, 1.9]
-        gathered = np.empty((len(times),) + shell.shape, dtype=complex)
+        evolved = np.empty((len(times),) + shell.shape, dtype=complex)
         for slab, parts in _kernels.evolved_slabs(phi_hat, psi_hat, shell, radii, times):
             assert len(parts) == len(times)
-            gathered[:, slab] = parts
-        for t, u_hat in zip(times, gathered):
+            evolved[:, slab] = parts
+        for t, u_hat in zip(times, evolved):
             np.testing.assert_array_equal(
-                u_hat, _kernels.wave_multiplier(phi_hat, psi_hat, shell, radii, t))
+                u_hat, gathered(phi_hat, psi_hat, shell, radii, t))
 
 
 class TestFourierEvaluator:

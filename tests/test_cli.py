@@ -372,6 +372,20 @@ mc_samples = 60000
         assert values["sphere"] == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
         assert all(float(row["mc_z"]) < 3.0 for row in body)
 
+    @pytest.mark.parametrize("settings", [
+        "dims = 3\nradii = 1e160\nfunctions = one",
+        "dims = 11\nradii = 1e30\nfunctions = one\nmc_samples = 10",
+    ], ids=["closed_form", "monte_carlo_box"])
+    def test_radius_beyond_float_range_is_a_config_error(self, tmp_path, capsys, settings):
+        # R^n beyond the float range, in the closed form or the Monte Carlo box
+        # (2 R)^n, is refused before any quadrature, with no traceback
+        text = f"[run]\ncommand = verify-reduction\n[reduction]\n{settings}\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["verify-reduction", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "reduction.radii" in err
+        assert "Traceback" not in err
+
 
 class TestIdentitiesCommand:
     def test_sweep_and_determinism(self, tmp_path):

@@ -74,11 +74,15 @@ class TestSincKernel:
         assert half_pi * _kernels.sinc_ratio(np.array([half_pi]))[0] == \
             pytest.approx(1.0, rel=1e-15)
 
-    def test_series_branch_accuracy(self):
-        # both sides of the series cutoff must match sin(z)/z to rounding
-        for z in (1e-6, 5e-5, 9.9e-5, 1.01e-4, 1e-3):
-            got = _kernels.sinc_ratio(np.array([z]))[0]
-            assert got == pytest.approx(math.sin(z) / z, rel=1e-14)
+    def test_quotient_within_two_ulp(self):
+        # sin(z)/z has no cancellation, so the plain quotient is accurate at every
+        # z != 0, however small: within 2 ulp of math's, either sign; 1 at +-0
+        zs = np.array([1e-300, 1e-12, 1e-6, 5e-5, 9.9e-5, 1.01e-4, 1e-3, math.pi])
+        zs = np.concatenate([zs, -zs])
+        got = _kernels.sinc_ratio(zs)
+        want = np.array([math.sin(z) / z for z in zs])
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+        assert _kernels.sinc_ratio(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
 
 
 class TestExponentialAverages:

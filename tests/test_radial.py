@@ -154,6 +154,25 @@ class TestIteratedDerivative:
             got = t * chain_apply(pair, m + 1, t, h)
             np.testing.assert_array_equal(got, [scalar[k] for _, scalar in both])
 
+    @pytest.mark.parametrize("m", range(6))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_every_sample_layout_rounds_alike(self, m, dtype):
+        # C, Fortran and strided views of one (R, P) sample array give the same
+        # bits, at one t and h or one per profile: chain_apply lays each profile
+        # out as one contiguous row itself
+        rng = np.random.default_rng(m)
+        degree = 2 * m + 4
+        for size in (1, 2, 37, 1000):
+            wide = rng.standard_normal((degree + 1, 2 * size)).astype(dtype)
+            if dtype is complex:
+                wide += 1j * rng.standard_normal(wide.shape)
+            strided = wide[:, ::2]
+            layouts = (np.ascontiguousarray(strided), np.asfortranarray(strided), strided)
+            t = rng.uniform(0.5, 2.0, size)
+            for tt, h in ((1.3, 1.3 / (2 * m + 10)), (t, t / (2 * m + 10))):
+                got = [chain_apply(values, m, tt, h).tobytes() for values in layouts]
+                assert got[1:] == got[:1] * 2, (size, np.ndim(tt))
+
     def test_overflowing_chain_is_an_evaluation_error(self):
         # t ** (j - 2m) at t = 1e-150 and m = 2 is beyond the float range
         t0 = 1e-150

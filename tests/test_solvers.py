@@ -918,6 +918,26 @@ class TestDalembert:
             assert solve_dalembert_point(p, x, t).u == pytest.approx(
                 math.sin(x) * math.cos(t), rel=1e-12)
 
+    @pytest.mark.parametrize("sigma, t", [(0.01, 100.0), (0.05, 1000.0), (0.3, 1e5)])
+    def test_narrow_velocity_on_a_long_interval(self, sigma, t):
+        # [x - t, x + t] is cut to psi's support, so the quadrature's nodes land on
+        # the data: at x = 0 the whole Gaussian counts, u = sigma sqrt(2 pi) / 2
+        s = solve_points(problem(1, psi=fields.gaussian(1, sigma)), [[0.0]], t)[0]
+        assert s.u == pytest.approx(0.5 * sigma * math.sqrt(2.0 * math.pi), rel=1e-12)
+        assert s.error_estimate <= 1e-12
+
+    def test_narrow_bump_and_a_missed_support(self):
+        # a bump of radius 0.01 counts whole at every long time; an interval
+        # that does not reach the support gives 0 with no quadrature
+        psi = fields.bump(1, 0.01)
+        whole = quad(lambda s: float(psi(np.array([s]))), -0.01, 0.01,
+                     epsabs=1e-14, epsrel=1e-14)[0]
+        for t in (1.0, 100.0, 1e5):
+            s = solve_points(problem(1, psi=psi), [[0.0]], t)[0]
+            assert s.u == pytest.approx(0.5 * whole, rel=1e-12)
+        s = solve_dalembert_point(problem(1, psi=psi), 5.0, 1.0)
+        assert (s.u, s.error_estimate) == (0.0, 0.0)
+
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             solve_dalembert_point(problem(2), 0.0, 1.0)
@@ -1149,14 +1169,16 @@ class TestLeanSpectral:
     @pytest.mark.parametrize("n, points", [(1, 64), (1, 63), (2, 32), (2, 31),
                                            (3, 16), (3, 15)])
     def test_solve_matches_irfftn(self, monkeypatch, n, points):
-        # slabs of two or three rows, so the multiplier takes several, the
-        # last of them partial for some N
+        # slabs of two or three rows, so the evolved spectrum takes several,
+        # the last of them partial for some N
         monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2 * 16 * points ** (n - 1))
         t = 1.3
         p, grid = _full_lattice(n, points, t)[:2]
         state = spectral_state(p, grid)
-        u_hat = _kernels.wave_multiplier(state.phi_hat, state.psi_hat, state.shell,
-                                         state.radii, t)
+        u_hat = np.empty(state.shell.shape, dtype=complex)
+        for slab, (part,) in _kernels.evolved_slabs(state.phi_hat, state.psi_hat, state.shell,
+                                                    state.radii, t):
+            u_hat[slab] = part
         reference = np.fft.irfftn(u_hat, s=(points,) * n, axes=tuple(range(n)))
         np.testing.assert_array_equal(spectral_solve(p, grid, t, state=state).values,
                                       reference)
