@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import functools
 import hashlib
 import itertools
 import math
+import re
 import sys
 import textwrap
 from dataclasses import dataclass, field
@@ -194,31 +194,53 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _texts(cells, rows: int = 1) -> list[str]:
+    """A column's CSV cells: one float.__repr__ pass over a list of floats, one `_fmt`
+    call for a value shared by all rows, else `_fmt` per cell, quoted as csv.QUOTE_MINIMAL
+    quotes a text holding , " or a newline."""
+    if type(cells) is not list:
+        return _texts([cells]) * rows
+    try:
+        return list(map(float.__repr__, cells))  # no float's text needs quotes
+    except TypeError:  # a cell that is not a float
+        texts = list(map(_fmt, cells))
+    if re.search('[,"\n]', "".join(texts)):
+        texts = ['"' + t.replace('"', '""') + '"' if re.search('[,"\n]', t) else t for t in texts]
+    return texts
+
+
 @dataclass
 class Report:
+    """Rows as blocks (rows, column -> a list of one cell a row, or one shared cell)."""
+
     command: str
     columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    blocks: list[tuple[int, dict]] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
+    def extend(self, passed: list, **cells) -> None:
+        """len(passed) rows: each cell a list of one entry a row, or a value for all; a
+        column not given is empty."""
+        self.blocks.append((len(passed), {**cells, "pass": passed}))
+
+    def column(self, name: str) -> list:
+        """Every row's cell of the named column."""
+        return [cell for rows, cells in self.blocks for cell in
+                (cells[name] if type(cells.get(name)) is list else [cells.get(name)] * rows)]
+
     @property
     def passed(self) -> bool:
-        flag = self.columns.index("pass")
-        return bool(self.rows) and all(bool(row[flag]) for row in self.rows)
-
-    def add(self, passed: bool, **cells) -> None:
-        cells["pass"] = bool(passed)
-        self.rows.append([cells.get(c) for c in self.columns])
+        flags = self.column("pass")
+        return bool(flags) and all(flags)
 
     def write_csv(self, path) -> None:
+        lines = [f"# {key}={self.provenance[key]}" for key in sorted(self.provenance)]
+        lines.append(",".join(_texts(self.columns)))
+        for rows, cells in self.blocks:
+            lines += map(",".join, zip(*[_texts(cells.get(name), rows) for name in self.columns]))
         with open(path, "w", newline="") as fh:
-            for key in sorted(self.provenance):
-                fh.write(f"# {key}={self.provenance[key]}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_fmt(cell) for cell in row])
+            fh.write("\n".join(lines) + "\n")
 
 
 #: parameters of each field kind, read as data.<role>_<key>
@@ -265,19 +287,19 @@ def _problem(config: RunConfig, dim: int, means_key: str | None) -> CauchyProble
 
 def _run_constants(config: RunConfig, report: Report) -> None:
     keys = config["constants"]
-    tol = keys["tolerance"]
-    _check_means_dims(keys["dims"], "constants.dims")
-    for n in keys["dims"]:
-        product = solution_constant(n)
-        recovered = normalization_constant(n, radius=keys["radius"],
-                                           base_nodes=config["run"]["quad_nodes"])
-        rel = abs(recovered - product) / abs(product)
-        ok = rel <= tol
-        report.add(ok, n=n, parity=Dimension(n).parity, surface_area=unit_sphere_area(n),
-                   ball_volume=unit_ball_volume(n), constant_product=product,
-                   constant_normalization=recovered, rel_diff=rel, tol=tol,
-                   violated="" if ok else "constants.tolerance")
-    report.summary["max_rel_diff"] = max(row[6] for row in report.rows)
+    dims, tol = keys["dims"], keys["tolerance"]
+    _check_means_dims(dims, "constants.dims")
+    product = list(map(solution_constant, dims))
+    recovered = [normalization_constant(n, keys["radius"], config["run"]["quad_nodes"])
+                 for n in dims]
+    rel = [abs(got - want) / abs(want) for got, want in zip(recovered, product)]
+    passed = [r <= tol for r in rel]
+    report.extend(passed, n=dims, parity=[Dimension(n).parity for n in dims],
+                  surface_area=list(map(unit_sphere_area, dims)),
+                  ball_volume=list(map(unit_ball_volume, dims)), constant_product=product,
+                  constant_normalization=recovered, rel_diff=rel, tol=tol,
+                  violated=["" if ok else "constants.tolerance" for ok in passed])
+    report.summary["max_rel_diff"] = max(rel)
 
     if keys["export_rule_dim"] and keys["export_rule_path"]:
         sphere_quadrature(keys["export_rule_dim"]).to_csv(keys["export_rule_path"])
@@ -323,26 +345,27 @@ def _run_reduction(config: RunConfig, report: Report) -> None:
                               "or the Monte Carlo box overflows a float", keys=["reduction.radii"])
     targets = (("ball", reduce_ball_integral, ball_monte_carlo),
                ("sphere", reduce_sphere_integral, sphere_monte_carlo))
+    rows = []
     for case, (n, radius, name, (target, reduce, sampler)) in enumerate(itertools.product(
             keys["dims"], keys["radii"], keys["functions"], targets)):
         f = _REDUCTION_FUNCTIONS[name]
         quad = reduce(f, radius, n, count=config["run"]["quad_nodes"])
         exact = _reduction_closed_form(name, radius, n, target)
         rel = abs(quad - exact) / max(abs(exact), 1e-300)
-        ok = rel <= tol
-        violated = [] if ok else ["reduction.tolerance"]
+        violated = [] if rel <= tol else ["reduction.tolerance"]
         mc_value = mc_sigma = mc_z = None
         if mc_samples:
             est = sampler(lambda pts: f(pts[:, n - 1]), radius, n, samples=mc_samples,
                           seed=seed + case)
             mc_value, mc_sigma, mc_z = est.value, est.sigma, est.z_score(quad)
             if mc_z > keys["mc_sigmas"]:
-                ok = False
                 violated.append("reduction.mc_sigmas")
-        report.add(ok, n=n, R=radius, function=name, target=target, quadrature=quad,
-                   closed_form=exact, rel_err=rel, mc_value=mc_value, mc_sigma=mc_sigma,
-                   mc_z=mc_z, tol=tol, violated=";".join(violated))
-    report.summary["max_rel_err"] = max(row[6] for row in report.rows)
+        rows.append((n, radius, name, target, quad, exact, rel, mc_value, mc_sigma, mc_z,
+                     ";".join(violated)))
+    cells = dict(zip(("n", "R", "function", "target", "quadrature", "closed_form", "rel_err",
+                      "mc_value", "mc_sigma", "mc_z", "violated"), map(list, zip(*rows))))
+    report.extend([not v for v in cells["violated"]], tol=tol, **cells)
+    report.summary["max_rel_err"] = max(cells["rel_err"])
 
 
 def _run_identities(config: RunConfig, report: Report) -> None:
@@ -353,13 +376,14 @@ def _run_identities(config: RunConfig, report: Report) -> None:
         records = identity_sweep(n, keys["count"], seed=config["run"]["seed"] + n,
                                  max_product=keys["max_product"],
                                  base_nodes=config["run"]["quad_nodes"])
-        for rec in records:
-            ok = rec.residual <= tol
-            report.add(ok, n=rec.n, R=rec.radius, xi_norm=rec.knorm,
-                       residual_real=rec.residual, residual_imag=rec.imag_residual,
-                       h=rec.h, nodes=rec.nodes, tol=tol,
-                       violated="" if ok else "identities.tolerance")
-    report.summary["max_residual"] = max(row[3] for row in report.rows)
+        residual = [rec.residual for rec in records]
+        passed = [res <= tol for res in residual]
+        report.extend(passed, n=n, R=[rec.radius for rec in records],
+                      xi_norm=[rec.knorm for rec in records], residual_real=residual,
+                      residual_imag=[rec.imag_residual for rec in records],
+                      h=[rec.h for rec in records], nodes=[rec.nodes for rec in records],
+                      tol=tol, violated=["" if ok else "identities.tolerance" for ok in passed])
+    report.summary["max_residual"] = max(report.column("residual_real"))
 
 
 def _run_solve(config: RunConfig, report: Report) -> None:
@@ -398,16 +422,15 @@ def _run_solve(config: RunConfig, report: Report) -> None:
                                np.repeat(times, len(probes)))
 
     expect, expect_tol = keys["expect_value"], keys["expect_tol"]
-    for s in samples:
-        ok = math.isfinite(s.u)
-        violated = [] if ok else ["solve.finite"]
-        if expect is not None and abs(s.u - expect) > expect_tol:
-            ok = False
-            violated.append("solve.expect_value")
-        cells = {f"x{k + 1}": float(c) for k, c in enumerate(s.x)}
-        cells.update(t=s.t, u=s.u, method=s.method, error_estimate=s.error_estimate,
-                     violated=";".join(violated))
-        report.add(ok, **cells)
+    violated = [";".join(name for name, bad in (
+        ("solve.finite", not math.isfinite(s.u)),
+        ("solve.expect_value", expect is not None and abs(s.u - expect) > expect_tol)) if bad)
+        for s in samples]
+    coordinates = np.array([s.x for s in samples], dtype=np.float64).T.tolist()
+    report.extend([not v for v in violated], **{f"x{k + 1}": c for k, c in enumerate(coordinates)},
+                  t=[s.t for s in samples], u=[s.u for s in samples],
+                  method=[s.method for s in samples],
+                  error_estimate=[s.error_estimate for s in samples], violated=violated)
 
 
 # --- converge ---------------------------------------------------------------
@@ -486,7 +509,7 @@ def _run_converge(config: RunConfig, report: Report) -> None:
     """Run a refinement ladder and fit the observed convergence order."""
     keys = config["converge"]
     hs, residuals, floors = _converge_residuals(config)
-    orders = []
+    orders, rows = [], []
     for level, (h, res) in enumerate(zip(hs, residuals)):
         ratio = residuals[level - 1] / res if level and res > 0 else None
         saturated = res <= floors[level]
@@ -494,21 +517,20 @@ def _run_converge(config: RunConfig, report: Report) -> None:
         if ratio is not None and not saturated and residuals[level - 1] > floors[level - 1]:
             order = math.log2(ratio)
             orders.append(order)
-        ok = math.isfinite(res)
-        violated = [] if ok else ["converge.finite"]
+        violated = [] if math.isfinite(res) else ["converge.finite"]
         if not saturated and level > 0 and res >= residuals[level - 1]:
-            ok = False
             violated.append("converge.monotone")
-        report.add(ok, level=level, h=h, residual=res, ratio=ratio, observed_order=order,
-                   note="saturated" if saturated else "", violated=";".join(violated))
+        rows.append((level, h, res, ratio, order, "saturated" if saturated else "", violated))
 
     fitted = sum(orders) / len(orders) if orders else None
     report.summary["fitted_order"] = fitted if fitted is not None else "saturated"
     expected = keys["expected_order"]
-    if expected is not None and fitted is not None and abs(fitted - expected) > keys["order_tol"]:
-        for row in report.rows:
-            row[report.columns.index("pass")] = False
-            row[report.columns.index("violated")] = "converge.expected_order"
+    off = expected is not None and fitted is not None and abs(fitted - expected) > keys["order_tol"]
+    cells = dict(zip(("level", "h", "residual", "ratio", "observed_order", "note", "violated"),
+                     map(list, zip(*rows))))
+    # an order off the expected one fails every level, after the level's own violations
+    violated = [";".join(v + ["converge.expected_order"] * off) for v in cells.pop("violated")]
+    report.extend([not v for v in violated], violated=violated, **cells)
 
 
 #: most (probe, time) pairs a solve may take, and (dimension, draw) pairs a
@@ -635,8 +657,8 @@ def run(config: RunConfig) -> Report:
     runner(config, report)
     report.provenance.update(command=config.command, config_sha256=config.sha256,
                              seed=config["run"]["seed"], version=__version__)
-    failures = sum(1 for row in report.rows if not row[report.columns.index("pass")])
-    report.summary.update(cases=len(report.rows), failures=failures)
+    flags = report.column("pass")
+    report.summary.update(cases=len(flags), failures=flags.count(False))
     if config["run"]["output"]:
         report.write_csv(config["run"]["output"])
     return report

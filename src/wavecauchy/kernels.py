@@ -10,7 +10,8 @@ dimension with one sphere sum and chain per block of draws, and
 `normalization_constant` to the constant 1; the last two sum on the reduced
 rule of radial data (`geometry._radial_rule`). Plane waves and the Fourier
 evaluator's tables are cos/sin of real phases (`_cis`), the bits of the complex
-exp: its argument's real part is +-0.
+exp: its argument's real part is +-0; both take them on the upper half of mirrored
+nodes only and conjugate the rest (`_plane_wave`, `_axis_table`).
 `means_series` is the only code here that turns sphere sums into samples; the
 direct weighted ball mean (`solvers.weighted_ball_mean`) stays as the test
 oracle of the descent.
@@ -122,7 +123,7 @@ def _identity_core(n: int, radius: np.ndarray, knorm: np.ndarray, specs,
         for index in np.split(members, range(block, len(members), block)):
             t, k, step = radius[index], knorm[index], h[index]
             wave = np.repeat(-k, deg + 1)[:, None]  # minus the frequency at each stencil radius
-            samples = means_series(lambda points: _cis(wave * points[..., 0]), 0.0,
+            samples = means_series(lambda points: _plane_wave(wave, points[..., 0], count), 0.0,
                                    _radial_rule(n_means, n_means, count), t, deg, step)
             value = solution_constant(n_means) * chain_apply(samples, m, t, step)
             residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
@@ -138,6 +139,17 @@ def _cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out = np.empty(phase.shape, dtype=np.complex128) if out is None else out
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
+    return out
+
+
+def _plane_wave(wave: np.ndarray, y1: np.ndarray, count: int) -> np.ndarray:
+    """_cis(wave * y1) on the first coordinates y1 (radii, count) of a whole reduced rule
+    about centre 0, mirrored to the bit as its nodes: as in `_axis_table`, the lower half
+    conjugates the upper. `_identity_core`'s block sizing keeps a rule in one chunk."""
+    assert y1.shape[-1] == count, "a reduced rule split over sphere_sums chunks"
+    out, half = np.empty(y1.shape, dtype=np.complex128), count // 2
+    _cis(wave * y1[:, half:], out=out[:, half:])
+    np.conjugate(out[:, ::-1][:, :half], out=out[:, :half])
     return out
 
 

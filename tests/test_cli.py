@@ -1,5 +1,6 @@
 import collections
 import csv
+import io
 import math
 import re
 import struct
@@ -530,6 +531,23 @@ t0 = {t0}
         report = self._pde_ladder(tmp_path, 3, "psi = gaussian\npsi_sigma = 0.92", 1.25)
         assert report.passed
 
+    def test_expected_order_keeps_the_levels_own_violations(self, tmp_path):
+        # level 1 of this ladder is not monotone (see the xfail above); an order off
+        # the expected one adds its violation to that one instead of replacing it
+        text = ("[run]\ncommand = converge\n\n[data]\npsi = gaussian\npsi_sigma = 0.92\n\n"
+                "[converge]\ntarget = pde-residual\ndim = 3\nt0 = 1.25\nh0 = 0.2\n"
+                "points = 3\nlevels = 3\n")
+        violated = []
+        for extra in ("", "expected_order = 4\norder_tol = 0.1\n"):
+            out = tmp_path / "conv.csv"
+            cfg = write_config(tmp_path, text + extra)
+            assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+            violated.append([(row["pass"], row["violated"]) for row in read_report(out)[2]])
+        assert violated[0] == [("yes", ""), ("no", "converge.monotone"), ("yes", "")]
+        assert violated[1] == [("no", "converge.expected_order"),
+                               ("no", "converge.monotone;converge.expected_order"),
+                               ("no", "converge.expected_order")]
+
     def test_identity_ladder_decreases(self, tmp_path):
         out = tmp_path / "conv.csv"
         cfg = write_config(tmp_path, f"""
@@ -650,6 +668,87 @@ target = wave-residual
 levels = 2
 """)
         assert main(["converge", "--config", cfg]) == 2
+
+
+
+def csv_module_report(report) -> str:
+    """The report as csv.writer with a "\\n" line end writes its cells through _fmt."""
+    out = io.StringIO()
+    out.writelines(f"# {key}={report.provenance[key]}\n" for key in sorted(report.provenance))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(report.columns)
+    writer.writerows([cli._fmt(cell) for cell in row]
+                     for row in zip(*map(report.column, report.columns)))
+    return out.getvalue()
+
+
+class TestReportBytes:
+    """The columnar writer against the csv module: the same bytes for every command."""
+
+    # each text goes on under [run] command = ...: leading keys are [run] keys
+    CONFIGS = {
+        "solve-means": ("solve", "dim = 3\nseed = 5\n[data]\nphi = gaussian\n"
+                        "psi = gaussian\npsi_sigma = 0.7\n[solve]\ntimes = 0.5, 1.5\n"
+                        "probe_count = 3\nexpect_value = 0.1\nexpect_tol = 0.05\n"),
+        "solve-spectral": ("solve", "dim = 2\n[data]\npsi = gaussian\n[solve]\n"
+                           "method = spectral\ngrid_points = 16\ngrid_half_width = 10\n"
+                           "times = 0.5, 1.0\nprobes = 0 0, 0.5 -1\n"),
+        "verify-identities": ("verify-identities", "seed = 3\n[identities]\n"
+                              "dims = 2, 3, 5\ncount = 12\n"),
+        "verify-reduction": ("verify-reduction", "[reduction]\ndims = 3, 4\nradii = 0.5, 2\n"),
+        "verify-reduction-mc": ("verify-reduction", "seed = 2\n[reduction]\ndims = 3\n"
+                                "radii = 1\nfunctions = one, cosine\nmc_samples = 500\n"),
+        "constants": ("constants", "[constants]\ndims = 2, 3, 4, 5\n"),
+        "converge-saturated": ("converge", "[converge]\nprofile = quadratic\n"),
+        "converge-override": ("converge", "[data]\npsi = gaussian\npsi_sigma = 0.92\n"
+                              "[converge]\ntarget = pde-residual\ndim = 3\nt0 = 1.25\n"
+                              "points = 3\nexpected_order = 4\norder_tol = 0.1\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(CONFIGS))
+    def test_command_report_equals_the_csv_module(self, tmp_path, case):
+        command, text = self.CONFIGS[case]
+        out = tmp_path / "report.csv"
+        cfg = write_config(tmp_path, f"[run]\ncommand = {command}\noutput = {out}\n" + text)
+        report = run(load_config(cfg, command, {}))
+        assert len(report.column("pass")) > 1
+        with open(out, newline="") as fh:
+            assert fh.read() == csv_module_report(report)
+
+    def test_command_reports_cover_none_and_combined_cells(self, tmp_path):
+        cells = {}
+        for case in ("verify-reduction", "converge-saturated", "converge-override"):
+            command, text = self.CONFIGS[case]
+            cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n" + text)
+            report = run(load_config(cfg, command, {}))
+            cells[case] = {name: report.column(name) for name in report.columns}
+        assert set(cells["verify-reduction"]["mc_z"]) == {None}
+        assert cells["converge-saturated"]["ratio"][0] is None
+        assert set(cells["converge-saturated"]["note"]) == {"saturated"}
+        assert "converge.monotone;converge.expected_order" in cells["converge-override"]["violated"]
+
+    def test_hand_built_columns(self, tmp_path):
+        values = [None, True, np.bool_(False), np.float64(0.1), 7, np.int64(-3), -0.0,
+                  math.nan, math.inf, -math.inf, 5e-324, "a,b", 'say "hi"', "two\nlines", ""]
+        report = cli.Report("x", ["mixed", "floats", "shared", "quoted", "absent", "pass",
+                                  "text"])
+        p = len(values)
+        report.extend([True] * p, mixed=values, floats=[0.1 * k for k in range(p)],
+                      shared=np.float64(2.5), quoted='x, "y"', text=values[::-1])
+        report.extend([False, True], mixed=[1.5, 2.5], floats=[math.nan, -0.0], shared=None,
+                      quoted="plain", text="z")
+        report.provenance["seed"] = 4
+        out = tmp_path / "hand.csv"
+        report.write_csv(out)
+        with open(out, newline="") as fh:
+            text = fh.read()
+        assert text == csv_module_report(report)
+        rows = list(csv.reader(io.StringIO(text.split("\n", 1)[1])))
+        assert [len(row) for row in rows] == [7] * (p + 3)
+        assert [row[0] for row in rows[1:p + 1]] == [cli._fmt(v) for v in values]
+        assert report.column("absent") == [None] * (p + 2)
+        assert report.column("shared") == [2.5] * p + [None] * 2
+        assert not report.passed
 
 
 class TestConfigValidation:

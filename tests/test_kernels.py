@@ -11,6 +11,8 @@ import wavecauchy.solvers as solvers
 from wavecauchy.errors import ConfigError, EvaluationError, StencilError
 from wavecauchy.geometry import (
     _CHUNK_BYTES,
+    MAX_DIMENSION,
+    MAX_OSC_NODES,
     Dimension,
     _omega,
     _radial_rule,
@@ -374,6 +376,49 @@ class TestIdentityBits:
                    KernelQuery(np.zeros(5), 1.0, Dimension(5))]
         with pytest.raises(ValueError, match="one dimension"):
             identity_records(queries)
+
+
+class TestMirroredPlaneWave:
+    """The identity plane wave takes `_cis` on the upper half of the reduced rule's
+    nodes and conjugates for the lower half: the bits of `_cis` on every node."""
+
+    @staticmethod
+    def cis_on_every_node(monkeypatch):
+        monkeypatch.setattr(kernels, "_plane_wave",
+                            lambda wave, y1, count: kernels._cis(wave * y1))
+
+    @pytest.mark.parametrize("max_product", [20.0, 100.0])
+    @pytest.mark.parametrize("base_nodes", [1, 3, 5, 33, 64, 65])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_records_equal_cis_on_every_node(self, monkeypatch, n, base_nodes, max_product):
+        mirrored = identity_sweep(n, 30, seed=60 + n, max_product=max_product,
+                                  base_nodes=base_nodes)
+        self.cis_on_every_node(monkeypatch)
+        full = identity_sweep(n, 30, seed=60 + n, max_product=max_product,
+                              base_nodes=base_nodes)
+        assert record_bits(mirrored) == record_bits(full)
+        assert base_nodes in {rec.nodes for rec in mirrored}
+
+    @pytest.mark.parametrize("n", range(2, MAX_DIMENSION + 1))
+    def test_one_chunk_at_the_node_cap(self, n):
+        # the block sizing of _identity_core keeps a rule in one sphere_sums chunk
+        # when one draw of the default degree 2 m + 4 fits at the most nodes
+        m = Dimension(n).derivative_order
+        assert (2 * m + 5) * (n + 1 - n % 2) * 8 * MAX_OSC_NODES <= _CHUNK_BYTES
+
+    def test_a_draw_at_the_node_cap(self, monkeypatch):
+        xi = np.zeros(11)
+        xi[0] = 1274.5  # R |xi| just under the cap of MAX_OSC_NODES nodes
+        query = KernelQuery(xi, 1.0, Dimension(11))
+        mirrored = identity_records([query])
+        assert mirrored[0].nodes == MAX_OSC_NODES
+        self.cis_on_every_node(monkeypatch)
+        assert record_bits(mirrored) == record_bits(identity_records([query]))
+
+    def test_a_rule_split_over_chunks_is_refused(self):
+        y1 = np.zeros((2, 3))
+        with pytest.raises(AssertionError, match="split"):
+            kernels._plane_wave(np.ones((2, 1)), y1, 5)
 
 
 class TestConstantsTwoWays:
