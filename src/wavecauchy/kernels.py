@@ -39,7 +39,7 @@ from .geometry import (
     sphere_quadrature_for_order,
     unit_ball_volume,
 )
-from .radial import chain_apply, check_radius, default_spec, resolve_spec
+from .radial import chain_apply, check_radius, default_spec, default_stencil, resolve_spec
 from .solvers import means_rule, means_series
 
 #: complex elements (16 bytes each) in the Fourier evaluator's largest per-chunk array
@@ -105,9 +105,8 @@ def _identity_core(n: int, radius: np.ndarray, knorm: np.ndarray, specs,
     its own, so each record is the one its draw gets alone."""
     m, n_means = Dimension(n).derivative_order, n + 1 - n % 2
     _osc_nodes(knorm * radius, base_nodes)  # refuse an oversized rule before any spec
-    if specs is None:  # default_spec at oscillation |xi|: t/(2m + 10), at most 0.05/|xi|
-        cap = np.divide(0.05, knorm, out=np.full(knorm.shape, np.inf), where=knorm > 0)
-        h, degree = np.minimum(radius / (2 * m + 10), cap), 2 * m + 4
+    if specs is None:
+        h, degree = default_stencil(m, radius, knorm)  # default_spec at oscillation |xi|
     elif any(spec.iterations != m for spec in specs):
         raise ValueError(f"every spec needs {m} iterations at dimension {n}")
     else:

@@ -6,9 +6,12 @@ a_{m,j} defined by the recurrence a_{m+1,j} = (j - 2m) a_{m,j} + a_{m,j-1},
     (1/t d/dt)^m F(t) = sum_{j=1..m} a_{m,j} t^(j-2m) F^(j)(t),
 
 and the derivatives F^(j)(t) come from interpolating F through a symmetric
-stencil of degree+1 equally spaced points. The result is exact (to rounding)
-whenever F is a polynomial of degree <= the fit degree, which is what makes
-polynomial test data bit-tight downstream.
+stencil of degree+1 equally spaced points. Both steps are linear in the
+samples, so the operator is one row of stencil weights per t and h
+(`chain_weights`), as finite-difference weights are (Fornberg, Math. Comp. 51,
+1988), and `chain_apply` is that row times each profile of samples. The result
+is exact (to rounding) whenever F is a polynomial of degree <= the fit degree,
+which is what makes polynomial test data bit-tight downstream.
 """
 
 from __future__ import annotations
@@ -72,19 +75,23 @@ def check_radius(m: int, t, h) -> None:
                       RuntimeWarning, stacklevel=4)
 
 
-def default_spec(iterations: int, t: float, oscillation: float = 0.0) -> RadialDerivativeSpec:
-    """Spacing tuned to the evaluation radius and the integrand oscillation.
+def default_stencil(m: int, t, oscillation=0.0):
+    """The default spacing and fit degree for m iterations at radius t, scalars or
+    arrays alike: h = t / (2 m + 10), at most 0.05 / oscillation where the
+    oscillation is positive, and degree 2 m + 4. oscillation is the magnitude of
+    d/dt-frequencies present in F (for the exponential averages this is |xi|);
+    h * oscillation ~ 0.05 balances the fit truncation against rounding."""
+    cap = np.divide(0.05, oscillation, out=np.full(np.shape(oscillation), np.inf),
+                    where=np.greater(oscillation, 0))
+    return np.minimum(t / (2 * m + 10), cap), 2 * m + 4
 
-    oscillation is the magnitude of d/dt-frequencies present in F (for the
-    exponential averages this is |xi|); h*oscillation ~ 0.05 balances the
-    fit truncation against rounding.
-    """
-    h = t / (2 * iterations + 10)
-    if oscillation > 0:
-        h = min(h, 0.05 / oscillation)
+
+def default_spec(iterations: int, t: float, oscillation: float = 0.0) -> RadialDerivativeSpec:
+    """The `default_stencil` spec at t, tuned to the integrand oscillation."""
+    h, degree = default_stencil(iterations, t, oscillation)
     if not h > 0:
         raise StencilError(f"h must be positive: t = {t:g} leaves h = {h:g}")
-    return RadialDerivativeSpec(iterations, h, 2 * iterations + 4)
+    return RadialDerivativeSpec(iterations, float(h), degree)
 
 
 def resolve_spec(m: int, t: float,
@@ -160,30 +167,32 @@ def _power(x, p: int):
     return np.array([v ** p for v in x.tolist()])
 
 
-def _fit_derivatives(values: np.ndarray, h, max_order: int) -> np.ndarray:
-    """F^(0..max_order) at the stencil center from the polynomial interpolant
-    through the samples values, (R,) or (R, ...) with one profile per trailing
-    index, shaped (max_order + 1,) + that trailing shape (h: one or D)."""
-    degree = len(values) - 1
-    if max_order > degree:
-        raise StencilError(f"need derivative order {max_order} but fit degree is {degree}")
-    scale = stencil_offsets(degree)[-1] * h
-    # one matrix-vector product per profile, a contiguous row in any layout of values,
-    # which rounds as that profile alone does; one matrix product would not
-    profiles = np.ascontiguousarray(values.reshape(degree + 1, -1).T)
-    coeffs = np.matmul(_fit_matrix(degree), profiles[..., None])[..., 0].T.reshape(values.shape)
-    return np.array(
-        [math.factorial(j) * coeffs[j] / _power(scale, j) for j in range(max_order + 1)]
-    )
+def chain_weights(degree: int, m: int, t, h) -> np.ndarray:
+    """The weights w with (1/t d/dt)^m F(t) = w . F on the degree + 1 samples F at
+    spacing h around t: (R,) at one t and h, or (D, R) at t and h of shape (D,),
+    each row the bits of its scalar call. Row j of `_fit_matrix` over scale^j
+    gives F^(j) / j!, weighed by a_{m,j} t^(j-2m) j!. EvaluationError when a
+    weight is not finite, as a t ** (j - 2m) beyond the float range makes it."""
+    if m > degree:
+        raise StencilError(f"need derivative order {m} but fit degree is {degree}")
+    fit, scale = _fit_matrix(degree), degree / 2 * h
+    try:
+        with np.errstate(all="ignore"):  # refused below, with no warning
+            weights = sum(np.multiply.outer(a * math.factorial(j) * _power(t, j - 2 * m)
+                                            / _power(scale, j), fit[j])
+                          for j, a in radial_chain_coefficients(m))
+    except (OverflowError, ZeroDivisionError):  # a float's power or quotient
+        weights = np.array(math.inf)
+    if not np.isfinite(weights).all():
+        raise EvaluationError(f"(1/t d/dt)^{m} at t = {np.min(t):g} overflows")
+    return weights
 
 
 def chain_apply(values: np.ndarray, m: int, t, h):
-    """(1/t d/dt)^m at t from the samples values on the stencil of spacing h
-    around t. t and h are scalars, or one per profile of samples (R, D), each
-    profile's value the one it gets alone. The d/dt of (1/t d/dt)^m is t times
-    the chain one order higher, t (1/t d/dt)^(m+1)."""
-    try:
-        derivs = _fit_derivatives(values, h, m)
-        return sum(a * _power(t, j - 2 * m) * derivs[j] for j, a in radial_chain_coefficients(m))
-    except OverflowError as exc:  # a float t ** (j - 2m) beyond the float range
-        raise EvaluationError(f"(1/t d/dt)^{m} at t = {np.min(t):g} overflows") from exc
+    """(1/t d/dt)^m at t from the samples values, (R,) or (R, ...) with one profile
+    per trailing index, on the stencil of spacing h around t: t and h scalars,
+    or one per profile of samples (R, D). Each profile times its `chain_weights`
+    is summed as one contiguous row in any layout, as it is alone. The d/dt of
+    (1/t d/dt)^m is t times the chain one order higher, t (1/t d/dt)^(m+1)."""
+    weights = chain_weights(len(values) - 1, m, t, h)
+    return np.ascontiguousarray(weights * np.moveaxis(values, 0, -1)).sum(axis=-1)

@@ -31,12 +31,13 @@ Any other field takes the default product rule at the probe. A caller's
 together: each distinct time's stencil and node count are resolved once,
 the pairs go in groups of one node count, taken time by time, each field's
 sphere sums are taken once per stencil radius set for a whole group, and
-the radial chain acts on the samples array, shape (R, P), with one t and h
-per pair. For radial data on the reduced rule, pairs with the same summing
-centre (the probe moved onto the ray from the data's centre) and the same
-time share one sphere, summed once. Each pair's value and error estimate
-are the ones it gets alone, to the bit, so one point is a batch of one:
-`solve_points(problem, [x], t)[0]`.
+each field's radial chain is one row of stencil weights per distinct time
+(`radial.chain_weights`), gathered per pair: u, its h/2 value, the null-sum
+term and the rounding bound's a_j all come from those rows. For radial data
+on the reduced rule, pairs with the same summing centre (the probe moved onto
+the ray from the data's centre) and the same time share one sphere, summed
+once. Each pair's value and error estimate are the ones it gets alone, to the
+bit, so one point is a batch of one: `solve_points(problem, [x], t)[0]`.
 
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
@@ -82,7 +83,7 @@ from .geometry import (
     sphere_sums,
     unit_ball_volume,
 )
-from .radial import RadialDerivativeSpec, chain_apply, resolve_spec, stencil_radii
+from .radial import RadialDerivativeSpec, chain_weights, resolve_spec, stencil_radii
 
 #: cap on one slab of grid coordinates in `GridSpec.slabs`: with the field's values
 #: and their rfft it fits a 2 MB L2 cache (8 MB slabs ran about 15 % slower)
@@ -230,13 +231,6 @@ def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature
     return (rule or sphere_quadrature(n)) if n % 2 else descent_rule(n, rule)
 
 
-def _means_term(role: str, samples: np.ndarray, m: int, t, h) -> np.ndarray:
-    """One field's part of the solution sum at each of the P centres, from its
-    stencil samples at spacing h, odd n: (1/t d/dt)^m of psi's r^(n-2)-scaled
-    mean, or the d/dt of phi's, which is t (1/t d/dt)^(m+1) of it."""
-    return chain_apply(samples, m, t, h) if role == "psi" else t * chain_apply(samples, m + 1, t, h)
-
-
 def _lift(field: ScalarField) -> ScalarField:
     """field extended to one more dimension, constant in the last coordinate.
     A field radial in all n coordinates stays radial in the first n; one
@@ -327,11 +321,8 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
         # and one time share each pass's sphere sums
         distinct = {role: _distinct(moved[role], tp) for role in radial if len(tp) > 1}
         times = {}  # the group's distinct times, and each pair's among them
-        at = [times.setdefault(ti, len(times)) for ti in tp]
-        hs = [steps[ti][0] for ti in times]
-        # one time: scalars, whose powers the chain takes once and whose radii are shared
-        tg, h, at = ((tp[0], hs[0], slice(None)) if len(times) == 1
-                     else (np.array(tp), np.take(hs, at), at))
+        at = np.array([times.setdefault(ti, len(times)) for ti in tp])
+        td, hd = np.array(list(times)), np.array([steps[ti][0] for ti in times])
         # polynomial data stack |field| on their h pass for the rounding bound
         exact = [role for role, f in fields.items() if f.degree is not None and with_error]
 
@@ -340,60 +331,53 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
             g = (lambda points: np.stack([v := field(points), np.abs(v)], axis=-3)
                  ) if magnitude else field
             centre, on = placement(role)
-            if distinct.get(role) is None:
-                return means_series(g, centre, on, tg, degrees[role], h, coarse, null)
             # the distinct spheres summed, their samples (and null sums) scattered back
-            first, inverse = distinct[role]
-            pick = (lambda a: a[first] if np.ndim(a) else a)
-            out = means_series(g, centre[first], on, pick(tg), degrees[role], pick(h),
+            first, inverse = distinct.get(role) or (slice(None), slice(None))
+            out = means_series(g, centre[first], on, td[at[first]], degrees[role], h[at[first]],
                                None if coarse is None else coarse.T[first].T, null)
             return out.T[inverse].T if null is None else tuple(a.T[inverse].T for a in out)
 
-        def total(terms) -> np.ndarray:
-            return constant * sum(terms, np.zeros(len(members)))
+        def weights(role: str, h) -> np.ndarray:
+            # each distinct time's stencil weights, one row per pair: (1/t d/dt)^m for
+            # psi's r^(n-2)-scaled mean, t (1/t d/dt)^(m+1), its d/dt, for phi's
+            w = chain_weights(degrees[role], m + (role == "phi"), td, h)
+            return (w if role == "psi" else td[:, None] * w)[at]
+
+        def weigh(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+            # each pair's weights times its samples (R, P), one contiguous row, as alone
+            return np.ascontiguousarray(w * s.T).sum(axis=-1)
 
         stacked, nulls = {}, {}
         for role in fields:
             if role in radial and with_error:  # the null sums too, for the quadrature bound
                 null = _null_weights(len(fields[role].radial_center), means.dim.n, count)
-                stacked[role], nulls[role] = sample(role, h, null=null)
+                stacked[role], nulls[role] = sample(role, hd, null=null)
             else:
-                stacked[role] = sample(role, h, magnitude=role in exact)
+                stacked[role] = sample(role, hd, magnitude=role in exact)
         # samples stacked (R, 2, P) with |field|'s
         series = {role: s[:, 0] if role in exact else s for role, s in stacked.items()}
-        u_terms, weights = {}, {}
-        for role, s in series.items():
-            size, ts, hh = len(s), tg, h
-            if with_error:  # unit samples per distinct time, whose parts are the weights a_j
-                s = np.hstack([s] + [np.eye(size)] * len(times))
-                if len(times) > 1:
-                    ts = np.concatenate([tg, np.repeat(list(times), size)])
-                    hh = np.concatenate([h, np.repeat(hs, size)])
-            parts = _means_term(role, s, m, ts, hh)  # each profile rounds as it does alone
-            u_terms[role], weights[role] = parts[:len(members)], parts[len(members):]
-        u = total(u_terms.values())
+        w = {role: weights(role, hd) for role in fields}
+        zeros = np.zeros(len(members))
+        u = constant * sum((weigh(w[role], s) for role, s in series.items()), zeros)
         err = np.full(len(members), math.nan)
         if with_error:
             # stencil truncation: where halving h at least halves the error, the
             # error at h is at most 2 |u_h - u_(h/2)|; h / 2 sums its odd offsets only
-            err = 2.0 * abs(u - total(_means_term(role, sample(role, h / 2.0, series[role]),
-                                                  m, tg, h / 2.0) for role in fields))
+            err = 2.0 * abs(u - constant * sum((weigh(weights(role, hd / 2.0),
+                                                      sample(role, hd / 2.0, series[role]))
+                                                for role in fields), zeros))
             # the reduced rule's quadrature error: the largest of the integrand's
-            # last coefficients (its null sums) taken through the chain, with a
-            # margin; each pair's Q null sums are one contiguous profile, as alone
+            # last coefficients (its null sums, (R, Q, P)) taken through the chain,
+            # with a margin
             for role, tail in nulls.items():
-                q = tail.shape[1]
-                tail = tail.reshape(len(tail), -1, order="F")
-                ts, hh = (tg, h) if len(times) == 1 else (np.repeat(tg, q), np.repeat(h, q))
-                chained = constant * _means_term(role, tail, m, ts, hh).reshape(-1, q)
+                chained = constant * weigh(w[role][:, None], tail)
                 err += QUADRATURE_MARGIN * abs(chained).max(axis=1)
-            # rounding, which both differences can miss (ROUNDING_FACTOR), each
-            # pair's terms summed as one contiguous row, as for one pair
+            # rounding, which both differences can miss (ROUNDING_FACTOR): each
+            # pair's weights a_j against its samples' magnitudes
             for role, s in series.items():
                 magnitudes = stacked[role][:, 1] if role in exact else np.abs(s)
-                a = weights[role].reshape(-1, len(s))[at]  # each pair's a_j
-                rows = np.ascontiguousarray(np.abs(a) * magnitudes.T)
-                err += total([ROUNDING_FACTOR * np.finfo(np.float64).eps * rows.sum(axis=-1)])
+                err += constant * (ROUNDING_FACTOR * np.finfo(np.float64).eps
+                                   * weigh(abs(w[role]), magnitudes))
         for i, ux, ex in zip(members, u, err):
             samples[i] = SolutionSample(xs[i], t[i], float(ux), method, float(ex))
     return samples

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wavecauchy.radial import (
     _fit_matrix,
     RadialDerivativeSpec,
     chain_apply,
+    chain_weights,
     default_spec,
     radial_chain_coefficients,
     stencil_offsets,
@@ -136,7 +138,7 @@ class TestIteratedDerivative:
         both = []
         for t0, spec in zip(times, specs):
             radii = stencil_radii(t0, degree, spec.h)
-            weights = t0 * chain_apply(np.eye(degree + 1), m + 1, t0, spec.h)
+            weights = t0 * chain_weights(degree, m + 1, t0, spec.h)
             samples = np.stack([radii**k for k in range(degree + 1)], axis=1)
             got = t0 * chain_apply(samples, m + 1, t0, spec.h)
             alone = [t0 * chain_apply(samples[:, k], m + 1, t0, spec.h)
@@ -180,6 +182,17 @@ class TestIteratedDerivative:
         radii = stencil_radii(t0, spec.degree, spec.h)
         with pytest.raises(EvaluationError):
             chain_apply(radii * radii, 2, t0, spec.h)
+
+    @pytest.mark.parametrize("t0, h", [(1e-150, 5e-152), (1.0, 1e-170)],
+                             ids=["power", "quotient"])
+    def test_overflowing_weights_raise_with_no_warning(self, t0, h):
+        # t ** (j - 2m) overflows, or scale^j underflows to 0 under the quotient:
+        # a float raises, numpy's arrays give a weight that is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in ((t0, h), (np.array([1.0, t0]), np.array([0.05, h]))):
+                with pytest.raises(EvaluationError, match="overflows"):
+                    chain_weights(8, 2, *args)
 
     def test_convergence_order(self):
         # halving h: the even-degree symmetric fit should gain at least
@@ -229,3 +242,39 @@ class TestIteratedDerivative:
             off = stencil_offsets(degree)
             assert len(off) == degree + 1
             np.testing.assert_allclose(off, -off[::-1], atol=0)
+
+
+class TestChainWeights:
+    @pytest.mark.parametrize("m", range(6))
+    def test_batch_rows_are_the_scalar_calls(self, m):
+        rng = np.random.default_rng(10 + m)
+        degree = 2 * m + 4
+        t = rng.uniform(0.3, 3.0, 25)
+        h = t / rng.uniform(2 * m + 7, 40.0, 25)
+        rows = chain_weights(degree, m, t, h)
+        assert rows.shape == (25, degree + 1)
+        for row, tt, hh in zip(rows, t.tolist(), h.tolist()):
+            assert row.tobytes() == chain_weights(degree, m, tt, hh).tobytes()
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_unit_samples_give_the_weights(self, m):
+        degree, t0 = 2 * m + 6, 1.3
+        h = t0 / (2 * m + 10)
+        weights = chain_weights(degree, m, t0, h)
+        np.testing.assert_array_equal(chain_apply(np.eye(degree + 1), m, t0, h), weights)
+        t = np.array([t0, 0.7])
+        pairs = chain_apply(np.eye(degree + 1)[:, [3, 3]], m, t, t / (2 * m + 10))
+        np.testing.assert_array_equal(pairs, chain_weights(degree, m, t, t / (2 * m + 10))[:, 3])
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_powers_up_to_the_degree_are_exact(self, m):
+        # (1/t d/dt)^m r^k = k (k - 2) .. (k - 2m + 2) t^(k - 2m): exact up to the
+        # fit degree, to 1e-12 of the sum's magnitude sum_i |w_i r_i^k|
+        for t0 in (1.3, 0.7):
+            spec = default_spec(m, t0)
+            radii = stencil_radii(t0, spec.degree, spec.h)
+            weights = chain_weights(spec.degree, m, t0, spec.h)
+            for k in range(spec.degree + 1):
+                exact = math.prod(k - 2 * i for i in range(m)) * t0 ** (k - 2 * m)
+                magnitude = np.abs(weights) @ np.abs(radii**k)
+                assert abs(weights @ radii**k - exact) <= 1e-12 * magnitude, (t0, k)
