@@ -1,20 +1,20 @@
 """The sinc kernel sin(R|xi|)/|xi| as the wave propagator T_R, and its
 radial-derivative identities.
 
-T_R is the solver's velocity term: c_N (1/R d/dR)^m of the r^(N-2)-scaled
-sphere means over S^(N-1) (`solvers.means_series`), with N = n for odd n and
-N = n + 1 by descent for even n. `DistributionFunctional.action` applies it to
-a test function, `_identity_core` (under `identity_records` and
+T_R is the solver's velocity term: c_N (1/R d/dR)^m of the r^(N-2)-scaled sphere
+means over S^(N-1) (`solvers.means_series`), N = n for odd n and N = n + 1 by
+descent for even n, each summed only at the radii the chain weighs
+(`radial.chain_support`: R alone at n = 2 and 3). `DistributionFunctional.action`
+applies it to a test function, `_identity_core` (under `identity_records` and
 `identity_sweep`) to the plane wave e^{-i x.xi}, one array computation per
 dimension with one sphere sum and chain per block of draws, and
 `normalization_constant` to the constant 1; the last two sum on the reduced
 rule of radial data (`geometry._radial_rule`). Plane waves and the Fourier
 evaluator's tables are cos/sin of real phases (`_cis`), the bits of the complex
 exp: its argument's real part is +-0; both take them on the upper half of mirrored
-nodes only and conjugate the rest (`_plane_wave`, `_axis_table`).
-`means_series` is the only code here that turns sphere sums into samples; the
-direct weighted ball mean (`solvers.weighted_ball_mean`) stays as the test
-oracle of the descent.
+nodes only and conjugate the rest (`_plane_wave`, `_axis_table`). `means_series` is
+the only code here that turns sphere sums into samples; the direct weighted ball
+mean (`solvers.weighted_ball_mean`) stays as the test oracle of the descent.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .geometry import (
     sphere_quadrature_for_order,
     unit_ball_volume,
 )
-from .radial import chain_apply, check_radius, default_spec, default_stencil, resolve_spec
+from .radial import (chain_apply, chain_support, check_radius, default_spec, default_stencil,
+                     resolve_spec)
 from .solvers import means_rule, means_series
 
 #: complex elements (16 bytes each) in the Fourier evaluator's largest per-chunk array
@@ -119,11 +120,13 @@ def _identity_core(n: int, radius: np.ndarray, knorm: np.ndarray, specs,
     for g, (deg, count) in enumerate(keys.T.tolist()):
         members = np.flatnonzero(group.ravel() == g)
         block = max(1, _CHUNK_BYTES // ((deg + 1) * n_means * 8 * count))
+        support = chain_support(deg, m)  # the radii the chain weighs
         for index in np.split(members, range(block, len(members), block)):
             t, k, step = radius[index], knorm[index], h[index]
-            wave = np.repeat(-k, deg + 1)[:, None]  # minus the frequency at each stencil radius
+            wave = np.repeat(-k, support.sum())[:, None]  # -|xi| at each summed radius
             samples = means_series(lambda points: _plane_wave(wave, points[..., 0], count), 0.0,
-                                   _radial_rule(n_means, n_means, count), t, deg, step)
+                                   _radial_rule(n_means, n_means, count), t, deg, step,
+                                   support=support)
             value = solution_constant(n_means) * chain_apply(samples, m, t, step)
             residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
             for row in zip(index.tolist(), t.tolist(), k.tolist(), residual.tolist(),
@@ -183,7 +186,7 @@ def normalization_constant(n: int, radius: float = 1.0,
     spec = default_spec(m, radius)
     n_means = n + 1 - n % 2
     samples = means_series(constant(n_means), 0.0, _radial_rule(n_means, n_means, base_nodes),
-                           radius, spec.degree, spec.h)
+                           radius, spec.degree, spec.h, support=chain_support(spec.degree, m))
     denominator = float(chain_apply(samples, m, radius, spec.h))
     if denominator == 0.0 or not math.isfinite(denominator):
         raise EvaluationError(f"the derivative chain at R = {radius:g} gave {denominator!r}")
@@ -228,7 +231,8 @@ class DistributionFunctional:
         rule = means_rule(n, rule)
         spec = resolve_spec(self.dim.derivative_order, self.radius)
         samples = means_series(lambda points: test_fn(points[..., :n]), 0.0, rule, self.radius,
-                               spec.degree, spec.h)
+                               spec.degree, spec.h,
+                               support=chain_support(spec.degree, spec.iterations))
         return solution_constant(rule.n) * chain_apply(samples, spec.iterations, self.radius,
                                                        spec.h)
 

@@ -37,7 +37,7 @@ class RadialDerivativeSpec:
     iterations: m, the number of (1/t d/dt) applications.
     h: stencil spacing; must satisfy h < t / (2 m + 6) at the evaluation
        radius so the stencil stays well inside t > 0.
-    degree: local polynomial degree of the fit (>= iterations + 2).
+    degree: local polynomial degree of the fit, even and >= iterations + 2.
     """
 
     iterations: int
@@ -49,8 +49,8 @@ class RadialDerivativeSpec:
             raise ValueError("iterations must be non-negative")
         if not self.h > 0:
             raise StencilError(f"h must be positive, got {self.h:g}")
-        if self.degree < self.iterations + 2:
-            raise ValueError("degree must be at least iterations + 2")
+        if self.degree < self.iterations + 2 or self.degree % 2:  # odd: no centre node
+            raise ValueError(f"degree must be even and at least iterations + 2, got {self.degree}")
 
     def validate_radius(self, t: float) -> None:
         if not 0 < CONDITIONING_FLAG * t <= self.h < t / (2 * self.iterations + 6):
@@ -155,6 +155,16 @@ def _fit_matrix(degree: int) -> np.ndarray:
         inv[:, i] = [c * degree**j / denom for j, c in enumerate(poly)]
     inv.setflags(write=False)
     return inv
+
+
+@lru_cache(maxsize=64)
+def chain_support(degree: int, m: int) -> np.ndarray:
+    """Where `chain_weights(degree, m, t, h)` is not zero, at any t and h: the rows j of
+    `_fit_matrix` with a_{m,j} != 0 off their exact zeros. Row 0 is zero off the centre
+    (m = 0, Kirchhoff's t times the mean at t), odd rows at it (m = 1 skips it)."""
+    support = (_fit_matrix(degree)[[j for j, _ in radial_chain_coefficients(m)]] != 0).any(0)
+    support.setflags(write=False)
+    return support
 
 
 def _power(x, p: int):

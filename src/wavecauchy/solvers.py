@@ -14,18 +14,18 @@ is the (n+1)-dimensional one at (x, 0) (Poisson's formula when n = 2).
 The weighted ball mean itself stays as `weighted_ball_mean`, the paper's
 direct formula, kept as a test oracle.
 
-Every field's sphere sums go through `geometry.sphere_sums`, and
-`means_series` turns them into the stencil samples the radial derivative
-acts on, for the solver's terms and for the kernel identities and the
-distribution functional of `kernels` alike; only the rule and the centre
-depend on the data. A field with a `degree` (harmonic, constant) takes the
-product rule of that order, which sums it exactly. Any other field with a
-`radial_center` (gaussian, bump) takes the paper's single-coordinate
-reduction, two coordinates after descent, as a rule on the sphere
-(`geometry._radial_rule`), summed about the point on the ray from its
-centre at the probe's distance (`geometry.radial_sum_center`).
-Any other field takes the default product rule at the probe. A caller's
-`rule` replaces both product rules; each is built only when a field needs it.
+Every field's sphere sums go through `geometry.sphere_sums`, and `means_series`
+turns them into the stencil samples the radial derivative acts on, for the
+solver's terms and for the kernel identities and the distribution functional of
+`kernels` alike, only at the radii each chain weighs (`radial.chain_support`: t
+alone for psi at n = 2 and 3); only the rule and the centre depend on the data. A
+field with a `degree` (harmonic, constant) takes the product rule of that order,
+which sums it exactly. Any other field with a `radial_center` (gaussian, bump)
+takes the paper's single-coordinate reduction, two coordinates after descent, as a
+rule on the sphere (`geometry._radial_rule`), summed about the point on the ray
+from its centre at the probe's distance (`geometry.radial_sum_center`). Any other
+field takes the default product rule at the probe. A caller's `rule` replaces both
+product rules; each is built only when a field needs it.
 
 `solve_points` solves a batch of P (point, time) pairs, in any order,
 together: each distinct time's stencil and node count are resolved once,
@@ -83,7 +83,7 @@ from .geometry import (
     sphere_sums,
     unit_ball_volume,
 )
-from .radial import RadialDerivativeSpec, chain_weights, resolve_spec, stencil_radii
+from .radial import RadialDerivativeSpec, chain_support, chain_weights, resolve_spec, stencil_radii
 
 #: cap on one slab of grid coordinates in `GridSpec.slabs`: with the field's values
 #: and their rfft it fits a 2 MB L2 cache (8 MB slabs ran about 15 % slower)
@@ -189,24 +189,34 @@ QUADRATURE_MARGIN = 2.0
 ROUNDING_FACTOR = 128
 
 
-def means_series(g, center, rule: SphereQuadrature, t, degree: int,
-                 h, coarse: np.ndarray | None = None, null: np.ndarray | None = None):
+def means_series(g, center, rule: SphereQuadrature, t, degree: int, h,
+                 coarse: np.ndarray | None = None, null: np.ndarray | None = None,
+                 support: np.ndarray | None = None):
     """g's r^(N-2)-scaled sphere sums over omega_N, N = rule.n, at the degree + 1
     stencil radii of spacing h around t: the samples (1/t d/dt)^m acts on, and
     the only place sphere sums become them. One centre (shape (N,) or a
     scalar) gives samples of shape (R,), or (R, D) for t and h of shape (D,),
     g seeing the D R radii flat; P centres (shape (P, N)) give (R, P), at one
     t and h or each at its own (shape (P,)).
-    With coarse, the samples at spacing 2 h (degree even), only the odd offsets
-    are summed: offset 2k is coarse's offset k, the same radius to the bit.
+    With support (`radial.chain_support`), only the radii the chain weighs are
+    summed; the others' samples are 0.0. With coarse, the samples at spacing 2 h,
+    only the odd offsets are summed (g is not called when none is weighed):
+    offset 2k is coarse's offset k, the same radius to the bit.
     With null weights (`geometry._null_weights`) and P centres, also the null
     sums scaled as the samples are, shaped (R, Q, P): (samples, nulls).
-    StencilError when the stencil reaches a radius <= 0."""
+    StencilError when the full stencil reaches a radius <= 0."""
     summed = stencil_radii(t, degree, h)
+    pick = np.ones(degree + 1, dtype=bool) if support is None else support
+    full = None
     if coarse is not None:
         offsets = np.arange(degree + 1) - degree // 2
-        odd = offsets % 2 == 1
-        summed = summed[..., odd]
+        even = offsets % 2 == 0
+        full = np.zeros_like(coarse)
+        full[even] = coarse[degree // 2 + offsets[even] // 2]
+        pick = pick & ~even
+        if not pick.any():
+            return full
+    summed = summed[..., pick]
     if np.ndim(center) == 2:  # sums (P, [k,] R), the radii shared or one row per centre
         sums = sphere_sums(g, center, summed, rule, null)
         sums, tails = sums if null is not None else (sums, None)
@@ -215,14 +225,14 @@ def means_series(g, center, rule: SphereQuadrature, t, degree: int,
         sums = sphere_sums(g, center, summed.ravel(), rule)
         sums = sums.reshape(sums.shape[:-1] + summed.shape)
     values = (summed ** (rule.n - 2) * sums / _omega(rule.n)).T
-    if null is not None:
-        return values, np.moveaxis(summed[..., None] ** (rule.n - 2) * tails / _omega(rule.n),
-                                   0, -1)
-    if coarse is None:
-        return values
-    full = np.empty_like(coarse)
-    full[odd], full[~odd] = values, coarse[degree // 2 + offsets[~odd] // 2]
-    return full
+    full = np.zeros((degree + 1,) + values.shape[1:], values.dtype) if full is None else full
+    full[pick] = values
+    if null is None:
+        return full
+    tails = np.moveaxis(summed[..., None] ** (rule.n - 2) * tails / _omega(rule.n), 0, -1)
+    nulls = np.zeros((degree + 1,) + tails.shape[1:])
+    nulls[pick] = tails
+    return full, nulls
 
 
 def means_rule(n: int, rule: SphereQuadrature | None = None) -> SphereQuadrature:
@@ -291,11 +301,12 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
             resolved = resolve_spec(m, ti, spec)
             nodes = max((radial_node_count(fields[role], ti) for role in radial),
                         default=MIN_RADIAL_NODES)
-            # the same at every time: the caller's degree, or the default 2 m + 4
-            degrees = {"psi": resolved.degree, "phi": resolved.degree + 2}
+            # each field's chain (degree, order), the same at every time: psi's on the
+            # caller's degree or the default 2 m + 4, phi's t (1/t d/dt)^(m+1) on 2 more
+            chains = {"psi": (resolved.degree, m), "phi": (resolved.degree + 2, m + 1)}
             if ti <= (resolved.degree + 2) * resolved.h:  # a stencil may reach radius 0
                 for role in fields:
-                    stencil_radii(ti, degrees[role], resolved.h)
+                    stencil_radii(ti, chains[role][0], resolved.h)
             steps[ti] = resolved.h, nodes
         groups.setdefault(steps[ti][1], []).append(i)
 
@@ -333,14 +344,14 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
             centre, on = placement(role)
             # the distinct spheres summed, their samples (and null sums) scattered back
             first, inverse = distinct.get(role) or (slice(None), slice(None))
-            out = means_series(g, centre[first], on, td[at[first]], degrees[role], h[at[first]],
-                               None if coarse is None else coarse.T[first].T, null)
+            out = means_series(g, centre[first], on, td[at[first]], chains[role][0], h[at[first]],
+                               None if coarse is None else coarse.T[first].T, null,
+                               chain_support(*chains[role]))
             return out.T[inverse].T if null is None else tuple(a.T[inverse].T for a in out)
 
         def weights(role: str, h) -> np.ndarray:
-            # each distinct time's stencil weights, one row per pair: (1/t d/dt)^m for
-            # psi's r^(n-2)-scaled mean, t (1/t d/dt)^(m+1), its d/dt, for phi's
-            w = chain_weights(degrees[role], m + (role == "phi"), td, h)
+            # each distinct time's stencil weights (phi's times t), one row per pair
+            w = chain_weights(*chains[role], td, h)
             return (w if role == "psi" else td[:, None] * w)[at]
 
         def weigh(w: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -1153,6 +1153,16 @@ class TestErrorExits:
         assert main([command, "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_velocity_overflowing_at_t_exits_one(self, tmp_path, capsys):
+        # at n = 3 psi is summed on the sphere of radius t alone, the one sample its
+        # chain weighs; data that overflow there are still refused
+        cfg = write_config(tmp_path, "[run]\ncommand = solve\ndim = 3\n[data]\npsi = harmonic\n"
+                                     "psi_poly = cubic\npsi_amplitude = 1e300\n[solve]\n"
+                                     "probes = 1e3 1e3 1e3\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["solve", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: g returned non-finite values")
+
 
 #: one small config per command (and converge target) that the fuzz mutates
 FUZZ_BASES = {

@@ -30,7 +30,8 @@ from wavecauchy.kernels import (
     identity_sweep,
     normalization_constant,
 )
-from wavecauchy.radial import RadialDerivativeSpec, chain_apply, default_spec, stencil_radii
+from wavecauchy.radial import (RadialDerivativeSpec, chain_apply, chain_support, default_spec,
+                              stencil_radii)
 from wavecauchy.solvers import CauchyProblem, means_series, solve_points, weighted_ball_mean
 
 
@@ -329,9 +330,11 @@ def exp_sweep(n, count, seed, max_product=20.0):
         block = max(1, _CHUNK_BYTES // ((degree + 1) * n_means * 8 * nodes))
         for first in range(0, len(members), block):
             index, t, k, h = (np.array(column) for column in zip(*members[first:first + block]))
-            wave = np.repeat(k, degree + 1)[:, None]
+            support = chain_support(degree, m)  # the radii the chain weighs
+            wave = np.repeat(k, support.sum())[:, None]
             samples = means_series(lambda points: np.exp(-1j * wave * points[..., 0]), 0.0,
-                                   _radial_rule(n_means, n_means, nodes), t, degree, h)
+                                   _radial_rule(n_means, n_means, nodes), t, degree, h,
+                                   support=support)
             value = solution_constant(n_means) * chain_apply(samples, m, t, h)
             residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
             for row in zip(index, t, k, residual, abs(value.imag), h):

@@ -11,6 +11,7 @@ from wavecauchy.radial import (
     _fit_matrix,
     RadialDerivativeSpec,
     chain_apply,
+    chain_support,
     chain_weights,
     default_spec,
     radial_chain_coefficients,
@@ -214,6 +215,8 @@ class TestIteratedDerivative:
             RadialDerivativeSpec(1, 0.0, 4)
         with pytest.raises(ValueError):
             RadialDerivativeSpec(2, 0.1, 3)  # degree below m + 2
+        with pytest.raises(ValueError, match="even"):
+            RadialDerivativeSpec(0, 0.1, 5)  # no centre node
 
     def test_stencil_errors(self):
         spec = RadialDerivativeSpec(1, 0.2, 4)
@@ -278,3 +281,70 @@ class TestChainWeights:
                 exact = math.prod(k - 2 * i for i in range(m)) * t0 ** (k - 2 * m)
                 magnitude = np.abs(weights) @ np.abs(radii**k)
                 assert abs(weights @ radii**k - exact) <= 1e-12 * magnitude, (t0, k)
+
+
+class TestChainSupport:
+    @pytest.mark.parametrize("m", range(6))
+    def test_support_is_where_the_weights_are_not_zero(self, m):
+        for degree in range(m + 2 + m % 2, 2 * m + 9, 2):
+            support = chain_support(degree, m)
+            t = np.array([1.3, 0.7, 2.9, 0.35])
+            h = t / np.array([2 * m + 10, 2 * m + 7, 40.0, 2 * m + 30])
+            for tt, hh in zip(t.tolist(), h.tolist()):
+                np.testing.assert_array_equal(chain_weights(degree, m, tt, hh) != 0, support)
+            assert ((chain_weights(degree, m, t, h) != 0) == support).all()  # each (D, R) row
+
+    def test_patterns(self):
+        # m = 0 weighs the centre alone (Kirchhoff's t times the mean at t), the
+        # d/dt rows at m = 1 skip it, and from m = 2 on every sample is weighed
+        np.testing.assert_array_equal(chain_support(4, 0), [0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(chain_support(6, 1), [1, 1, 1, 0, 1, 1, 1])
+        assert chain_support(8, 2).all() and chain_support(10, 3).all()
+        assert not chain_support(4, 0).flags.writeable
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_half_step_reads_weighed_samples(self, m):
+        # the h / 2 stencil's even offset 2k is the h stencil's offset k: where
+        # the h / 2 chain weighs it, the h pass has summed it
+        for degree in range(m + 2 + m % 2, 2 * m + 9, 2):
+            support, centre = chain_support(degree, m), degree // 2
+            for k in range(-(degree // 4), degree // 4 + 1):
+                assert support[centre + k] or not support[centre + 2 * k], (degree, k)
+
+    def test_means_series_sums_the_support_only(self):
+        calls = []
+
+        def gaussian(points):
+            calls.append(points.shape[:-1])
+            return np.exp(-np.einsum("...i,...i->...", points, points))
+
+        rule, support = sphere_quadrature(3), chain_support(4, 0)
+        full = means_series(gaussian, np.zeros(3), rule, 1.0, 4, 0.05)
+        weighed = means_series(gaussian, np.zeros(3), rule, 1.0, 4, 0.05, support=support)
+        assert calls[1][0] == 1 and calls[0][0] == 5
+        np.testing.assert_array_equal(weighed[~support], 0.0)
+        # one radius and five take different node chunks: the last bits may move
+        np.testing.assert_allclose(weighed[support], full[support], rtol=1e-14)
+        # the h / 2 pass weighs no odd offset: no sum, the centre from coarse
+        half = means_series(gaussian, np.zeros(3), rule, 1.0, 4, 0.025, coarse=weighed,
+                            support=support)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(half, weighed * support)
+
+    def test_full_stencil_is_checked(self):
+        # degree 30 at h = 0.1 reaches radius -0.5 though only the centre is summed;
+        # data NaN beyond the centre's radius are not summed
+        nan = lambda points: np.full(points.shape[:-1], np.nan)
+        rule = sphere_quadrature(3)
+        with pytest.raises(StencilError, match="reaches radius -0.5"):
+            means_series(nan, np.zeros(3), rule, 1.0, 30, 0.1, support=chain_support(30, 0))
+
+        def within(points):
+            r2 = np.einsum("...i,...i->...", points, points)
+            return np.where(r2 <= 1 + 1e-9, 1.0, np.nan)
+
+        samples = means_series(within, np.zeros(3), rule, 1.0, 4, 0.05,
+                               support=chain_support(4, 0))
+        assert np.isfinite(samples).all()
+        with pytest.raises(EvaluationError):
+            means_series(within, np.zeros(3), rule, 1.0, 4, 0.05)

@@ -23,7 +23,7 @@ from wavecauchy.geometry import (
     unit_sphere_area,
 )
 from wavecauchy.kernels import DistributionFunctional
-from wavecauchy.radial import RadialDerivativeSpec, default_spec
+from wavecauchy.radial import RadialDerivativeSpec, chain_support, default_spec
 from wavecauchy.solvers import (
     CauchyProblem,
     GridSpec,
@@ -196,7 +196,8 @@ class TestMeansSolvers:
                              ids=["reduced_rule", "degree_rule", "product_rule"])
     def test_stencil_reaching_nonpositive_radius(self, psi):
         # h = 0.1 passes validate_radius at t = 1 (m = 0), but the degree-30
-        # stencil reaches 1 - 15 h = -0.5: no sphere of negative radius is summed
+        # stencil reaches 1 - 15 h = -0.5: refused, though psi's chain weighs only
+        # the centre, so no sphere of negative radius would be summed
         with pytest.raises(StencilError, match="reaches radius -0.5"):
             solve_points(problem(3, psi=psi), [np.zeros(3)], 1.0,
                          spec=RadialDerivativeSpec(0, 0.1, 30))
@@ -259,7 +260,7 @@ class TestDescent:
         psi, calls = counting(fields.gaussian(4, sigma=1.0))
         t = 1.2
         solve_points(problem(4, psi=psi), [np.full(4, 0.1)], t, with_error=False)
-        radii = default_spec(1, t).degree + 1  # psi's stencil
+        radii = weighed_radii(4, t)  # psi's stencil, its centre skipped
         expected = radii * sphere_quadrature(5).nodes.shape[0]
         assert sum(math.prod(shape) for shape in calls) == expected
 
@@ -396,13 +397,14 @@ class TestSolvePoints:
 
     def test_times_with_different_node_counts(self):
         # sigma = 0.1 needs 64, 256 and 128 nodes per coordinate at t = 1, 5 and 2:
-        # one sphere sum per node count, in order of first appearance
+        # one sphere sum per node count, in order of first appearance, each pair's
+        # at psi's one weighed radius
         psi, calls = counted(fields.gaussian(3, 0.1, center=[0.2, -0.1, 0.0]))
         p = problem(3, psi=psi)
         xs = np.random.default_rng(8).uniform(-0.5, 0.5, (5, 3))
         ts = np.array([1.0, 5.0, 2.0, 1.0, 0.0])
         solve_points(p, xs, ts, with_error=False)
-        assert calls == [2 * 5 * 64, 5 * 256, 5 * 128]
+        assert calls == [2 * KIRCHHOFF_RADII * 64, KIRCHHOFF_RADII * 256, KIRCHHOFF_RADII * 128]
         for kw in ({}, {"with_error": False}):
             self.assert_same(solve_points(p, xs, ts, **kw),
                              [solve_points(p, [x], t, **kw)[0] for x, t in zip(xs, ts)])
@@ -410,15 +412,15 @@ class TestSolvePoints:
     @pytest.mark.parametrize("n, distances, nodes", [(2, 3, 64 * 32), (3, 4, 64)])
     def test_symmetric_slab_sums_each_distinct_sphere_once(self, n, distances, nodes):
         # the 3^n sites of a slab around a centred Gaussian lie at `distances`
-        # distances, each summed once per time on psi's 5 stencil radii; about
-        # an off-centre one every site is its own sphere
+        # distances, each summed once per time at the one of psi's 5 stencil radii
+        # its chain weighs; about an off-centre one every site is its own sphere
         axis = 0.1 * np.arange(-1, 2)
         sites = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
         pairs, ts = np.tile(sites, (3, 1)), np.repeat([0.9, 1.0, 1.1], len(sites))
         for center, spheres in ((None, distances), ([0.3137, -0.1693, 0.0721][:n], len(sites))):
             psi, calls = counted(fields.gaussian(n, 1.0, center=center))
             batch = solve_points(problem(n, psi=psi), pairs, ts, with_error=False)
-            assert sum(calls) == 3 * spheres * 5 * nodes
+            assert sum(calls) == 3 * spheres * KIRCHHOFF_RADII * nodes
             self.assert_same(batch, [solve_points(problem(n, psi=psi), [x], t,
                                                   with_error=False)[0]
                                      for x, t in zip(pairs, ts)])
@@ -433,7 +435,7 @@ class TestSolvePoints:
             psi, calls = counted(fields.gaussian(3, 1.0, center=[0.2, -0.1, 0.0]))
             p = problem(3, psi=psi)
             batch = solve_points(p, pairs, ts, with_error=False)
-            assert calls == [4 * 5 * 64] * 3
+            assert calls == [4 * KIRCHHOFF_RADII * 64] * 3
             self.assert_same(batch, [solve_points(p, [x], t, with_error=False)[0]
                                      for x, t in zip(pairs, ts)])
 
@@ -492,11 +494,16 @@ class TestSolvePoints:
 
     def test_one_sphere_sum_call_per_radius_set(self):
         # all points share each sphere_sums call: the n = 3 reduced rule of
-        # 64 nodes at 5 psi radii keeps 40 points within one group
+        # 64 nodes at psi's weighed radius keeps 40 points within one group
         psi, calls = counted(fields.gaussian(3, 1.0))
         solve_points(problem(3, psi=psi), np.random.default_rng(1).uniform(-1, 1, (40, 3)),
                      1.0, with_error=False)
-        assert calls == [40 * 5 * 64]
+        assert calls == [40 * KIRCHHOFF_RADII * 64]
+
+
+#: the radii psi's chain at n = 2 and 3 (m = 0) weighs on the default degree-4
+#: stencil: the centre, t itself, of 5
+KIRCHHOFF_RADII = int(chain_support(4, 0).sum())
 
 
 def counted(field):
@@ -508,6 +515,12 @@ def counted(field):
         return field(points)
 
     return dataclasses.replace(field, evaluator=evaluate), calls
+
+
+def weighed_radii(n, t):
+    """The radii of psi's default stencil at t that its chain weighs, in n dimensions."""
+    m = Dimension(n).derivative_order
+    return int(chain_support(default_spec(m, t).degree, m).sum())
 
 
 class TestPolynomialData:
@@ -561,7 +574,7 @@ class TestPolynomialData:
         f, calls = counted(fields.harmonic(n, name))
         t = 1.2
         solve_points(problem(n, psi=f), [np.full(n, 0.1)], t, with_error=False)
-        radii = default_spec(Dimension(n).derivative_order, t).degree + 1
+        radii = weighed_radii(n, t)
         means_n = n + 1 - n % 2
         rule = sphere_quadrature_for_order(means_n, f.degree)
         assert sum(calls) == radii * rule.nodes.shape[0]
@@ -571,8 +584,7 @@ class TestPolynomialData:
         # a constant is radial too; its degree wins
         c, calls = counted(fields.constant(3, 2.0))
         solve_points(problem(3, psi=c), [np.full(3, 0.1)], 1.0, with_error=False)
-        radii = default_spec(0, 1.0).degree + 1
-        assert sum(calls) == radii * sphere_quadrature_for_order(3, 0).nodes.shape[0]
+        assert sum(calls) == KIRCHHOFF_RADII * sphere_quadrature_for_order(3, 0).nodes.shape[0]
 
     @pytest.mark.parametrize("n, degree", [(3, 96), (4, 24), (11, 8)])
     def test_degree_above_the_default_order_takes_the_default_rule(self, n, degree, monkeypatch):
@@ -592,7 +604,7 @@ class TestPolynomialData:
         f, calls = counted(fields.ScalarField(cubic.evaluator, n, degree=degree))
         t = 1.2
         solve_points(problem(n, psi=f), [np.full(n, 0.1)], t, with_error=False)
-        radii = default_spec(Dimension(n).derivative_order, t).degree + 1
+        radii = weighed_radii(n, t)
         assert default.n == means_n
         assert sum(calls) == radii * default.nodes.shape[0]
 
@@ -606,7 +618,7 @@ class TestPolynomialData:
         rule = sphere_quadrature_for_order(n, 7)
         x, t = np.full(n, 0.1), 1.2
         s = solve_points(problem(n, psi=f), [x], t, rule=rule, with_error=False)[0]
-        radii = default_spec(Dimension(n).derivative_order, t).degree + 1
+        radii = weighed_radii(n, t)
         means_rule = rule if n % 2 else descent_rule(n, rule)
         assert sum(calls) == radii * means_rule.nodes.shape[0]
         assert s.u == pytest.approx(t * float(f(x[None, :])[0]), rel=1e-12)
@@ -788,7 +800,7 @@ class TestRadialReduction:
         counted = dataclasses.replace(psi, evaluator=evaluate)
         t = 1.2
         solve_points(problem(n, psi=counted), [np.full(n, 0.1)], t, with_error=False)
-        radii = default_spec(Dimension(n).derivative_order, t).degree + 1
+        radii = weighed_radii(n, t)
         count = solvers.radial_node_count(psi, t)
         per_radius = count if n % 2 else count * (count // 2)  # zeta folded onto zeta > 0
         assert sum(math.prod(shape) for shape in calls) == radii * per_radius
@@ -832,35 +844,112 @@ def _lattice_probes(grid, n, indices):
 
 
 def field_points(p, x, t, calls, **kwargs):
-    """Points the fields in calls were given by one solve at x."""
+    """Points each field in calls was given by one solve at x."""
     for record in calls:
         record.clear()
     solve_points(p, [x], t, **kwargs)
-    return sum(sum(record) for record in calls)
+    return [sum(record) for record in calls]
 
 
 class TestEstimateCost:
-    """The error estimate's passes cost at most half the solution's, in field
-    points: the h / 2 stencil sums its odd offsets only, the reduced rule is
-    checked by null rules on the values the h pass evaluates, and polynomial
-    data take |field| from those values too."""
+    """The error estimate adds, in field points, only the h / 2 stencil's odd
+    offsets that each field's chain weighs: its even offsets are the h pass's
+    radii, the reduced rule is checked by null rules on the values the h pass
+    evaluates, and polynomial data take |field| from those values too."""
+
+    @staticmethod
+    def assert_extra_radii(p, phi_calls, psi_calls):
+        x, t, m = np.full(p.dim.n, 0.1), 1.2, p.dim.derivative_order
+        degree = default_spec(m, t).degree
+        solution = field_points(p, x, t, [phi_calls, psi_calls], with_error=False)
+        estimate = field_points(p, x, t, [phi_calls, psi_calls])
+        # each field's chain: phi's order m + 1 on degree + 2, psi's order m
+        for deg, order, points, total in zip((degree + 2, degree), (m + 1, m), solution, estimate):
+            support = chain_support(deg, order)
+            odd = (np.arange(deg + 1) - deg // 2) % 2 == 1
+            per_radius, rest = divmod(points, int(support.sum()))
+            assert rest == 0
+            # phi's 4 odd offsets at m = 0 and 1, psi's 0 at m = 0: no more than
+            # every odd offset of the full stencil
+            assert total - points == (support & odd).sum() * per_radius
+            assert total - points <= odd.sum() * per_radius
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_gaussian_data(self, n):
-        # the h / 2 pass alone: its odd offsets, half the h pass's radii here
         phi, phi_calls = counted(fields.gaussian(n, sigma=0.7))
         psi, psi_calls = counted(fields.gaussian(n, sigma=0.9, amplitude=0.5))
-        p, x, t = CauchyProblem(phi, psi, Dimension(n)), np.full(n, 0.1), 1.2
-        solution = field_points(p, x, t, [phi_calls, psi_calls], with_error=False)
-        assert 2 * field_points(p, x, t, [phi_calls, psi_calls]) <= 3 * solution
+        self.assert_extra_radii(CauchyProblem(phi, psi, Dimension(n)), phi_calls, psi_calls)
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_harmonic_data(self, n):
         phi, phi_calls = counted(fields.harmonic(n, "triple", offset=1.0))
         psi, psi_calls = counted(fields.harmonic(n, "linear", amplitude=0.5))
-        p, x, t = CauchyProblem(phi, psi, Dimension(n)), np.full(n, 0.1), 1.2
-        solution = field_points(p, x, t, [phi_calls, psi_calls], with_error=False)
-        assert 2 * field_points(p, x, t, [phi_calls, psi_calls]) <= 3 * solution
+        self.assert_extra_radii(CauchyProblem(phi, psi, Dimension(n)), phi_calls, psi_calls)
+
+
+class TestWeighedRadii:
+    """Each field's sphere sums are taken only at the stencil radii its chain
+    weighs (`radial.chain_support`); the others' samples are 0.0."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_the_full_stencil(self, n, monkeypatch):
+        # the same pairs with every radius summed, as before the support: the
+        # sums of a different number of radii may differ in their last bits
+        rng = np.random.default_rng(500 + n)
+        xs, ts = rng.uniform(-1.0, 1.0, (3, n)), np.array([0.7, 1.3, 2.2])
+        small = sphere_quadrature_for_order(n, 5)  # for the plain callables
+        cases = [
+            (fields.gaussian(n, 0.9, amplitude=1.3),
+             fields.gaussian(n, 1.1, center=np.linspace(0.3, -0.2, n))),
+            (fields.bump(n, 1.5, center=0.1), fields.bump(n, 1.8)),
+            (fields.harmonic(n, "saddle", 1.1, 0.3), fields.harmonic(n, "linear", 0.5, 2.0)),
+            (fields.ScalarField(fields.harmonic(n, "bilinear").evaluator, n),
+             fields.ScalarField(fields.harmonic(n, "saddle").evaluator, n)),
+        ]
+        for phi, psi in cases:
+            p = CauchyProblem(phi, psi, Dimension(n))
+            weighed = solve_points(p, xs, ts, rule=small)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "chain_support",
+                              lambda degree, m: np.ones(degree + 1, dtype=bool))
+                full = solve_points(p, xs, ts, rule=small)
+            for a, b in zip(weighed, full):
+                if n >= 6:  # every radius is weighed from m = 2 on
+                    assert (a.u, a.error_estimate) == (b.u, b.error_estimate)
+                assert abs(a.u - b.u) <= 0.1 * b.error_estimate, (phi.label, a.u, b.u)
+                assert abs(a.u - b.u) <= 1e-13 * abs(b.u), (phi.label, a.u, b.u)
+                # exactly summed data's estimates are rounding-sized: 1.3e-2 apart at most
+                assert abs(a.error_estimate - b.error_estimate) <= 0.1 * b.error_estimate
+
+    @staticmethod
+    def gaussian_within(radius):
+        """exp(-|y|^2) on |y| <= radius, NaN beyond: a plain callable."""
+        def evaluate(points):
+            r2 = np.einsum("...i,...i->...", points, points)
+            return np.where(r2 <= radius * radius, np.exp(-r2), np.nan)
+        return fields.ScalarField(evaluate, 3)
+
+    def test_no_sample_beyond_the_kirchhoff_radius(self):
+        # n = 3 velocity data: u = t times the mean at t alone, so data NaN on every
+        # other stencil radius solve; NaN at t itself still raises
+        t = 1.0
+        s = solve_points(problem(3, psi=self.gaussian_within(t * (1 + 1e-9))), [np.zeros(3)], t)[0]
+        assert s.u == pytest.approx(t * math.exp(-t * t), rel=1e-13)
+        assert math.isfinite(s.error_estimate)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            solve_points(problem(3, psi=self.gaussian_within(t * (1 - 1e-9))), [np.zeros(3)], t)
+
+    def test_odd_degree_is_refused(self):
+        # an odd stencil has no centre node, so the h / 2 pass's even offsets are
+        # not its radii: at degree 5 this estimate read 4.7e-3 for an error of 1e-9
+        x, t = np.array([0.2, 0.1, 0.0]), 1.5
+        p = problem(3, psi=fields.gaussian(3, sigma=1.0))
+        with pytest.raises(ValueError, match="even"):
+            solve_points(p, [x], t, spec=RadialDerivativeSpec(0, 0.05, 5))
+        s = solve_points(p, [x], t, spec=RadialDerivativeSpec(0, 0.05, 4))[0]
+        ref = kirchhoff_offset_gaussian(1.0, float(np.linalg.norm(x)), t)
+        assert s.error_estimate <= 1e-12
+        assert abs(s.u - ref) <= s.error_estimate
 
 
 class TestAgainstSpectralOracle:
