@@ -22,7 +22,6 @@ from .geometry import (
 )
 from .kernels import (
     DistributionFunctional,
-    KernelQuery,
     distribution_fourier_check,
     identity_records,
     identity_sweep,

@@ -42,7 +42,7 @@ from .geometry import (
     reduce_ball_integral,
     reduce_sphere_integral,
 )
-from .kernels import KernelQuery, identity_records, identity_sweep, normalization_constant
+from .kernels import identity_records, identity_sweep, normalization_constant
 from .montecarlo import ball_monte_carlo, sphere_monte_carlo
 from .radial import RadialDerivativeSpec
 from .solvers import (
@@ -376,13 +376,12 @@ def _run_identities(config: RunConfig, report: Report) -> None:
         records = identity_sweep(n, keys["count"], seed=config["run"]["seed"] + n,
                                  max_product=keys["max_product"],
                                  base_nodes=config["run"]["quad_nodes"])
-        residual = [rec.residual for rec in records]
-        passed = [res <= tol for res in residual]
-        report.extend(passed, n=n, R=[rec.radius for rec in records],
-                      xi_norm=[rec.knorm for rec in records], residual_real=residual,
-                      residual_imag=[rec.imag_residual for rec in records],
-                      h=[rec.h for rec in records], nodes=[rec.nodes for rec in records],
-                      tol=tol, violated=["" if ok else "identities.tolerance" for ok in passed])
+        passed = (records.residual <= tol).tolist()
+        report.extend(passed, n=n, R=records.radius.tolist(), xi_norm=records.knorm.tolist(),
+                      residual_real=records.residual.tolist(),
+                      residual_imag=records.imag_residual.tolist(), h=records.h.tolist(),
+                      nodes=records.nodes.tolist(), tol=tol,
+                      violated=["" if ok else "identities.tolerance" for ok in passed])
     report.summary["max_residual"] = max(report.column("residual_real"))
 
 
@@ -472,16 +471,13 @@ def _identity_ladder(config: RunConfig) -> tuple[list[float], list[float], list[
         parity = "an odd dimension >= 5" if target == "odd-identity" else "an even dimension >= 4"
         raise ConfigError(f"{target} needs {parity}", keys=["converge.dim"])
     _check_means_dims([dim], "converge.dim")
-    xi = np.zeros(dim)
-    xi[0] = keys["xi_norm"]
-    query = KernelQuery(xi, radius, d)
-    m = d.derivative_order
+    m, levels = d.derivative_order, keys["levels"]
     h0 = min(keys["h0"], 0.9 * radius / (2 * m + 6))
-    hs = [h0 / 2**level for level in range(keys["levels"])]
+    hs = [h0 / 2**level for level in range(levels)]
     specs = [RadialDerivativeSpec(m, h, 2 * m + 4) for h in hs]
-    records = identity_records([query] * len(hs), specs, base_nodes=config["run"]["quad_nodes"])
-    res = [rec.residual for rec in records]
-    return hs, res, [1e-12] * len(hs)
+    records = identity_records(dim, np.full(levels, radius), np.full(levels, abs(keys["xi_norm"])),
+                               specs, base_nodes=config["run"]["quad_nodes"])
+    return hs, records.residual.tolist(), [1e-12] * levels
 
 
 def _converge_residuals(config: RunConfig) -> tuple[list[float], list[float], list[float]]:

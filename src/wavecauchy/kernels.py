@@ -5,9 +5,9 @@ T_R is the solver's velocity term: c_N (1/R d/dR)^m of the r^(N-2)-scaled sphere
 means over S^(N-1) (`solvers.means_series`), N = n for odd n and N = n + 1 by
 descent for even n, each summed only at the radii the chain weighs
 (`radial.chain_support`: R alone at n = 2 and 3). `DistributionFunctional.action`
-applies it to a test function, `_identity_core` (under `identity_records` and
-`identity_sweep`) to the plane wave e^{-i x.xi}, one array computation per
-dimension with one sphere sum and chain per block of draws, and
+applies it to a test function, `identity_records` (under `identity_sweep`) to the
+plane wave e^{-i x.xi} at arrays of (R, |xi|) draws, one sphere sum and chain per
+block of draws and one column of results per quantity, and
 `normalization_constant` to the constant 1; the last two sum on the reduced
 rule of radial data (`geometry._radial_rule`). Plane waves and the Fourier
 evaluator's tables are cos/sin of real phases (`_cis`), the bits of the complex
@@ -41,32 +41,10 @@ from .geometry import (
 )
 from .radial import (chain_apply, chain_support, check_radius, default_spec, default_stencil,
                      resolve_spec)
-from .solvers import means_rule, means_series
+from .solvers import MAX_GRID_POINTS, means_rule, means_series
 
 #: complex elements (16 bytes each) in the Fourier evaluator's largest per-chunk array
 FOURIER_CHUNK_ELEMENTS = 4_000_000
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """A frequency vector, a radius (or time) and the ambient dimension."""
-
-    xi: np.ndarray
-    radius: float
-    dim: Dimension
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=np.float64)))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.dim.n < 2:
-            raise ValueError("kernel identities need dimension >= 2")
-        if self.xi.shape != (self.dim.n,):
-            raise ValueError(f"xi must have {self.dim.n} components")
-
-    @property
-    def knorm(self) -> float:
-        return float(np.linalg.norm(self.xi))
 
 
 # ---------------------------------------------------------------------------
@@ -76,35 +54,33 @@ class KernelQuery:
 
 @dataclass(frozen=True)
 class IdentityRecord:
+    """The identity at the draws of one dimension, as columns: one entry a draw."""
+
     n: int
-    radius: float
-    knorm: float
-    residual: float
-    imag_residual: float
-    h: float
-    nodes: int
+    radius: np.ndarray
+    knorm: np.ndarray
+    residual: np.ndarray
+    imag_residual: np.ndarray
+    h: np.ndarray
+    nodes: np.ndarray
 
 
-def identity_records(queries, specs=None,
-                     base_nodes: int = DEFAULT_OSC_NODES) -> list[IdentityRecord]:
-    """The identity's residual at each (xi, R) query of one dimension, with its spec
-    (one per query) or the default, in one `_identity_core` call."""
-    dims = {query.dim.n for query in queries}
-    if len(dims) > 1 or len(specs or queries) != len(queries):
-        raise ValueError("identity_records takes queries of one dimension, one spec each")
-    return _identity_core(dims.pop() if dims else 2, np.array([q.radius for q in queries]),
-                          np.array([q.knorm for q in queries]), specs, base_nodes)
-
-
-def _identity_core(n: int, radius: np.ndarray, knorm: np.ndarray, specs,
-                   base_nodes: int) -> list[IdentityRecord]:
+def identity_records(n: int, radius, knorm, specs=None,
+                     base_nodes: int = DEFAULT_OSC_NODES) -> IdentityRecord:
     """sin(R|xi|)/|xi| against the solver's psi term at the origin for the plane wave
     e^{-i |xi| y_1} on the reduced rule of S^(N-1), N = n + 1 - n % 2, at draws (R,
-    |xi|). Every check `resolve_spec` and `_osc_nodes` make comes first, on the arrays
-    (the node cap before any spec). Then each block of one degree and node count within
-    one `sphere_sums` chunk takes one sum, chain and sinc ratio, each draw's operations
-    its own, so each record is the one its draw gets alone."""
+    |xi|), each with its spec or the default. Every check `resolve_spec` and
+    `_osc_nodes` make comes first, on the arrays (the node cap before any spec). Then
+    each block of one degree and node count within one `sphere_sums` chunk takes one
+    sum, chain and sinc ratio, each draw's operations its own, so each draw's entries
+    are the ones it gets alone."""
     m, n_means = Dimension(n).derivative_order, n + 1 - n % 2
+    radius, knorm = np.array(radius, dtype=np.float64), np.array(knorm, dtype=np.float64)
+    if (radius.ndim != 1 or knorm.shape != radius.shape
+            or specs is not None and len(specs) != len(radius)):
+        raise ValueError("identity_records takes one R, one |xi| and one spec or none per draw")
+    if (knorm < 0).any():
+        raise ValueError("|xi| must be non-negative")
     _osc_nodes(knorm * radius, base_nodes)  # refuse an oversized rule before any spec
     if specs is None:
         h, degree = default_stencil(m, radius, knorm)  # default_spec at oscillation |xi|
@@ -116,7 +92,7 @@ def _identity_core(n: int, radius: np.ndarray, knorm: np.ndarray, specs,
     nodes = _osc_nodes(knorm * (radius + h * degree / 2.0), base_nodes)
     keys, group = np.unique(np.stack(np.broadcast_arrays(degree, nodes)), axis=1,
                             return_inverse=True)
-    records = [None] * len(radius)
+    residual, imag = np.empty(len(radius)), np.empty(len(radius))
     for g, (deg, count) in enumerate(keys.T.tolist()):
         members = np.flatnonzero(group.ravel() == g)
         block = max(1, _CHUNK_BYTES // ((deg + 1) * n_means * 8 * count))
@@ -128,11 +104,9 @@ def _identity_core(n: int, radius: np.ndarray, knorm: np.ndarray, specs,
                                    _radial_rule(n_means, n_means, count), t, deg, step,
                                    support=support)
             value = solution_constant(n_means) * chain_apply(samples, m, t, step)
-            residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
-            for row in zip(index.tolist(), t.tolist(), k.tolist(), residual.tolist(),
-                           abs(value.imag).tolist(), step.tolist()):
-                records[row[0]] = IdentityRecord(n, *row[1:], count)
-    return records
+            residual[index] = abs(t * _kernels.sinc_ratio(t * k) - value.real)
+            imag[index] = abs(value.imag)
+    return IdentityRecord(n, radius, knorm, residual, imag, h, nodes)
 
 
 def _cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -147,7 +121,7 @@ def _cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _plane_wave(wave: np.ndarray, y1: np.ndarray, count: int) -> np.ndarray:
     """_cis(wave * y1) on the first coordinates y1 (radii, count) of a whole reduced rule
     about centre 0, mirrored to the bit as its nodes: as in `_axis_table`, the lower half
-    conjugates the upper. `_identity_core`'s block sizing keeps a rule in one chunk."""
+    conjugates the upper. `identity_records`' block sizing keeps a rule in one chunk."""
     assert y1.shape[-1] == count, "a reduced rule split over sphere_sums chunks"
     out, half = np.empty(y1.shape, dtype=np.complex128), count // 2
     _cis(wave * y1[:, half:], out=out[:, half:])
@@ -156,20 +130,13 @@ def _plane_wave(wave: np.ndarray, y1: np.ndarray, count: int) -> np.ndarray:
 
 
 def identity_sweep(n: int, count: int, seed: int, max_product: float = 20.0,
-                   base_nodes: int = DEFAULT_OSC_NODES) -> list[IdentityRecord]:
-    """Residuals at `count` random (xi, R) draws, R in [0.5, 2) and R|xi| <=
-    max_product, in one `_identity_core` call. Each draw takes three RNG calls and
-    a `KernelQuery`'s |xi| of its xi, as math.sqrt(v.dot(v)) is np.linalg.norm(v)."""
-    rng = np.random.default_rng(seed)
-    radius, knorm = np.empty(count), np.empty(count)
-    for i in range(count):
-        radius[i] = rng.uniform(0.5, 2.0)
-        target = rng.uniform(0.0, max_product / radius[i])
-        direction = rng.standard_normal(n)
-        norm = math.sqrt(direction.dot(direction))
-        xi = direction * (target / norm) if norm > 0 else np.zeros(n)
-        knorm[i] = math.sqrt(xi.dot(xi))
-    return _identity_core(n, radius, knorm, None, base_nodes)
+                   base_nodes: int = DEFAULT_OSC_NODES) -> IdentityRecord:
+    """`identity_records` at `count` random draws, R uniform in [0.5, 2) and |xi|
+    uniform in [0, max_product / R); draw i takes the generator's doubles 2i and
+    2i + 1, so a shorter sweep is a prefix of a longer one."""
+    u = np.random.default_rng(seed).random((count, 2))
+    radius = 0.5 + 1.5 * u[:, 0]
+    return identity_records(n, radius, max_product / radius * u[:, 1], None, base_nodes)
 
 
 def normalization_constant(n: int, radius: float = 1.0,
@@ -248,9 +215,13 @@ def make_fourier_evaluator(phi, nodes_per_axis: int = 64):
     complex matmul against a (nodes_per_axis, points) exponential table, and
     the others follow in `_kernels.contract_axes`, as the spectral probes' do.
     Each table takes cos/sin on the upper half of the mirrored nodes only
-    (`_axis_table`), the bits of the complex exp on every row.
+    (`_axis_table`), the bits of the complex exp on every row. A grid of more than
+    MAX_GRID_POINTS nodes, the spectral grid's cap, is a ValueError.
     """
     n = phi.dim
+    if nodes_per_axis ** n > MAX_GRID_POINTS:
+        raise ValueError(f"a {n}-D Fourier grid of {nodes_per_axis} nodes per axis has more "
+                         f"than {MAX_GRID_POINTS} nodes")
     box = phi.support_radius
     if not math.isfinite(box):
         raise ConfigError("test function must declare a finite support radius")

@@ -26,7 +26,6 @@ from wavecauchy.geometry import (
 )
 from wavecauchy.kernels import (
     DistributionFunctional,
-    KernelQuery,
     _osc_nodes,
     distribution_fourier_check,
     identity_sweep,
@@ -120,7 +119,7 @@ def test_03_odd_identity_sweeps():
     with criterion("03 odd identity, 200 draws per n in {3, 5, 7}"):
         for n, tol in ((3, 1e-10), (5, 1e-8), (7, 1e-8)):
             records = identity_sweep(n, 200, seed=101 + n, max_product=20.0)
-            worst = max(r.residual for r in records)
+            worst = records.residual.max()
             assert worst <= tol, f"n={n}: worst residual {worst:.3e} > {tol:g}"
 
 
@@ -128,7 +127,7 @@ def test_04_even_identity_sweeps():
     with criterion("04 even identity sweeps and descent agreement"):
         for n in (2, 4, 6):
             records = identity_sweep(n, 200, seed=211 + n, max_product=20.0)
-            worst = max(r.residual for r in records)
+            worst = records.residual.max()
             assert worst <= 1e-6, f"n={n}: worst residual {worst:.3e} > 1e-6"
         # R^n times the weighted ball mean of the plane wave e^{-i |xi| y_1}:
         # the means path on S^n scaled by omega_(n+1) / (2 v_n), against the
@@ -139,13 +138,13 @@ def test_04_even_identity_sweeps():
                 radius = rng.uniform(0.5, 2.0)
                 knorm = rng.uniform(0.0, 20.0 / radius)
                 direction = rng.standard_normal(n)
-                q = KernelQuery(direction * (knorm / np.linalg.norm(direction)), radius,
-                                Dimension(n))
-                nodes = _osc_nodes(q.knorm * radius)
-                means = means_series(lambda points: np.exp(-1j * q.knorm * points[..., 0]), 0.0,
+                xi = direction * (knorm / np.linalg.norm(direction))
+                knorm = float(np.linalg.norm(xi))
+                nodes = _osc_nodes(knorm * radius)
+                means = means_series(lambda points: np.exp(-1j * knorm * points[..., 0]), 0.0,
                                      _radial_rule(n + 1, n + 1, nodes), radius, 0, radius)
                 a = _omega(n + 1) / (2.0 * unit_ball_volume(n)) * complex(means[0])
-                wave = fields.ScalarField(lambda points: np.cos(q.knorm * points[..., 0]), n)
+                wave = fields.ScalarField(lambda points: np.cos(knorm * points[..., 0]), n)
                 b = radius**n * weighted_ball_mean(wave, np.zeros(n), radius,
                                                    _radial_rule(n, n, nodes))
                 assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)

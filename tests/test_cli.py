@@ -13,7 +13,7 @@ from wavecauchy.cli import COMMANDS, build_parser, load_config, main, run
 from wavecauchy import fields, geometry, solvers
 from wavecauchy.errors import ConfigError
 from wavecauchy.geometry import MAX_OSC_NODES, Dimension
-from wavecauchy.kernels import KernelQuery, identity_records
+from wavecauchy.kernels import identity_records
 from wavecauchy.radial import RadialDerivativeSpec
 from wavecauchy.solvers import CauchyProblem, solve_points
 
@@ -585,14 +585,26 @@ h0 = 0.1
 """)
         main(["converge", "--config", cfg])
         _, _, body = read_report(out)
-        xi = np.zeros(dim)
-        xi[0] = 2.5
-        query = KernelQuery(xi, 1.2, Dimension(dim))
         for row in body:
             h = 0.1 / 2 ** int(row["level"])
-            alone = identity_records([query], [RadialDerivativeSpec(1, h, 6)])[0].residual
+            spec = RadialDerivativeSpec(1, h, 6)
+            alone = identity_records(dim, [1.2], [2.5], [spec]).residual[0]
             assert float(row["h"]) == h
             assert abs(float(row["residual"]) - alone) <= 1e-15
+
+    @pytest.mark.parametrize("target, dim", [("odd-identity", 5), ("even-identity", 4)])
+    def test_identity_ladder_reads_the_norm_of_xi(self, tmp_path, target, dim):
+        # the identity depends on xi only through |xi|: -2.5 writes the rows of 2.5
+        bodies = []
+        for xi_norm in (2.5, -2.5):
+            out = tmp_path / f"conv{xi_norm}.csv"
+            cfg = write_config(tmp_path, f"[run]\ncommand = converge\noutput = {out}\n\n"
+                                         f"[converge]\ntarget = {target}\ndim = {dim}\n"
+                                         f"xi_norm = {xi_norm}\nlevels = 3\n",
+                               name=f"conv{xi_norm}.ini")
+            assert main(["converge", "--config", cfg]) == 0
+            bodies.append(read_report(out)[2])
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 3
 
     @pytest.mark.parametrize("target, dim", [("odd-identity", 3), ("even-identity", 2)])
     def test_identity_ladder_without_derivative_is_config_error(self, tmp_path, capsys,

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,46 +24,45 @@ from wavecauchy.geometry import (
 from wavecauchy.kernels import (
     DistributionFunctional,
     IdentityRecord,
-    KernelQuery,
     _osc_nodes,
     distribution_fourier_check,
     identity_records,
     identity_sweep,
+    make_fourier_evaluator,
     normalization_constant,
 )
 from wavecauchy.radial import (RadialDerivativeSpec, chain_apply, chain_support, default_spec,
                               stencil_radii)
-from wavecauchy.solvers import CauchyProblem, means_series, solve_points, weighted_ball_mean
+from wavecauchy.solvers import (MAX_GRID_POINTS, CauchyProblem, means_series, solve_points,
+                                weighted_ball_mean)
 
 
-def random_query(rng, n, max_product=20.0):
-    radius = rng.uniform(0.5, 2.0)
-    knorm = rng.uniform(0.0, max_product / radius)
-    direction = rng.standard_normal(n)
-    xi = direction * (knorm / np.linalg.norm(direction))
-    return KernelQuery(xi, radius, Dimension(n))
+def random_draws(rng, count, max_product=20.0):
+    """(R, |xi|) arrays drawn as `identity_sweep` draws them: R in [0.5, 2) and |xi| in
+    [0, max_product / R), draw i from the generator's doubles 2i and 2i + 1."""
+    u = rng.random((count, 2))
+    radius = 0.5 + 1.5 * u[:, 0]
+    return radius, max_product / radius * u[:, 1]
 
 
-def sphere_average(q, n):
+def sphere_average(radius, knorm, n):
     """R^(n-2) times the mean of e^{-i x.xi} over the sphere of radius R in
     R^n: the means path at a degree-0 stencil, whose one radius is R."""
-    rule = _radial_rule(n, n, _osc_nodes(q.knorm * q.radius))
-    wave = lambda points: np.exp(-1j * q.knorm * points[..., 0])
-    return complex(means_series(wave, 0.0, rule, q.radius, 0, q.radius)[0])
+    rule = _radial_rule(n, n, _osc_nodes(knorm * radius))
+    wave = lambda points: np.exp(-1j * knorm * points[..., 0])
+    return complex(means_series(wave, 0.0, rule, radius, 0, radius)[0])
 
 
-def ball_by_descent(q):
+def ball_by_descent(radius, knorm, n):
     """R^n times the weighted ball mean of e^{-i x.xi}, by descent: the
     means over S^n, scaled by omega_(n+1) / (2 v_n)."""
-    n = q.dim.n
-    return _omega(n + 1) / (2.0 * unit_ball_volume(n)) * sphere_average(q, n + 1)
+    return _omega(n + 1) / (2.0 * unit_ball_volume(n)) * sphere_average(radius, knorm, n + 1)
 
 
-def direct_ball_wave(q, radius, nodes, length_scale=math.inf):
+def direct_ball_wave(knorm, n, radius, nodes, length_scale=math.inf):
     """R^n times the direct weighted ball mean of the real part of the plane
     wave, cos(|xi| y_1), at radius R on the reduced rule of `nodes` nodes."""
-    n = q.dim.n
-    wave = fields.ScalarField(lambda points: np.cos(q.knorm * points[..., 0]), n,
+    wave = fields.ScalarField(lambda points: np.cos(knorm * points[..., 0]), n,
                               length_scale=length_scale)
     return radius**n * weighted_ball_mean(wave, np.zeros(n), radius, _radial_rule(n, n, nodes))
 
@@ -90,144 +90,132 @@ class TestSincKernel:
 
 class TestExponentialAverages:
     def test_sphere_zero_frequency_is_power(self):
-        q = KernelQuery(np.zeros(3), 2.0, Dimension(3))
-        assert sphere_average(q, 3) == pytest.approx(2.0, rel=1e-13)
-        q5 = KernelQuery(np.zeros(5), 1.5, Dimension(5))
-        assert sphere_average(q5, 5) == pytest.approx(1.5**3, rel=1e-13)
+        assert sphere_average(2.0, 0.0, 3) == pytest.approx(2.0, rel=1e-13)
+        assert sphere_average(1.5, 0.0, 5) == pytest.approx(1.5**3, rel=1e-13)
 
     def test_sphere_n3_closed_form(self):
         # n = 3: the average itself equals sin(R|xi|)/|xi| (no derivative)
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            q = random_query(rng, 3)
-            got = sphere_average(q, 3)
-            assert got.real == pytest.approx(math.sin(q.radius * q.knorm) / q.knorm, abs=1e-12)
-        qpi = KernelQuery(np.array([math.pi, 0.0, 0.0]), 1.0, Dimension(3))
-        assert abs(sphere_average(qpi, 3)) < 1e-14
+        for radius, knorm in zip(*random_draws(np.random.default_rng(42), 20)):
+            got = sphere_average(radius, knorm, 3)
+            assert got.real == pytest.approx(math.sin(radius * knorm) / knorm, abs=1e-12)
+        assert abs(sphere_average(1.0, math.pi, 3)) < 1e-14
 
     def test_ball_zero_frequency(self):
         # n = 2, R = 1: (1/pi) 2 pi int_0^1 r (1-r^2)^(-1/2) dr = 2
-        q = KernelQuery(np.zeros(2), 1.0, Dimension(2))
-        assert ball_by_descent(q) == pytest.approx(2.0, rel=1e-12)
-        assert direct_ball_wave(q, 1.0, 64) == pytest.approx(2.0, rel=1e-12)
+        assert ball_by_descent(1.0, 0.0, 2) == pytest.approx(2.0, rel=1e-12)
+        assert direct_ball_wave(0.0, 2, 1.0, 64) == pytest.approx(2.0, rel=1e-12)
 
     def test_ball_n2_vanishes_at_pi(self):
         # m' = 0 for n = 2, so the average equals sinc/d_2; at R|xi| = pi it is 0
-        q = KernelQuery(np.array([math.pi, 0.0]), 1.0, Dimension(2))
-        assert abs(ball_by_descent(q)) < 1e-12
+        assert abs(ball_by_descent(1.0, math.pi, 2)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_sphere_parity(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(100):
-            q = random_query(rng, n)
-            value = sphere_average(q, n)
+        for radius, knorm in zip(*random_draws(np.random.default_rng(n), 100)):
+            value = sphere_average(radius, knorm, n)
             assert abs(value.imag) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_ball_parity(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(100):
-            q = random_query(rng, n)
-            value = ball_by_descent(q)
+        for radius, knorm in zip(*random_draws(np.random.default_rng(n), 100)):
+            value = ball_by_descent(radius, knorm, n)
             assert abs(value.imag) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_descent_matches_direct(self, n):
-        rng = np.random.default_rng(100 + n)
-        for _ in range(25):
-            q = random_query(rng, n)
-            a = ball_by_descent(q)
-            b = direct_ball_wave(q, q.radius, _osc_nodes(q.knorm * q.radius))
+        for radius, knorm in zip(*random_draws(np.random.default_rng(100 + n), 25)):
+            a = ball_by_descent(radius, knorm, n)
+            b = direct_ball_wave(knorm, n, radius, _osc_nodes(knorm * radius))
             assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)
 
     def test_direct_theta_rule_follows_the_length_scale(self):
         # R|xi| = 160: 64 theta nodes leave 1.8e-6 here; the rule sized from
         # R / length_scale, as the oscillatory rules are, leaves rounding
-        q = KernelQuery(np.array([160.0, 0.0]), 1.0, Dimension(2))
-        b = direct_ball_wave(q, q.radius, _osc_nodes(q.knorm * q.radius), 1.0 / q.knorm)
-        assert abs(ball_by_descent(q) - b) <= 1e-12 * max(abs(b), 1.0)
+        b = direct_ball_wave(160.0, 2, 1.0, _osc_nodes(160.0), 1.0 / 160.0)
+        assert abs(ball_by_descent(1.0, 160.0, 2) - b) <= 1e-12 * max(abs(b), 1.0)
 
 
 class TestIdentities:
     def test_odd_zero_frequency(self):
-        q = KernelQuery(np.zeros(5), 1.0, Dimension(5))
-        assert identity_records([q])[0].residual <= 1e-10
+        assert identity_records(5, [1.0], [0.0]).residual[0] <= 1e-10
 
     def test_odd_n3_sweep(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            q = random_query(rng, 3)
-            assert identity_records([q])[0].residual <= 1e-10
+        radius, knorm = random_draws(np.random.default_rng(7), 50)
+        assert identity_records(3, radius, knorm).residual.max() <= 1e-10
 
     def test_odd_n5_against_refined_oracle(self):
-        q = KernelQuery(np.array([2.0, 0, 0, 0, 0]), 1.0, Dimension(5))
-        assert identity_records([q])[0].residual <= 1e-8
+        assert identity_records(5, [1.0], [2.0]).residual[0] <= 1e-8
         # doubled-resolution oracle: twice the nodes, half the spacing, two
         # extra fit degrees; the residual target must hold there too
         spec = RadialDerivativeSpec(1, 0.0125, 8)
-        assert identity_records([q], [spec], 128)[0].residual <= 1e-10
+        assert identity_records(5, [1.0], [2.0], [spec], 128).residual[0] <= 1e-10
 
     def test_even_zero_frequency(self):
-        q = KernelQuery(np.zeros(4), 1.0, Dimension(4))
-        assert identity_records([q])[0].residual <= 1e-8
+        assert identity_records(4, [1.0], [0.0]).residual[0] <= 1e-8
 
     def test_even_n2_sweep(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            q = random_query(rng, 2)
-            assert identity_records([q])[0].residual <= 1e-8
+        radius, knorm = random_draws(np.random.default_rng(8), 50)
+        assert identity_records(2, radius, knorm).residual.max() <= 1e-8
 
     def test_even_n4_against_refined_oracle(self):
-        q = KernelQuery(np.array([3.0, 0, 0, 0]), 1.0, Dimension(4))
-        assert identity_records([q])[0].residual <= 1e-6
+        assert identity_records(4, [1.0], [3.0]).residual[0] <= 1e-6
         # the refined residual on the direct weighted ball mean, not the descent
         spec = RadialDerivativeSpec(1, 0.008, 8)
-        spec.validate_radius(q.radius)
-        radii = stencil_radii(q.radius, spec.degree, spec.h)
-        samples = np.array([direct_ball_wave(q, r, 128) for r in radii])
-        value = solution_constant(4) * chain_apply(samples, 1, q.radius, spec.h)
+        spec.validate_radius(1.0)
+        radii = stencil_radii(1.0, spec.degree, spec.h)
+        samples = np.array([direct_ball_wave(3.0, 4, r, 128) for r in radii])
+        value = solution_constant(4) * chain_apply(samples, 1, 1.0, spec.h)
         assert abs(math.sin(3.0) / 3.0 - value) <= 1e-8
 
     def test_residual_refinement_order(self):
         # residual drops at (at least) order degree - m when h halves
-        q = KernelQuery(np.array([3.0, 0, 0, 0, 0]), 1.0, Dimension(5))
         m, degree = 1, 6
-        residuals = [identity_records([q], [RadialDerivativeSpec(m, h, degree)])[0].residual
-                     for h in (0.1, 0.05, 0.025)]
+        specs = [RadialDerivativeSpec(m, h, degree) for h in (0.1, 0.05, 0.025)]
+        residuals = identity_records(5, [1.0] * 3, [3.0] * 3, specs).residual
         orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
         assert min(orders) >= degree - m
 
     def test_high_frequency_node_scaling(self):
         # past R|xi| = 30 the 1-D rules grow linearly with the phase range;
         # the n = 3 identity stays at quadrature accuracy
-        q = KernelQuery(np.array([25.0, 0.0, 0.0]), 2.0, Dimension(3))
-        rec = identity_records([q])[0]
-        assert rec.nodes > 64
-        assert rec.residual <= 1e-10
+        rec = identity_records(3, [2.0], [25.0])
+        assert rec.nodes[0] > 64
+        assert rec.residual[0] <= 1e-10
 
     def test_identity_sweep_records(self):
         records = identity_sweep(3, 10, seed=3)
-        assert len(records) == 10
-        assert max(r.residual for r in records) <= 1e-10
-        assert max(r.imag_residual for r in records) <= 1e-10
-        assert all(r.radius * r.knorm <= 20.0 + 1e-12 for r in records)
+        assert records.n == 3 and len(records.residual) == 10
+        assert records.residual.max() <= 1e-10
+        assert records.imag_residual.max() <= 1e-10
+        assert (records.radius * records.knorm <= 20.0 + 1e-12).all()
 
     def test_parity_dispatch_errors(self):
         with pytest.raises(ValueError):
-            identity_records([KernelQuery(np.zeros(5), 1.0, Dimension(5))],
-                             [RadialDerivativeSpec(2, 0.01, 8)])
+            identity_records(5, [1.0], [0.0], [RadialDerivativeSpec(2, 0.01, 8)])
+
+
+COLUMNS = ("radius", "knorm", "residual", "imag_residual", "h", "nodes")
+
+
+def entry(record, i):
+    """Draw i of a record of columns."""
+    return SimpleNamespace(n=record.n, **{name: getattr(record, name)[i] for name in COLUMNS})
 
 
 def assert_same_record(batched, alone):
     """Everything but the residuals equal, the residuals within 1e-15 absolute.
-    The batched sums, fit and chain take each query's own operations, so they
+    The batched sums, fit and chain take each draw's own operations, so they
     agree to the bit where a matrix-vector product rounds each row alike
     whatever the number of rows; the bound allows for a BLAS that does not."""
     assert (batched.n, batched.radius, batched.knorm, batched.h, batched.nodes) == \
         (alone.n, alone.radius, alone.knorm, alone.h, alone.nodes)
     assert abs(batched.residual - alone.residual) <= 1e-15
     assert abs(batched.imag_residual - alone.imag_residual) <= 1e-15
+
+
+def alone(n, radius, knorm, spec=None):
+    """The record of one draw by itself, as an entry."""
+    return entry(identity_records(n, [radius], [knorm], None if spec is None else [spec]), 0)
 
 
 def count_sphere_sums(monkeypatch):
@@ -248,110 +236,135 @@ class TestBatchedIdentities:
     def test_a_shorter_sweep_is_a_prefix(self, n):
         full = identity_sweep(n, 200, seed=20 + n)
         for count in (1, 37):
-            for batched, short in zip(full, identity_sweep(n, count, seed=20 + n)):
-                assert_same_record(batched, short)
+            short = identity_sweep(n, count, seed=20 + n)
+            assert len(short.residual) == count
+            for i in range(count):
+                assert_same_record(entry(full, i), entry(short, i))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_each_record_is_its_query_alone(self, n, monkeypatch):
         calls = count_sphere_sums(monkeypatch)
         records = identity_sweep(n, 200, seed=30 + n)
         assert len(calls) == 1  # 200 draws at 64 nodes: one block
-        rng = np.random.default_rng(30 + n)
-        for rec in records:
-            assert_same_record(rec, identity_records([random_query(rng, n)])[0])
+        radius, knorm = random_draws(np.random.default_rng(30 + n), 200)
+        for i in range(200):
+            assert_same_record(entry(records, i), alone(n, radius[i], knorm[i]))
+
+    @pytest.mark.parametrize("max_product", [20.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_sweep_draws(self, n, max_product):
+        # the benchmark's row check: 0.5 <= R < 2, |xi| >= 0, R|xi| <= max_product
+        records = identity_sweep(n, 200, seed=50 + n, max_product=max_product)
+        radius, knorm = records.radius, records.knorm
+        assert (0.5 <= radius).all() and (radius < 2.0).all() and (knorm >= 0.0).all()
+        assert (radius * knorm <= max_product * (1 + 1e-12)).all()
+        want = random_draws(np.random.default_rng(50 + n), 200, max_product)
+        assert radius.tolist() == want[0].tolist() and knorm.tolist() == want[1].tolist()
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_node_groups_out_of_draw_order(self, n):
         records = identity_sweep(n, 40, seed=5, max_product=100.0)
-        nodes = [rec.nodes for rec in records]
+        nodes = records.nodes.tolist()
         # several node counts, interleaved in draw order
         assert len(set(nodes)) > 3
         assert any(a > b for a, b in zip(nodes, nodes[1:]))
-        rng = np.random.default_rng(5)
-        for rec in records:
-            assert_same_record(rec, identity_records([random_query(rng, n, 100.0)])[0])
+        radius, knorm = random_draws(np.random.default_rng(5), 40, 100.0)
+        for i in range(40):
+            assert_same_record(entry(records, i), alone(n, radius[i], knorm[i]))
 
     def test_a_sweep_over_two_blocks(self, monkeypatch):
         # 9 stencil radii of 7 coordinates at 64 nodes: 260 draws fill a block
         calls = count_sphere_sums(monkeypatch)
         records = identity_sweep(7, 261, seed=4)
         assert calls == [(260 * 9,), (9,)]
-        rng = np.random.default_rng(4)
-        queries = [random_query(rng, 7) for _ in range(261)]
-        for index in (0, 259, 260):
-            assert_same_record(records[index], identity_records([queries[index]])[0])
+        radius, knorm = random_draws(np.random.default_rng(4), 261)
+        for i in (0, 259, 260):
+            assert_same_record(entry(records, i), alone(7, radius[i], knorm[i]))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_zero_frequency_in_a_batch(self, n):
-        rng = np.random.default_rng(11)
-        queries = [random_query(rng, n) for _ in range(3)]
-        queries.insert(1, KernelQuery(np.zeros(n), 1.3, Dimension(n)))
-        records = kernels.identity_records(queries)
-        assert records[1].knorm == 0.0
+        radius, knorm = random_draws(np.random.default_rng(11), 3)
+        radius, knorm = np.insert(radius, 1, 1.3), np.insert(knorm, 1, 0.0)
+        records = kernels.identity_records(n, radius, knorm)
+        assert records.knorm[1] == 0.0
         # the sinc side is its limit R, which the chain meets to the tolerance
-        assert records[1].residual <= (1e-10 if n % 2 else 1e-8)
-        for rec, q in zip(records, queries):
-            assert_same_record(rec, identity_records([q])[0])
+        assert records.residual[1] <= (1e-10 if n % 2 else 1e-8)
+        for i in range(4):
+            assert_same_record(entry(records, i), alone(n, radius[i], knorm[i]))
 
     def test_an_oversized_draw_fails_before_any_sum(self, monkeypatch):
         calls = count_sphere_sums(monkeypatch)
-        rng = np.random.default_rng(12)
-        queries = [random_query(rng, 3) for _ in range(4)]
-        queries.append(KernelQuery(np.array([2000.0, 0.0, 0.0]), 1.0, Dimension(3)))
+        radius, knorm = random_draws(np.random.default_rng(12), 4)
         with pytest.raises(EvaluationError, match="oscillatory quadrature nodes"):
-            kernels.identity_records(queries)
+            kernels.identity_records(3, np.append(radius, 1.0), np.append(knorm, 2000.0))
+        assert calls == []
+
+    def test_bad_draws_fail_before_any_sum(self, monkeypatch):
+        calls = count_sphere_sums(monkeypatch)
+        spec = RadialDerivativeSpec(1, 0.05, 6)
+        with pytest.raises(ValueError, match="one R, one"):  # lengths differ
+            identity_records(3, [1.0, 1.2], [2.0])
+        with pytest.raises(ValueError, match="one R, one"):  # one spec for two draws
+            identity_records(5, [1.0, 1.2], [2.0, 2.0], [spec])
+        with pytest.raises(ValueError, match="non-negative"):
+            identity_records(3, [1.0, 1.2], [2.0, -2.0])
+        for bad in (0.0, -1.0):
+            with pytest.raises(StencilError, match="positive"):
+                identity_records(3, [1.0, bad], [2.0, 2.0])
+            with pytest.raises(StencilError, match="positive"):
+                identity_records(5, [bad], [2.0], [spec])
+        with pytest.raises(ValueError, match="n = 1"):
+            identity_records(1, [1.0], [2.0])
         assert calls == []
 
     def test_specs_per_query(self):
-        q = KernelQuery(np.array([3.0, 0, 0, 0, 0]), 1.0, Dimension(5))
         specs = [RadialDerivativeSpec(1, h, 6) for h in (0.1, 0.05, 0.025)]
-        records = kernels.identity_records([q] * 3, specs)
-        assert [rec.h for rec in records] == [0.1, 0.05, 0.025]
-        for rec, spec in zip(records, specs):
-            assert_same_record(rec, identity_records([q], [spec])[0])
+        records = kernels.identity_records(5, [1.0] * 3, [3.0] * 3, specs)
+        assert records.h.tolist() == [0.1, 0.05, 0.025]
+        for i, spec in enumerate(specs):
+            assert_same_record(entry(records, i), alone(5, 1.0, 3.0, spec))
         with pytest.raises(ValueError):  # one spec short
-            kernels.identity_records([q] * 3, specs[:2])
+            kernels.identity_records(5, [1.0] * 3, [3.0] * 3, specs[:2])
 
 
 def exp_sweep(n, count, seed, max_product=20.0):
-    """identity_sweep as a KernelQuery per draw, a spec per draw and the plane wave by
-    complex exp, with the draws grouped and blocked as the array core groups them."""
-    rng = np.random.default_rng(seed)
+    """identity_sweep with a spec per draw and the plane wave by complex exp, with the
+    draws grouped and blocked as `identity_records` groups them."""
     m, n_means = Dimension(n).derivative_order, n + 1 - n % 2
-    groups = {}
+    radius, knorm = random_draws(np.random.default_rng(seed), count, max_product)
+    h, nodes, groups = np.empty(count), np.empty(count, dtype=int), {}
     for i in range(count):
-        q = random_query(rng, n, max_product)
-        spec = default_spec(m, q.radius, oscillation=q.knorm)
-        spec.validate_radius(q.radius)
-        nodes = _osc_nodes(q.knorm * (q.radius + spec.h * spec.degree / 2.0))
-        groups.setdefault((spec.degree, nodes), []).append((i, q.radius, q.knorm, spec.h))
-    records = [None] * count
-    for (degree, nodes), members in sorted(groups.items()):
-        block = max(1, _CHUNK_BYTES // ((degree + 1) * n_means * 8 * nodes))
+        spec = default_spec(m, radius[i], oscillation=knorm[i])
+        spec.validate_radius(radius[i])
+        h[i] = spec.h
+        nodes[i] = _osc_nodes(knorm[i] * (radius[i] + spec.h * spec.degree / 2.0))
+        groups.setdefault((spec.degree, nodes[i]), []).append(i)
+    residual, imag = np.empty(count), np.empty(count)
+    for (degree, count_nodes), members in sorted(groups.items()):
+        block = max(1, _CHUNK_BYTES // ((degree + 1) * n_means * 8 * count_nodes))
         for first in range(0, len(members), block):
-            index, t, k, h = (np.array(column) for column in zip(*members[first:first + block]))
+            index = np.array(members[first:first + block])
+            t, k = radius[index], knorm[index]
             support = chain_support(degree, m)  # the radii the chain weighs
             wave = np.repeat(k, support.sum())[:, None]
             samples = means_series(lambda points: np.exp(-1j * wave * points[..., 0]), 0.0,
-                                   _radial_rule(n_means, n_means, nodes), t, degree, h,
-                                   support=support)
-            value = solution_constant(n_means) * chain_apply(samples, m, t, h)
-            residual = abs(t * _kernels.sinc_ratio(t * k) - value.real)
-            for row in zip(index, t, k, residual, abs(value.imag), h):
-                records[row[0]] = IdentityRecord(n, *row[1:], nodes)
-    return records
+                                   _radial_rule(n_means, n_means, count_nodes), t, degree,
+                                   h[index], support=support)
+            value = solution_constant(n_means) * chain_apply(samples, m, t, h[index])
+            residual[index] = abs(t * _kernels.sinc_ratio(t * k) - value.real)
+            imag[index] = abs(value.imag)
+    return IdentityRecord(n, radius, knorm, residual, imag, h, nodes)
 
 
-def record_bits(records):
-    return [(r.n, r.nodes) + tuple(float.hex(float(v)) for v in
-                                   (r.radius, r.knorm, r.residual, r.imag_residual, r.h))
-            for r in records]
+def record_bits(record):
+    return [(record.n, int(nodes)) + tuple(float.hex(float(v)) for v in values)
+            for nodes, *values in zip(record.nodes, record.radius, record.knorm,
+                                      record.residual, record.imag_residual, record.h)]
 
 
 class TestIdentityBits:
     """The array sweep against a per-draw reference on the complex exp: the same bits,
-    as cos/sin of the real phase are what exp takes at real part +-0, and
-    math.sqrt(v.dot(v)) is np.linalg.norm(v)."""
+    as cos/sin of the real phase are what exp takes at real part +-0."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("count, max_product", [(50, 20.0), (40, 100.0)],
@@ -366,19 +379,13 @@ class TestIdentityBits:
 
     def test_a_bad_spec_fails_before_any_sum(self, monkeypatch):
         calls = count_sphere_sums(monkeypatch)
-        q = KernelQuery(np.array([3.0, 0, 0, 0, 0]), 1.0, Dimension(5))
         specs = [RadialDerivativeSpec(1, h, 6) for h in (0.05, 0.2, 0.3)]
         with pytest.raises(StencilError, match="h = 0.2 too large"):
-            identity_records([q] * 3, specs)
+            identity_records(5, [1.0] * 3, [3.0] * 3, specs)
         with pytest.warns(RuntimeWarning, match="h = 1e-07 below"):
-            identity_records([q] * 2, [RadialDerivativeSpec(1, h, 6) for h in (0.05, 1e-7)])
+            identity_records(5, [1.0] * 2, [3.0] * 2,
+                             [RadialDerivativeSpec(1, h, 6) for h in (0.05, 1e-7)])
         assert len(calls) == 1  # only the warned batch reached its sum
-
-    def test_one_dimension_per_call(self):
-        queries = [KernelQuery(np.zeros(3), 1.0, Dimension(3)),
-                   KernelQuery(np.zeros(5), 1.0, Dimension(5))]
-        with pytest.raises(ValueError, match="one dimension"):
-            identity_records(queries)
 
 
 class TestMirroredPlaneWave:
@@ -400,23 +407,21 @@ class TestMirroredPlaneWave:
         full = identity_sweep(n, 30, seed=60 + n, max_product=max_product,
                               base_nodes=base_nodes)
         assert record_bits(mirrored) == record_bits(full)
-        assert base_nodes in {rec.nodes for rec in mirrored}
+        assert base_nodes in mirrored.nodes.tolist()
 
     @pytest.mark.parametrize("n", range(2, MAX_DIMENSION + 1))
     def test_one_chunk_at_the_node_cap(self, n):
-        # the block sizing of _identity_core keeps a rule in one sphere_sums chunk
+        # the block sizing of identity_records keeps a rule in one sphere_sums chunk
         # when one draw of the default degree 2 m + 4 fits at the most nodes
         m = Dimension(n).derivative_order
         assert (2 * m + 5) * (n + 1 - n % 2) * 8 * MAX_OSC_NODES <= _CHUNK_BYTES
 
     def test_a_draw_at_the_node_cap(self, monkeypatch):
-        xi = np.zeros(11)
-        xi[0] = 1274.5  # R |xi| just under the cap of MAX_OSC_NODES nodes
-        query = KernelQuery(xi, 1.0, Dimension(11))
-        mirrored = identity_records([query])
-        assert mirrored[0].nodes == MAX_OSC_NODES
+        # R |xi| = 1274.5, just under the cap of MAX_OSC_NODES nodes
+        mirrored = identity_records(11, [1.0], [1274.5])
+        assert mirrored.nodes[0] == MAX_OSC_NODES
         self.cis_on_every_node(monkeypatch)
-        assert record_bits(mirrored) == record_bits(identity_records([query]))
+        assert record_bits(mirrored) == record_bits(identity_records(11, [1.0], [1274.5]))
 
     def test_a_rule_split_over_chunks_is_refused(self):
         y1 = np.zeros((2, 3))
@@ -533,6 +538,27 @@ class TestFourierDuality:
         T = DistributionFunctional(1.0, Dimension(2))
         with pytest.raises(ConfigError):
             distribution_fourier_check(T, fields.harmonic(2, "linear"))
+
+    def test_a_grid_over_the_cap_is_refused_before_phi(self):
+        # 64^5 nodes would be five 8.6 GB coordinate arrays: the grid is refused
+        # above the spectral grid's cap before phi is called or anything is built
+        class Called(Exception):
+            pass
+
+        def refuse(points):
+            raise Called
+
+        for n, nodes in ((5, 64), (3, 257)):
+            with pytest.raises(ValueError, match="Fourier grid"):
+                make_fourier_evaluator(fields.ScalarField(refuse, n, support_radius=1.0), nodes)
+        with pytest.raises(ValueError, match="Fourier grid"):
+            distribution_fourier_check(DistributionFunctional(1.0, Dimension(5)),
+                                       fields.ScalarField(refuse, 5, support_radius=1.0))
+        # 64^4 and 256^3 nodes are at the cap: phi is called, by the support check
+        assert 64**4 == 256**3 == MAX_GRID_POINTS
+        for n, nodes in ((4, 64), (3, 256)):
+            with pytest.raises(Called):
+                make_fourier_evaluator(fields.ScalarField(refuse, n, support_radius=1.0), nodes)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_even_n_builds_only_the_means_sphere_rule(self, n, monkeypatch):
