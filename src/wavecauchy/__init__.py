@@ -33,10 +33,8 @@ from .solvers import (
     CauchyProblem,
     GridSpec,
     SolutionGrid,
-    SolutionSample,
     SpectralState,
     hermitian_defect,
-    solve_dalembert_point,
     solve_points,
     spectral_energy,
     spectral_probes,

@@ -49,7 +49,6 @@ from .solvers import (
     MAX_GRID_POINTS,
     CauchyProblem,
     GridSpec,
-    SolutionSample,
     evolution_state,
     solve_points,
     spectral_probes,
@@ -400,6 +399,8 @@ def _run_solve(config: RunConfig, report: Report) -> None:
         raise ConfigError(f"each probe needs {dim} coordinates", keys=["solve.probes"])
 
     times = keys["times"]
+    # every (probe, time) pair, time-major as the report's rows
+    sites, t = np.tile(probes, (len(times), 1)), np.repeat(times, len(probes))
     if method == "spectral":
         half_width, points = keys["grid_half_width"], keys["grid_points"]
         grid = GridSpec(half_width, points, dim)
@@ -408,28 +409,24 @@ def _run_solve(config: RunConfig, report: Report) -> None:
         except DomainSizeError as exc:
             raise ConfigError(str(exc), keys=["solve.grid_half_width"]) from exc
         index = np.rint((np.array(probes) + half_width) / grid.spacing).astype(int) % points
-        # one pass over the half spectrum for every time, time-major as the report's rows
+        # one pass over the half spectrum for every time; each probe reports its lattice point
         values, estimates = spectral_probes(problem, grid, times, index, state)
-        samples = [SolutionSample(-half_width + grid.spacing * idx, t, float(u), "spectral", e)
-                   for t, row, e in zip(times, values, estimates.tolist())
-                   for idx, u in zip(index, row)]
+        u, err = values.ravel(), np.repeat(estimates, len(index))
+        sites, label = np.tile(-half_width + grid.spacing * index, (len(times), 1)), "spectral"
         if keys["binary_out"]:  # the one full inverse, for the last time's grid
             spectral_solve(problem, grid, times[-1], state=state).to_binary(keys["binary_out"])
-    else:
-        # one batch of every (probe, time) pair, time-major as the report's rows
-        samples = solve_points(problem, np.tile(probes, (len(times), 1)),
-                               np.repeat(times, len(probes)))
+    else:  # one batch of every pair
+        u, err = solve_points(problem, sites, t)
+        label = "dalembert" if dim == 1 else "spherical_means" if dim % 2 else "weighted_means"
 
-    expect, expect_tol = keys["expect_value"], keys["expect_tol"]
+    u, expect, expect_tol = u.tolist(), keys["expect_value"], keys["expect_tol"]
     violated = [";".join(name for name, bad in (
-        ("solve.finite", not math.isfinite(s.u)),
-        ("solve.expect_value", expect is not None and abs(s.u - expect) > expect_tol)) if bad)
-        for s in samples]
-    coordinates = np.array([s.x for s in samples], dtype=np.float64).T.tolist()
-    report.extend([not v for v in violated], **{f"x{k + 1}": c for k, c in enumerate(coordinates)},
-                  t=[s.t for s in samples], u=[s.u for s in samples],
-                  method=[s.method for s in samples],
-                  error_estimate=[s.error_estimate for s in samples], violated=violated)
+        ("solve.finite", not math.isfinite(value)),
+        ("solve.expect_value", expect is not None and abs(value - expect) > expect_tol)) if bad)
+        for value in u]
+    coordinates = {f"x{k + 1}": c for k, c in enumerate(sites.T.tolist())}
+    report.extend([not v for v in violated], **coordinates, t=t.tolist(), u=u, method=label,
+                  error_estimate=err.tolist(), violated=violated)
 
 
 # --- converge ---------------------------------------------------------------
@@ -456,9 +453,9 @@ def _means_slabs(problem: CauchyProblem, points: int, t0: float, hs: list[float]
     sites = [np.stack(np.meshgrid(*[h * offsets] * n, indexing="ij"), axis=-1).reshape(-1, n)
              for h in hs]
     times = np.repeat(t0 + np.outer(hs, [-1.0, 0.0, 1.0]).ravel(), points ** n)
-    samples = solve_points(problem, np.concatenate([np.tile(x, (3, 1)) for x in sites]), times,
-                           with_error=False)
-    return np.reshape([s.u for s in samples], (len(hs), 3) + (points,) * n)
+    u, _ = solve_points(problem, np.concatenate([np.tile(x, (3, 1)) for x in sites]), times,
+                        with_error=False)
+    return u.reshape((len(hs), 3) + (points,) * n)
 
 
 def _identity_ladder(config: RunConfig) -> tuple[list[float], list[float], list[float]]:
@@ -531,9 +528,9 @@ def _run_converge(config: RunConfig, report: Report) -> None:
 
 #: most (probe, time) pairs a solve may take, and (dimension, draw) pairs a
 #: verify-identities sweep: the means pairs go into one solve_points batch, which
-#: peaks at about 0.8 KB a pair at n = 3 and 1.1 KB at n = 7 (tracemalloc,
-#: samples included), about 1 GB at this count; the draws at about 0.6 KB each
-#: (peak RSS of 5e4 draws at n = 7, report included)
+#: peaks at about 1.26 KB a pair at n = 3 and 2.0 KB at n = 7, 1.3 and 2.1 GB at this
+#: count (tracemalloc; Gaussian data, random probes at two times, with estimates); the
+#: draws at about 0.6 KB each (peak RSS of 5e4 draws at n = 7, report included)
 MAX_PAIRS = 1 << 20
 
 _RUN = {

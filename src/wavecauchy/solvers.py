@@ -36,8 +36,8 @@ each field's radial chain is one row of stencil weights per distinct time
 term and the rounding bound's a_j all come from those rows. For radial data
 on the reduced rule, pairs with the same summing centre (the probe moved onto
 the ray from the data's centre) and the same time share one sphere, summed
-once. Each pair's value and error estimate are the ones it gets alone, to the
-bit, so one point is a batch of one: `solve_points(problem, [x], t)[0]`.
+once. It returns u and the error estimate as two arrays in the pairs' order,
+each pair's the ones it gets alone, to the bit: one point is a batch of one.
 
 A periodic FFT solver provides an independent oracle: each Fourier mode is a
 harmonic oscillator, so the evolution is exact multiplication by cos(|k| t)
@@ -102,15 +102,6 @@ class CauchyProblem:
     def __post_init__(self):
         if self.phi.dim != self.dim.n or self.psi.dim != self.dim.n:
             raise ValueError("initial data dimension does not match the problem dimension")
-
-
-@dataclass(frozen=True)
-class SolutionSample:
-    x: np.ndarray
-    t: float
-    u: float
-    method: str
-    error_estimate: float
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +260,13 @@ def _distinct(centres: np.ndarray, t: list[float]) -> tuple[np.ndarray, np.ndarr
 
 def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
                         spec: RadialDerivativeSpec | None, rule: SphereQuadrature | None,
-                        with_error: bool) -> list[SolutionSample]:
-    method = "spherical_means" if problem.dim.is_odd else "weighted_means"
-    samples = [None] * len(xs)
+                        with_error: bool) -> tuple[np.ndarray, np.ndarray]:
+    values, estimates = np.empty(len(xs)), np.empty(len(xs))
     zero = [i for i, ti in enumerate(t) if ti == 0.0]
-    for i, u in zip(zero, problem.phi(xs[zero]) if zero else []):
-        samples[i] = SolutionSample(xs[i], 0.0, float(u), method, 0.0)
+    if zero:  # u(x, 0) = phi(x), exactly
+        values[zero], estimates[zero] = problem.phi(xs[zero]), 0.0
     if len(zero) == len(xs):
-        return samples
+        return values, estimates
     n = problem.dim.n
     centers, means = xs, problem
     if not problem.dim.is_odd:
@@ -389,22 +379,36 @@ def _solve_means_points(problem: CauchyProblem, xs: np.ndarray, t: list[float],
                 magnitudes = stacked[role][:, 1] if role in exact else np.abs(s)
                 err += constant * (ROUNDING_FACTOR * np.finfo(np.float64).eps
                                    * weigh(abs(w[role]), magnitudes))
-        for i, ux, ex in zip(members, u, err):
-            samples[i] = SolutionSample(xs[i], t[i], float(ux), method, float(ex))
-    return samples
+        values[members], estimates[members] = u, err
+    return values, estimates
+
+
+def _dalembert_points(problem: CauchyProblem, x: np.ndarray, t: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D traveling waves at the pairs (x, t), phi taken at every x - t in one call
+    and at every x + t in another, and `quad` per pair over [x - t, x + t] cut to psi's
+    support [-S, S], S its support_radius: a long interval's nodes may miss narrow data."""
+    from scipy.integrate import quad
+    phi, psi = problem.phi, problem.psi
+    travel = 0.5 * (phi((x - t)[:, None]) + phi((x + t)[:, None]))
+    integral, abserr = np.zeros(len(x)), np.zeros(len(x))
+    low, high = np.maximum(x - t, -psi.support_radius), np.minimum(x + t, psi.support_radius)
+    for i in np.flatnonzero((low < high) & (not psi.is_zero)):
+        integral[i], abserr[i] = quad(lambda s: float(psi(np.array([s]))), low[i], high[i],
+                                      epsabs=1e-12, epsrel=1e-12, limit=200)
+    return travel + 0.5 * integral, 0.5 * abserr
 
 
 def solve_points(problem: CauchyProblem, xs, t,
                  spec: RadialDerivativeSpec | None = None,
                  rule: SphereQuadrature | None = None,
-                 with_error: bool = True) -> list[SolutionSample]:
-    """The solution at P (point, time) pairs: the points xs, shape (P, n), at
-    the time t, or each at its own time, t of shape (P,), in any order. One
-    sample per pair, in their order. d'Alembert for n = 1; otherwise the
-    means solver, which groups the pairs by node count, takes each group's
-    time by time, sums each field once per stencil radius set (radial data
-    each distinct sphere, summing centre and time, once), and gives each pair
-    the value it gets alone, to the bit."""
+                 with_error: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """u and its error estimate, arrays (P,), at P (point, time) pairs in their order: the
+    points xs, shape (P, n), at the time t, or each at its own, t of shape (P,). Without
+    with_error the estimate is NaN, except d'Alembert's and at t = 0. d'Alembert for n = 1;
+    otherwise the means solver, which groups the pairs by node count, takes each group's
+    time by time, sums each field once per stencil radius set (radial data each distinct
+    sphere, summing centre and time, once), and gives each pair what it gets alone, to the bit."""
     n = problem.dim.n
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != n:
@@ -416,31 +420,11 @@ def solve_points(problem: CauchyProblem, xs, t,
     if any(ti < 0 for ti in times):  # checked before a scalar is repeated, for no points too
         raise ValueError("time must be non-negative")
     t = times if t.ndim else times * len(xs)
+    if not len(xs):  # no field is evaluated
+        return np.empty(0), np.empty(0)
     if n == 1:
-        return [solve_dalembert_point(problem, x, tx) for x, tx in zip(xs, t)]
-    return _solve_means_points(problem, xs, t, spec, rule, with_error) if len(xs) else []
-
-
-def solve_dalembert_point(problem: CauchyProblem, x: float, t: float) -> SolutionSample:
-    """The 1-D traveling-wave solution with adaptive quadrature for the velocity term,
-    over [x - t, x + t] cut to psi's support [-S, S], S its support_radius: a long
-    interval's quadrature nodes may all miss narrow data."""
-    if problem.dim.n != 1:
-        raise ValueError("d'Alembert solver is for dimension 1")
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    from scipy.integrate import quad
-
-    x = float(np.asarray(x, dtype=np.float64).reshape(()))
-    phi, psi = problem.phi, problem.psi
-    travel = 0.5 * (float(phi(np.array([x - t]))) + float(phi(np.array([x + t]))))
-    low, high = max(x - t, -psi.support_radius), min(x + t, psi.support_radius)
-    if psi.is_zero or not low < high:
-        integral, abserr = 0.0, 0.0
-    else:
-        integral, abserr = quad(lambda s: float(psi(np.array([s]))), low, high,
-                                epsabs=1e-12, epsrel=1e-12, limit=200)
-    return SolutionSample(np.array([x]), t, travel + 0.5 * integral, "dalembert", 0.5 * abserr)
+        return _dalembert_points(problem, xs[:, 0], np.array(t))
+    return _solve_means_points(problem, xs, t, spec, rule, with_error)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,29 @@ expect_tol = 1e-10
         _, _, body = read_report(out)
         assert all(row["method"] == "dalembert" for row in body)
 
+    def test_weighted_means_dispatch(self, tmp_path):
+        out = tmp_path / "solve2d.csv"
+        cfg = write_config(tmp_path, f"""
+[run]
+command = solve
+dim = 2
+output = {out}
+
+[data]
+psi = constant
+psi_value = 1.0
+
+[solve]
+times = 1.5, 0.5
+probes = 0 0, 0.5 -0.25
+expect_value = 1.5
+expect_tol = 1e-10
+""")
+        assert main(["solve", "--config", cfg]) == 1  # t = 0.5 gives u = 0.5
+        _, _, body = read_report(out)
+        assert [row["pass"] for row in body] == ["yes", "yes", "no", "no"]
+        assert [row["method"] for row in body] == ["weighted_means"] * 4
+
     def test_spectral_method_with_binary(self, tmp_path):
         out = tmp_path / "solve.csv"
         binary = tmp_path / "grid.wave"
@@ -258,12 +281,12 @@ probe_count = 4
         rng = np.random.default_rng(5)
         probes = [rng.uniform(-1.0, 1.0, size=dim) for _ in range(4)]
         # times outer, probes inner
-        expected = [solve_points(problem, [x], t)[0] for t in (0.7, 1.3) for x in probes]
+        expected = [(x, t, *solve_points(problem, [x], t)) for t in (0.7, 1.3) for x in probes]
         assert len(body) == len(expected)
-        for row, s in zip(body, expected):
-            assert [row[f"x{k + 1}"] for k in range(dim)] == [repr(float(c)) for c in s.x]
+        for row, (x, t, u, err) in zip(body, expected):
+            assert [row[f"x{k + 1}"] for k in range(dim)] == [repr(float(c)) for c in x]
             assert (row["t"], row["u"], row["error_estimate"]) == (
-                repr(s.t), repr(s.u), repr(s.error_estimate))
+                repr(t), repr(float(u[0])), repr(float(err[0])))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_means_slab_matches_point_loop(self, dim):
@@ -277,16 +300,16 @@ probe_count = 4
             sites = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
             times = t0 + h * np.array([-1.0, 0.0, 1.0])
             # the level's own batch, one call per level as before the ladder batch
-            level = solve_points(problem, np.tile(sites, (3, 1)), np.repeat(times, len(sites)),
-                                 with_error=False)
-            assert np.array_equal(slab.ravel(), [s.u for s in level])
+            level, _ = solve_points(problem, np.tile(sites, (3, 1)),
+                                    np.repeat(times, len(sites)), with_error=False)
+            assert np.array_equal(slab.ravel(), level)
             for it, t in enumerate(times):
                 for idx in np.ndindex(*slab.shape[1:]):
                     x = axis[list(idx)]
                     assert slab[(it,) + idx] == solve_points(problem, [x], t,
-                                                             with_error=False)[0].u
+                                                             with_error=False)[0][0]
                 # and the slab of one solve_points call per time, the batch before pairs
-                per_time = [s.u for s in solve_points(problem, sites, t, with_error=False)]
+                per_time, _ = solve_points(problem, sites, t, with_error=False)
                 assert np.array_equal(slab[it].ravel(), per_time)
 
     @pytest.mark.parametrize("dim, data", [

@@ -479,7 +479,7 @@ class TestDistributionFunctional:
         gauss = fields.gaussian(n, sigma=0.9, center=np.linspace(0.4, -0.3, n))
         f = fields.ScalarField(gauss.evaluator, n)
         u = solve_points(CauchyProblem(fields.zero(n), f, Dimension(n)), [np.zeros(n)], radius,
-                         with_error=False)[0].u
+                         with_error=False)[0][0]
         action = DistributionFunctional(radius, Dimension(n)).action(f)
         assert abs(action - u) <= 1e-12 * abs(u)
 

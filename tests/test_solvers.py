@@ -28,7 +28,6 @@ from wavecauchy.solvers import (
     CauchyProblem,
     GridSpec,
     hermitian_defect,
-    solve_dalembert_point,
     solve_points,
     spectral_energy,
     spectral_probes,
@@ -41,6 +40,12 @@ from wavecauchy.solvers import (
 
 def problem(n, phi=None, psi=None):
     return CauchyProblem(phi or fields.zero(n), psi or fields.zero(n), Dimension(n))
+
+
+def solve_one(p, x, t, **kwargs):
+    """u and its error estimate at the point x alone, as floats."""
+    u, err = solve_points(p, [x], t, **kwargs)
+    return float(u[0]), float(err[0])
 
 
 def sphere_mean(psi, x, t):
@@ -90,16 +95,14 @@ class TestWeightedBallMean:
 class TestMeansSolvers:
     def test_kirchhoff_constant(self):
         p = problem(3, psi=fields.constant(3, 1.0))
-        s = solve_points(p, [np.zeros(3)], 2.0)[0]
-        assert s.method == "spherical_means"
-        assert s.u == pytest.approx(2.0, rel=1e-12)
-        assert s.error_estimate < 1e-10
+        u, err = solve_one(p, np.zeros(3), 2.0)
+        assert u == pytest.approx(2.0, rel=1e-12)
+        assert err < 1e-10
 
     def test_poisson_constant(self):
         p = problem(2, psi=fields.constant(2, 1.0))
-        s = solve_points(p, [np.zeros(2)], 2.0)[0]
-        assert s.method == "weighted_means"
-        assert s.u == pytest.approx(2.0, rel=1e-12)
+        u = solve_one(p, np.zeros(2), 2.0)[0]
+        assert u == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_harmonic_data_odd(self, n):
@@ -111,8 +114,8 @@ class TestMeansSolvers:
         for t in (0.5, 1.0, 2.0):
             x = rng.uniform(-1.0, 1.0, n)
             exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
-            s = solve_points(p, [x], t, rule=rule, with_error=False)[0]
-            assert abs(s.u - exact) <= 1e-8 * abs(exact)
+            u = solve_one(p, x, t, rule=rule, with_error=False)[0]
+            assert abs(u - exact) <= 1e-8 * abs(exact)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_harmonic_data_even(self, n):
@@ -124,8 +127,8 @@ class TestMeansSolvers:
         for t in (0.5, 1.0, 2.0):
             x = rng.uniform(-1.0, 1.0, n)
             exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
-            s = solve_points(p, [x], t, rule=rule, with_error=False)[0]
-            assert abs(s.u - exact) <= 1e-8 * abs(exact)
+            u = solve_one(p, x, t, rule=rule, with_error=False)[0]
+            assert abs(u - exact) <= 1e-8 * abs(exact)
 
     def test_linearity(self):
         n = 3
@@ -143,9 +146,9 @@ class TestMeansSolvers:
         p2 = CauchyProblem(phi2, psi2, Dimension(n))
         x = np.array([0.2, -0.3, 0.4])
         t = 1.2
-        u_combo = solve_points(p_combo, [x], t, with_error=False)[0].u
-        u_split = (a * solve_points(p1, [x], t, with_error=False)[0].u
-                   + b * solve_points(p2, [x], t, with_error=False)[0].u)
+        u_combo = solve_one(p_combo, x, t, with_error=False)[0]
+        u_split = (a * solve_one(p1, x, t, with_error=False)[0]
+                   + b * solve_one(p2, x, t, with_error=False)[0])
         assert u_combo == pytest.approx(u_split, rel=1e-10)
 
     def test_linearity_even(self):
@@ -158,16 +161,16 @@ class TestMeansSolvers:
                                                       psi2.support_radius))
         x = np.array([0.4, -0.1])
         t = 0.9
-        u_combo = solve_points(problem(n, psi=combo), [x], t, with_error=False)[0].u
-        u_split = (a * solve_points(problem(n, psi=psi1), [x], t, with_error=False)[0].u
-                   + b * solve_points(problem(n, psi=psi2), [x], t, with_error=False)[0].u)
+        u_combo = solve_one(problem(n, psi=combo), x, t, with_error=False)[0]
+        u_split = (a * solve_one(problem(n, psi=psi1), x, t, with_error=False)[0]
+                   + b * solve_one(problem(n, psi=psi2), x, t, with_error=False)[0])
         assert u_combo == pytest.approx(u_split, rel=1e-10)
 
     def test_time_zero_returns_phi(self):
         phi = fields.gaussian(3, sigma=1.0)
         p = problem(3, phi=phi)
         x = np.array([0.1, 0.2, 0.3])
-        assert solve_points(p, [x], 0.0)[0].u == pytest.approx(float(phi(x[None, :])[0]))
+        assert solve_one(p, x, 0.0)[0] == pytest.approx(float(phi(x[None, :])[0]))
 
     def test_initial_condition_recovery(self):
         # u(x, t) - phi(x) = O(t^2): the quadratic-coefficient estimates from
@@ -178,8 +181,8 @@ class TestMeansSolvers:
         phix = float(phi(x[None, :])[0])
         cs = []
         for t in (0.01, 0.02, 0.04):
-            s = solve_points(p, [x], t, with_error=False)[0]
-            cs.append(abs(s.u - phix) / t**2)
+            u = solve_one(p, x, t, with_error=False)[0]
+            cs.append(abs(u - phix) / t**2)
         mid = sorted(cs)[1]
         assert max(abs(c - mid) for c in cs) <= 0.1 * mid
 
@@ -205,9 +208,9 @@ class TestMeansSolvers:
     def test_error_estimate_tracks_truth(self):
         psi = fields.gaussian(2, sigma=1.0)
         p = problem(2, psi=psi)
-        s = solve_points(p, [np.array([0.2, 0.1])], 1.0)[0]
-        assert math.isfinite(s.error_estimate)
-        assert s.error_estimate < 1e-8
+        u, err = solve_one(p, np.array([0.2, 0.1]), 1.0)
+        assert math.isfinite(err)
+        assert err < 1e-8
 
 
 def counting(field):
@@ -241,7 +244,7 @@ class TestDescent:
         psi = fields.gaussian(2, sigma=0.8, center=[0.3, -0.2])
         x = np.array([0.4, 0.1])
         for t in (0.5, 1.0, 2.0):
-            u = solve_points(problem(2, psi=psi), [x], t, with_error=False)[0].u
+            u = solve_one(problem(2, psi=psi), x, t, with_error=False)[0]
             oracle = 0.5 * t * t * weighted_ball_mean(psi, x, t)
             assert u == pytest.approx(oracle, rel=1e-10)
 
@@ -253,7 +256,7 @@ class TestDescent:
         for x, t in ((np.array([0.3, -0.2, 0.1, 0.4]), 0.9),
                      (np.array([0.5, 0.0, 0.2, -0.1]), 1.5)):
             spec = RadialDerivativeSpec(1, t / 24.0, 8)
-            u = solve_points(p, [x], t, spec=spec, with_error=False)[0].u
+            u = solve_one(p, x, t, spec=spec, with_error=False)[0]
             assert u == pytest.approx(gaussian_wave_hankel(4, 1.0, x, t), rel=1e-8)
 
     def test_n4_field_points(self):
@@ -271,9 +274,8 @@ class TestDescent:
         psi, calls = counting(fields.gaussian(2, sigma=1.0))
         p = problem(2, psi=psi)
         x = np.array([0.2, 0.3])
-        a = solve_points(p, [x], 1.0, rule=low, with_error=False)[0].u
-        b = solve_points(p, [x], 1.0, rule=sphere_quadrature_for_order(3, 7),
-                         with_error=False)[0].u
+        a = solve_one(p, x, 1.0, rule=low, with_error=False)[0]
+        b = solve_one(p, x, 1.0, rule=sphere_quadrature_for_order(3, 7), with_error=False)[0]
         assert a == b
         assert calls[0][-1] == sphere_quadrature_for_order(3, 7).nodes.shape[0]
         with pytest.raises(ValueError):
@@ -333,12 +335,13 @@ class TestSolvePoints:
 
     @staticmethod
     def assert_same(batch, single):
-        assert len(batch) == len(single)
-        for b, s in zip(batch, single):
-            assert b.u == s.u or (math.isnan(b.u) and math.isnan(s.u)), (b.u, s.u)
-            assert (b.error_estimate == s.error_estimate
-                    or (math.isnan(b.error_estimate) and math.isnan(s.error_estimate)))
-            assert np.array_equal(b.x, s.x) and b.t == s.t and b.method == s.method
+        """batch's (u, error_estimate) arrays hold each pair's (u, estimate) of single,
+        NaN as NaN (estimates without with_error)."""
+        u, err = batch
+        assert u.shape == err.shape == (len(single),)
+        for pair in zip(u, err, single):
+            b, s = pair[:2], pair[2]
+            assert np.array_equal(b, s, equal_nan=True), (b, s)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_bitwise_equal_to_one_point_at_a_time(self, n):
@@ -353,11 +356,11 @@ class TestSolvePoints:
             for t in (0.0, 0.9):
                 for kw in kwargs:
                     self.assert_same(solve_points(p, xs, t, **kw),
-                                     [solve_points(p, [x], t, **kw)[0] for x in xs])
+                                     [solve_one(p, x, t, **kw) for x in xs])
             spec = RadialDerivativeSpec(Dimension(n).derivative_order, 0.05,
                                         default_spec(Dimension(n).derivative_order, 1.4).degree)
             self.assert_same(solve_points(p, xs, 1.4, spec=spec, rule=small),
-                             [solve_points(p, [x], 1.4, spec=spec, rule=small)[0] for x in xs])
+                             [solve_one(p, x, 1.4, spec=spec, rule=small) for x in xs])
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_pairs_bitwise_equal_to_each_pair_alone(self, n):
@@ -377,7 +380,7 @@ class TestSolvePoints:
                 kwargs.append({})
             for kw in kwargs:
                 self.assert_same(solve_points(p, pairs, ts, **kw),
-                                 [solve_points(p, [x], t, **kw)[0] for x, t in zip(pairs, ts)])
+                                 [solve_one(p, x, t, **kw) for x, t in zip(pairs, ts)])
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_estimate_leaves_u_alone(self, n):
@@ -393,7 +396,7 @@ class TestSolvePoints:
             for kw in [{"rule": small}] + ([{}] if label != "plain" else []):
                 fast = solve_points(p, pairs, ts, with_error=False, **kw)
                 full = solve_points(p, pairs, ts, **kw)
-                assert [s.u for s in full] == [s.u for s in fast]
+                assert np.array_equal(full[0], fast[0])
 
     def test_times_with_different_node_counts(self):
         # sigma = 0.1 needs 64, 256 and 128 nodes per coordinate at t = 1, 5 and 2:
@@ -407,7 +410,7 @@ class TestSolvePoints:
         assert calls == [2 * KIRCHHOFF_RADII * 64, KIRCHHOFF_RADII * 256, KIRCHHOFF_RADII * 128]
         for kw in ({}, {"with_error": False}):
             self.assert_same(solve_points(p, xs, ts, **kw),
-                             [solve_points(p, [x], t, **kw)[0] for x, t in zip(xs, ts)])
+                             [solve_one(p, x, t, **kw) for x, t in zip(xs, ts)])
 
     @pytest.mark.parametrize("n, distances, nodes", [(2, 3, 64 * 32), (3, 4, 64)])
     def test_symmetric_slab_sums_each_distinct_sphere_once(self, n, distances, nodes):
@@ -421,8 +424,7 @@ class TestSolvePoints:
             psi, calls = counted(fields.gaussian(n, 1.0, center=center))
             batch = solve_points(problem(n, psi=psi), pairs, ts, with_error=False)
             assert sum(calls) == 3 * spheres * KIRCHHOFF_RADII * nodes
-            self.assert_same(batch, [solve_points(problem(n, psi=psi), [x], t,
-                                                  with_error=False)[0]
+            self.assert_same(batch, [solve_one(problem(n, psi=psi), x, t, with_error=False)
                                      for x, t in zip(pairs, ts)])
 
     def test_probe_major_pairs_sum_as_time_major(self):
@@ -436,7 +438,7 @@ class TestSolvePoints:
             p = problem(3, psi=psi)
             batch = solve_points(p, pairs, ts, with_error=False)
             assert calls == [4 * KIRCHHOFF_RADII * 64] * 3
-            self.assert_same(batch, [solve_points(p, [x], t, with_error=False)[0]
+            self.assert_same(batch, [solve_one(p, x, t, with_error=False)
                                      for x, t in zip(pairs, ts)])
 
     def test_first_offending_time_raises(self):
@@ -461,17 +463,27 @@ class TestSolvePoints:
     def test_dalembert_points(self):
         p = problem(1, phi=fields.gaussian(1, 0.7), psi=fields.bump(1, 1.2))
         xs = np.array([[-0.3], [0.0], [0.8]])
-        self.assert_same(solve_points(p, xs, 0.6), [solve_points(p, [x], 0.6)[0] for x in xs])
+        self.assert_same(solve_points(p, xs, 0.6), [solve_one(p, x, 0.6) for x in xs])
         ts = np.array([0.6, 0.0, 1.1])
         self.assert_same(solve_points(p, xs, ts),
-                         [solve_points(p, [x], t)[0] for x, t in zip(xs, ts)])
+                         [solve_one(p, x, t) for x, t in zip(xs, ts)])
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_no_points_evaluate_no_field(self, n):
         psi, calls = counted(fields.gaussian(n, 1.0))
         phi, phi_calls = counted(fields.harmonic(n, "linear"))
-        assert solve_points(problem(n, phi=phi, psi=psi), np.empty((0, n)), 1.0) == []
+        u, err = solve_points(problem(n, phi=phi, psi=psi), np.empty((0, n)), 1.0)
+        assert u.shape == err.shape == (0,)
         assert calls == [] and phi_calls == []
+
+    def test_dalembert_samples_phi_once_per_batch(self):
+        # phi at every x - t in one call and at every x + t in another, for any
+        # number of pairs; psi's quadrature stays per pair
+        phi, phi_calls = counted(fields.gaussian(1, 0.7))
+        psi, psi_calls = counted(fields.bump(1, 1.2))
+        solve_points(problem(1, phi=phi, psi=psi), [[-0.3], [0.0], [0.8]], [0.6, 0.0, 1.1])
+        assert phi_calls == [3, 3]
+        assert psi_calls and set(psi_calls) == {1}
 
     def test_shapes_and_errors(self):
         p = problem(3, psi=fields.gaussian(3, 1.0))
@@ -488,7 +500,7 @@ class TestSolvePoints:
         for n in (2, 3):  # a negative time is refused with no points too
             with pytest.raises(ValueError, match="non-negative"):
                 solve_points(problem(n), np.empty((0, n)), -1.0)
-            assert solve_points(problem(n), np.empty((0, n)), 1.0) == []
+            assert [a.shape for a in solve_points(problem(n), np.empty((0, n)), 1.0)] == [(0,)] * 2
         with pytest.raises(StencilError):
             solve_points(p, np.zeros((2, 3)), 1.0, spec=RadialDerivativeSpec(0, 0.5, 4))
 
@@ -538,9 +550,9 @@ class TestPolynomialData:
             p = CauchyProblem(phi, psi, Dimension(n))
             x, t = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0)
             exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
-            s = solve_points(p, [x], t)[0]
-            assert abs(s.u - exact) <= 1e-8 * abs(exact), (name, s.u, exact)
-            assert abs(s.u - exact) <= s.error_estimate, (name, s.u, exact)
+            u, err = solve_one(p, x, t)
+            assert abs(u - exact) <= 1e-8 * abs(exact), (name, u, exact)
+            assert abs(u - exact) <= err, (name, u, exact)
 
     def test_error_estimate_bounds_error_on_random_draws(self):
         # the error of exactly summed data is rounding, which the h against
@@ -553,9 +565,9 @@ class TestPolynomialData:
             phi, psi = (fields.harmonic(n, str(rng.choice(pool)), amplitude=rng.uniform(-2, 2),
                                         offset=rng.uniform(-2, 2)) for _ in range(2))
             x, t = rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 3.0)
-            s = solve_points(CauchyProblem(phi, psi, Dimension(n)), [x], t)[0]
+            u, err = solve_one(CauchyProblem(phi, psi, Dimension(n)), x, t)
             exact = float(phi(x[None, :])[0]) + t * float(psi(x[None, :])[0])
-            assert abs(s.u - exact) <= s.error_estimate, (n, phi.label, psi.label, x, t)
+            assert abs(u - exact) <= err, (n, phi.label, psi.label, x, t)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_constant_data(self, n):
@@ -563,10 +575,10 @@ class TestPolynomialData:
         for _ in range(3):
             a, b = rng.uniform(0.5, 3.0, 2)
             x, t = rng.uniform(-2.0, 2.0, n), rng.uniform(0.2, 4.0)
-            s = solve_points(CauchyProblem(fields.constant(n, a), fields.constant(n, b),
-                                           Dimension(n)), [x], t)[0]
-            assert abs(s.u - (a + t * b)) <= 1e-12 * (a + t * b)
-            assert abs(s.u - (a + t * b)) <= s.error_estimate
+            u, err = solve_one(CauchyProblem(fields.constant(n, a), fields.constant(n, b),
+                                             Dimension(n)), x, t)
+            assert abs(u - (a + t * b)) <= 1e-12 * (a + t * b)
+            assert abs(u - (a + t * b)) <= err
 
     @pytest.mark.parametrize("n, name", [(3, "saddle"), (4, "triple"), (7, "cubic"),
                                          (3, "linear")])
@@ -617,11 +629,11 @@ class TestPolynomialData:
         f, calls = counted(fields.harmonic(n, "saddle", offset=1.0))
         rule = sphere_quadrature_for_order(n, 7)
         x, t = np.full(n, 0.1), 1.2
-        s = solve_points(problem(n, psi=f), [x], t, rule=rule, with_error=False)[0]
+        u = solve_one(problem(n, psi=f), x, t, rule=rule, with_error=False)[0]
         radii = weighed_radii(n, t)
         means_rule = rule if n % 2 else descent_rule(n, rule)
         assert sum(calls) == radii * means_rule.nodes.shape[0]
-        assert s.u == pytest.approx(t * float(f(x[None, :])[0]), rel=1e-12)
+        assert u == pytest.approx(t * float(f(x[None, :])[0]), rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_field_without_degree_takes_the_default_rule(self, n):
@@ -630,8 +642,8 @@ class TestPolynomialData:
         plain = fields.ScalarField(cubic.evaluator, n)
         x, t = np.full(n, 0.2), 0.9
         default = sphere_quadrature(n) if n % 2 else descent_rule(n)
-        assert (solve_points(problem(n, psi=plain), [x], t)[0].u
-                == solve_points(problem(n, psi=plain), [x], t, rule=default)[0].u)
+        assert (solve_one(problem(n, psi=plain), x, t)[0]
+                == solve_one(problem(n, psi=plain), x, t, rule=default)[0])
 
 
 def kirchhoff_offset_gaussian(sigma, offset, t):
@@ -666,10 +678,10 @@ class TestRadialReduction:
     @pytest.mark.parametrize("n, sigma, t, offset", HANKEL_CASES)
     def test_matches_hankel_integral(self, n, sigma, t, offset):
         x = probe(n, offset)
-        s = solve_points(problem(n, psi=fields.gaussian(n, sigma=sigma)), [x], t)[0]
+        u, err = solve_one(problem(n, psi=fields.gaussian(n, sigma=sigma)), x, t)
         ref = gaussian_wave_hankel(n, sigma, x, t)
-        assert abs(s.u - ref) <= 1e-3 * abs(ref)
-        assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL
+        assert abs(u - ref) <= 1e-3 * abs(ref)
+        assert abs(u - ref) <= err + REFERENCE_TOL
 
     def test_error_estimate_bounds_error_on_random_draws(self):
         rng = np.random.default_rng(20261018)
@@ -681,10 +693,10 @@ class TestRadialReduction:
             x *= rng.uniform(0.0, 1.5) / np.linalg.norm(x)
             p = CauchyProblem(fields.gaussian(n, sigma=s_phi), fields.gaussian(n, sigma=s_psi),
                               Dimension(n))
-            s = solve_points(p, [x], t)[0]
+            u, err = solve_one(p, x, t)
             ref = (gaussian_wave_hankel(n, s_phi, x, t, velocity=False)
                    + gaussian_wave_hankel(n, s_psi, x, t))
-            assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL, (n, s_phi, s_psi, t, x)
+            assert abs(u - ref) <= err + REFERENCE_TOL, (n, s_phi, s_psi, t, x)
 
     def test_estimate_bounds_the_rounding_of_kirchhoff_means(self):
         # n = 3 velocity data: the chain is the sample at t, which h and h / 2
@@ -694,21 +706,21 @@ class TestRadialReduction:
         for _ in range(100):
             sigma, t = rng.uniform(0.4, 1.2), rng.uniform(0.2, 3.0)
             x, c = rng.uniform(-1.0, 1.0, (2, 3))
-            s = solve_points(problem(3, psi=fields.gaussian(3, sigma=sigma, center=c)), [x], t)[0]
+            u, err = solve_one(problem(3, psi=fields.gaussian(3, sigma=sigma, center=c)), x, t)
             with mpmath.workdps(40):
                 d, sig, tt = (mpmath.mpf(float(v)) for v in (np.linalg.norm(x - c), sigma, t))
                 exact = sig**2 / (2 * d) * (mpmath.exp(-(tt - d) ** 2 / (2 * sig**2))
                                             - mpmath.exp(-(tt + d) ** 2 / (2 * sig**2)))
-                error = abs(float(mpmath.mpf(s.u) - exact))
-            assert error <= s.error_estimate, (sigma, t, x, c)
+                error = abs(float(mpmath.mpf(u) - exact))
+            assert error <= err, (sigma, t, x, c)
 
     def test_near_front_matches_kirchhoff(self):
         # a narrow Gaussian six units off, sampled as its front reaches the probe
         psi = fields.gaussian(3, sigma=0.15, center=[6.0, 0.0, 0.0])
-        s = solve_points(problem(3, psi=psi), [np.zeros(3)], 6.0)[0]
+        u, err = solve_one(problem(3, psi=psi), np.zeros(3), 6.0)
         ref = kirchhoff_offset_gaussian(0.15, 6.0, 6.0)
-        assert abs(s.u - ref) <= 1e-8 * ref
-        assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL
+        assert abs(u - ref) <= 1e-8 * ref
+        assert abs(u - ref) <= err + REFERENCE_TOL
 
     def test_quadrature_estimate_reports_a_short_rule(self):
         # a length scale 4 t / 64 holds the rule at 64 nodes, which misses the
@@ -716,10 +728,10 @@ class TestRadialReduction:
         psi = dataclasses.replace(fields.gaussian(3, sigma=0.15, center=[6.0, 0.0, 0.0]),
                                   length_scale=6.0 * 4.0 / 64.0)
         assert solvers.radial_node_count(psi, 6.0) == 64
-        s = solve_points(problem(3, psi=psi), [np.zeros(3)], 6.0)[0]
-        error = abs(s.u - kirchhoff_offset_gaussian(0.15, 6.0, 6.0))
-        assert error > 1e-2 * s.u
-        assert s.error_estimate >= error
+        u, err = solve_one(problem(3, psi=psi), np.zeros(3), 6.0)
+        error = abs(u - kirchhoff_offset_gaussian(0.15, 6.0, 6.0))
+        assert error > 1e-2 * u
+        assert err >= error
 
     @staticmethod
     def short_rule_draw(rng, n):
@@ -738,9 +750,9 @@ class TestRadialReduction:
         velocity = bool(rng.integers(2))
         p = problem(n, psi=g) if velocity else problem(n, phi=g)
         spec = RadialDerivativeSpec(m, sigma / 8.0, default_spec(m, t).degree)
-        s = solve_points(p, [np.zeros(n)], t, spec=spec)[0]
+        u, err = solve_one(p, np.zeros(n), t, spec=spec)
         ref = gaussian_wave_hankel(n, sigma, -center, t, velocity=velocity)
-        return abs(s.u - ref), s.error_estimate, (n, sigma, offset, t, velocity)
+        return abs(u - ref), err, (n, sigma, offset, t, velocity)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_quadrature_estimate_bounds_short_rules(self, n):
@@ -767,9 +779,9 @@ class TestRadialReduction:
         psi = dataclasses.replace(fields.gaussian(n, sigma=sigma, center=center),
                                   length_scale=t / 16.0)
         spec = RadialDerivativeSpec(1, sigma / 8.0, default_spec(1, t).degree)
-        s = solve_points(problem(n, psi=psi), [np.zeros(n)], t, spec=spec)[0]
+        u, err = solve_one(problem(n, psi=psi), np.zeros(n), t, spec=spec)
         ref = gaussian_wave_hankel(n, sigma, -center, t)
-        assert abs(s.u - ref) <= s.error_estimate + REFERENCE_TOL
+        assert abs(u - ref) <= err + REFERENCE_TOL
 
     def test_node_count_rule(self):
         g = fields.gaussian(3, sigma=0.5)
@@ -814,7 +826,7 @@ class TestRadialReduction:
         monkeypatch.setattr(solvers, "descent_rule", refuse)
         p = CauchyProblem(fields.gaussian(n, sigma=0.8),
                           fields.bump(n, radius=1.5, center=[0.2] * n), Dimension(n))
-        assert math.isfinite(solve_points(p, [np.full(n, 0.1)], 1.0)[0].u)
+        assert math.isfinite(solve_one(p, np.full(n, 0.1), 1.0)[0])
 
     def test_lift_keeps_the_centre(self):
         lifted = solvers._lift(fields.gaussian(4, sigma=0.6, center=[0.1, 0.2, 0.3, 0.4]))
@@ -832,9 +844,9 @@ class TestRadialReduction:
                                 length_scale=g3.length_scale)
         assert solvers._lift(g4).radial_center is None
         x, t = np.array(x), 1.1
-        s4 = solve_points(problem(4, psi=g4, phi=g4), [x], t)[0]
-        s3 = solve_points(problem(3, psi=g3, phi=g3), [x[:3]], t)[0]
-        assert abs(s4.u - s3.u) <= s4.error_estimate + s3.error_estimate
+        u4, err4 = solve_one(problem(4, psi=g4, phi=g4), x, t)
+        u3, err3 = solve_one(problem(3, psi=g3, phi=g3), x[:3], t)
+        assert abs(u4 - u3) <= err4 + err3
 
 
 def _lattice_probes(grid, n, indices):
@@ -913,13 +925,13 @@ class TestWeighedRadii:
                 patch.setattr(solvers, "chain_support",
                               lambda degree, m: np.ones(degree + 1, dtype=bool))
                 full = solve_points(p, xs, ts, rule=small)
-            for a, b in zip(weighed, full):
-                if n >= 6:  # every radius is weighed from m = 2 on
-                    assert (a.u, a.error_estimate) == (b.u, b.error_estimate)
-                assert abs(a.u - b.u) <= 0.1 * b.error_estimate, (phi.label, a.u, b.u)
-                assert abs(a.u - b.u) <= 1e-13 * abs(b.u), (phi.label, a.u, b.u)
-                # exactly summed data's estimates are rounding-sized: 1.3e-2 apart at most
-                assert abs(a.error_estimate - b.error_estimate) <= 0.1 * b.error_estimate
+            (u, err), (u_full, err_full) = weighed, full
+            if n >= 6:  # every radius is weighed from m = 2 on
+                assert np.array_equal(u, u_full) and np.array_equal(err, err_full)
+            assert np.all(abs(u - u_full) <= 0.1 * err_full), (phi.label, u, u_full)
+            assert np.all(abs(u - u_full) <= 1e-13 * abs(u_full)), (phi.label, u, u_full)
+            # exactly summed data's estimates are rounding-sized: 1.3e-2 apart at most
+            assert np.all(abs(err - err_full) <= 0.1 * err_full)
 
     @staticmethod
     def gaussian_within(radius):
@@ -933,9 +945,9 @@ class TestWeighedRadii:
         # n = 3 velocity data: u = t times the mean at t alone, so data NaN on every
         # other stencil radius solve; NaN at t itself still raises
         t = 1.0
-        s = solve_points(problem(3, psi=self.gaussian_within(t * (1 + 1e-9))), [np.zeros(3)], t)[0]
-        assert s.u == pytest.approx(t * math.exp(-t * t), rel=1e-13)
-        assert math.isfinite(s.error_estimate)
+        u, err = solve_one(problem(3, psi=self.gaussian_within(t * (1 + 1e-9))), np.zeros(3), t)
+        assert u == pytest.approx(t * math.exp(-t * t), rel=1e-13)
+        assert math.isfinite(err)
         with pytest.raises(EvaluationError, match="non-finite"):
             solve_points(problem(3, psi=self.gaussian_within(t * (1 - 1e-9))), [np.zeros(3)], t)
 
@@ -946,10 +958,10 @@ class TestWeighedRadii:
         p = problem(3, psi=fields.gaussian(3, sigma=1.0))
         with pytest.raises(ValueError, match="even"):
             solve_points(p, [x], t, spec=RadialDerivativeSpec(0, 0.05, 5))
-        s = solve_points(p, [x], t, spec=RadialDerivativeSpec(0, 0.05, 4))[0]
+        u, err = solve_one(p, x, t, spec=RadialDerivativeSpec(0, 0.05, 4))
         ref = kirchhoff_offset_gaussian(1.0, float(np.linalg.norm(x)), t)
-        assert s.error_estimate <= 1e-12
-        assert abs(s.u - ref) <= s.error_estimate
+        assert err <= 1e-12
+        assert abs(u - ref) <= err
 
 
 class TestAgainstSpectralOracle:
@@ -968,7 +980,7 @@ class TestAgainstSpectralOracle:
         sol = spectral_solve(p, grid, t)
         scale = float(np.max(np.abs(sol.values)))
         for x, idx in _lattice_probes(grid, n, (points // 2, points // 2 + 1)):
-            u = solve_points(p, [x], t, with_error=False)[0].u
+            u = solve_one(p, x, t, with_error=False)[0]
             assert abs(u - sol.values[idx]) <= 1e-5 * scale
 
     @pytest.mark.parametrize("n, points", [(2, 256), (3, 128)])
@@ -983,37 +995,45 @@ class TestAgainstSpectralOracle:
         fine = RadialDerivativeSpec(0, t / 40.0, 4)  # the default h = t / 10 leaves 1e-3
         for x, idx in _lattice_probes(grid, n, (points // 2, points // 2 + points // 16)):
             oracle = sol.values[idx]
-            s = solve_points(p, [x], t)[0]
-            assert abs(s.u - oracle) <= s.error_estimate
-            assert abs(solve_points(p, [x], t, spec=fine)[0].u - oracle) <= 1e-5 * scale
+            u, err = solve_one(p, x, t)
+            assert abs(u - oracle) <= err
+            assert abs(solve_one(p, x, t, spec=fine)[0] - oracle) <= 1e-5 * scale
 
 
 class TestDalembert:
     def test_linear_phi(self):
         phi = fields.harmonic(1, "linear")
         p = CauchyProblem(phi, fields.zero(1), Dimension(1))
-        s = solve_dalembert_point(p, 0.7, 2.0)
-        assert s.method == "dalembert"
-        assert s.u == pytest.approx(0.7, rel=1e-13)
+        assert solve_one(p, [0.7], 2.0)[0] == pytest.approx(0.7, rel=1e-13)
 
     def test_constant_psi(self):
         p = problem(1, psi=fields.constant(1, 1.0))
-        assert solve_dalembert_point(p, 0.3, 1.8).u == pytest.approx(1.8, rel=1e-12)
+        assert solve_one(p, [0.3], 1.8)[0] == pytest.approx(1.8, rel=1e-12)
 
     def test_sine_phi(self):
         phi = fields.ScalarField(lambda pts: np.sin(pts[..., 0]), 1, periodic=True)
         p = CauchyProblem(phi, fields.zero(1), Dimension(1))
         for x, t in ((0.4, 0.9), (-1.2, 2.5)):
-            assert solve_dalembert_point(p, x, t).u == pytest.approx(
-                math.sin(x) * math.cos(t), rel=1e-12)
+            assert solve_one(p, [x], t)[0] == pytest.approx(math.sin(x) * math.cos(t), rel=1e-12)
 
     @pytest.mark.parametrize("sigma, t", [(0.01, 100.0), (0.05, 1000.0), (0.3, 1e5)])
     def test_narrow_velocity_on_a_long_interval(self, sigma, t):
         # [x - t, x + t] is cut to psi's support, so the quadrature's nodes land on
         # the data: at x = 0 the whole Gaussian counts, u = sigma sqrt(2 pi) / 2
-        s = solve_points(problem(1, psi=fields.gaussian(1, sigma)), [[0.0]], t)[0]
-        assert s.u == pytest.approx(0.5 * sigma * math.sqrt(2.0 * math.pi), rel=1e-12)
-        assert s.error_estimate <= 1e-12
+        u, err = solve_one(problem(1, psi=fields.gaussian(1, sigma)), [0.0], t)
+        assert u == pytest.approx(0.5 * sigma * math.sqrt(2.0 * math.pi), rel=1e-12)
+        assert err <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the n = 1 estimate holds only "
+                                           "for data that declare a finite support radius")
+    def test_estimate_bounds_a_narrow_velocity_of_no_declared_support(self):
+        # the same Gaussian as a plain field: [x - t, x + t] is not cut, and at
+        # t = 100 quad's nodes miss it, u = 2.4e-103 with an estimate of 0.0 (at
+        # t = 1 it is right to 1e-16)
+        sigma = 0.01
+        psi = fields.ScalarField(lambda pts: np.exp(-pts[..., 0] ** 2 / (2.0 * sigma**2)), 1)
+        u, err = solve_one(problem(1, psi=psi), [0.0], 100.0)
+        assert abs(u - 0.5 * sigma * math.sqrt(2.0 * math.pi)) <= err
 
     def test_narrow_bump_and_a_missed_support(self):
         # a bump of radius 0.01 counts whole at every long time; an interval
@@ -1022,22 +1042,13 @@ class TestDalembert:
         whole = quad(lambda s: float(psi(np.array([s]))), -0.01, 0.01,
                      epsabs=1e-14, epsrel=1e-14)[0]
         for t in (1.0, 100.0, 1e5):
-            s = solve_points(problem(1, psi=psi), [[0.0]], t)[0]
-            assert s.u == pytest.approx(0.5 * whole, rel=1e-12)
-        s = solve_dalembert_point(problem(1, psi=psi), 5.0, 1.0)
-        assert (s.u, s.error_estimate) == (0.0, 0.0)
+            assert solve_one(problem(1, psi=psi), [0.0], t)[0] == pytest.approx(0.5 * whole,
+                                                                                rel=1e-12)
+        assert solve_one(problem(1, psi=psi), [5.0], 1.0) == (0.0, 0.0)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
-            solve_dalembert_point(problem(2), 0.0, 1.0)
-
-    def test_dispatch(self):
-        p = problem(1, psi=fields.constant(1, 1.0))
-        assert solve_points(p, [[0.0]], 1.0)[0].method == "dalembert"
-        p3 = problem(3, psi=fields.constant(3, 1.0))
-        assert solve_points(p3, [np.zeros(3)], 1.0)[0].method == "spherical_means"
-        p2 = problem(2, psi=fields.constant(2, 1.0))
-        assert solve_points(p2, [np.zeros(2)], 1.0)[0].method == "weighted_means"
+            solve_points(problem(2), [[0.0]], 1.0)
 
 
 class TestSpectral:
@@ -1063,8 +1074,7 @@ class TestSpectral:
         sol = spectral_solve(p, grid, 1.5)
         axis = grid.axis()
         for i in np.nonzero(np.abs(axis) < 3.0)[0][::101]:
-            d = solve_dalembert_point(p, axis[i], 1.5)
-            assert abs(d.u - sol.values[i]) <= 1e-6
+            assert abs(solve_one(p, [axis[i]], 1.5)[0] - sol.values[i]) <= 1e-6
 
     def test_wraparound_guard(self):
         p = problem(1, phi=fields.gaussian(1, sigma=1.0))
@@ -1473,19 +1483,15 @@ class TestPropagation:
         x = np.zeros(n)
         x[0] = 3.0
         t = 1.5  # |x| > 0.5 + t: still quiet
-        if n == 1:
-            s = solve_dalembert_point(p, 3.0, t)
-        else:
-            s = solve_points(p, [x], t, with_error=False)[0]
-        assert abs(s.u) <= 1e-6
+        assert abs(solve_one(p, x, t, with_error=False)[0]) <= 1e-6
 
     def test_huygens_sharp_rear_front(self):
         psi = fields.bump(3, radius=0.5)
         p = problem(3, psi=psi)
         x = np.array([3.0, 0.0, 0.0])
         for t in (1.0, 2.0, 4.0, 5.0):
-            assert abs(solve_points(p, [x], t, with_error=False)[0].u) <= 1e-6
-        assert abs(solve_points(p, [x], 3.0, with_error=False)[0].u) > 1e-3
+            assert abs(solve_one(p, x, t, with_error=False)[0]) <= 1e-6
+        assert abs(solve_one(p, x, 3.0, with_error=False)[0]) > 1e-3
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_huygens_inner_cone_quiet(self, n):
@@ -1495,13 +1501,13 @@ class TestPropagation:
         p = problem(n, psi=psi)
         x = np.zeros(n)
         for t in (2.0, 4.0):
-            assert abs(solve_points(p, [x], t, with_error=False)[0].u) <= 1e-6
+            assert abs(solve_one(p, x, t, with_error=False)[0]) <= 1e-6
 
     def test_even_wake_persists(self):
         psi = fields.bump(2, radius=0.5)
         p = problem(2, psi=psi)
         for t in (2.0, 4.0, 8.0):
-            assert solve_points(p, [np.zeros(2)], t, with_error=False)[0].u > 1e-4
+            assert solve_one(p, np.zeros(2), t, with_error=False)[0] > 1e-4
 
 
 class TestWaveResidual:
@@ -1542,8 +1548,7 @@ class TestWaveResidual:
             for it, t in enumerate(tvals):
                 for idx in np.ndindex(*(pts,) * n):
                     x = np.array([axis[i] for i in idx])
-                    slab[(it,) + idx] = solve_points(p, [x], t, rule=rule,
-                                                     with_error=False)[0].u
+                    slab[(it,) + idx] = solve_one(p, x, t, rule=rule, with_error=False)[0]
             res.append(wave_residual(slab, h, h))
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.25)
 
